@@ -47,6 +47,7 @@ from .metrics import (
     mean_ap,
     precision_at_r,
     precision_h2,
+    retrieval_scores,
 )
 from .model import (
     HashModel,

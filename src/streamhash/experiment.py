@@ -130,6 +130,15 @@ def _validate_dataset(raw: dict) -> dict:
     return dict(raw)
 
 
+def _typed(kind, value, name: str):
+    """kind(value) for a config field; a value that does not convert is a
+    ConfigError naming the field."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"{name} must be {kind.__name__}, got {value!r}") from e
+
+
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """Build and fully validate an ExperimentConfig from parsed JSON."""
     known = {
@@ -144,17 +153,17 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     split_raw = raw["split"]
     try:
         split = SplitSpec(
-            test_per_class=int(split_raw["test_per_class"]),
-            train_size=int(split_raw["train_size"]),
-            seed=int(split_raw.get("seed", 0)),
+            test_per_class=_typed(int, split_raw["test_per_class"], "split.test_per_class"),
+            train_size=_typed(int, split_raw["train_size"], "split.train_size"),
+            seed=_typed(int, split_raw.get("seed", 0), "split.seed"),
         )
     except KeyError as e:
         raise ConfigError(f"split section missing {e}") from e
     eval_raw = raw.get("eval", {})
     opts = EvalOptions(
-        cutoff=int(eval_raw.get("cutoff", 1000)),
-        r_max=int(eval_raw.get("r_max", 100)),
-        every_n_stages=int(eval_raw.get("every_n_stages", 50)),
+        cutoff=_typed(int, eval_raw.get("cutoff", 1000), "eval.cutoff"),
+        r_max=_typed(int, eval_raw.get("r_max", 100), "eval.r_max"),
+        every_n_stages=_typed(int, eval_raw.get("every_n_stages", 50), "eval.every_n_stages"),
     )
     if opts.cutoff < 1 or opts.r_max < 1 or opts.every_n_stages < 1:
         raise ConfigError("eval options must be positive")
@@ -162,12 +171,12 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         dataset=_validate_dataset(raw["dataset"]),
         split=split,
         train=_train_from_dict(raw.get("train", {})),
-        bits=int(raw.get("bits", 32)),
-        init_scale=float(raw.get("init_scale", 1.0)),
-        epochs=int(raw.get("epochs", 1)),
+        bits=_typed(int, raw.get("bits", 32), "bits"),
+        init_scale=_typed(float, raw.get("init_scale", 1.0), "init_scale"),
+        epochs=_typed(int, raw.get("epochs", 1), "epochs"),
         eval=opts,
         output_dir=str(raw.get("output_dir", "runs/default")),
-        seed=int(raw.get("seed", 0)),
+        seed=_typed(int, raw.get("seed", 0), "seed"),
         sweep=dict(raw.get("sweep", {})),
         unseen=dict(raw.get("unseen", {})),
     )
@@ -220,12 +229,8 @@ def evaluate_model(model, retrieval, test, cutoff: int, r_max: int):
     """All retrieval metrics of one model on a retrieval/test split."""
     db = encode_packed(model, *retrieval)
     queries = encode_packed(model, *test)
-    return {
-        "map": metrics.mean_ap(queries, db),
-        "map_at_k": metrics.mean_ap(queries, db, cutoff=cutoff),
-        "precision_h2": metrics.precision_h2(queries, db),
-        "precision_at_r": metrics.precision_at_r(queries, db, r_max).tolist(),
-    }
+    scores = metrics.retrieval_scores(queries, db, cutoff=cutoff, r_max=r_max)
+    return {**scores, "precision_at_r": scores["precision_at_r"].tolist()}
 
 
 def _fmt(v) -> str:

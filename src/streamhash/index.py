@@ -74,18 +74,25 @@ def hamming(a: np.ndarray, b: np.ndarray) -> int:
 
 
 def hamming_to_db(query_words: np.ndarray, db: PackedCodes) -> np.ndarray:
-    """Distances from one packed query to every database entry."""
-    if query_words.shape[0] != db.words.shape[1]:
+    """Distances from packed queries to every database entry.
+
+    query_words holds one query's words, shape (n_words,), or a block of
+    queries, shape (m, n_words); the distances come back with shape (n,) or
+    (m, n), in the smallest unsigned dtype that holds k (uint8 below 256).
+    """
+    if query_words.shape[-1] != db.words.shape[1]:
         raise DimensionError("query and database use different code lengths")
-    xors = np.bitwise_xor(db.words, query_words[None, :])
-    return np.bitwise_count(xors).sum(axis=1).astype(np.int64)
+    dists = np.zeros(query_words.shape[:-1] + (db.n,), dtype=np.min_scalar_type(db.k))
+    for w in range(db.words.shape[1]):
+        dists += np.bitwise_count(np.bitwise_xor(db.words[:, w], query_words[..., w, None]))
+    return dists
 
 
 def search(query_words: np.ndarray, db: PackedCodes) -> RetrievalResult:
     """Rank the whole database by ascending distance, ties by ascending id."""
     dists = hamming_to_db(query_words, db)
     order = np.argsort(dists, kind="stable")
-    return RetrievalResult(ranked_ids=order, distances=dists[order])
+    return RetrievalResult(ranked_ids=order, distances=dists[order].astype(np.int64))
 
 
 def lsh_baseline(d: int, k: int, seed: int = 0) -> HashModel:
@@ -107,9 +114,10 @@ def load_codes(path, labels: np.ndarray | None = None) -> PackedCodes:
     """Read a codes file written by save_codes."""
     with open(path) as f:
         header = f.readline().split()
-        if len(header) != 2:
-            raise FormatError(f"{path}: header must be 'k n'")
-        k, n = int(header[0]), int(header[1])
+        try:
+            k, n = (int(v) for v in header)
+        except ValueError as e:
+            raise FormatError(f"{path}: header must be two integers 'k n'") from e
         B = np.empty((k, n))
         for i in range(n):
             line = f.readline().strip()

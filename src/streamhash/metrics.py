@@ -9,6 +9,10 @@ open are pinned explicitly and recorded in every report:
 * a query whose radius-2 Hamming ball is empty contributes 0 to
   Precision@H2 (not skipped);
 * ranking ties are broken by ascending database index.
+
+retrieval_scores ranks the database once per query and derives all four
+ranking metrics from that one ranking; mean_ap, precision_h2 and
+precision_at_r are views of it.
 """
 
 from __future__ import annotations
@@ -50,82 +54,117 @@ class MetricReport:
     conventions: dict = field(default_factory=lambda: dict(CONVENTIONS))
 
 
+# Rows of queries ranked together are BLOCK_BYTES // (8 * db.n): the block's
+# largest temporaries, the XOR of one query word against the database and the
+# int64 argsort indices, then take about BLOCK_BYTES each, whatever the
+# database size.
+BLOCK_BYTES = 8 << 20
+
+
+def _cut(n: int, cutoff: int | None) -> int:
+    """Number of leading ranks a cutoff keeps out of n (all when None)."""
+    if cutoff is None:
+        return n
+    if cutoff < 1:
+        raise DomainError("cutoff must be at least 1")
+    return min(cutoff, n)
+
+
+def _ap_terms(ranked_rel: np.ndarray):
+    """0-based positions of the relevant ranks of one ranking, and its AP
+    terms: the precision at each relevant rank, zero at the others."""
+    found = np.flatnonzero(ranked_rel)
+    terms = np.zeros(ranked_rel.shape[0])
+    terms[found] = np.arange(1, found.size + 1) / (found + 1)
+    return found, terms
+
+
+def _ap(found: np.ndarray, terms: np.ndarray, stop: int) -> float:
+    """AP over the first `stop` ranks. The sum runs over all `stop` terms,
+    zeros included, so numpy groups the float additions the same way for
+    every caller."""
+    total = np.searchsorted(found, stop)  # relevant items among them
+    return float(terms[:stop].sum() / total) if total else 0.0
+
+
 def average_precision(result, rel: np.ndarray, cutoff: int | None = None) -> float:
     """AP of one ranking against per-database-item relevance flags."""
     if rel.shape[0] != result.ranked_ids.shape[0]:
         raise DimensionError(
             f"relevance length {rel.shape[0]} != ranking length {result.ranked_ids.shape[0]}"
         )
-    ranked_rel = rel[result.ranked_ids].astype(np.float64)
-    if cutoff is not None:
-        ranked_rel = ranked_rel[:cutoff]
-        total = ranked_rel.sum()
-    else:
-        total = rel.sum()
-    if total == 0:
-        return 0.0
-    cum = np.cumsum(ranked_rel)
-    ranks = np.arange(1, ranked_rel.shape[0] + 1)
-    return float(((cum / ranks) * ranked_rel).sum() / total)
+    return _ap(*_ap_terms(rel[result.ranked_ids]), _cut(rel.shape[0], cutoff))
 
 
-def _rankings(queries: PackedCodes, db: PackedCodes):
+def _validate(queries: PackedCodes, db: PackedCodes, r_max: int | None) -> None:
+    if r_max is not None:
+        if r_max > db.n:
+            raise DomainError(f"r_max={r_max} exceeds database size {db.n}")
+        if r_max < 1:
+            raise DomainError("r_max must be at least 1")
     if queries.n == 0:
         raise DomainError("empty query set")
     if queries.k != db.k:
         raise DimensionError(f"query bits {queries.k} != database bits {db.k}")
     if queries.labels is None or db.labels is None:
         raise DomainError("labels are required for relevance judgments")
-    for i in range(queries.n):
-        dists = hamming_to_db(queries.words[i], db)
-        order = np.argsort(dists, kind="stable")
-        rel = db.labels == queries.labels[i]
-        yield order, dists, rel
+
+
+def retrieval_scores(queries: PackedCodes, db: PackedCodes, cutoff: int | None = None,
+                     r_max: int | None = None) -> dict:
+    """mAP, mAP@cutoff, Precision@H2 and Precision@1..r_max, all from one
+    ranking of the database per query.
+
+    Queries are ranked a block at a time: hamming_to_db gives the block's
+    distances in the smallest unsigned dtype that holds k, and one stable
+    argsort per row (a radix sort on 8/16-bit keys) orders them with ties by
+    ascending database index. Each query's reductions, and the Precision@R
+    accumulation over queries, run in query order exactly as a
+    query-at-a-time evaluation would, so no result depends on the block size.
+    map_at_k equals map when cutoff is None; precision_at_r is empty when
+    r_max is None.
+    """
+    _validate(queries, db, r_max)
+    stop = _cut(db.n, cutoff)
+    r_max = r_max or 0
+    ranks = np.arange(1, r_max + 1)
+    aps, aps_cut, ph2 = np.empty(queries.n), np.empty(queries.n), np.empty(queries.n)
+    p_at_r = np.zeros(r_max)
+    rows = max(1, BLOCK_BYTES // (8 * max(1, db.n)))
+    for start in range(0, queries.n, rows):
+        block = slice(start, start + rows)
+        dists = hamming_to_db(queries.words[block], db)
+        in_ball = np.count_nonzero(dists <= 2, axis=1)
+        ranked = db.labels[np.argsort(dists, axis=1, kind="stable")]
+        ranked = ranked == queries.labels[block, None]
+        for i, ranked_rel, ball in zip(range(start, queries.n), ranked, in_ball):
+            found, terms = _ap_terms(ranked_rel)
+            aps[i] = _ap(found, terms, db.n)
+            aps_cut[i] = _ap(found, terms, stop)
+            # the radius-2 ball is the ranking's first `ball` items
+            ph2[i] = np.searchsorted(found, ball) / ball if ball else 0.0
+            p_at_r += np.cumsum(ranked_rel[:r_max]) / ranks
+    return {
+        "map": float(np.mean(aps)),
+        "map_at_k": float(np.mean(aps_cut)),
+        "precision_h2": float(np.mean(ph2)),
+        "precision_at_r": p_at_r / queries.n,
+    }
 
 
 def mean_ap(queries: PackedCodes, db: PackedCodes, cutoff: int | None = None) -> float:
     """Mean AP over all queries, optionally truncated at a rank cutoff."""
-    aps = []
-    for order, dists, rel in _rankings(queries, db):
-        ranked_rel = rel[order].astype(np.float64)
-        if cutoff is not None:
-            ranked_rel_c = ranked_rel[:cutoff]
-            total = ranked_rel_c.sum()
-        else:
-            ranked_rel_c = ranked_rel
-            total = rel.sum()
-        if total == 0:
-            aps.append(0.0)
-            continue
-        cum = np.cumsum(ranked_rel_c)
-        ranks = np.arange(1, ranked_rel_c.shape[0] + 1)
-        aps.append(float(((cum / ranks) * ranked_rel_c).sum() / total))
-    return float(np.mean(aps))
+    return retrieval_scores(queries, db, cutoff=cutoff)["map_at_k"]
 
 
 def precision_h2(queries: PackedCodes, db: PackedCodes) -> float:
     """Mean precision within the radius-2 Hamming ball of each query."""
-    precisions = []
-    for _, dists, rel in _rankings(queries, db):
-        ball = dists <= 2
-        hits = int(ball.sum())
-        precisions.append(float(rel[ball].sum() / hits) if hits else 0.0)
-    return float(np.mean(precisions))
+    return retrieval_scores(queries, db)["precision_h2"]
 
 
 def precision_at_r(queries: PackedCodes, db: PackedCodes, r_max: int) -> np.ndarray:
     """Mean precision of the top R neighbors for every R in 1..r_max."""
-    if r_max > db.n:
-        raise DomainError(f"r_max={r_max} exceeds database size {db.n}")
-    if r_max < 1:
-        raise DomainError("r_max must be at least 1")
-    acc = np.zeros(r_max)
-    n_queries = 0
-    for order, _, rel in _rankings(queries, db):
-        top = rel[order][:r_max].astype(np.float64)
-        acc += np.cumsum(top) / np.arange(1, r_max + 1)
-        n_queries += 1
-    return acc / n_queries
+    return retrieval_scores(queries, db, r_max=r_max)["precision_at_r"]
 
 
 def curve_auc(points) -> float:

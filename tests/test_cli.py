@@ -141,6 +141,11 @@ class TestExitCodes:
     def test_missing_config_file_is_2(self, tmp_path):
         assert cli.main(["train", "--config", str(tmp_path / "nope.json")]) == 2
 
+    def test_wrong_type_override_is_2(self, tmp_path):
+        cfg = write_config(tmp_path)
+        assert cli.main(["train", "--config", str(cfg), "--set", 'bits="abc"']) == 2
+        assert not (tmp_path / "out").exists()
+
     def test_invalid_config_leaves_no_outputs(self, tmp_path):
         cfg = write_config(tmp_path, bits=-1)
         assert cli.main(["train", "--config", str(cfg)]) == 2

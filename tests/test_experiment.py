@@ -47,6 +47,16 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             config_from_dict(raw)
 
+    @pytest.mark.parametrize("section, key, value", [
+        (None, "bits", "abc"), (None, "init_scale", [1]), (None, "seed", None),
+        ("split", "train_size", "many"), ("eval", "r_max", {}),
+    ])
+    def test_uncoercible_values_rejected(self, tmp_path, section, key, value):
+        raw = blob_config(tmp_path)
+        (raw if section is None else raw[section])[key] = value
+        with pytest.raises(ConfigError, match=key):
+            config_from_dict(raw)
+
     def test_invalid_config_writes_nothing(self, tmp_path):
         raw = blob_config(tmp_path)
         raw["train"]["learning_rate"] = -1.0

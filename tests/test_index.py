@@ -87,7 +87,36 @@ class TestHamming:
             index.hamming(np.zeros(1, dtype=np.uint64), np.zeros(2, dtype=np.uint64))
 
 
+class TestHammingToDb:
+    @pytest.mark.parametrize("k, dtype", [(1, np.uint8), (64, np.uint8), (130, np.uint8),
+                                          (255, np.uint8), (256, np.uint16), (300, np.uint16)])
+    def test_block_rows_match_single_queries(self, k, dtype):
+        rng = np.random.default_rng(k)
+        db = index.pack(random_codes(rng, k, 30))
+        q = index.pack(random_codes(rng, k, 4))
+        block = index.hamming_to_db(q.words, db)
+        assert block.shape == (4, 30) and block.dtype == dtype
+        for i in range(4):
+            single = index.hamming_to_db(q.words[i], db)
+            assert single.dtype == dtype
+            assert single.tolist() == block[i].tolist()
+            assert single.tolist() == [index.hamming(q.words[i], w) for w in db.words]
+
+    def test_word_count_mismatch(self):
+        rng = np.random.default_rng(0)
+        db = index.pack(random_codes(rng, 70, 3))
+        with pytest.raises(DimensionError):
+            index.hamming_to_db(np.zeros((2, 1), dtype=np.uint64), db)
+
+
 class TestSearch:
+    def test_distances_are_int64(self):
+        rng = np.random.default_rng(4)
+        db = index.pack(random_codes(rng, 8, 5))
+        q = index.pack(random_codes(rng, 8, 1))
+        assert index.search(q.words[0], db).distances.dtype == np.int64
+
+
     def test_single_item_database(self):
         rng = np.random.default_rng(5)
         db = index.pack(random_codes(rng, 8, 1))
@@ -152,5 +181,12 @@ class TestCodesFile:
     def test_bad_line_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("3 1\n012\n")
+        with pytest.raises(FormatError):
+            index.load_codes(path)
+
+    @pytest.mark.parametrize("header", ["x y", "3", "3 1 2", "3.5 1"])
+    def test_bad_header_rejected(self, tmp_path, header):
+        path = tmp_path / "bad.txt"
+        path.write_text(header + "\n010\n")
         with pytest.raises(FormatError):
             index.load_codes(path)

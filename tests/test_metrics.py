@@ -192,6 +192,94 @@ class TestPrecisionAtR:
             metrics.precision_at_r(queries, db, db.n + 1)
 
 
+def clustered_instance(seed, k, n_db=40, n_q=7):
+    """Codes drawn from a few prototypes with light noise: many exact distance
+    ties, and for k > 2 queries whose radius-2 ball holds nothing."""
+    rng = np.random.default_rng(seed)
+    protos = rng.choice([-1.0, 1.0], size=(k, 3))
+
+    def draw(n):
+        B = protos[:, rng.integers(0, 3, size=n)]
+        flips = rng.random((k, n)) < min(0.5, 2.0 / k)
+        return np.where(flips, -B, B), rng.integers(0, 3, size=n)
+
+    (db_B, db_labels), (q_B, q_labels) = draw(n_db), draw(n_q)
+    q_B[:, -1] = -protos[:, 0]  # far from every prototype once k > 4
+    return db_B, q_B, db_labels, q_labels, index.pack(db_B, db_labels), index.pack(q_B, q_labels)
+
+
+class TestBlockedPass:
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 63, 64, 65, 130, 300])
+    def test_matches_per_query_brute_force(self, monkeypatch, rows, k):
+        db_B, q_B, db_labels, q_labels, db, queries = clustered_instance(k, k)
+        # blocks of `rows` queries; 7 queries never fill the last block
+        monkeypatch.setattr(metrics, "BLOCK_BYTES", rows * 8 * db.n)
+        for cutoff, r_max in [(7, 10), (db.n + 5, db.n)]:
+            expect = [bf_metrics(q_B[:, i], q_labels[i], db_B, db_labels, cutoff, r_max)
+                      for i in range(queries.n)]
+            got = metrics.retrieval_scores(queries, db, cutoff=cutoff, r_max=r_max)
+            assert got["map"] == np.mean([e[0] for e in expect])
+            assert got["map_at_k"] == np.mean([e[1] for e in expect])
+            assert got["precision_h2"] == np.mean([e[2] for e in expect])
+            np.testing.assert_array_equal(got["precision_at_r"],
+                                          np.mean([e[3] for e in expect], axis=0))
+            assert metrics.mean_ap(queries, db) == got["map"]
+            assert metrics.mean_ap(queries, db, cutoff=cutoff) == got["map_at_k"]
+            assert metrics.precision_h2(queries, db) == got["precision_h2"]
+            np.testing.assert_array_equal(metrics.precision_at_r(queries, db, r_max),
+                                          got["precision_at_r"])
+
+    def test_instances_have_ties_and_empty_balls(self):
+        db_B, q_B, _, _, db, queries = clustered_instance(0, 65)
+        dists = index.hamming_to_db(queries.words, db)
+        assert any(np.unique(row).size < db.n // 2 for row in dists)
+        assert (np.count_nonzero(dists <= 2, axis=1) == 0).any()
+
+    def test_block_size_does_not_change_results(self, monkeypatch):
+        _, _, _, _, db, queries = make_instance(9, n_db=30, n_q=11)
+        whole = metrics.retrieval_scores(queries, db, cutoff=5, r_max=30)
+        for rows in (1, 4, 11):
+            monkeypatch.setattr(metrics, "BLOCK_BYTES", rows * 8 * db.n)
+            blocked = metrics.retrieval_scores(queries, db, cutoff=5, r_max=30)
+            assert blocked.keys() == whole.keys()
+            for key in whole:
+                np.testing.assert_array_equal(blocked[key], whole[key])
+
+
+class TestValidationBeforeRanking:
+    @pytest.fixture
+    def no_scans(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(metrics, "hamming_to_db", lambda *a: calls.append(a))
+        return calls
+
+    def test_r_max_beyond_database_scans_nothing(self, no_scans):
+        from streamhash import experiment, model as hm
+
+        rng = np.random.default_rng(0)
+        retrieval = (rng.normal(size=(6, 20)), rng.integers(0, 2, size=20))
+        test = (rng.normal(size=(6, 4)), rng.integers(0, 2, size=4))
+        with pytest.raises(DomainError, match="r_max"):
+            experiment.evaluate_model(hm.init(6, 8, seed=0), retrieval, test,
+                                      cutoff=5, r_max=21)
+        assert no_scans == []
+
+    def test_bad_inputs_scan_nothing(self, no_scans):
+        _, _, _, _, db, queries = make_instance(3)
+        empty = index.pack(np.ones((8, 1)), np.array([0]))
+        empty.n = 0
+        wide = index.pack(np.ones((9, 2)), np.array([0, 1]))
+        unlabeled = index.pack(np.ones((8, 2)))
+        cases = [(empty, db, {}, DomainError), (wide, db, {}, DimensionError),
+                 (unlabeled, db, {}, DomainError), (queries, db, {"r_max": 0}, DomainError),
+                 (queries, db, {"cutoff": 0}, DomainError)]
+        for q, d, kwargs, error in cases:
+            with pytest.raises(error):
+                metrics.retrieval_scores(q, d, **kwargs)
+        assert no_scans == []
+
+
 class TestCurveAuc:
     def test_constant_curve(self):
         pts = [CurvePoint(1.0, 0.4), CurvePoint(2.0, 0.4), CurvePoint(5.0, 0.4)]
