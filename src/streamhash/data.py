@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConsistencyError, DomainError, FormatError, SplitError
+from .errors import ConsistencyError, DomainError, FormatError, NumericError, SplitError
 
 IDX_IMAGE_MAGIC = 2051
 IDX_LABEL_MAGIC = 2049
@@ -120,18 +120,36 @@ def load_dense(path) -> tuple[np.ndarray, np.ndarray]:
         if d < 1 or n < 1:
             raise FormatError(f"{path}: header dimensions must be positive")
         features = np.empty((d, n), dtype=np.float64)
-        for i in range(n):
-            fields = f.readline().split()
-            if len(fields) != d:
-                raise FormatError(
-                    f"{path}: instance {i} has {len(fields)} values, expected {d}"
-                )
-            features[:, i] = [float(v) for v in fields]
+        try:
+            for i in range(n):
+                fields = f.readline().split()
+                if len(fields) != d:
+                    raise FormatError(
+                        f"{path}: line {i + 2}: instance {i} has {len(fields)} values, "
+                        f"expected {d}"
+                    )
+                features[:, i] = [float(v) for v in fields]
+        except ValueError as e:
+            raise FormatError(f"{path}: line {i + 2}: {e}") from e
         fields = f.readline().split()
         if len(fields) != n:
-            raise FormatError(f"{path}: label line has {len(fields)} values, expected {n}")
-        labels = np.array([int(v) for v in fields], dtype=np.int64)
+            raise FormatError(
+                f"{path}: line {n + 2}: label line has {len(fields)} values, expected {n}"
+            )
+        try:
+            labels = np.array([int(v) for v in fields], dtype=np.int64)
+        except ValueError as e:
+            raise FormatError(f"{path}: line {n + 2}: {e}") from e
+    check_finite_rows(features.T, path, first_line=2)
     return features, labels
+
+
+def check_finite_rows(values: np.ndarray, path, first_line: int) -> None:
+    """Raise NumericError naming the first line, counted from first_line for
+    row 0, whose row of values holds a nan or an infinity."""
+    bad_rows = np.flatnonzero(~np.isfinite(values).all(axis=1))
+    if bad_rows.size:
+        raise NumericError(f"{path}: line {first_line + bad_rows[0]}: non-finite value")
 
 
 def synth_blobs(num_classes: int, dim: int, per_class: int, spread: float, seed: int):

@@ -98,8 +98,12 @@ def hamming_sq(b_i: np.ndarray, b_j: np.ndarray) -> float:
 def pairwise_hamming_sq(B: np.ndarray) -> np.ndarray:
     """All-pairs hamming_sq over the columns of a (k, n) code matrix."""
     gram = B.T @ B
-    sq = np.diag(gram)
-    dist = 0.25 * (sq[:, None] + sq[None, :] - 2.0 * gram)
+    sq = np.diag(gram).copy()
+    # 0.25 * (sq_i + sq_j - 2 gram_ij), with one (n, n) temporary
+    dist = np.add.outer(sq, sq)
+    gram *= 2.0
+    dist -= gram
+    dist *= 0.25
     np.maximum(dist, 0.0, out=dist)
     np.fill_diagonal(dist, 0.0)
     return dist

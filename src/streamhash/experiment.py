@@ -257,6 +257,16 @@ class TrainOutcome:
     stage_reports: list
     curve_rows: list  # (stage_index, instances_seen, map, map_at_k, precision_h2, auc_so_far)
     final_metrics: dict
+    stages_planned: int
+
+    @property
+    def stages_completed(self) -> int:
+        return len(self.stage_reports)
+
+    @property
+    def aborted(self) -> bool:
+        """True when a NumericError stopped the stream before its last stage."""
+        return self.stages_completed < self.stages_planned
 
 
 def make_batches(train_split, cfg: ExperimentConfig):
@@ -278,7 +288,8 @@ def make_batches(train_split, cfg: ExperimentConfig):
 def run_train(cfg: ExperimentConfig, out_dir: Path | None = None) -> TrainOutcome:
     """Train over the stream, evaluating periodically for the size curve.
 
-    When out_dir is given, writes checkpoint.txt, stages.csv and curve.csv.
+    When out_dir is given, writes checkpoint.txt, stages.csv and curve.csv,
+    also for a stream that a NumericError cut short (see TrainOutcome.aborted).
     """
     features, labels = load_dataset(cfg.dataset)
     train_split, retrieval, test = data.split(features, labels, cfg.split)
@@ -343,6 +354,7 @@ def run_train(cfg: ExperimentConfig, out_dir: Path | None = None) -> TrainOutcom
         stage_reports=stage_reports,
         curve_rows=curve_rows,
         final_metrics=final_metrics,
+        stages_planned=len(batches),
     )
 
 

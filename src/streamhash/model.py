@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import check_finite_rows
 from .errors import DimensionError, DomainError, FormatError, NumericError
 
 
@@ -45,7 +46,8 @@ def init(d: int, k: int, scale: float = 1.0, seed: int = 0) -> HashModel:
     return HashModel(W=W)
 
 
-def _project(model: HashModel, X: np.ndarray) -> np.ndarray:
+def project(model: HashModel, X: np.ndarray) -> np.ndarray:
+    """Real-valued projections W^T X, one column per instance."""
     if X.shape[0] != model.d:
         raise DimensionError(f"X has {X.shape[0]} rows, model expects {model.d}")
     return model.W.T @ X
@@ -53,7 +55,7 @@ def _project(model: HashModel, X: np.ndarray) -> np.ndarray:
 
 def encode_relaxed(model: HashModel, X: np.ndarray) -> np.ndarray:
     """Differentiable surrogate codes tanh(W^T X), entries in (-1, 1)."""
-    return np.tanh(_project(model, X))
+    return np.tanh(project(model, X))
 
 
 def encode_binary(model: HashModel, X: np.ndarray) -> np.ndarray:
@@ -61,7 +63,7 @@ def encode_binary(model: HashModel, X: np.ndarray) -> np.ndarray:
 
     Zero projections map to -1; the tie-break is deterministic.
     """
-    return np.where(_project(model, X) > 0.0, 1.0, -1.0)
+    return np.where(project(model, X) > 0.0, 1.0, -1.0)
 
 
 def save_checkpoint(model: HashModel, path) -> None:
@@ -86,10 +88,18 @@ def load_checkpoint(path) -> HashModel:
             d, k = int(header[0]), int(header[1])
         except ValueError as e:
             raise FormatError(f"{path}: non-integer header: {e}") from e
+        if d < 1 or k < 1:
+            raise FormatError(f"{path}: header dimensions must be positive")
         W = np.empty((d, k))
-        for i in range(d):
-            fields = f.readline().split()
-            if len(fields) != k:
-                raise FormatError(f"{path}: row {i} has {len(fields)} values, expected {k}")
-            W[i] = [float(v) for v in fields]
+        try:
+            for i in range(d):
+                fields = f.readline().split()
+                if len(fields) != k:
+                    raise FormatError(
+                        f"{path}: line {i + 2}: row {i} has {len(fields)} values, expected {k}"
+                    )
+                W[i] = [float(v) for v in fields]
+        except ValueError as e:
+            raise FormatError(f"{path}: line {i + 2}: {e}") from e
+    check_finite_rows(W, path, first_line=2)
     return HashModel(W=W)

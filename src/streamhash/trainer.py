@@ -8,15 +8,19 @@ distribution Q toward it. Two gradient modes exist:
   the per-pair 1/eta factor from differentiating dist/eta and the coupling
   through Q's normalizer. This is the default and is verified against a
   finite-difference oracle.
-* "paper" - the closed form X (Lhat - Lmat) (B o TanhDeriv)^T with
-  Lmat = (P - Q) o kernel. Kept for ablation; it omits the 1/eta factor
-  and attaches the tanh derivative to the partner sample, so it is an
-  approximation of the true gradient.
+* "paper" - the closed form X ((B o (1 - B o B)) L)^T, where L holds the
+  row sums of Lmat = (P - Q) o kernel on its diagonal and -Lmat off it.
+  Kept for ablation; it omits the 1/eta factor and attaches the tanh
+  derivative to the partner sample, so it is an approximation of the true
+  gradient.
+
+Both are X @ M.T for a (k, n) code-space matrix M (code_coefficients).
 """
 
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -82,16 +86,14 @@ class StageReport:
 
 @dataclass
 class GradWorkspace:
-    """Intermediates of one gradient evaluation, exposed for testing."""
+    """Intermediates of one loss evaluation at fixed codes, exposed for testing."""
 
-    B: np.ndarray          # (k, n) relaxed codes
-    D: np.ndarray          # (n, n) dist/eta, zero diagonal
-    T: np.ndarray          # (n, n) 1 + D
-    Q: np.ndarray          # (n, n) code-side distribution
-    Lmat: np.ndarray       # (n, n) (P - Q) o kernel, zero diagonal
-    Lhat: np.ndarray       # (n, n) diag of Lmat row sums
-    TanhDeriv: np.ndarray  # (k, n) 1 - B o B
-    eta: np.ndarray        # (n, n) per-pair divisors
+    B: np.ndarray             # (k, n) relaxed codes
+    D: np.ndarray             # (n, n) dist/eta, zero diagonal
+    kernel: np.ndarray        # (n, n) 1 / (1 + D), zero diagonal
+    Q: np.ndarray             # (n, n) code-side distribution
+    Lmat: np.ndarray          # (n, n) (P - Q) o kernel, zero diagonal
+    eta: np.ndarray | float   # (n, n) per-pair divisors, or 1.0 for plain Q
 
 
 def kl_loss(P: np.ndarray, Q: np.ndarray, epsilon: float = 1e-12) -> float:
@@ -108,25 +110,61 @@ def kl_loss(P: np.ndarray, Q: np.ndarray, epsilon: float = 1e-12) -> float:
     return float(np.sum(p * np.log(p / q)))
 
 
-def build_workspace(X, model: HashModel, P, S, cfg: TrainConfig) -> GradWorkspace:
-    """Evaluate codes, distances and gradient intermediates at the current W."""
-    B = hashmodel.encode_relaxed(model, X)
+def stage_eta(S, cfg: TrainConfig, k: int):
+    """Per-pair distance divisors of one batch: the scaling matrix for the
+    scaled Q, 1.0 for the plain one."""
     if cfg.q_variant == "scaled":
-        eta = dist.scaling_matrix(S, cfg.resolve_scaling(model.k))
-    else:
-        eta = np.ones_like(S)
-    D = dist.pairwise_hamming_sq(B) / eta
+        return dist.scaling_matrix(S, cfg.resolve_scaling(k))
+    return 1.0
+
+
+def build_workspace(B, P, eta) -> GradWorkspace:
+    """Distances, Q and the gradient's pair coefficients at relaxed codes B."""
+    D = dist.pairwise_hamming_sq(B)
+    D /= eta
     np.fill_diagonal(D, 0.0)
-    T = 1.0 + D
-    kernel = 1.0 / T
+    kernel = 1.0 + D
+    np.divide(1.0, kernel, out=kernel)
     np.fill_diagonal(kernel, 0.0)
     Q = kernel / kernel.sum()
-    Lmat = (P - Q) * kernel
+    Lmat = P - Q
+    Lmat *= kernel
     np.fill_diagonal(Lmat, 0.0)
-    Lhat = np.diag(Lmat.sum(axis=1))
-    return GradWorkspace(
-        B=B, D=D, T=T, Q=Q, Lmat=Lmat, Lhat=Lhat, TanhDeriv=1.0 - B * B, eta=eta
-    )
+    return GradWorkspace(B=B, D=D, kernel=kernel, Q=Q, Lmat=Lmat, eta=eta)
+
+
+def pair_laplacian(ws: GradWorkspace, grad_mode: str) -> np.ndarray:
+    """(n, n) negated pair coefficients with their row sums on the diagonal,
+    so every row sums to 0.
+
+    paper: the published coefficients Lmat; exact: they gain the 1/eta
+    factor from differentiating dist/eta.
+    """
+    coeff = ws.Lmat if grad_mode == "paper" else ws.Lmat / ws.eta
+    lap = -coeff
+    np.fill_diagonal(lap, coeff.sum(axis=1))
+    return lap
+
+
+def code_coefficients(ws: GradWorkspace, grad_mode: str) -> np.ndarray:
+    """M (k, n) such that the gradient with respect to W is X @ M.T."""
+    lap = pair_laplacian(ws, grad_mode)
+    tanh_deriv = 1.0 - ws.B * ws.B
+    if grad_mode == "paper":
+        return (ws.B * tanh_deriv) @ lap
+    # exact: the tanh derivative applies to the differentiated sample via
+    # the chain rule
+    return (ws.B @ lap) * tanh_deriv
+
+
+def _check_finite(M: np.ndarray) -> None:
+    if not np.all(np.isfinite(M)):
+        raise NumericError("gradient contains non-finite entries; stage aborted")
+
+
+def _stage_loss(X, model: HashModel, P, eta, epsilon: float) -> float:
+    ws = build_workspace(hashmodel.encode_relaxed(model, X), P, eta)
+    return kl_loss(P, ws.Q, epsilon)
 
 
 def grad_loss(X, model: HashModel, P, S, cfg: TrainConfig) -> np.ndarray:
@@ -135,33 +173,19 @@ def grad_loss(X, model: HashModel, P, S, cfg: TrainConfig) -> np.ndarray:
         raise DimensionError(
             f"P is {P.shape} but X has {X.shape[1]} columns"
         )
-    ws = build_workspace(X, model, P, S, cfg)
-    return _grad_from_workspace(X, ws, cfg.grad_mode)
-
-
-def _grad_from_workspace(X, ws: GradWorkspace, grad_mode: str) -> np.ndarray:
-    if grad_mode == "paper":
-        return X @ (ws.Lhat - ws.Lmat) @ (ws.B * ws.TanhDeriv).T
-    # exact: per-pair coefficient gains the 1/eta factor, and the tanh
-    # derivative applies to the differentiated sample via the chain rule
-    Le = ws.Lmat / ws.eta
-    Lehat = np.diag(Le.sum(axis=1))
-    G = ws.B @ (Lehat - Le)
-    return X @ (G * ws.TanhDeriv).T
-
-
-def _stage_loss(P, ws: GradWorkspace, epsilon: float) -> float:
-    return kl_loss(P, ws.Q, epsilon)
+    B = hashmodel.encode_relaxed(model, X)
+    ws = build_workspace(B, P, stage_eta(S, cfg, model.k))
+    return X @ code_coefficients(ws, cfg.grad_mode).T
 
 
 def fd_oracle(X, model: HashModel, P, S, cfg: TrainConfig, step: float = 1e-5) -> np.ndarray:
     """Central finite differences of the stage loss over every W entry."""
     if step <= 0:
         raise DomainError("step must be positive")
+    eta = stage_eta(S, cfg, model.k)
 
     def loss_at(W):
-        ws = build_workspace(X, HashModel(W=W), P, S, cfg)
-        return _stage_loss(P, ws, cfg.epsilon)
+        return _stage_loss(X, HashModel(W=W), P, eta, cfg.epsilon)
 
     grad = np.empty_like(model.W)
     for a in range(model.d):
@@ -180,8 +204,7 @@ def sgd_step(model: HashModel, gradient: np.ndarray, learning_rate: float) -> Ha
         raise DimensionError(
             f"gradient shape {gradient.shape} does not match W {model.W.shape}"
         )
-    if not np.all(np.isfinite(gradient)):
-        raise NumericError("gradient contains non-finite entries; stage aborted")
+    _check_finite(gradient)
     return HashModel(W=model.W - learning_rate * gradient)
 
 
@@ -198,6 +221,10 @@ def build_target(labels, cfg: TrainConfig):
 def train_stage(model: HashModel, batch: StreamingBatch, cfg: TrainConfig):
     """Update the model on one batch: inner_iters SGD steps against the
     batch's fixed target distribution. Returns (model, StageReport).
+
+    X is fixed for the stage, so every step X @ M.T keeps W - W0 inside
+    span(X) and the projections Z = W^T X follow as Z -= lr * M @ X^T X.
+    The loop runs on Z; W is written once, with the summed step.
     """
     cfg.validate()
     if batch.size < 2:
@@ -205,17 +232,26 @@ def train_stage(model: HashModel, batch: StreamingBatch, cfg: TrainConfig):
     start = time.perf_counter()
     X = batch.features
     S, P = build_target(batch.labels, cfg)
-    loss_before = None
-    grad_norm = 0.0
-    for _ in range(cfg.inner_iters):
-        ws = build_workspace(X, model, P, S, cfg)
-        if loss_before is None:
-            loss_before = _stage_loss(P, ws, cfg.epsilon)
-        grad = _grad_from_workspace(X, ws, cfg.grad_mode)
-        grad_norm = float(np.linalg.norm(grad))
-        model = sgd_step(model, grad, cfg.learning_rate)
-    ws = build_workspace(X, model, P, S, cfg)
-    loss_after = _stage_loss(P, ws, cfg.epsilon)
+    eta = stage_eta(S, cfg, model.k)
+    Z = hashmodel.project(model, X)
+    d, n = X.shape
+    # a step costs k n^2 through the Gram matrix and 2 k d n without it;
+    # building K costs about d n^2 / 2, which pays off only while n < d
+    K = X.T @ X if n < d else None
+    M_sum = np.zeros_like(Z)
+    for i in range(cfg.inner_iters):
+        ws = build_workspace(np.tanh(Z), P, eta)
+        if i == 0:
+            loss_before = kl_loss(P, ws.Q, cfg.epsilon)
+        M = code_coefficients(ws, cfg.grad_mode)
+        _check_finite(M)
+        M_sum += M
+        step = M @ K if K is not None else (M @ X.T) @ X
+        Z -= cfg.learning_rate * step
+    # ||X M^T||^2 = <M, M X^T X> for the last inner gradient
+    grad_norm = math.sqrt(max(float(np.vdot(M, step)), 0.0))
+    model = sgd_step(model, X @ M_sum.T, cfg.learning_rate)
+    loss_after = _stage_loss(X, model, P, eta, cfg.epsilon)
     report = StageReport(
         stage_index=batch.stage_index,
         loss_before=loss_before,

@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from streamhash import cli, data
+from streamhash import cli, data, trainer
+from streamhash.errors import NumericError
 from streamhash.experiment import OUTPUT_DIR_ENV
 
 
@@ -158,3 +159,47 @@ class TestExitCodes:
         assert cli.main(["eval", "--checkpoint", str(tmp_path / "out/checkpoint.txt"),
                          "--config", str(cfg), "--set", "dataset.dim=10",
                          "--output-dir", str(tmp_path / "ev")]) == 4
+
+    @pytest.mark.parametrize("text, code, where", [
+        ("2 2\n1.0 abc\n3.0 4.0\n0 1\n", 2, "line 2"),
+        ("2 2\n1.0 2.0\n3.0 4.0\n0 x\n", 2, "line 4"),
+        ("2 2\n1.0 2.0\n3.0 nan\n0 1\n", 5, "line 3"),
+        ("2 2\n1.0 2.0\n-inf 4.0\n0 1\n", 5, "line 3"),
+    ])
+    def test_bad_dense_value(self, tmp_path, capsys, text, code, where):
+        path = tmp_path / "d.txt"
+        path.write_text(text)
+        cfg = write_config(tmp_path, dataset={"kind": "dense", "path": str(path)},
+                           split={"test_per_class": 0, "train_size": 1})
+        assert cli.main(["split", "--config", str(cfg)]) == code
+        err = capsys.readouterr().err
+        assert str(path) in err and where in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("row, code", [("0.5 abc", 2), ("0.5 nan", 5)])
+    def test_bad_checkpoint_value(self, tmp_path, capsys, row, code):
+        cfg = write_config(tmp_path)
+        ckpt = tmp_path / "ckpt.txt"
+        ckpt.write_text("8 2\n" + "0.5 0.5\n" * 3 + row + "\n" + "0.5 0.5\n" * 4)
+        assert cli.main(["eval", "--checkpoint", str(ckpt), "--config", str(cfg)]) == code
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and "line 5" in err
+
+    def test_aborted_stream_is_5_with_outputs(self, tmp_path, capsys, monkeypatch):
+        real = trainer.train_stage
+
+        def failing_second_stage(model, batch, cfg):
+            if batch.stage_index == 2:
+                raise NumericError("gradient contains non-finite entries; stage aborted")
+            return real(model, batch, cfg)
+
+        monkeypatch.setattr(trainer, "train_stage", failing_second_stage)
+        cfg = write_config(tmp_path)
+        assert cli.main(["train", "--config", str(cfg)]) == 5
+        captured = capsys.readouterr()
+        assert "aborted after 1 of 6 stages" in captured.err
+        assert "trained" not in captured.out
+        out = tmp_path / "out"
+        assert (out / "checkpoint.txt").exists()
+        assert len((out / "stages.csv").read_text().splitlines()) == 2  # header + stage 1
+        assert (out / "curve.csv").read_text().splitlines()[1].startswith("1,")

@@ -121,21 +121,28 @@ class TestGradLoss:
             assert (g == 0).all()
 
     def test_row_sum_identity(self):
-        # the Laplacian-like structure: (Lhat - Lmat) rows sum to zero
+        # the Laplacian-like structure: the pair Laplacian's rows sum to zero
         rng = np.random.default_rng(3)
         for _ in range(20):
             X, labels, model, S, P, cfg = random_instance(rng)
-            ws = trainer.build_workspace(X, model, P, S, cfg)
-            rows = (ws.Lhat - ws.Lmat) @ np.ones(S.shape[0])
-            assert np.abs(rows).max() < 1e-10
+            ws = trainer.build_workspace(hm.encode_relaxed(model, X), P,
+                                         trainer.stage_eta(S, cfg, model.k))
+            for mode in trainer.GRAD_MODES:
+                rows = trainer.pair_laplacian(ws, mode) @ np.ones(S.shape[0])
+                assert np.abs(rows).max() < 1e-10
 
     def test_workspace_invariants(self):
         rng = np.random.default_rng(4)
         X, labels, model, S, P, cfg = random_instance(rng)
-        ws = trainer.build_workspace(X, model, P, S, cfg)
+        B = hm.encode_relaxed(model, X)
+        ws = trainer.build_workspace(B, P, trainer.stage_eta(S, cfg, model.k))
         assert (ws.D >= 0).all() and (np.diag(ws.D) == 0).all()
-        assert (ws.T >= 1).all()
-        assert ws.TanhDeriv.shape == ws.B.shape
+        assert (ws.kernel > 0).sum() == ws.kernel.size - S.shape[0]
+        assert (ws.kernel <= 1).all() and (np.diag(ws.kernel) == 0).all()
+        assert ws.Q.sum() == pytest.approx(1.0, abs=1e-12)
+        assert ws.B is B
+        M = trainer.code_coefficients(ws, cfg.grad_mode)
+        assert M.shape == B.shape
 
     def test_paper_mode_proportional_at_code_level_for_uniform_eta(self):
         # with p = n the exact per-pair coefficients are the published ones
@@ -145,10 +152,10 @@ class TestGradLoss:
         X, labels, model, S, P, cfg = random_instance(
             rng, scaling=ScalingParams(eta, eta)
         )
-        ws = trainer.build_workspace(X, model, P, S, cfg)
-        g_paper_codes = ws.B @ (ws.Lhat - ws.Lmat)
-        Le = ws.Lmat / ws.eta
-        g_exact_codes = ws.B @ (np.diag(Le.sum(axis=1)) - Le)
+        ws = trainer.build_workspace(hm.encode_relaxed(model, X), P,
+                                     trainer.stage_eta(S, cfg, model.k))
+        g_paper_codes = ws.B @ trainer.pair_laplacian(ws, "paper")
+        g_exact_codes = ws.B @ trainer.pair_laplacian(ws, "exact")
         np.testing.assert_allclose(g_paper_codes, eta * g_exact_codes, atol=1e-12)
 
     def test_paper_mode_w_level_deviation_recorded(self):
@@ -207,10 +214,14 @@ class TestSgdStep:
         rng = np.random.default_rng(10)
         X, labels, model, S, P, cfg = random_instance(rng)
         g = trainer.grad_loss(X, model, P, S, cfg)
-        loss0 = trainer.kl_loss(P, trainer.build_workspace(X, model, P, S, cfg).Q)
+        eta = trainer.stage_eta(S, cfg, model.k)
+
+        def loss(m):
+            return trainer.kl_loss(P, trainer.build_workspace(hm.encode_relaxed(m, X), P, eta).Q)
+
+        loss0 = loss(model)
         stepped = trainer.sgd_step(model, g, 1e-3)
-        loss1 = trainer.kl_loss(P, trainer.build_workspace(X, stepped, P, S, cfg).Q)
-        assert loss1 < loss0
+        assert loss(stepped) < loss0
 
     def test_non_finite_gradient_rejected_model_unchanged(self):
         m = hm.init(4, 3, seed=0)
@@ -255,6 +266,104 @@ class TestTrainStage:
         assert all(r.loss_before >= 0 and r.loss_after >= 0 for r in reports)
         improved = np.mean([r.loss_after <= r.loss_before for r in reports])
         assert improved >= 0.9
+
+
+def reference_stage(W, batch, cfg):
+    """The per-iteration W-space loop, written out: every inner step
+    re-encodes the batch, forms the dense n x n diagonal of row sums and
+    writes W. Returns (W, loss_before, loss_after, grad_norm)."""
+    X = batch.features
+    S, P = trainer.build_target(batch.labels, cfg)
+    if cfg.q_variant == "scaled":
+        eta = dist.scaling_matrix(S, cfg.resolve_scaling(W.shape[1]))
+    else:
+        eta = np.ones_like(S)
+
+    def workspace(W):
+        B = np.tanh(W.T @ X)
+        gram = B.T @ B
+        sq = np.diag(gram)
+        D = 0.25 * (sq[:, None] + sq[None, :] - 2.0 * gram)
+        np.maximum(D, 0.0, out=D)
+        np.fill_diagonal(D, 0.0)
+        D = D / eta
+        np.fill_diagonal(D, 0.0)
+        kernel = 1.0 / (1.0 + D)
+        np.fill_diagonal(kernel, 0.0)
+        Q = kernel / kernel.sum()
+        Lmat = (P - Q) * kernel
+        np.fill_diagonal(Lmat, 0.0)
+        return B, Q, Lmat
+
+    loss_before = None
+    for _ in range(cfg.inner_iters):
+        B, Q, Lmat = workspace(W)
+        if loss_before is None:
+            loss_before = trainer.kl_loss(P, Q, cfg.epsilon)
+        tanh_deriv = 1.0 - B * B
+        if cfg.grad_mode == "paper":
+            grad = X @ (np.diag(Lmat.sum(axis=1)) - Lmat) @ (B * tanh_deriv).T
+        else:
+            Le = Lmat / eta
+            grad = X @ ((B @ (np.diag(Le.sum(axis=1)) - Le)) * tanh_deriv).T
+        grad_norm = float(np.linalg.norm(grad))
+        W = W - cfg.learning_rate * grad
+    _, Q, _ = workspace(W)
+    return W, loss_before, trainer.kl_loss(P, Q, cfg.epsilon), grad_norm
+
+
+class TestStageAgainstReference:
+    @pytest.mark.parametrize("grad_mode", trainer.GRAD_MODES)
+    @pytest.mark.parametrize("q_variant", trainer.Q_VARIANTS)
+    @pytest.mark.parametrize("n", [9, 40])  # below and above d = 16
+    def test_matches_w_space_loop(self, grad_mode, q_variant, n):
+        X, y = data.synth_blobs(3, 16, 20, 0.8, seed=n)
+        rng = np.random.default_rng(n)
+        idx = rng.choice(y.shape[0], size=n, replace=False)
+        batch = StreamingBatch(features=X[:, idx], labels=y[idx], stage_index=1)
+        cfg = TrainConfig(learning_rate=0.3, gaussian=GaussianParams(1.0, 0.5),
+                          scaling=ScalingParams(2.5, 0.7), grad_mode=grad_mode,
+                          q_variant=q_variant)
+        model = hm.init(16, 6, seed=n)
+        W_ref, before, after, grad_norm = reference_stage(model.W, batch, cfg)
+        out, report = trainer.train_stage(model, batch, cfg)
+        assert report.loss_before == before
+        np.testing.assert_allclose(out.W, W_ref, rtol=1e-10, atol=0)
+        assert report.loss_after == pytest.approx(after, rel=1e-10, abs=0)
+        assert report.grad_norm == pytest.approx(grad_norm, rel=1e-10, abs=0)
+        assert after < before  # the stage learned something
+
+    def test_one_encode_and_one_write_per_stage(self, monkeypatch):
+        X, y = data.synth_blobs(3, 16, 10, 0.8, seed=0)
+        batch = StreamingBatch(features=X, labels=y, stage_index=1)
+        calls = {}
+
+        def counted(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(trainer, "build_workspace")
+        counted(trainer, "sgd_step")
+        counted(hm, "encode_relaxed")
+        counted(dist, "scaling_matrix")
+        cfg = TrainConfig(inner_iters=4)
+        trainer.train_stage(hm.init(16, 5, seed=0), batch, cfg)
+        assert calls == {"build_workspace": cfg.inner_iters + 1, "sgd_step": 1,
+                         "encode_relaxed": 1, "scaling_matrix": 1}
+
+    def test_non_finite_step_raises_before_w_is_written(self, monkeypatch):
+        X, y = data.synth_blobs(3, 16, 10, 0.8, seed=0)
+        X[3, 4] = np.nan
+        batch = StreamingBatch(features=X, labels=y, stage_index=1)
+        steps = []
+        monkeypatch.setattr(trainer, "sgd_step", lambda *a: steps.append(a))
+        with np.errstate(invalid="ignore"), pytest.raises(NumericError):
+            trainer.train_stage(hm.init(16, 5, seed=0), batch, TrainConfig())
+        assert steps == []
 
 
 class TestTrainStream:
