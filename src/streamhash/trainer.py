@@ -234,10 +234,7 @@ def train_stage(model: HashModel, batch: StreamingBatch, cfg: TrainConfig):
     S, P = build_target(batch.labels, cfg)
     eta = stage_eta(S, cfg, model.k)
     Z = hashmodel.project(model, X)
-    d, n = X.shape
-    # a step costs k n^2 through the Gram matrix and 2 k d n without it;
-    # building K costs about d n^2 / 2, which pays off only while n < d
-    K = X.T @ X if n < d else None
+    K = X.T @ X
     M_sum = np.zeros_like(Z)
     for i in range(cfg.inner_iters):
         ws = build_workspace(np.tanh(Z), P, eta)
@@ -246,7 +243,7 @@ def train_stage(model: HashModel, batch: StreamingBatch, cfg: TrainConfig):
         M = code_coefficients(ws, cfg.grad_mode)
         _check_finite(M)
         M_sum += M
-        step = M @ K if K is not None else (M @ X.T) @ X
+        step = M @ K
         Z -= cfg.learning_rate * step
     # ||X M^T||^2 = <M, M X^T X> for the last inner gradient
     grad_norm = math.sqrt(max(float(np.vdot(M, step)), 0.0))
