@@ -92,10 +92,7 @@ def cmd_train(args) -> int:
     out_dir = Path(cfg.output_dir)
     outcome = experiment.run_train(cfg, out_dir=out_dir)
     if outcome.aborted:
-        raise NumericError(
-            f"aborted after {outcome.stages_completed} of {outcome.stages_planned} stages; "
-            f"partial outputs in {out_dir}"
-        )
+        raise NumericError(f"{outcome.abort_reason}; partial outputs in {out_dir}")
     final = outcome.curve_rows[-1]
     print(f"trained {len(outcome.stage_reports)} stages; final map={final[2]:.4f} "
           f"map@{cfg.eval.cutoff}={final[3]:.4f} precision_h2={final[4]:.4f}")

@@ -7,7 +7,9 @@ through explicit seeds so splits and streams are bit-reproducible.
 
 from __future__ import annotations
 
+import os
 import struct
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,16 +102,14 @@ def save_dense(path, features: np.ndarray, labels: np.ndarray) -> None:
     d, n = features.shape
     with open(path, "w") as f:
         f.write(f"{d} {n}\n")
-        for i in range(n):
-            f.write(" ".join(repr(v) for v in features[:, i].tolist()))
-            f.write("\n")
+        write_rows(f, features.T)
         f.write(" ".join(str(int(v)) for v in labels.tolist()))
         f.write("\n")
 
 
 def load_dense(path) -> tuple[np.ndarray, np.ndarray]:
     """Read the textual dense-matrix format written by save_dense."""
-    with open(path) as f:
+    with open_text(path) as f:
         header = f.readline().split()
         if len(header) != 2:
             raise FormatError(f"{path}: header must be 'd n'")
@@ -120,17 +120,7 @@ def load_dense(path) -> tuple[np.ndarray, np.ndarray]:
         if d < 1 or n < 1:
             raise FormatError(f"{path}: header dimensions must be positive")
         features = np.empty((d, n), dtype=np.float64)
-        try:
-            for i in range(n):
-                fields = f.readline().split()
-                if len(fields) != d:
-                    raise FormatError(
-                        f"{path}: line {i + 2}: instance {i} has {len(fields)} values, "
-                        f"expected {d}"
-                    )
-                features[:, i] = [float(v) for v in fields]
-        except ValueError as e:
-            raise FormatError(f"{path}: line {i + 2}: {e}") from e
+        read_rows(f, path, features.T, first_line=2)
         fields = f.readline().split()
         if len(fields) != n:
             raise FormatError(
@@ -140,16 +130,119 @@ def load_dense(path) -> tuple[np.ndarray, np.ndarray]:
             labels = np.array([int(v) for v in fields], dtype=np.int64)
         except ValueError as e:
             raise FormatError(f"{path}: line {n + 2}: {e}") from e
-    check_finite_rows(features.T, path, first_line=2)
     return features, labels
 
 
-def check_finite_rows(values: np.ndarray, path, first_line: int) -> None:
-    """Raise NumericError naming the first line, counted from first_line for
-    row 0, whose row of values holds a nan or an infinity."""
-    bad_rows = np.flatnonzero(~np.isfinite(values).all(axis=1))
-    if bad_rows.size:
-        raise NumericError(f"{path}: line {first_line + bad_rows[0]}: non-finite value")
+# Values per unit of work of the row codec below. Formatting or parsing a
+# chunk costs far more than handing it to a worker, and its text, about
+# 0.6 MB, is small enough to keep two chunks per worker in flight.
+CHUNK_VALUES = 1 << 15
+
+
+def write_rows(f, rows: np.ndarray) -> None:
+    """Write each row of the 2-D array `rows` to f as one line of reals.
+
+    repr() formatting round-trips float64 exactly. Rows are formatted in
+    chunks of about CHUNK_VALUES values, on every usable core.
+    """
+    n_rows, width = rows.shape
+    step = max(1, CHUNK_VALUES // max(1, width))
+    starts = range(0, n_rows, step)
+    chunks = ((rows[start : start + step],) for start in starts)
+    for text in _in_order(_format_rows, chunks, len(starts)):
+        f.write(text)
+
+
+def read_rows(f, path, out: np.ndarray, first_line: int) -> None:
+    """Parse the next out.shape[0] lines of f into the rows of `out`.
+
+    Each line must hold out.shape[1] finite reals. first_line is the file
+    line number of the first one; errors name the file and the line:
+    FormatError for a wrong field count (a missing line has none) or a
+    value that does not parse, NumericError for nan or an infinity. Lines
+    are parsed in chunks of about CHUNK_VALUES values, on every usable core.
+    """
+    n_rows, width = out.shape
+    step = max(1, CHUNK_VALUES // width)
+    starts = range(0, n_rows, step)
+    chunks = (
+        ([f.readline() for _ in range(min(step, n_rows - start))], width, first_line + start, path)
+        for start in starts
+    )
+    for i, rows in enumerate(_in_order(_parse_rows, chunks, len(starts))):
+        out[starts[i] : starts[i] + step] = rows
+
+
+def open_text(path):
+    """Open a text file for reading. Bytes that are not UTF-8 decode to
+    lone surrogates, which no number parses, so the parser names their line."""
+    return open(path, encoding="utf-8", errors="surrogateescape")
+
+
+def _format_rows(rows: np.ndarray) -> str:
+    return "".join([" ".join(map(repr, row.tolist())) + "\n" for row in rows])
+
+
+def _parse_rows(lines: list[str], width: int, first_line: int, path) -> np.ndarray:
+    rows = np.empty((len(lines), width))
+    for i, line in enumerate(lines):
+        fields = line.split()
+        if len(fields) != width:
+            raise FormatError(
+                f"{path}: line {first_line + i}: {len(fields)} values, expected {width}"
+            )
+        try:
+            rows[i] = list(map(float, fields))
+        except ValueError as e:
+            raise FormatError(f"{path}: line {first_line + i}: {e}") from e
+        if not np.isfinite(rows[i]).all():
+            raise NumericError(f"{path}: line {first_line + i}: non-finite value")
+    return rows
+
+
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _in_order(fn, tasks, n_tasks: int):
+    """Yield fn(*task) for each of the n_tasks tasks of the iterable
+    `tasks`, in order.
+
+    Runs inline for a single task, on a single usable core and where the
+    platform cannot fork. Otherwise the tasks go to a pool of forked
+    worker processes with at most two per worker in flight, so tasks drawn
+    lazily from a file stay a few chunks ahead of the results. A worker's
+    exception is raised here when its result is due.
+
+    fork, not spawn or forkserver: those re-run the caller's __main__ in
+    every worker, which breaks a script that calls save_dense at top level
+    without an `if __name__ == "__main__"` guard. A fork pool starts all of
+    its workers before its own manager thread.
+    """
+    workers = min(n_tasks, _usable_cores())
+    if workers < 2 or not hasattr(os, "fork"):
+        for task in tasks:
+            yield fn(*task)
+        return
+    # imported here, so that a process that never pools does not load them
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    pending: deque = deque()
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        try:
+            for task in tasks:
+                if len(pending) == 2 * workers:
+                    yield pending.popleft().result()
+                pending.append(pool.submit(fn, *task))
+            while pending:
+                yield pending.popleft().result()
+        finally:
+            for future in pending:
+                future.cancel()
 
 
 def synth_blobs(num_classes: int, dim: int, per_class: int, spread: float, seed: int):

@@ -21,7 +21,7 @@ import numpy as np
 from . import data, index, metrics, model as hashmodel, trainer
 from .data import SplitSpec
 from .distribution import GaussianParams, ScalingParams
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, NumericError
 from .index import PackedCodes
 from .metrics import CONVENTIONS, CurvePoint, MetricReport
 from .model import HashModel
@@ -268,6 +268,10 @@ class TrainOutcome:
         """True when a NumericError stopped the stream before its last stage."""
         return self.stages_completed < self.stages_planned
 
+    @property
+    def abort_reason(self) -> str:
+        return f"aborted after {self.stages_completed} of {self.stages_planned} stages"
+
 
 def make_batches(train_split, cfg: ExperimentConfig):
     """Streaming batches over the training pool, one list per run.
@@ -479,6 +483,8 @@ def run_sweep(cfg: ExperimentConfig, out_dir: Path | None = None):
             # final evaluation only: no intermediate curve points needed
             quiet = replace(cell_cfg, eval=replace(cell_cfg.eval, every_n_stages=10**9))
             outcome = run_train(quiet)
+            if outcome.aborted:
+                raise NumericError(outcome.abort_reason)
             row.update(
                 status="ok",
                 map=outcome.final_metrics["map"],
@@ -513,7 +519,9 @@ def run_unseen(cfg: ExperimentConfig, out_dir: Path | None = None):
     cfg = replace(cfg, bits=bits)
     batches = make_batches(train_split, cfg)
     model = hashmodel.init(features.shape[0], bits, cfg.init_scale, cfg.seed)
-    model, _ = trainer.train_stream(model, batches, cfg.train)
+    model, stage_reports = trainer.train_stream(model, batches, cfg.train)
+    if len(stage_reports) < len(batches):
+        raise NumericError(f"aborted after {len(stage_reports)} of {len(batches)} stages")
     trained = evaluate_model(model, retrieval, test, cfg.eval.cutoff, cfg.eval.r_max)
     baseline_model = index.lsh_baseline(features.shape[0], bits, seed=cfg.seed)
     baseline = evaluate_model(baseline_model, retrieval, test, cfg.eval.cutoff, cfg.eval.r_max)

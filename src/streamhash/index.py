@@ -122,6 +122,6 @@ def load_codes(path, labels: np.ndarray | None = None) -> PackedCodes:
         for i in range(n):
             line = f.readline().strip()
             if len(line) != k or set(line) - {"0", "1"}:
-                raise FormatError(f"{path}: line {i} is not {k} characters of 0/1")
+                raise FormatError(f"{path}: line {i + 2} is not {k} characters of 0/1")
             B[:, i] = [1.0 if c == "1" else -1.0 for c in line]
     return pack(B, labels)

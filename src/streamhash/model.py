@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import check_finite_rows
+from .data import open_text, read_rows, write_rows
 from .errors import DimensionError, DomainError, FormatError, NumericError
 
 
@@ -73,14 +73,12 @@ def save_checkpoint(model: HashModel, path) -> None:
     """
     with open(path, "w") as f:
         f.write(f"{model.d} {model.k}\n")
-        for row in model.W:
-            f.write(" ".join(repr(v) for v in row.tolist()))
-            f.write("\n")
+        write_rows(f, model.W)
 
 
 def load_checkpoint(path) -> HashModel:
     """Read a checkpoint written by save_checkpoint."""
-    with open(path) as f:
+    with open_text(path) as f:
         header = f.readline().split()
         if len(header) != 2:
             raise FormatError(f"{path}: header must be 'd k'")
@@ -91,15 +89,5 @@ def load_checkpoint(path) -> HashModel:
         if d < 1 or k < 1:
             raise FormatError(f"{path}: header dimensions must be positive")
         W = np.empty((d, k))
-        try:
-            for i in range(d):
-                fields = f.readline().split()
-                if len(fields) != k:
-                    raise FormatError(
-                        f"{path}: line {i + 2}: row {i} has {len(fields)} values, expected {k}"
-                    )
-                W[i] = [float(v) for v in fields]
-        except ValueError as e:
-            raise FormatError(f"{path}: line {i + 2}: {e}") from e
-    check_finite_rows(W, path, first_line=2)
+        read_rows(f, path, W, first_line=2)
     return HashModel(W=W)

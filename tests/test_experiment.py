@@ -5,8 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from streamhash import experiment, model as hm
-from streamhash.errors import ConfigError
+from streamhash import experiment, model as hm, trainer
+from streamhash.errors import ConfigError, NumericError
 from streamhash.experiment import ExperimentConfig, config_from_dict
 
 
@@ -24,6 +24,19 @@ def blob_config(tmp_path, **overrides):
     }
     raw.update(overrides)
     return raw
+
+
+@pytest.fixture
+def failing_second_stage(monkeypatch):
+    """Make every stream abort at stage 2, as a non-finite gradient would."""
+    real = trainer.train_stage
+
+    def train_stage(model, batch, cfg):
+        if batch.stage_index == 2:
+            raise NumericError("gradient contains non-finite entries; stage aborted")
+        return real(model, batch, cfg)
+
+    monkeypatch.setattr(trainer, "train_stage", train_stage)
 
 
 class TestConfigValidation:
@@ -163,6 +176,15 @@ class TestRunSweep:
         assert rows[0]["status"] == "failed" and rows[0]["error"]
         assert rows[1]["status"] == "ok"
 
+    def test_aborted_cell_failed_and_never_best(self, tmp_path, failing_second_stage):
+        raw = blob_config(tmp_path)
+        raw["sweep"] = {"learning_rate": [0.05, 0.1]}
+        rows = experiment.run_sweep(config_from_dict(raw), out_dir=tmp_path / "sw")
+        for row in rows:
+            assert row["status"] == "failed" and not row["best"]
+            assert row["error"] == "aborted after 1 of 6 stages"
+        assert "aborted after 1 of 6 stages" in (tmp_path / "sw/sweep.csv").read_text()
+
     def test_unknown_sweep_key_rejected(self, tmp_path):
         raw = blob_config(tmp_path)
         raw["sweep"] = {"momentum": [0.9]}
@@ -182,3 +204,11 @@ class TestRunUnseen:
         assert reports[0].bits == 64  # held-out evaluation default width
         assert (tmp_path / "u/unseen_report.csv").exists()
         assert (tmp_path / "u/unseen_split.json").exists()
+
+    def test_aborted_stream_raises(self, tmp_path, failing_second_stage):
+        raw = blob_config(tmp_path)
+        raw["dataset"]["num_classes"] = 4
+        raw["unseen"] = {"test_per_class": 10}
+        with pytest.raises(NumericError, match=r"aborted after 1 of \d+ stages"):
+            experiment.run_unseen(config_from_dict(raw), out_dir=tmp_path / "u")
+        assert not (tmp_path / "u").exists()

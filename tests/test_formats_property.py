@@ -1,5 +1,5 @@
-"""Property tests for the textual dense and checkpoint formats: bit-exact
-round trips of any finite float64, and rejection of what must not load."""
+"""Property tests for the textual dense, checkpoint and codes formats:
+exact round trips, and rejection of what must not load."""
 
 import re
 
@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from streamhash import data, model as hm
+from streamhash import data, index, model as hm
 from streamhash.errors import FormatError, NumericError
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None,
@@ -121,3 +121,41 @@ class TestCheckpoint:
         error = NumericError if token in ("nan", "inf", "-inf") else FormatError
         with pytest.raises(error, match=f"{re.escape(str(path))}: line {row + 2}:"):
             hm.load_checkpoint(path)
+
+
+@st.composite
+def codes(draw):
+    """(k, n) +/-1 codes, k on both sides of the 64-bit word boundaries."""
+    k = draw(st.sampled_from([1, 63, 64, 65, 130]))
+    n = draw(st.integers(1, 5))
+    return draw(arrays(np.float64, (k, n), elements=st.sampled_from([-1.0, 1.0])))
+
+
+class TestCodes:
+    @SETTINGS
+    @given(B=codes())
+    def test_round_trip(self, tmp_path, B):
+        labels = np.arange(B.shape[1])
+        path = tmp_path / "codes.txt"
+        index.save_codes(index.pack(B, labels), path)
+        loaded = index.load_codes(path, labels)
+        assert (index.unpack(loaded) == B).all() and (loaded.labels == labels).all()
+
+    @SETTINGS
+    @given(B=codes(), data_=st.data(),
+           bad=st.sampled_from(["2", "x", " ", "-", "drop", "extra"]))
+    def test_bad_line_rejected(self, tmp_path, B, data_, bad):
+        k, n = B.shape
+        rows = ["".join("1" if v > 0 else "0" for v in B[:, i]) for i in range(n)]
+        i = data_.draw(st.integers(0, n - 1))
+        if bad == "drop":
+            rows[i] = rows[i][1:]
+        elif bad == "extra":
+            rows[i] += "0"
+        else:
+            j = data_.draw(st.integers(0, k - 1))
+            rows[i] = rows[i][:j] + bad + rows[i][j + 1:]
+        path = tmp_path / "codes.txt"
+        write_rows(path, [str(k), str(n)], [[r] for r in rows])
+        with pytest.raises(FormatError, match=f"{re.escape(str(path))}: line {i + 2} "):
+            index.load_codes(path)

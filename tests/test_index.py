@@ -181,7 +181,10 @@ class TestCodesFile:
     def test_bad_line_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("3 1\n012\n")
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match="line 2 "):
+            index.load_codes(path)
+        path.write_text("3 3\n010\n110\n01\n")
+        with pytest.raises(FormatError, match="line 4 "):
             index.load_codes(path)
 
     @pytest.mark.parametrize("header", ["x y", "3", "3 1 2", "3.5 1"])
