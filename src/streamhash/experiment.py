@@ -88,14 +88,35 @@ def _train_to_dict(cfg: TrainConfig) -> dict:
     }
 
 
+_NUMBER, _INT, _STR = (int, float), (int,), (str,)
+
+# The types each train field may have (bool never counts as int). Values
+# are checked, not converted, so the digest payload holds them exactly as
+# the config wrote them.
+TRAIN_TYPES = {
+    "learning_rate": _NUMBER, "mu": _NUMBER, "sigma": _NUMBER, "scale_p": _NUMBER,
+    "scale_n": _NUMBER, "batch_size": _INT, "inner_iters": _INT, "grad_mode": _STR,
+    "p_variant": _STR, "q_variant": _STR, "epsilon": _NUMBER, "seed": _INT,
+}
+
+
+def _check_train_types(raw: dict) -> None:
+    # scale_p null means the default bits / 2, and then scale_n is unused
+    nullable = {"scale_p", "scale_n"} if raw.get("scale_p") is None else set()
+    for name, value in raw.items():
+        kinds = TRAIN_TYPES[name]
+        if value is None and name in nullable:
+            continue
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            expected = " or ".join(kind.__name__ for kind in kinds)
+            raise ConfigError(f"train.{name} must be {expected}, got {value!r}")
+
+
 def _train_from_dict(raw: dict) -> TrainConfig:
-    known = {
-        "learning_rate", "mu", "sigma", "scale_p", "scale_n", "batch_size",
-        "inner_iters", "grad_mode", "p_variant", "q_variant", "epsilon", "seed",
-    }
-    unknown = set(raw) - known
+    unknown = set(raw) - set(TRAIN_TYPES)
     if unknown:
         raise ConfigError(f"unknown train config keys: {sorted(unknown)}")
+    _check_train_types(raw)
     scale_p = raw.get("scale_p")
     scale_n = raw.get("scale_n", 1.0)
     scaling = None if scale_p is None else ScalingParams(p=scale_p, n=scale_n)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model as hashmodel
+from .data import open_text
 from .errors import DimensionError, DomainError, FormatError
 from .model import HashModel
 
@@ -40,21 +41,19 @@ class RetrievalResult:
     distances: np.ndarray
 
 
-def _bits_from_codes(B: np.ndarray) -> np.ndarray:
-    if not np.all(np.abs(B) == 1):
-        raise DomainError("codes must be exactly +1 or -1")
-    return (B > 0).astype(np.uint64)
-
-
 def pack(B: np.ndarray, labels: np.ndarray | None = None) -> PackedCodes:
     """Pack a (k, n) matrix of +/-1 codes into per-instance uint64 words."""
+    ones = B == 1
+    if not (ones | (B == -1)).all():
+        raise DomainError("codes must be exactly +1 or -1")
     k, n = B.shape
-    bits = _bits_from_codes(B).T  # (n, k)
     n_words = (k + WORD_BITS - 1) // WORD_BITS
-    padded = np.zeros((n, n_words * WORD_BITS), dtype=np.uint64)
-    padded[:, :k] = bits
-    shifts = np.arange(WORD_BITS, dtype=np.uint64)
-    words = (padded.reshape(n, n_words, WORD_BITS) << shifts).sum(axis=2, dtype=np.uint64)
+    bits = np.zeros((n, n_words * WORD_BITS), dtype=bool)
+    bits[:, :k] = ones.T
+    # bit j of a word is bit j % 8 of its byte j // 8: little-endian bit
+    # order in little-endian words (astype is a no-op on little-endian hosts)
+    octets = np.packbits(bits, axis=1, bitorder="little")
+    words = octets.view("<u8").astype(np.uint64, copy=False)
     return PackedCodes(words=words, k=k, n=n, labels=labels)
 
 
@@ -112,7 +111,7 @@ def save_codes(packed: PackedCodes, path) -> None:
 
 def load_codes(path, labels: np.ndarray | None = None) -> PackedCodes:
     """Read a codes file written by save_codes."""
-    with open(path) as f:
+    with open_text(path) as f:
         header = f.readline().split()
         try:
             k, n = (int(v) for v in header)

@@ -17,10 +17,12 @@ precision_at_r are views of it.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import data
 from .errors import DimensionError, DomainError
 from .index import PackedCodes, hamming_to_db
 
@@ -54,10 +56,16 @@ class MetricReport:
     conventions: dict = field(default_factory=lambda: dict(CONVENTIONS))
 
 
-# Rows of queries ranked together are BLOCK_BYTES // (8 * db.n): the block's
-# largest temporaries, the XOR of one query word against the database and the
-# int64 argsort indices, then take about BLOCK_BYTES each, whatever the
-# database size.
+# Memory budget of the ranking temporaries of one retrieval_scores call.
+# Its blocks are ranked on a thread pool over the usable cores, and the
+# budget is split across them: blocks of BLOCK_BYTES // (8 * db.n * cores)
+# queries. Each of a block's largest temporaries (the XOR of one query word
+# against the database, the int64 argsort indices, the gathered labels)
+# takes about BLOCK_BYTES / cores, so summed over the blocks in flight it
+# stays near BLOCK_BYTES whatever the database size and the core count.
+# There is no setting: results are identical for any core count, and the
+# pool is joined before the call returns, so a later fork pool
+# (data._in_order) starts from a single-threaded process.
 BLOCK_BYTES = 8 << 20
 
 
@@ -118,9 +126,12 @@ def retrieval_scores(queries: PackedCodes, db: PackedCodes, cutoff: int | None =
     Queries are ranked a block at a time: hamming_to_db gives the block's
     distances in the smallest unsigned dtype that holds k, and one stable
     argsort per row (a radix sort on 8/16-bit keys) orders them with ties by
-    ascending database index. Each query's reductions, and the Precision@R
-    accumulation over queries, run in query order exactly as a
-    query-at-a-time evaluation would, so no result depends on the block size.
+    ascending database index. Blocks are scored on a pool of min(blocks,
+    usable cores) threads, which share the packed database; numpy releases
+    the GIL in the popcount, the argsort and the label gather. Each query's
+    reductions run as in a query-at-a-time evaluation, and this thread adds
+    the blocks' Precision@R rows in query order, so no result depends on the
+    block size or the core count. The pool is joined before this returns.
     map_at_k equals map when cutoff is None; precision_at_r is empty when
     r_max is None.
     """
@@ -129,9 +140,13 @@ def retrieval_scores(queries: PackedCodes, db: PackedCodes, cutoff: int | None =
     r_max = r_max or 0
     ranks = np.arange(1, r_max + 1)
     aps, aps_cut, ph2 = np.empty(queries.n), np.empty(queries.n), np.empty(queries.n)
-    p_at_r = np.zeros(r_max)
-    rows = max(1, BLOCK_BYTES // (8 * max(1, db.n)))
-    for start in range(0, queries.n, rows):
+    cores = data._usable_cores()
+    rows = max(1, BLOCK_BYTES // (8 * max(1, db.n) * cores))
+    starts = range(0, queries.n, rows)
+
+    def score_block(start: int) -> np.ndarray:
+        """Score queries start..start+rows into aps, aps_cut and ph2, and
+        return their Precision@1..r_max rows."""
         block = slice(start, start + rows)
         dists = hamming_to_db(queries.words[block], db)
         in_ball = np.count_nonzero(dists <= 2, axis=1)
@@ -143,7 +158,21 @@ def retrieval_scores(queries: PackedCodes, db: PackedCodes, cutoff: int | None =
             aps_cut[i] = _ap(found, terms, stop)
             # the radius-2 ball is the ranking's first `ball` items
             ph2[i] = np.searchsorted(found, ball) / ball if ball else 0.0
-            p_at_r += np.cumsum(ranked_rel[:r_max]) / ranks
+        return np.cumsum(ranked[:, :r_max], axis=1) / ranks
+
+    def sum_in_order(blocks) -> np.ndarray:
+        total = np.zeros(r_max)
+        for block_rows in blocks:
+            for row in block_rows:
+                total += row
+        return total
+
+    workers = min(len(starts), cores)
+    if workers < 2:
+        p_at_r = sum_in_order(map(score_block, starts))
+    else:
+        with ThreadPoolExecutor(workers) as pool:
+            p_at_r = sum_in_order(pool.map(score_block, starts))
     return {
         "map": float(np.mean(aps)),
         "map_at_k": float(np.mean(aps_cut)),

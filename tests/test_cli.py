@@ -147,6 +147,13 @@ class TestExitCodes:
         assert cli.main(["train", "--config", str(cfg), "--set", 'bits="abc"']) == 2
         assert not (tmp_path / "out").exists()
 
+    def test_wrong_type_train_override_is_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        assert cli.main(["train", "--config", str(cfg),
+                         "--set", 'train.learning_rate="abc"']) == 2
+        assert "train.learning_rate" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_invalid_config_leaves_no_outputs(self, tmp_path):
         cfg = write_config(tmp_path, bits=-1)
         assert cli.main(["train", "--config", str(cfg)]) == 2

@@ -70,6 +70,36 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=key):
             config_from_dict(raw)
 
+    @pytest.mark.parametrize("key, value", [
+        ("learning_rate", "abc"), ("mu", True), ("sigma", None), ("scale_p", "1"),
+        ("scale_n", [1.0]), ("epsilon", False), ("batch_size", 20.0),
+        ("inner_iters", True), ("seed", "0"), ("grad_mode", 1),
+        ("p_variant", None), ("q_variant", ["plain"]),
+    ])
+    def test_wrong_train_types_rejected(self, tmp_path, key, value):
+        raw = blob_config(tmp_path)
+        raw["train"][key] = value
+        with pytest.raises(ConfigError, match=f"train.{key} must be"):
+            config_from_dict(raw)
+
+    def test_scale_n_may_be_null_only_without_scale_p(self, tmp_path):
+        raw = blob_config(tmp_path)
+        raw["train"].update(scale_p=None, scale_n=None)
+        assert config_from_dict(raw).train.scaling is None
+        raw["train"].update(scale_p=1.0)
+        with pytest.raises(ConfigError, match="train.scale_n"):
+            config_from_dict(raw)
+
+    def test_train_values_are_not_converted(self, tmp_path):
+        # ints stay ints in the digest payload: pinned digests of the same
+        # settings written as ints and as floats
+        raw = blob_config(tmp_path)
+        assert config_from_dict(raw).digest() == "11423aa15de3caa5"
+        raw["train"].update(learning_rate=1, mu=1, scale_p=2, scale_n=1)
+        assert config_from_dict(raw).digest() == "7be0e674a2f08caf"
+        raw["train"].update(learning_rate=1.0, mu=1.0, scale_p=2.0, scale_n=1.0)
+        assert config_from_dict(raw).digest() == "10f1bfdb22ba0b9a"
+
     def test_invalid_config_writes_nothing(self, tmp_path):
         raw = blob_config(tmp_path)
         raw["train"]["learning_rate"] = -1.0

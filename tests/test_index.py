@@ -19,6 +19,18 @@ class TestPack:
         assert packed.words.shape == (1, 1)
         assert int(packed.words[0, 0]) == 0b1101
 
+    @pytest.mark.parametrize("k", [1, 63, 64, 65, 130])
+    def test_words_match_shift_and_sum(self, k):
+        # reference construction: each bit shifted to its place in its word
+        B = random_codes(np.random.default_rng(k), k, 29)
+        padded = np.zeros((29, 64 * ((k + 63) // 64)), dtype=np.uint64)
+        padded[:, :k] = (B > 0).T
+        shifts = np.arange(64, dtype=np.uint64)
+        expect = (padded.reshape(29, -1, 64) << shifts).sum(axis=2, dtype=np.uint64)
+        words = index.pack(B).words
+        assert words.dtype == np.uint64 and words.shape == expect.shape
+        assert (words == expect).all()
+
     def test_roundtrip(self):
         rng = np.random.default_rng(0)
         for k in (1, 7, 64, 65, 128, 100):
@@ -185,6 +197,12 @@ class TestCodesFile:
             index.load_codes(path)
         path.write_text("3 3\n010\n110\n01\n")
         with pytest.raises(FormatError, match="line 4 "):
+            index.load_codes(path)
+
+    def test_non_utf8_byte_names_its_line(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"3 1\n01\xff\n")
+        with pytest.raises(FormatError, match="line 2 "):
             index.load_codes(path)
 
     @pytest.mark.parametrize("header", ["x y", "3", "3 1 2", "3.5 1"])

@@ -5,10 +5,13 @@ with plain loops; the production implementations must match them exactly
 (rank arithmetic is integer, so no tolerance).
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
-from streamhash import index, metrics
+from streamhash import data, index, metrics
 from streamhash.errors import DimensionError, DomainError
 from streamhash.index import RetrievalResult
 from streamhash.metrics import CurvePoint
@@ -238,13 +241,81 @@ class TestBlockedPass:
 
     def test_block_size_does_not_change_results(self, monkeypatch):
         _, _, _, _, db, queries = make_instance(9, n_db=30, n_q=11)
+        monkeypatch.setattr(data, "_usable_cores", lambda: 1)
         whole = metrics.retrieval_scores(queries, db, cutoff=5, r_max=30)
-        for rows in (1, 4, 11):
-            monkeypatch.setattr(metrics, "BLOCK_BYTES", rows * 8 * db.n)
-            blocked = metrics.retrieval_scores(queries, db, cutoff=5, r_max=30)
-            assert blocked.keys() == whole.keys()
-            for key in whole:
-                np.testing.assert_array_equal(blocked[key], whole[key])
+        real = metrics.hamming_to_db
+        threads = []
+
+        def recording(*args):
+            threads.append(threading.get_ident())
+            return real(*args)
+
+        monkeypatch.setattr(metrics, "hamming_to_db", recording)
+        for cores in (1, 2, 3):
+            monkeypatch.setattr(data, "_usable_cores", lambda: cores)
+            for rows in (1, 4, 11):
+                # the budget is split across the cores: blocks of `rows` queries
+                monkeypatch.setattr(metrics, "BLOCK_BYTES", rows * cores * 8 * db.n)
+                threads.clear()
+                blocked = metrics.retrieval_scores(queries, db, cutoff=5, r_max=30)
+                assert len(threads) == -(-queries.n // rows)
+                pooled = cores > 1 and rows < queries.n
+                assert (threading.get_ident() not in threads) == pooled
+                assert blocked.keys() == whole.keys()
+                for key in whole:
+                    np.testing.assert_array_equal(blocked[key], whole[key])
+
+
+class TestPool:
+    @pytest.fixture
+    def many_blocks(self, monkeypatch):
+        """Two workers over one-query blocks, whatever the host has."""
+        _, _, _, _, db, queries = make_instance(2, n_db=30, n_q=9)
+        monkeypatch.setattr(data, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(metrics, "BLOCK_BYTES", 2 * 8 * db.n)
+        return queries, db
+
+    def test_no_thread_outlives_the_call(self, many_blocks):
+        before = threading.active_count()
+        metrics.retrieval_scores(*many_blocks, cutoff=5, r_max=10)
+        assert threading.active_count() == before
+
+    def test_more_threads_than_cores_under_fast_switching(self, monkeypatch):
+        # eight threads writing one-query blocks into the shared per-query
+        # arrays, switched as often as the interpreter allows
+        _, _, _, _, db, queries = make_instance(6, n_db=200, n_q=64)
+        monkeypatch.setattr(data, "_usable_cores", lambda: 1)
+        inline = metrics.retrieval_scores(queries, db, cutoff=20, r_max=50)
+        monkeypatch.setattr(data, "_usable_cores", lambda: 8)
+        monkeypatch.setattr(metrics, "BLOCK_BYTES", 8 * 8 * db.n)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                pooled = metrics.retrieval_scores(queries, db, cutoff=20, r_max=50)
+                for key in inline:
+                    np.testing.assert_array_equal(pooled[key], inline[key])
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_block_error_keeps_its_type_and_joins_the_pool(self, many_blocks, monkeypatch):
+        class BlockFailed(Exception):
+            pass
+
+        real = metrics.hamming_to_db
+        calls = []
+
+        def fail_second(words, db):
+            calls.append(words)
+            if len(calls) == 2:
+                raise BlockFailed("second block")
+            return real(words, db)
+
+        monkeypatch.setattr(metrics, "hamming_to_db", fail_second)
+        before = threading.active_count()
+        with pytest.raises(BlockFailed, match="second block"):
+            metrics.retrieval_scores(*many_blocks, cutoff=5, r_max=10)
+        assert threading.active_count() == before
 
 
 class TestValidationBeforeRanking:

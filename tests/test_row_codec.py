@@ -156,3 +156,36 @@ def test_unguarded_script_saves_and_loads(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "ok\n"
+
+
+def test_pooled_evaluation_then_pooled_save_and_load(tmp_path):
+    """An evaluation on the thread pool leaves no thread behind, so the fork
+    pool of a later save and load starts from a single-threaded process;
+    run under -X dev -W error, which turns any warning into a failure."""
+    script = tmp_path / "script.py"
+    script.write_text(textwrap.dedent("""
+        import threading
+        import numpy as np
+        from streamhash import data, experiment, metrics, model as hm
+
+        data.CHUNK_VALUES = 8
+        data._usable_cores = lambda: 2
+        metrics.BLOCK_BYTES = 2 * 8 * 60  # one query per block
+        rng = np.random.default_rng(0)
+        retrieval = (rng.normal(size=(6, 60)), rng.integers(0, 3, size=60))
+        test = (rng.normal(size=(6, 9)), rng.integers(0, 3, size=9))
+        scores = experiment.evaluate_model(hm.init(6, 16, seed=0), retrieval, test,
+                                           cutoff=10, r_max=20)
+        assert 0.0 <= scores["map"] <= 1.0
+        assert threading.active_count() == 1
+        data.save_dense("d.txt", *retrieval)
+        X2, y2 = data.load_dense("d.txt")
+        assert (X2 == retrieval[0]).all() and (y2 == retrieval[1]).all()
+        print("ok")
+    """))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    done = subprocess.run([sys.executable, "-X", "dev", "-W", "error", str(script)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "ok\n"
