@@ -66,12 +66,12 @@ def _parse_set(values):
 def _apply_overrides(raw_cfg: dict, overrides: dict) -> dict:
     for dotted, value in overrides.items():
         node = raw_cfg
-        parts = dotted.split(".")
-        for part in parts[:-1]:
-            node = node.setdefault(part, {})
-            if not isinstance(node, dict):
-                raise ConfigError(f"--set path {dotted!r} crosses a non-section value")
-        node[parts[-1]] = value
+        *parents, key = dotted.split(".")
+        for part in parents:
+            node = node.setdefault(part, {}) if isinstance(node, dict) else None
+        if not isinstance(node, dict):  # the config itself may not be an object
+            raise ConfigError(f"--set path {dotted!r} crosses a non-section value")
+        node[key] = value
     return raw_cfg
 
 
@@ -214,7 +214,7 @@ def main(argv=None) -> int:
     except StreamHashError as e:
         print(f"error ({type(e).__name__}): {e}", file=sys.stderr)
         return _exit_code(e)
-    except FileNotFoundError as e:
+    except OSError as e:  # a missing or unreadable file
         print(f"error: {e}", file=sys.stderr)
         return 2
 

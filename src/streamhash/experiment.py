@@ -13,7 +13,7 @@ import hashlib
 import itertools
 import json
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +23,7 @@ from .data import SplitSpec
 from .distribution import GaussianParams, ScalingParams
 from .errors import ConfigError, DomainError, NumericError
 from .index import PackedCodes
-from .metrics import CONVENTIONS, CurvePoint, MetricReport
+from .metrics import CurvePoint, MetricReport
 from .model import HashModel
 from .trainer import TrainConfig
 
@@ -31,14 +31,19 @@ log = logging.getLogger(__name__)
 
 OUTPUT_DIR_ENV = "STREAMHASH_OUT"
 
-DATASET_KINDS = ("idx", "dense", "synth")
-
 
 @dataclass(frozen=True)
 class EvalOptions:
     cutoff: int = 1000
     r_max: int = 100
     every_n_stages: int = 50
+
+
+@dataclass(frozen=True)
+class UnseenOptions:
+    seen_fraction: float = 0.75
+    test_per_class: int = 100
+    bits: int = 64  # the held-out protocol's code width, in place of bits
 
 
 @dataclass(frozen=True)
@@ -53,14 +58,14 @@ class ExperimentConfig:
     output_dir: str = "runs/default"
     seed: int = 0
     sweep: dict = field(default_factory=dict)
-    unseen: dict = field(default_factory=dict)
+    unseen: UnseenOptions = field(default_factory=UnseenOptions)
 
     def digest(self) -> str:
         """Hash of everything that determines results (not where they go)."""
         payload = {
             "dataset": self.dataset,
             "split": vars(self.split),
-            "train": _train_to_dict(self.train),
+            "train": _train_view(self.train),
             "bits": self.bits,
             "init_scale": self.init_scale,
             "epochs": self.epochs,
@@ -71,135 +76,123 @@ class ExperimentConfig:
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _train_to_dict(cfg: TrainConfig) -> dict:
-    return {
-        "learning_rate": cfg.learning_rate,
-        "mu": cfg.gaussian.mu,
-        "sigma": cfg.gaussian.sigma,
-        "scale_p": None if cfg.scaling is None else cfg.scaling.p,
-        "scale_n": None if cfg.scaling is None else cfg.scaling.n,
-        "batch_size": cfg.batch_size,
-        "inner_iters": cfg.inner_iters,
-        "grad_mode": cfg.grad_mode,
-        "p_variant": cfg.p_variant,
-        "q_variant": cfg.q_variant,
-        "epsilon": cfg.epsilon,
-        "seed": cfg.seed,
-    }
+SECTIONS = ("dataset", "split", "train", "eval", "sweep", "unseen")
 
+_NUMBER, _INT, _STR, _NULL = (int, float), (int,), (str,), (type(None),)
+_KINDS = {"int": _INT, "float": _NUMBER, "str": _STR}  # annotation -> allowed types
+_TYPE_NAMES = {dict: "object", type(None): "null"}
 
-_NUMBER, _INT, _STR = (int, float), (int,), (str,)
+# The flat train section: allowed types and default of each key. A null
+# scale_p means p = bits / 2 and n = 1; scale_n may be null only then.
+TRAIN_FIELDS = {
+    "learning_rate": (_NUMBER, 0.1), "mu": (_NUMBER, 1.0), "sigma": (_NUMBER, 1.0),
+    "scale_p": (_NUMBER + _NULL, None), "scale_n": (_NUMBER + _NULL, 1.0),
+    "batch_size": (_INT, 50), "inner_iters": (_INT, 5), "grad_mode": (_STR, "exact"),
+    "p_variant": (_STR, "gaussian"), "q_variant": (_STR, "scaled"),
+    "epsilon": (_NUMBER, 1e-12), "seed": (_INT, 0),
+}
 
-# The types each train field may have (bool never counts as int). Values
-# are checked, not converted, so the digest payload holds them exactly as
-# the config wrote them.
-TRAIN_TYPES = {
-    "learning_rate": _NUMBER, "mu": _NUMBER, "sigma": _NUMBER, "scale_p": _NUMBER,
-    "scale_n": _NUMBER, "batch_size": _INT, "inner_iters": _INT, "grad_mode": _STR,
-    "p_variant": _STR, "q_variant": _STR, "epsilon": _NUMBER, "seed": _INT,
+DATASET_FIELDS = {
+    "idx": {"images": (_STR, MISSING), "labels": (_STR, MISSING),
+            "normalize": ((bool,), True)},
+    "dense": {"path": (_STR, MISSING)},
+    "synth": {"num_classes": (_INT, MISSING), "dim": (_INT, MISSING),
+              "per_class": (_INT, MISSING), "spread": (_NUMBER, MISSING), "seed": (_INT, MISSING)},
 }
 
 
-def _check_train_types(raw: dict) -> None:
-    # scale_p null means the default bits / 2, and then scale_n is unused
-    nullable = {"scale_p", "scale_n"} if raw.get("scale_p") is None else set()
-    for name, value in raw.items():
-        kinds = TRAIN_TYPES[name]
-        if value is None and name in nullable:
-            continue
-        if isinstance(value, bool) or not isinstance(value, kinds):
-            expected = " or ".join(kind.__name__ for kind in kinds)
-            raise ConfigError(f"train.{name} must be {expected}, got {value!r}")
+def check_section(raw, table: dict, section: str) -> dict:
+    """Each key of a {key: (allowed types, default)} table mapped to raw's
+    value, or to its default where raw lacks it (MISSING: required).
 
-
-def _train_from_dict(raw: dict) -> TrainConfig:
-    unknown = set(raw) - set(TRAIN_TYPES)
+    A non-object, an unknown key, a missing required key, a wrong type or a
+    NUL byte (no file name holds one) is a ConfigError naming section.key.
+    bool never counts as int, and no value is converted, so the digest
+    holds each value exactly as the config wrote it.
+    """
+    prefix = f"{section}." if section else ""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{section or 'config'} must be an object, got {raw!r}")
+    unknown = set(raw) - set(table)
     if unknown:
-        raise ConfigError(f"unknown train config keys: {sorted(unknown)}")
-    _check_train_types(raw)
-    scale_p = raw.get("scale_p")
-    scale_n = raw.get("scale_n", 1.0)
-    scaling = None if scale_p is None else ScalingParams(p=scale_p, n=scale_n)
-    cfg = TrainConfig(
-        learning_rate=raw.get("learning_rate", 0.1),
-        gaussian=GaussianParams(mu=raw.get("mu", 1.0), sigma=raw.get("sigma", 1.0)),
-        scaling=scaling,
-        batch_size=raw.get("batch_size", 50),
-        inner_iters=raw.get("inner_iters", 5),
-        grad_mode=raw.get("grad_mode", "exact"),
-        p_variant=raw.get("p_variant", "gaussian"),
-        q_variant=raw.get("q_variant", "scaled"),
-        epsilon=raw.get("epsilon", 1e-12),
-        seed=raw.get("seed", 0),
-    )
-    cfg.validate()
+        raise ConfigError(f"unknown {section or 'config'} keys: {sorted(unknown)}")
+    values = {}
+    for key, (kinds, default) in table.items():
+        value = raw.get(key, default)
+        if value is MISSING:
+            raise ConfigError(f"{prefix}{key} is required")
+        if not isinstance(value, kinds) or isinstance(value, bool) and bool not in kinds:
+            expected = " or ".join(_TYPE_NAMES.get(kind, kind.__name__) for kind in kinds)
+            raise ConfigError(f"{prefix}{key} must be {expected}, got {value!r}")
+        if isinstance(value, str) and "\0" in value:
+            raise ConfigError(f"{prefix}{key} holds a NUL byte")
+        values[key] = value
+    return values
+
+
+def _table(cls) -> dict:
+    """The check_section table of a dataclass's int, float and str fields."""
+    return {f.name: (_KINDS[f.type], f.default) for f in fields(cls) if f.type in _KINDS}
+
+
+def _options(cls, raw, section: str):
+    return cls(**check_section(raw, _table(cls), section))
+
+
+def _train_view(cfg: TrainConfig) -> dict:
+    """The flat train settings of cfg, null scale_p and scale_n when unscaled."""
+    flat = {**vars(cfg), **vars(cfg.gaussian), "scale_p": cfg.scaling and cfg.scaling.p,
+            "scale_n": cfg.scaling and cfg.scaling.n}
+    return {key: flat[key] for key in TRAIN_FIELDS}
+
+
+def train_config(raw) -> TrainConfig:
+    """The validated TrainConfig of a flat train section."""
+    values = check_section(raw, TRAIN_FIELDS, "train")
+    mu, sigma, p, n = (values.pop(key) for key in ("mu", "sigma", "scale_p", "scale_n"))
+    if p is not None and n is None:
+        raise ConfigError("train.scale_n must be int or float when scale_p is set, got None")
+    try:
+        cfg = TrainConfig(gaussian=GaussianParams(mu, sigma),
+                          scaling=None if p is None else ScalingParams(p, n), **values)
+        cfg.validate()
+    except DomainError as e:
+        raise ConfigError(f"train: {e}") from e
     return cfg
 
 
-def _validate_dataset(raw: dict) -> dict:
+def _check_dataset(raw: dict) -> dict:
+    """The dataset section as written, checked against its kind's table."""
     kind = raw.get("kind")
-    if kind not in DATASET_KINDS:
-        raise ConfigError(f"dataset.kind must be one of {DATASET_KINDS}, got {kind!r}")
-    required = {
-        "idx": {"images", "labels"},
-        "dense": {"path"},
-        "synth": {"num_classes", "dim", "per_class", "spread", "seed"},
-    }[kind]
-    missing = required - set(raw)
-    if missing:
-        raise ConfigError(f"dataset kind {kind!r} requires keys {sorted(missing)}")
+    if not (isinstance(kind, str) and kind in DATASET_FIELDS):
+        raise ConfigError(f"dataset.kind must be one of {tuple(DATASET_FIELDS)}, got {kind!r}")
+    check_section(raw, {"kind": (_STR, MISSING), **DATASET_FIELDS[kind]}, "dataset")
     return dict(raw)
 
 
-def _typed(kind, value, name: str):
-    """kind(value) for a config field; a value that does not convert is a
-    ConfigError naming the field."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"{name} must be {kind.__name__}, got {value!r}") from e
+def _check_sweep(grid: dict) -> dict:
+    """A {train key: non-empty list of values} grid, each value checked as
+    that train key."""
+    for key, values in grid.items():
+        if not isinstance(values, list) or not values:
+            raise ConfigError(f"sweep.{key} must be a non-empty list, got {values!r}")
+        for value in values:
+            check_section({key: value}, TRAIN_FIELDS, "sweep")
+    return dict(grid)
 
 
-def config_from_dict(raw: dict) -> ExperimentConfig:
+def config_from_dict(raw) -> ExperimentConfig:
     """Build and fully validate an ExperimentConfig from parsed JSON."""
-    known = {
-        "dataset", "split", "train", "bits", "init_scale", "epochs",
-        "eval", "output_dir", "seed", "sweep", "unseen",
-    }
-    unknown = set(raw) - known
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    if "dataset" not in raw or "split" not in raw:
-        raise ConfigError("config requires 'dataset' and 'split' sections")
-    split_raw = raw["split"]
-    try:
-        split = SplitSpec(
-            test_per_class=_typed(int, split_raw["test_per_class"], "split.test_per_class"),
-            train_size=_typed(int, split_raw["train_size"], "split.train_size"),
-            seed=_typed(int, split_raw.get("seed", 0), "split.seed"),
-        )
-    except KeyError as e:
-        raise ConfigError(f"split section missing {e}") from e
-    eval_raw = raw.get("eval", {})
-    opts = EvalOptions(
-        cutoff=_typed(int, eval_raw.get("cutoff", 1000), "eval.cutoff"),
-        r_max=_typed(int, eval_raw.get("r_max", 100), "eval.r_max"),
-        every_n_stages=_typed(int, eval_raw.get("every_n_stages", 50), "eval.every_n_stages"),
-    )
-    if opts.cutoff < 1 or opts.r_max < 1 or opts.every_n_stages < 1:
-        raise ConfigError("eval options must be positive")
+    scalars = _table(ExperimentConfig)
+    top = check_section(raw, {**scalars, **{s: ((dict,), {}) for s in SECTIONS}}, "")
     cfg = ExperimentConfig(
-        dataset=_validate_dataset(raw["dataset"]),
-        split=split,
-        train=_train_from_dict(raw.get("train", {})),
-        bits=_typed(int, raw.get("bits", 32), "bits"),
-        init_scale=_typed(float, raw.get("init_scale", 1.0), "init_scale"),
-        epochs=_typed(int, raw.get("epochs", 1), "epochs"),
-        eval=opts,
-        output_dir=str(raw.get("output_dir", "runs/default")),
-        seed=_typed(int, raw.get("seed", 0), "seed"),
-        sweep=dict(raw.get("sweep", {})),
-        unseen=dict(raw.get("unseen", {})),
+        dataset=_check_dataset(top["dataset"]),
+        split=_options(SplitSpec, top["split"], "split"),
+        train=train_config(top["train"]),
+        eval=_options(EvalOptions, top["eval"], "eval"),
+        sweep=_check_sweep(top["sweep"]),
+        unseen=_options(UnseenOptions, top["unseen"], "unseen"),
+        **{key: top[key] for key in scalars},
     )
     if cfg.bits < 1:
         raise ConfigError("bits must be at least 1")
@@ -207,16 +200,9 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raise ConfigError("epochs must be at least 1")
     if cfg.init_scale < 0:
         raise ConfigError("init_scale must be non-negative")
+    if min(vars(cfg.eval).values()) < 1:
+        raise ConfigError("eval options must be positive")
     return cfg
-
-
-def load_config(path) -> ExperimentConfig:
-    with open(path) as f:
-        try:
-            raw = json.load(f)
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"{path}: invalid JSON: {e}") from e
-    return config_from_dict(raw)
 
 
 def load_dataset(spec: dict):
@@ -229,13 +215,8 @@ def load_dataset(spec: dict):
         return features, labels
     if kind == "dense":
         return data.load_dense(spec["path"])
-    return data.synth_blobs(
-        num_classes=int(spec["num_classes"]),
-        dim=int(spec["dim"]),
-        per_class=int(spec["per_class"]),
-        spread=float(spec["spread"]),
-        seed=int(spec["seed"]),
-    )
+    return data.synth_blobs(spec["num_classes"], spec["dim"], spec["per_class"],
+                            spec["spread"], spec["seed"])
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +258,12 @@ class TrainOutcome:
     model: HashModel
     stage_reports: list
     curve_rows: list  # (stage_index, instances_seen, map, map_at_k, precision_h2, auc_so_far)
-    final_metrics: dict
     stages_planned: int
+
+    @property
+    def final_metrics(self) -> dict:
+        _, _, map_, map_at_k, precision_h2, _ = self.curve_rows[-1]
+        return {"map": map_, "map_at_k": map_at_k, "precision_h2": precision_h2}
 
     @property
     def stages_completed(self) -> int:
@@ -311,52 +296,39 @@ def make_batches(train_split, cfg: ExperimentConfig):
 
 
 def run_train(cfg: ExperimentConfig, out_dir: Path | None = None) -> TrainOutcome:
-    """Train over the stream, evaluating periodically for the size curve.
+    """Train over the stream, evaluating every eval.every_n_stages stages and
+    after the last one for the size curve.
 
-    When out_dir is given, writes checkpoint.txt, stages.csv and curve.csv,
-    also for a stream that a NumericError cut short (see TrainOutcome.aborted).
+    A NumericError stops the stream (see TrainOutcome.aborted). When out_dir
+    is given, writes checkpoint.txt, stages.csv and curve.csv, also for a
+    stream cut short.
     """
     features, labels = load_dataset(cfg.dataset)
     train_split, retrieval, test = data.split(features, labels, cfg.split)
     batches = make_batches(train_split, cfg)
     model = hashmodel.init(features.shape[0], cfg.bits, cfg.init_scale, cfg.seed)
+    stage_reports, curve_rows, points, seen = [], [], [], 0
 
-    curve_rows = []
-    points: list[CurvePoint] = []
-    seen = {"count": 0, "last_eval_stage": 0}
-
-    def evaluate_at(stage_index: int):
-        m = evaluate_model(model_box[0], retrieval, test, cfg.eval.cutoff, cfg.eval.r_max)
-        points.append(CurvePoint(x=seen["count"], y=m["map"]))
+    def evaluate_at(stage_index: int) -> None:
+        m = evaluate_model(model, retrieval, test, cfg.eval.cutoff, cfg.eval.r_max)
+        points.append(CurvePoint(x=seen, y=m["map"]))
         # a single point spans a degenerate interval; its AUC is its own value
         auc = metrics.curve_auc(points) if len(points) > 1 else m["map"]
-        curve_rows.append(
-            (stage_index, seen["count"], m["map"], m["map_at_k"], m["precision_h2"], auc)
-        )
-        seen["last_eval_stage"] = stage_index
-        return m
+        curve_rows.append((stage_index, seen, m["map"], m["map_at_k"], m["precision_h2"], auc))
 
-    model_box = [model]
-
-    def hook(current_model, report):
-        model_box[0] = current_model
-        seen["count"] += batch_sizes[report.stage_index - 1]
+    for batch in batches:
+        try:
+            model, report = trainer.train_stage(model, batch, cfg.train)
+        except NumericError as e:
+            log.warning("stage %d aborted: %s", batch.stage_index, e)
+            break
+        stage_reports.append(report)
+        seen += batch.size
         if report.stage_index % cfg.eval.every_n_stages == 0:
             evaluate_at(report.stage_index)
-
-    batch_sizes = [b.size for b in batches]
-    model, stage_reports = trainer.train_stream(model, batches, cfg.train, eval_hook=hook)
-    model_box[0] = model
-    if stage_reports and seen["last_eval_stage"] != stage_reports[-1].stage_index:
-        evaluate_at(stage_reports[-1].stage_index)
-    elif not stage_reports:
-        seen["count"] = 0
-        evaluate_at(0)
-    final_metrics = {
-        "map": curve_rows[-1][2],
-        "map_at_k": curve_rows[-1][3],
-        "precision_h2": curve_rows[-1][4],
-    }
+    last_stage = stage_reports[-1].stage_index if stage_reports else 0
+    if not curve_rows or curve_rows[-1][0] != last_stage:
+        evaluate_at(last_stage)
 
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -374,13 +346,8 @@ def run_train(cfg: ExperimentConfig, out_dir: Path | None = None) -> TrainOutcom
             ["stage_index", "train_instances_seen", "map", "map_at_k", "precision_h2", "auc_so_far"],
             curve_rows,
         )
-    return TrainOutcome(
-        model=model,
-        stage_reports=stage_reports,
-        curve_rows=curve_rows,
-        final_metrics=final_metrics,
-        stages_planned=len(batches),
-    )
+    return TrainOutcome(model=model, stage_reports=stage_reports, curve_rows=curve_rows,
+                        stages_planned=len(batches))
 
 
 def build_report(metric_values: dict, cfg: ExperimentConfig, method: str,
@@ -421,22 +388,7 @@ def write_reports(out_dir: Path, reports: list[MetricReport], stem: str = "repor
     """One CSV row per report plus a JSON mirror and the Precision@R series."""
     out_dir.mkdir(parents=True, exist_ok=True)
     write_csv(out_dir / f"{stem}.csv", REPORT_COLUMNS, [_report_row(r) for r in reports])
-    payload = []
-    for r in reports:
-        entry = {
-            "method": r.method,
-            "bits": r.bits,
-            "seed": r.seed,
-            "map": r.map,
-            "map_at_k": r.map_at_k,
-            "map_cutoff": r.map_cutoff,
-            "precision_h2": r.precision_h2,
-            "precision_at_r": r.precision_at_r,
-            "auc": r.auc,
-            "config_digest": r.config_digest,
-            "conventions": r.conventions,
-        }
-        payload.append(entry)
+    payload = [vars(r) for r in reports]  # every MetricReport field
     with open(out_dir / f"{stem}.json", "w") as f:
         json.dump(payload, f, indent=2, sort_keys=True)
         f.write("\n")
@@ -446,46 +398,32 @@ def write_reports(out_dir: Path, reports: list[MetricReport], stem: str = "repor
     write_csv(out_dir / f"{stem}_precision_at_r.csv", ["method", "R", "precision"], rows)
 
 
+def evaluate_pair(model: HashModel, retrieval, test, cfg: ExperimentConfig) -> list[MetricReport]:
+    """Reports of a model and of the seeded untrained baseline of its shape."""
+    baseline = index.lsh_baseline(model.d, model.k, seed=cfg.seed)
+    return [
+        build_report(evaluate_model(m, retrieval, test, cfg.eval.cutoff, cfg.eval.r_max),
+                     cfg, method)
+        for m, method in ((model, "trained"), (baseline, "lsh_baseline"))
+    ]
+
+
 def run_eval(model: HashModel, cfg: ExperimentConfig, out_dir: Path | None = None):
     """Evaluate a model and the seeded untrained baseline on cfg's split."""
     features, labels = load_dataset(cfg.dataset)
     _, retrieval, test = data.split(features, labels, cfg.split)
-    cfg = replace(cfg, bits=model.k)  # report the checkpoint's actual width
-    trained = evaluate_model(model, retrieval, test, cfg.eval.cutoff, cfg.eval.r_max)
-    baseline_model = index.lsh_baseline(features.shape[0], model.k, seed=cfg.seed)
-    baseline = evaluate_model(baseline_model, retrieval, test, cfg.eval.cutoff, cfg.eval.r_max)
-    reports = [
-        build_report(trained, cfg, "trained"),
-        build_report(baseline, cfg, "lsh_baseline"),
-    ]
+    # report the checkpoint's actual width
+    reports = evaluate_pair(model, retrieval, test, replace(cfg, bits=model.k))
     if out_dir is not None:
         write_reports(out_dir, reports)
     return reports
 
 
-SWEEP_KEYS = (
-    "learning_rate", "mu", "sigma", "scale_p", "scale_n", "batch_size", "inner_iters",
-)
-
-
-def sweep_cells(grid: dict) -> list[dict]:
-    """Cartesian product of a {param: [values]} grid, validated."""
-    unknown = set(grid) - set(SWEEP_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown sweep keys: {sorted(unknown)} (allowed: {SWEEP_KEYS})")
-    if not grid:
-        raise ConfigError("sweep grid is empty")
-    keys = sorted(grid)
-    cells = []
-    for combo in itertools.product(*(grid[k] for k in keys)):
-        cells.append(dict(zip(keys, combo)))
-    return cells
-
-
 def apply_cell(cfg: ExperimentConfig, cell: dict) -> ExperimentConfig:
-    base = _train_to_dict(cfg.train)
-    base.update(cell)
-    return replace(cfg, train=_train_from_dict(base))
+    # a null setting falls back to its default: an unscaled config's view
+    # nulls scale_n, which a swept scale_p needs
+    base = {key: value for key, value in _train_view(cfg.train).items() if value is not None}
+    return replace(cfg, train=train_config({**base, **cell}))
 
 
 def run_sweep(cfg: ExperimentConfig, out_dir: Path | None = None):
@@ -494,10 +432,12 @@ def run_sweep(cfg: ExperimentConfig, out_dir: Path | None = None):
     Cell failures are recorded and the sweep continues. Returns the row
     dicts in grid order.
     """
-    cells = sweep_cells(cfg.sweep)
+    if not cfg.sweep:
+        raise ConfigError("sweep grid is empty")
     keys = sorted(cfg.sweep)
     rows = []
-    for i, cell in enumerate(cells):
+    for i, values in enumerate(itertools.product(*(cfg.sweep[key] for key in keys))):
+        cell = dict(zip(keys, values))
         row = {"cell": i, **cell}
         try:
             cell_cfg = apply_cell(cfg, cell)
@@ -506,13 +446,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir: Path | None = None):
             outcome = run_train(quiet)
             if outcome.aborted:
                 raise NumericError(outcome.abort_reason)
-            row.update(
-                status="ok",
-                map=outcome.final_metrics["map"],
-                map_at_k=outcome.final_metrics["map_at_k"],
-                precision_h2=outcome.final_metrics["precision_h2"],
-                error="",
-            )
+            row.update(status="ok", **outcome.final_metrics, error="")
         except Exception as e:  # record and continue
             log.warning("sweep cell %d failed: %s", i, e)
             row.update(status="failed", map="", map_at_k="", precision_h2="", error=str(e))
@@ -531,25 +465,18 @@ def run_sweep(cfg: ExperimentConfig, out_dir: Path | None = None):
 def run_unseen(cfg: ExperimentConfig, out_dir: Path | None = None):
     """Train on seen classes only, evaluate retrieval of held-out classes."""
     features, labels = load_dataset(cfg.dataset)
-    seen_fraction = float(cfg.unseen.get("seen_fraction", 0.75))
-    test_per_class = int(cfg.unseen.get("test_per_class", 100))
-    bits = int(cfg.unseen.get("bits", 64))
+    unseen = cfg.unseen
     train_split, retrieval, test = data.unseen_split(
-        features, labels, seen_fraction, cfg.split.seed, test_per_class=test_per_class
+        features, labels, unseen.seen_fraction, cfg.split.seed,
+        test_per_class=unseen.test_per_class,
     )
-    cfg = replace(cfg, bits=bits)
+    cfg = replace(cfg, bits=unseen.bits)
     batches = make_batches(train_split, cfg)
-    model = hashmodel.init(features.shape[0], bits, cfg.init_scale, cfg.seed)
+    model = hashmodel.init(features.shape[0], cfg.bits, cfg.init_scale, cfg.seed)
     model, stage_reports = trainer.train_stream(model, batches, cfg.train)
     if len(stage_reports) < len(batches):
         raise NumericError(f"aborted after {len(stage_reports)} of {len(batches)} stages")
-    trained = evaluate_model(model, retrieval, test, cfg.eval.cutoff, cfg.eval.r_max)
-    baseline_model = index.lsh_baseline(features.shape[0], bits, seed=cfg.seed)
-    baseline = evaluate_model(baseline_model, retrieval, test, cfg.eval.cutoff, cfg.eval.r_max)
-    reports = [
-        build_report(trained, cfg, "trained"),
-        build_report(baseline, cfg, "lsh_baseline"),
-    ]
+    reports = evaluate_pair(model, retrieval, test, cfg)
     disjointness = {
         "seen_labels": sorted(int(v) for v in np.unique(train_split[1])),
         "unseen_labels": sorted(int(v) for v in np.unique(test[1])),

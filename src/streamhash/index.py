@@ -57,12 +57,15 @@ def pack(B: np.ndarray, labels: np.ndarray | None = None) -> PackedCodes:
     return PackedCodes(words=words, k=k, n=n, labels=labels)
 
 
+def _bits(packed: PackedCodes) -> np.ndarray:
+    """(n, k) uint8 0/1 matrix of the packed codes, the mirror of pack."""
+    octets = np.ascontiguousarray(packed.words, dtype="<u8").view(np.uint8)
+    return np.unpackbits(octets, axis=1, count=packed.k, bitorder="little")
+
+
 def unpack(packed: PackedCodes) -> np.ndarray:
     """Recover the (k, n) +/-1 code matrix from packed words."""
-    shifts = np.arange(WORD_BITS, dtype=np.uint64)
-    bits = (packed.words[:, :, None] >> shifts) & np.uint64(1)
-    bits = bits.reshape(packed.n, -1)[:, : packed.k]
-    return np.where(bits.T == 1, 1.0, -1.0)
+    return np.where(_bits(packed).T == 1, 1.0, -1.0)
 
 
 def hamming(a: np.ndarray, b: np.ndarray) -> int:
@@ -101,12 +104,11 @@ def lsh_baseline(d: int, k: int, seed: int = 0) -> HashModel:
 
 def save_codes(packed: PackedCodes, path) -> None:
     """Write the textual codes file: `k n` header, one 0/1 line per instance."""
-    bits = (unpack(packed) > 0).astype(np.uint8)
+    text = np.full((packed.n, packed.k + 1), ord("\n"), dtype=np.uint8)
+    text[:, :-1] = _bits(packed) + ord("0")
     with open(path, "w") as f:
         f.write(f"{packed.k} {packed.n}\n")
-        for i in range(packed.n):
-            f.write("".join("1" if b else "0" for b in bits[:, i]))
-            f.write("\n")
+        f.write(text.tobytes().decode("ascii"))
 
 
 def load_codes(path, labels: np.ndarray | None = None) -> PackedCodes:
@@ -117,10 +119,11 @@ def load_codes(path, labels: np.ndarray | None = None) -> PackedCodes:
             k, n = (int(v) for v in header)
         except ValueError as e:
             raise FormatError(f"{path}: header must be two integers 'k n'") from e
-        B = np.empty((k, n))
-        for i in range(n):
-            line = f.readline().strip()
-            if len(line) != k or set(line) - {"0", "1"}:
-                raise FormatError(f"{path}: line {i + 2} is not {k} characters of 0/1")
-            B[:, i] = [1.0 if c == "1" else -1.0 for c in line]
-    return pack(B, labels)
+        if min(k, n) < 0:
+            raise FormatError(f"{path}: header holds a negative size")
+        lines = [f.readline().strip() for _ in range(n)]
+    for i, line in enumerate(lines):
+        if len(line) != k or line.strip("01"):
+            raise FormatError(f"{path}: line {i + 2} is not {k} characters of 0/1")
+    ones = np.frombuffer("".join(lines).encode("ascii"), dtype=np.uint8).reshape(n, k) == ord("1")
+    return pack(np.where(ones.T, 1.0, -1.0), labels)

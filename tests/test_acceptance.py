@@ -218,7 +218,7 @@ def run_mnist_configuration(features, labels, bits, train_overrides, every_n_sta
     base = {"learning_rate": 0.1, "sigma": 0.35, "scale_p": 1.0, "scale_n": 1.0,
             "batch_size": 50, "inner_iters": 5, "seed": 0}
     base.update(train_overrides)
-    cfg = experiment._train_from_dict(base)
+    cfg = experiment.train_config(base)
     batches = data.stream(*train_split, cfg.batch_size, cfg.seed)
     model = hm.init(features.shape[0], bits, 1.0, 0)
 

@@ -154,6 +154,34 @@ class TestExitCodes:
         assert "train.learning_rate" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("override, name", [
+        ("unseen.bits=abc", "unseen.bits"),
+        ("unseen.seen_fraction=x", "unseen.seen_fraction"),
+        ("dataset=3", "dataset"),
+        ("split=3", "split"),
+        ("sweep=3", "sweep"),
+        ("eval.cutoff=1.5", "eval.cutoff"),
+        ('sweep={"sigma": 0.5}', "sweep.sigma"),
+        ('sweep={"sigma": []}', "sweep.sigma"),
+    ])
+    @pytest.mark.parametrize("command", ["train", "sweep", "unseen"])
+    def test_bad_override_names_its_key(self, tmp_path, capsys, command, override, name):
+        cfg = write_config(tmp_path)
+        assert cli.main([command, "--config", str(cfg), "--set", override]) == 2
+        assert f"error (ConfigError): {name} " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text, override", [("[1]", "bits=8"), ("3", "train.seed=1")])
+    def test_override_on_a_config_that_is_not_an_object_is_2(self, tmp_path, text, override):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        assert cli.main(["train", "--config", str(path), "--set", override]) == 2
+
+    def test_unreadable_dataset_is_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, dataset={"kind": "dense", "path": str(tmp_path)})
+        assert cli.main(["train", "--config", str(cfg)]) == 2
+        assert str(tmp_path) in capsys.readouterr().err
+
     def test_invalid_config_leaves_no_outputs(self, tmp_path):
         cfg = write_config(tmp_path, bits=-1)
         assert cli.main(["train", "--config", str(cfg)]) == 2

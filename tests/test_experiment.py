@@ -1,13 +1,19 @@
 """Experiment config validation, drivers, and report files."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from streamhash import experiment, model as hm, trainer
+from streamhash.distribution import ScalingParams
 from streamhash.errors import ConfigError, NumericError
-from streamhash.experiment import ExperimentConfig, config_from_dict
+from streamhash.experiment import ExperimentConfig, UnseenOptions, config_from_dict
+from streamhash.trainer import TrainConfig
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def blob_config(tmp_path, **overrides):
@@ -60,13 +66,18 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             config_from_dict(raw)
 
+    # values are checked, never converted: 32.0 and "32" are not ints
     @pytest.mark.parametrize("section, key, value", [
         (None, "bits", "abc"), (None, "init_scale", [1]), (None, "seed", None),
         ("split", "train_size", "many"), ("eval", "r_max", {}),
+        (None, "bits", 32.0), (None, "bits", "32"), (None, "init_scale", "1.0"),
+        (None, "output_dir", 5), ("split", "train_size", 120.0), ("eval", "cutoff", 1.5),
+        ("unseen", "bits", "64"), ("unseen", "seen_fraction", "0.5"),
+        ("dataset", "num_classes", "3"), ("dataset", "spread", None),
     ])
     def test_uncoercible_values_rejected(self, tmp_path, section, key, value):
         raw = blob_config(tmp_path)
-        (raw if section is None else raw[section])[key] = value
+        (raw if section is None else raw.setdefault(section, {}))[key] = value
         with pytest.raises(ConfigError, match=key):
             config_from_dict(raw)
 
@@ -99,6 +110,59 @@ class TestConfigValidation:
         assert config_from_dict(raw).digest() == "7be0e674a2f08caf"
         raw["train"].update(learning_rate=1.0, mu=1.0, scale_p=2.0, scale_n=1.0)
         assert config_from_dict(raw).digest() == "10f1bfdb22ba0b9a"
+
+    @pytest.mark.parametrize("name, digest", [
+        ("configs/blobs.json", "beb5671fd98f16df"),
+        ("configs/mnist.json", "b0fe04dc91c531e6"),
+        ("README.md", "4a46764ddfddb380"),
+    ])
+    def test_shipped_config_digests(self, name, digest):
+        text = (ROOT / name).read_text()
+        if name == "README.md":  # the config file section's example
+            text = re.search(r"### Config file\n\n```json\n(.*?)```", text, re.S).group(1)
+        assert config_from_dict(json.loads(text)).digest() == digest
+
+    def test_train_defaults_are_the_library_defaults(self):
+        assert experiment.train_config({}) == TrainConfig()
+
+    def test_int_is_a_float_value_and_digests_as_written(self, tmp_path):
+        as_int = config_from_dict(blob_config(tmp_path, init_scale=1))
+        assert as_int.init_scale == 1 and isinstance(as_int.init_scale, int)
+        assert as_int.digest() != config_from_dict(blob_config(tmp_path)).digest()
+
+    @pytest.mark.parametrize("section", ["dataset", "split", "train", "eval", "sweep", "unseen"])
+    def test_a_section_must_be_an_object(self, tmp_path, section):
+        with pytest.raises(ConfigError, match=f"^{section} must be object"):
+            config_from_dict(blob_config(tmp_path, **{section: [1]}))
+
+    def test_dataset_keys_are_checked_per_kind(self, tmp_path):
+        raw = blob_config(tmp_path)
+        raw["dataset"]["path"] = "blobs.txt"
+        with pytest.raises(ConfigError, match=r"unknown dataset keys: \['path'\]"):
+            config_from_dict(raw)
+        raw["dataset"] = {"kind": "idx", "images": "a", "labels": "b", "normalize": 1}
+        with pytest.raises(ConfigError, match="dataset.normalize must be bool"):
+            config_from_dict(raw)
+
+    def test_nul_byte_rejected(self, tmp_path):
+        raw = blob_config(tmp_path, dataset={"kind": "dense", "path": "a\0b"})
+        with pytest.raises(ConfigError, match="dataset.path holds a NUL byte"):
+            config_from_dict(raw)
+
+    @pytest.mark.parametrize("key, value", [
+        ("learning_rate", -1.0), ("sigma", 0), ("scale_p", -1.0), ("batch_size", 1),
+        ("grad_mode", "fast"), ("epsilon", 0.1),
+    ])
+    def test_train_domain_errors_are_config_errors(self, tmp_path, key, value):
+        raw = blob_config(tmp_path)
+        raw["train"][key] = value
+        with pytest.raises(ConfigError, match="^train: "):
+            config_from_dict(raw)
+
+    def test_unseen_options(self, tmp_path):
+        assert config_from_dict(blob_config(tmp_path)).unseen == UnseenOptions(0.75, 100, 64)
+        cfg = config_from_dict(blob_config(tmp_path, unseen={"seen_fraction": 0.5}))
+        assert cfg.unseen == UnseenOptions(seen_fraction=0.5)
 
     def test_invalid_config_writes_nothing(self, tmp_path):
         raw = blob_config(tmp_path)
@@ -214,6 +278,39 @@ class TestRunSweep:
             assert row["status"] == "failed" and not row["best"]
             assert row["error"] == "aborted after 1 of 6 stages"
         assert "aborted after 1 of 6 stages" in (tmp_path / "sw/sweep.csv").read_text()
+
+    def test_scale_p_sweep_from_an_unscaled_config(self, tmp_path):
+        # the README example writes "scale_p": null, "scale_n": 1.0; the
+        # unscaled config's view nulls scale_n, which falls back to 1.0
+        raw = blob_config(tmp_path)
+        raw["train"].update(scale_p=None, scale_n=1.0)
+        raw["sweep"] = {"scale_p": [1.0, 2.0]}
+        cfg = config_from_dict(raw)
+        rows = experiment.run_sweep(cfg)
+        assert [r["status"] for r in rows] == ["ok", "ok"], rows
+        assert experiment.apply_cell(cfg, {"scale_p": 2.0}).train.scaling == ScalingParams(2.0, 1.0)
+
+    def test_ablation_switches_sweep_together(self, tmp_path):
+        raw = blob_config(tmp_path)
+        raw["sweep"] = {"grad_mode": ["exact", "paper"], "q_variant": ["plain", "scaled"]}
+        rows = experiment.run_sweep(config_from_dict(raw))
+        assert [(r["grad_mode"], r["q_variant"]) for r in rows] == [
+            ("exact", "plain"), ("exact", "scaled"), ("paper", "plain"), ("paper", "scaled")]
+        assert all(r["status"] == "ok" for r in rows)
+
+    @pytest.mark.parametrize("grid, message", [
+        ({"sigma": 0.5}, "sweep.sigma must be a non-empty list"),
+        ({"sigma": []}, "sweep.sigma must be a non-empty list"),
+        ({"batch_size": [20, "x"]}, "sweep.batch_size must be int"),
+        ({"grad_mode": [None]}, "sweep.grad_mode must be str"),
+    ])
+    def test_sweep_grid_checked(self, tmp_path, grid, message):
+        with pytest.raises(ConfigError, match=message):
+            config_from_dict(blob_config(tmp_path, sweep=grid))
+
+    def test_empty_grid_rejected_by_sweep(self, tmp_path):
+        with pytest.raises(ConfigError, match="sweep grid is empty"):
+            experiment.run_sweep(config_from_dict(blob_config(tmp_path)))
 
     def test_unknown_sweep_key_rejected(self, tmp_path):
         raw = blob_config(tmp_path)

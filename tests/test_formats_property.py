@@ -138,6 +138,9 @@ class TestCodes:
         labels = np.arange(B.shape[1])
         path = tmp_path / "codes.txt"
         index.save_codes(index.pack(B, labels), path)
+        k, n = B.shape
+        lines = ["".join("1" if v > 0 else "0" for v in B[:, i]) for i in range(n)]
+        assert path.read_text() == "\n".join([f"{k} {n}", *lines]) + "\n"
         loaded = index.load_codes(path, labels)
         assert (index.unpack(loaded) == B).all() and (loaded.labels == labels).all()
 

@@ -205,7 +205,7 @@ class TestCodesFile:
         with pytest.raises(FormatError, match="line 2 "):
             index.load_codes(path)
 
-    @pytest.mark.parametrize("header", ["x y", "3", "3 1 2", "3.5 1"])
+    @pytest.mark.parametrize("header", ["x y", "3", "3 1 2", "3.5 1", "-3 1", "3 -1"])
     def test_bad_header_rejected(self, tmp_path, header):
         path = tmp_path / "bad.txt"
         path.write_text(header + "\n010\n")

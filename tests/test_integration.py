@@ -39,7 +39,7 @@ def test_idx_image_pipeline_learns(tmp_path):
     train_split, retrieval, test = data.split(features, labels, spec)
     assert test[1].shape[0] == 1000
 
-    cfg = experiment._train_from_dict(
+    cfg = experiment.train_config(
         {"sigma": 0.35, "learning_rate": 0.1, "scale_p": 1.0, "scale_n": 1.0}
     )
     model = hm.init(784, 32, 1.0, 0)
