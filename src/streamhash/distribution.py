@@ -26,8 +26,10 @@ class GaussianParams:
     sigma: float = 1.0
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise DomainError("sigma must be positive")
+        if not math.isfinite(self.mu):
+            raise DomainError("mu must be finite")
+        if not 0 < self.sigma < math.inf:
+            raise DomainError("sigma must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -38,8 +40,8 @@ class ScalingParams:
     n: float
 
     def __post_init__(self):
-        if self.p <= 0 or self.n <= 0:
-            raise DomainError("scaling parameters must be positive")
+        if not (0 < self.p < math.inf and 0 < self.n < math.inf):
+            raise DomainError("scaling parameters must be positive and finite")
 
 
 def build_similarity(labels: np.ndarray) -> np.ndarray:
@@ -75,12 +77,34 @@ def p_gaussian(S: np.ndarray, g: GaussianParams = GaussianParams()) -> np.ndarra
     """Target distribution after smoothing similarity values with a
     Gaussian pdf f(s) = exp(-(s - mu)^2 / (2 sigma^2)) / (sqrt(2 pi) sigma).
 
-    f is strictly positive, so every off-diagonal pair keeps nonzero mass;
-    on binary S the similar:dissimilar ratio is exp((2 mu - 1) / (2 sigma^2)).
+    S must be binary (DomainError otherwise), so P takes two values off
+    the diagonal, in the similar:dissimilar ratio
+    exp((2 mu - 1) / (2 sigma^2)). They come in closed form from the
+    log-weights shifted by their maximum over the pair kinds present: the
+    heavier kind weighs exactly 1 and the other exp of the log-ratio, so
+    no sigma empties the distribution (at mu = 0.5 P is uniform for any
+    sigma). The lighter kind's mass is 0 only where the ratio exceeds the
+    float range.
     """
-    coef = 1.0 / (math.sqrt(2.0 * math.pi) * g.sigma)
-    f = coef * np.exp(-((S - g.mu) ** 2) / (2.0 * g.sigma**2))
-    return _normalize_offdiag(f)
+    similar = S == 1.0
+    n_ones = np.count_nonzero(similar)
+    if n_ones + np.count_nonzero(S == 0.0) != S.size:
+        raise DomainError("p_gaussian needs a binary similarity matrix")
+    n = S.shape[0]
+    if n < 2:
+        raise DegenerateDistributionError("off-diagonal mass is zero")
+    n_similar = n_ones - np.count_nonzero(similar.diagonal())
+    n_dissimilar = n * (n - 1) - n_similar
+    # log(f(0) / f(1)), the dissimilar log-weight minus the similar one
+    log_ratio = (0.5 - g.mu) / g.sigma / g.sigma
+    if n_similar and (log_ratio <= 0 or not n_dissimilar):
+        w_similar, w_dissimilar = 1.0, math.exp(min(log_ratio, 0.0))
+    else:
+        w_similar, w_dissimilar = math.exp(min(-log_ratio, 0.0)), 1.0
+    total = n_similar * w_similar + n_dissimilar * w_dissimilar
+    P = np.where(similar, w_similar / total, w_dissimilar / total)
+    diag_view(P)[:] = 0.0
+    return P
 
 
 def hamming_sq(b_i: np.ndarray, b_j: np.ndarray) -> float:
@@ -95,17 +119,28 @@ def hamming_sq(b_i: np.ndarray, b_j: np.ndarray) -> float:
     return 0.25 * float(diff @ diff)
 
 
-def pairwise_hamming_sq(B: np.ndarray) -> np.ndarray:
-    """All-pairs hamming_sq over the columns of a (k, n) code matrix."""
+def diag_view(A: np.ndarray) -> np.ndarray:
+    """Writable view of the diagonal of a C-contiguous square matrix."""
+    return A.reshape(-1)[:: A.shape[0] + 1]
+
+
+def pairwise_hamming_sq(B: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """All-pairs hamming_sq over the columns of a (k, n) code matrix,
+    written into out (a C-contiguous (n, n) array) when given."""
     gram = B.T @ B
-    sq = np.diag(gram).copy()
-    # 0.25 * (sq_i + sq_j - 2 gram_ij), with one (n, n) temporary
-    dist = np.add.outer(sq, sq)
+    # 0.25 * (sq_i + sq_j - 2 gram_ij), the gram as the one (n, n) temporary.
+    # sq_i + sq_j comes from the rank-2 product (sq_i, 1) . (1, sq_j): each
+    # entry is one exactly rounded sum, as in a broadcast add, and BLAS
+    # writes the (n, n) result several times faster.
+    terms = np.empty((2, gram.shape[0]))
+    terms[0] = gram.diagonal()
+    terms[1] = 1.0
+    dist = np.matmul(terms.T, terms[::-1], out=out)
     gram *= 2.0
     dist -= gram
     dist *= 0.25
     np.maximum(dist, 0.0, out=dist)
-    np.fill_diagonal(dist, 0.0)
+    diag_view(dist)[:] = 0.0
     return dist
 
 

@@ -13,6 +13,7 @@ import hashlib
 import itertools
 import json
 import logging
+import math
 from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -105,8 +106,9 @@ def check_section(raw, table: dict, section: str) -> dict:
     """Each key of a {key: (allowed types, default)} table mapped to raw's
     value, or to its default where raw lacks it (MISSING: required).
 
-    A non-object, an unknown key, a missing required key, a wrong type or a
-    NUL byte (no file name holds one) is a ConfigError naming section.key.
+    A non-object, an unknown key, a missing required key, a wrong type, a
+    nan or infinite float or a NUL byte (no file name holds one) is a
+    ConfigError naming section.key.
     bool never counts as int, and no value is converted, so the digest
     holds each value exactly as the config wrote it.
     """
@@ -126,6 +128,8 @@ def check_section(raw, table: dict, section: str) -> dict:
             raise ConfigError(f"{prefix}{key} must be {expected}, got {value!r}")
         if isinstance(value, str) and "\0" in value:
             raise ConfigError(f"{prefix}{key} holds a NUL byte")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{prefix}{key} must be finite, got {value!r}")
         values[key] = value
     return values
 

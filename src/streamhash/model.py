@@ -39,8 +39,8 @@ def init(d: int, k: int, scale: float = 1.0, seed: int = 0) -> HashModel:
     """
     if d < 1 or k < 1:
         raise DomainError("d and k must be at least 1")
-    if scale < 0:
-        raise DomainError("scale must be non-negative")
+    if not 0 <= scale < np.inf:
+        raise DomainError("scale must be non-negative and finite")
     rng = np.random.default_rng(seed)
     W = rng.standard_normal((d, k)) * (scale / np.sqrt(d))
     return HashModel(W=W)

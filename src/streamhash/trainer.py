@@ -15,6 +15,10 @@ distribution Q toward it. Two gradient modes exist:
   gradient.
 
 Both are X @ M.T for a (k, n) code-space matrix M (code_coefficients).
+
+train_stage allocates its n x n arrays once per stage: build_workspace
+and code_coefficients overwrite one GradWorkspace and one pair Laplacian
+buffer in place on every step (their out arguments).
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import numpy as np
 from . import distribution as dist
 from . import model as hashmodel
 from .data import StreamingBatch
-from .distribution import GaussianParams, ScalingParams
+from .distribution import GaussianParams, ScalingParams, diag_view
 from .errors import DimensionError, DomainError, NumericError
 from .model import HashModel
 
@@ -54,11 +58,12 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.learning_rate <= 0:
-            raise DomainError("learning_rate must be positive")
-        if self.batch_size < 2:
+        # each check passes only inside its range, so nan fails every one
+        if not 0 < self.learning_rate < math.inf:
+            raise DomainError("learning_rate must be positive and finite")
+        if not self.batch_size >= 2:
             raise DomainError("batch_size must be at least 2")
-        if self.inner_iters < 1:
+        if not self.inner_iters >= 1:
             raise DomainError("inner_iters must be at least 1")
         if not 0.0 < self.epsilon <= 1e-6:
             raise DomainError("epsilon must lie in (0, 1e-6]")
@@ -86,7 +91,8 @@ class StageReport:
 
 @dataclass
 class GradWorkspace:
-    """Intermediates of one loss evaluation at fixed codes, exposed for testing."""
+    """Intermediates of one loss evaluation at fixed codes, exposed for
+    testing; build_workspace(..., out=ws) refills them in place."""
 
     B: np.ndarray             # (k, n) relaxed codes
     D: np.ndarray             # (n, n) dist/eta, zero diagonal
@@ -97,17 +103,20 @@ class GradWorkspace:
 
 
 def kl_loss(P: np.ndarray, Q: np.ndarray, epsilon: float = 1e-12) -> float:
-    """Sum of P_ij log(P_ij / Q_ij) over off-diagonal pairs.
+    """Sum of P_ij log(P_ij / Q_ij) over off-diagonal pairs, for a
+    distribution P (non-negative, zero diagonal).
 
     Q is clamped below by epsilon inside the log; terms with P_ij = 0
-    contribute 0 (the x log x limit convention).
+    contribute 0 (the x log x limit convention). Computed densely over all
+    n^2 entries: the ratio P / max(Q, epsilon) is 0 where P is, the log
+    is taken only where P > 0, and one dot product sums the terms.
     """
     if P.shape != Q.shape:
         raise DimensionError(f"shape mismatch: {P.shape} vs {Q.shape}")
-    mask = P > 0
-    q = np.maximum(Q[mask], epsilon)
-    p = P[mask]
-    return float(np.sum(p * np.log(p / q)))
+    ratio = np.maximum(Q, epsilon)
+    np.divide(P, ratio, out=ratio)
+    np.log(ratio, out=ratio, where=P > 0)
+    return float(np.vdot(P, ratio))
 
 
 def stage_eta(S, cfg: TrainConfig, k: int):
@@ -118,37 +127,50 @@ def stage_eta(S, cfg: TrainConfig, k: int):
     return 1.0
 
 
-def build_workspace(B, P, eta) -> GradWorkspace:
-    """Distances, Q and the gradient's pair coefficients at relaxed codes B."""
-    D = dist.pairwise_hamming_sq(B)
-    D /= eta
-    np.fill_diagonal(D, 0.0)
-    kernel = 1.0 + D
+def build_workspace(B, P, eta, out: GradWorkspace | None = None) -> GradWorkspace:
+    """Distances, Q and the gradient's pair coefficients at relaxed codes B.
+
+    With out, its (n, n) buffers are overwritten and out itself returned,
+    so a stage's steps share one workspace; the values equal those of a
+    fresh workspace bit for bit.
+    """
+    if out is None:
+        n = B.shape[1]
+        out = GradWorkspace(B, *(np.empty((n, n)) for _ in range(4)), eta)
+    out.B, out.eta = B, eta
+    D, kernel, Q, Lmat = out.D, out.kernel, out.Q, out.Lmat
+    dist.pairwise_hamming_sq(B, out=D)
+    D /= eta  # eta > 0 keeps the zero diagonal
+    np.add(D, 1.0, out=kernel)
     np.divide(1.0, kernel, out=kernel)
-    np.fill_diagonal(kernel, 0.0)
-    Q = kernel / kernel.sum()
-    Lmat = P - Q
+    diag_view(kernel)[:] = 0.0
+    np.divide(kernel, kernel.sum(), out=Q)
+    # kernel's zero diagonal zeroes Lmat's
+    np.subtract(P, Q, out=Lmat)
     Lmat *= kernel
-    np.fill_diagonal(Lmat, 0.0)
-    return GradWorkspace(B=B, D=D, kernel=kernel, Q=Q, Lmat=Lmat, eta=eta)
+    return out
 
 
-def pair_laplacian(ws: GradWorkspace, grad_mode: str) -> np.ndarray:
+def pair_laplacian(ws: GradWorkspace, grad_mode: str,
+                   out: np.ndarray | None = None) -> np.ndarray:
     """(n, n) negated pair coefficients with their row sums on the diagonal,
-    so every row sums to 0.
+    so every row sums to 0; written into out when given.
 
     paper: the published coefficients Lmat; exact: they gain the 1/eta
     factor from differentiating dist/eta.
     """
-    coeff = ws.Lmat if grad_mode == "paper" else ws.Lmat / ws.eta
-    lap = -coeff
-    np.fill_diagonal(lap, coeff.sum(axis=1))
+    coeff = ws.Lmat if grad_mode == "paper" else np.divide(ws.Lmat, ws.eta, out=out)
+    row_sums = coeff.sum(axis=1)
+    lap = np.negative(coeff, out=out)
+    diag_view(lap)[:] = row_sums
     return lap
 
 
-def code_coefficients(ws: GradWorkspace, grad_mode: str) -> np.ndarray:
-    """M (k, n) such that the gradient with respect to W is X @ M.T."""
-    lap = pair_laplacian(ws, grad_mode)
+def code_coefficients(ws: GradWorkspace, grad_mode: str,
+                      out: np.ndarray | None = None) -> np.ndarray:
+    """M (k, n) such that the gradient with respect to W is X @ M.T; out,
+    when given, is the (n, n) buffer the pair Laplacian is written into."""
+    lap = pair_laplacian(ws, grad_mode, out)
     tanh_deriv = 1.0 - ws.B * ws.B
     if grad_mode == "paper":
         return (ws.B * tanh_deriv) @ lap
@@ -205,7 +227,11 @@ def sgd_step(model: HashModel, gradient: np.ndarray, learning_rate: float) -> Ha
             f"gradient shape {gradient.shape} does not match W {model.W.shape}"
         )
     _check_finite(gradient)
-    return HashModel(W=model.W - learning_rate * gradient)
+    # W + (-lr * gradient) rounds exactly like W - lr * gradient, and makes
+    # one new (d, k) array instead of two
+    W = np.multiply(gradient, -learning_rate)
+    W += model.W
+    return HashModel(W=W)
 
 
 def build_target(labels, cfg: TrainConfig):
@@ -224,7 +250,8 @@ def train_stage(model: HashModel, batch: StreamingBatch, cfg: TrainConfig):
 
     X is fixed for the stage, so every step X @ M.T keeps W - W0 inside
     span(X) and the projections Z = W^T X follow as Z -= lr * M @ X^T X.
-    The loop runs on Z; W is written once, with the summed step.
+    The loop runs on Z; W is written once, with the summed step, and
+    loss_after is taken at the tracked Z rather than by encoding X again.
     """
     cfg.validate()
     if batch.size < 2:
@@ -236,11 +263,12 @@ def train_stage(model: HashModel, batch: StreamingBatch, cfg: TrainConfig):
     Z = hashmodel.project(model, X)
     K = X.T @ X
     M_sum = np.zeros_like(Z)
+    ws, lap = None, np.empty_like(P)
     for i in range(cfg.inner_iters):
-        ws = build_workspace(np.tanh(Z), P, eta)
+        ws = build_workspace(np.tanh(Z), P, eta, out=ws)
         if i == 0:
             loss_before = kl_loss(P, ws.Q, cfg.epsilon)
-        M = code_coefficients(ws, cfg.grad_mode)
+        M = code_coefficients(ws, cfg.grad_mode, out=lap)
         _check_finite(M)
         M_sum += M
         step = M @ K
@@ -248,7 +276,8 @@ def train_stage(model: HashModel, batch: StreamingBatch, cfg: TrainConfig):
     # ||X M^T||^2 = <M, M X^T X> for the last inner gradient
     grad_norm = math.sqrt(max(float(np.vdot(M, step)), 0.0))
     model = sgd_step(model, X @ M_sum.T, cfg.learning_rate)
-    loss_after = _stage_loss(X, model, P, eta, cfg.epsilon)
+    # Z now tracks the new model's projections W^T X up to rounding
+    loss_after = kl_loss(P, build_workspace(np.tanh(Z), P, eta, out=ws).Q, cfg.epsilon)
     report = StageReport(
         stage_index=batch.stage_index,
         loss_before=loss_before,

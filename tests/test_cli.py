@@ -171,6 +171,15 @@ class TestExitCodes:
         assert f"error (ConfigError): {name} " in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("override", ["train.learning_rate=NaN", "train.sigma=Infinity",
+                                          "init_scale=NaN"])
+    def test_non_finite_number_is_2(self, tmp_path, capsys, override):
+        cfg = write_config(tmp_path)
+        assert cli.main(["train", "--config", str(cfg), "--set", override]) == 2
+        name = override.split("=")[0]
+        assert f"error (ConfigError): {name} must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("text, override", [("[1]", "bits=8"), ("3", "train.seed=1")])
     def test_override_on_a_config_that_is_not_an_object_is_2(self, tmp_path, text, override):
         path = tmp_path / "config.json"

@@ -78,9 +78,41 @@ class TestPGaussian:
             off = P[~np.eye(len(labels), dtype=bool)]
             assert (off > 0).all()
 
+    @pytest.mark.parametrize("labels, mu", [
+        ([0, 0, 1], 0.5),     # both pdf values underflow, their ratio is 1
+        ([0, 1, 2, 3], 1.0),  # only dissimilar pairs, the lighter kind
+        ([2, 2, 2], 0.0),     # only similar pairs, the lighter kind
+    ])
+    def test_tiny_sigma_uniform_cases(self, labels, mu):
+        n = len(labels)
+        P = dist.p_gaussian(dist.build_similarity(np.array(labels)),
+                            GaussianParams(mu, 0.01))
+        off = P[~np.eye(n, dtype=bool)]
+        np.testing.assert_allclose(off, 1.0 / (n * (n - 1)), rtol=1e-15)
+
+    def test_tiny_sigma_keeps_dissimilar_mass(self):
+        P = dist.p_gaussian(dist.build_similarity(np.array([0, 0, 1])),
+                            GaussianParams(1.0, 0.03))
+        assert P[0, 2] > 0
+        assert math.log(P[0, 1]) - math.log(P[0, 2]) == pytest.approx(1 / (2 * 0.03**2),
+                                                                      rel=1e-12)
+
+    @pytest.mark.parametrize("value", [0.5, 2.0, -1.0, np.nan, np.inf])
+    def test_non_binary_similarity_rejected(self, value):
+        S = dist.build_similarity(np.array([0, 0, 1]))
+        S[0, 2] = S[2, 0] = value
+        with pytest.raises(DomainError):
+            dist.p_gaussian(S)
+
     def test_bad_sigma(self):
         with pytest.raises(DomainError):
             GaussianParams(sigma=0.0)
+
+    @pytest.mark.parametrize("mu, sigma", [(1.0, np.nan), (1.0, np.inf), (np.nan, 1.0),
+                                           (np.inf, 1.0)])
+    def test_nan_and_infinite_params_rejected(self, mu, sigma):
+        with pytest.raises(DomainError):
+            GaussianParams(mu, sigma)
 
 
 class TestHammingSq:
@@ -115,6 +147,9 @@ class TestHammingSq:
         rng = np.random.default_rng(3)
         B = rng.uniform(-1, 1, size=(5, 7))
         D = dist.pairwise_hamming_sq(B)
+        out = np.full((7, 7), np.nan)
+        assert dist.pairwise_hamming_sq(B, out=out) is out
+        assert np.array_equal(out, D)
         for i in range(7):
             for j in range(7):
                 assert D[i, j] == pytest.approx(dist.hamming_sq(B[:, i], B[:, j]), abs=1e-12)
@@ -183,6 +218,12 @@ class TestQScaled:
     def test_bad_params(self):
         with pytest.raises(DomainError):
             ScalingParams(p=0.0, n=1.0)
+
+    @pytest.mark.parametrize("p, n", [(np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0),
+                                      (1.0, np.inf)])
+    def test_nan_and_infinite_params_rejected(self, p, n):
+        with pytest.raises(DomainError):
+            ScalingParams(p=p, n=n)
 
 
 class TestDistributionInvariants:

@@ -32,13 +32,8 @@ def check_distribution(M):
     assert M.sum() == pytest.approx(1.0, rel=1e-12)
 
 
-# mu within the similarity values, sigma >= 0.05: p_gaussian evaluates exp
-# per pair, which underflows to 0 for every pair once (s - mu)^2 / (2 sigma^2)
-# passes about 745 for both s = 0 and s = 1 (e.g. mu 0.5, sigma 0.01), and
-# then raises DegenerateDistributionError. The log-space closed form that
-# removes the underflow is an open ROADMAP item.
 @SETTINGS
-@given(batch=batches(), mu=st.floats(0.0, 1.0), sigma=st.floats(0.05, 5.0),
+@given(batch=batches(), mu=st.floats(0.0, 1.0), sigma=st.floats(1e-3, 5.0),
        p=SCALE, n=SCALE)
 def test_zero_diagonal_and_unit_mass(batch, mu, sigma, p, n):
     B, labels = batch

@@ -34,6 +34,11 @@ class TestInit:
         with pytest.raises(DomainError):
             hm.init(0, 4)
 
+    @pytest.mark.parametrize("scale", [-1.0, np.nan, np.inf])
+    def test_bad_scale(self, scale):
+        with pytest.raises(DomainError):
+            hm.init(3, 2, scale=scale)
+
 
 class TestEncodeRelaxed:
     def test_zero_model_gives_zero_codes(self):

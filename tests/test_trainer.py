@@ -26,6 +26,14 @@ def random_instance(rng, n_t=6, d=4, k=3, q_variant="scaled", p_variant="gaussia
     return X, labels, model, S, P, cfg
 
 
+def masked_kl(P, Q, epsilon):
+    """The KL sum over the gathered pairs with P > 0, the oracle of the
+    dense kl_loss."""
+    mask = P > 0
+    p = P[mask]
+    return float(np.sum(p * np.log(p / np.maximum(Q[mask], epsilon))))
+
+
 class TestKlLoss:
     def test_identity_is_zero(self):
         P = dist.p_gaussian(dist.build_similarity(np.array([0, 0, 1])))
@@ -63,6 +71,24 @@ class TestKlLoss:
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
             trainer.kl_loss(np.zeros((3, 3)), np.zeros((4, 4)))
+
+    @pytest.mark.parametrize("p_variant", trainer.P_VARIANTS)
+    def test_dense_sum_matches_masked_gather(self, p_variant):
+        # raw P has zero off-diagonal entries, Gaussian P has none
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            n = int(rng.integers(2, 40))
+            labels = rng.integers(0, 4, size=n)
+            labels[1] = labels[0]
+            cfg = TrainConfig(p_variant=p_variant,
+                              gaussian=GaussianParams(1.0, float(rng.uniform(0.1, 2.0))))
+            _, P = trainer.build_target(labels, cfg)
+            Q = dist.q_plain(rng.uniform(-1, 1, size=(int(rng.integers(1, 9)), n)))
+            # some Q entries below the clamp
+            Q.ravel()[rng.integers(0, n * n, size=n)] = 1e-20
+            epsilon = float(rng.choice([1e-12, 1e-6]))
+            assert trainer.kl_loss(P, Q, epsilon) == pytest.approx(
+                masked_kl(P, Q, epsilon), rel=1e-13, abs=0)
 
 
 class TestGradLoss:
@@ -143,6 +169,27 @@ class TestGradLoss:
         assert ws.B is B
         M = trainer.code_coefficients(ws, cfg.grad_mode)
         assert M.shape == B.shape
+
+    @pytest.mark.parametrize("q_variant", trainer.Q_VARIANTS)
+    def test_workspace_rebuilt_in_place(self, q_variant):
+        # one workspace serves two successive codes; each time it is the
+        # same object and equal to a fresh workspace bit for bit
+        rng = np.random.default_rng(12)
+        X, labels, model, S, P, cfg = random_instance(rng, n_t=9, q_variant=q_variant)
+        eta = trainer.stage_eta(S, cfg, model.k)
+        ws = trainer.build_workspace(hm.encode_relaxed(model, X), P, eta)
+        for scale in (0.5, 2.0):
+            B = np.tanh(scale * hm.project(model, X))
+            fresh = trainer.build_workspace(B, P, eta)
+            assert trainer.build_workspace(B, P, eta, out=ws) is ws
+            assert ws.B is B and ws.eta is eta
+            for name in ("D", "kernel", "Q", "Lmat"):
+                assert np.array_equal(getattr(ws, name), getattr(fresh, name)), name
+            for mode in trainer.GRAD_MODES:
+                lap = np.full_like(P, np.nan)
+                assert np.array_equal(trainer.code_coefficients(ws, mode, out=lap),
+                                      trainer.code_coefficients(fresh, mode))
+                assert np.array_equal(lap, trainer.pair_laplacian(fresh, mode))
 
     def test_paper_mode_proportional_at_code_level_for_uniform_eta(self):
         # with p = n the exact per-pair coefficients are the published ones
@@ -237,6 +284,13 @@ class TestTrainStage:
     def test_inner_iters_zero_rejected_by_validation(self):
         with pytest.raises(DomainError):
             TrainConfig(inner_iters=0).validate()
+
+    @pytest.mark.parametrize("field, value", [
+        ("learning_rate", np.nan), ("learning_rate", np.inf), ("batch_size", np.nan),
+        ("inner_iters", np.nan), ("epsilon", np.nan)])
+    def test_nan_and_infinite_settings_rejected_by_validation(self, field, value):
+        with pytest.raises(DomainError):
+            TrainConfig(**{field: value}).validate()
 
     def test_all_distinct_labels_raw_target_degenerates(self):
         X = np.random.default_rng(0).standard_normal((3, 4))
@@ -350,10 +404,13 @@ class TestStageAgainstReference:
         counted(trainer, "sgd_step")
         counted(hm, "encode_relaxed")
         counted(dist, "scaling_matrix")
+        counted(dist, "p_gaussian")
         cfg = TrainConfig(inner_iters=4)
         trainer.train_stage(hm.init(16, 5, seed=0), batch, cfg)
+        # loss_after comes from the tracked projections: no encode at all
+        assert calls.get("encode_relaxed", 0) == 0
         assert calls == {"build_workspace": cfg.inner_iters + 1, "sgd_step": 1,
-                         "encode_relaxed": 1, "scaling_matrix": 1}
+                         "scaling_matrix": 1, "p_gaussian": 1}
 
     def test_non_finite_step_raises_before_w_is_written(self, monkeypatch):
         X, y = data.synth_blobs(3, 16, 10, 0.8, seed=0)
