@@ -23,26 +23,18 @@ from .distribution import (
     GaussianParams,
     ScalingParams,
     build_similarity,
-    hamming_sq,
     p_gaussian,
     p_raw,
     pairwise_hamming_sq,
-    q_plain,
-    q_scaled,
 )
 from .index import (
     PackedCodes,
-    RetrievalResult,
-    hamming,
     lsh_baseline,
     pack,
-    search,
     unpack,
 )
 from .metrics import (
-    CurvePoint,
     MetricReport,
-    average_precision,
     curve_auc,
     mean_ap,
     precision_at_r,
@@ -60,8 +52,6 @@ from .model import (
 from .trainer import (
     StageReport,
     TrainConfig,
-    fd_oracle,
-    grad_loss,
     kl_loss,
     sgd_step,
     train_stage,

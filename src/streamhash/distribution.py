@@ -1,11 +1,11 @@
 """Pairwise similarity distributions over a streaming batch.
 
-Two distributions get aligned during training: a label-side target P built
-from the binary similarity matrix (either raw normalization or a
-Gaussian-smoothed variant) and a code-side distribution Q built from
-pairwise Hamming distances through a heavy-tailed kernel (plain or with
-per-pair scaling). Both are (n, n) matrices with an exactly-zero diagonal
-whose off-diagonal entries sum to 1.
+Training aligns a code-side distribution Q with a label-side target P
+built from the binary similarity matrix, either by raw normalization or
+with Gaussian smoothing. Both are (n, n) matrices with an exactly-zero
+diagonal whose off-diagonal entries sum to 1. This module builds P, the
+pairwise Hamming distances and the per-pair scaling matrix; Q is formed
+from them in trainer.build_workspace.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDistributionError, DimensionError, DomainError
+from .errors import DegenerateDistributionError, DomainError
 
 
 @dataclass(frozen=True)
@@ -51,26 +51,27 @@ def build_similarity(labels: np.ndarray) -> np.ndarray:
     return (labels[:, None] == labels[None, :]).astype(np.float64)
 
 
-def _normalize_offdiag(weights: np.ndarray) -> np.ndarray:
-    """Zero the diagonal and normalize the rest to total mass 1."""
-    out = weights.copy()
-    np.fill_diagonal(out, 0.0)
-    total = out.sum()
-    if total <= 0:
-        raise DegenerateDistributionError("off-diagonal mass is zero")
-    out /= total
-    np.fill_diagonal(out, 0.0)
-    return out
+def _similar_pairs(S: np.ndarray):
+    """Mask of a binary S's ones and their off-diagonal count."""
+    similar = S == 1.0
+    n_ones = np.count_nonzero(similar)
+    if n_ones + np.count_nonzero(S == 0.0) != S.size:
+        raise DomainError("P needs a binary similarity matrix")
+    return similar, n_ones - np.count_nonzero(similar.diagonal())
 
 
 def p_raw(S: np.ndarray) -> np.ndarray:
-    """Target distribution by direct normalization of the similarity matrix.
-
-    Dissimilar pairs get probability exactly 0, so the result is extremely
-    imbalanced whenever similar pairs are rare. Raises when no off-diagonal
-    pair is similar.
-    """
-    return _normalize_offdiag(S)
+    """Target distribution by direct normalization of the similarity matrix:
+    each similar pair off the diagonal gets 1 / (number of them), so
+    dissimilar pairs get exactly 0 and the result is extremely imbalanced
+    whenever similar pairs are rare. Raises when no off-diagonal pair is
+    similar."""
+    similar, n_similar = _similar_pairs(S)
+    if not n_similar:
+        raise DegenerateDistributionError("off-diagonal mass is zero")
+    P = np.where(similar, 1.0 / n_similar, 0.0)
+    diag_view(P)[:] = 0.0
+    return P
 
 
 def p_gaussian(S: np.ndarray, g: GaussianParams = GaussianParams()) -> np.ndarray:
@@ -86,14 +87,10 @@ def p_gaussian(S: np.ndarray, g: GaussianParams = GaussianParams()) -> np.ndarra
     sigma). The lighter kind's mass is 0 only where the ratio exceeds the
     float range.
     """
-    similar = S == 1.0
-    n_ones = np.count_nonzero(similar)
-    if n_ones + np.count_nonzero(S == 0.0) != S.size:
-        raise DomainError("p_gaussian needs a binary similarity matrix")
+    similar, n_similar = _similar_pairs(S)
     n = S.shape[0]
     if n < 2:
         raise DegenerateDistributionError("off-diagonal mass is zero")
-    n_similar = n_ones - np.count_nonzero(similar.diagonal())
     n_dissimilar = n * (n - 1) - n_similar
     # log(f(0) / f(1)), the dissimilar log-weight minus the similar one
     log_ratio = (0.5 - g.mu) / g.sigma / g.sigma
@@ -107,26 +104,15 @@ def p_gaussian(S: np.ndarray, g: GaussianParams = GaussianParams()) -> np.ndarra
     return P
 
 
-def hamming_sq(b_i: np.ndarray, b_j: np.ndarray) -> float:
-    """Squared-difference Hamming measure: one quarter of ||b_i - b_j||^2.
-
-    On exact +/-1 codes this equals the integer bit-level Hamming distance;
-    on relaxed codes it interpolates it continuously. Always in [0, k].
-    """
-    if b_i.shape != b_j.shape:
-        raise DimensionError(f"code lengths differ: {b_i.shape} vs {b_j.shape}")
-    diff = b_i - b_j
-    return 0.25 * float(diff @ diff)
-
-
 def diag_view(A: np.ndarray) -> np.ndarray:
     """Writable view of the diagonal of a C-contiguous square matrix."""
     return A.reshape(-1)[:: A.shape[0] + 1]
 
 
 def pairwise_hamming_sq(B: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """All-pairs hamming_sq over the columns of a (k, n) code matrix,
-    written into out (a C-contiguous (n, n) array) when given."""
+    """||b_i - b_j||^2 / 4 over all column pairs of a (k, n) code matrix (the
+    bit-level Hamming distance on +/-1 codes), written into out (a
+    C-contiguous (n, n) array) when given."""
     gram = B.T @ B
     # 0.25 * (sq_i + sq_j - 2 gram_ij), the gram as the one (n, n) temporary.
     # sq_i + sq_j comes from the rank-2 product (sq_i, 1) . (1, sq_j): each
@@ -142,30 +128,6 @@ def pairwise_hamming_sq(B: np.ndarray, out: np.ndarray | None = None) -> np.ndar
     np.maximum(dist, 0.0, out=dist)
     diag_view(dist)[:] = 0.0
     return dist
-
-
-def q_plain(B: np.ndarray) -> np.ndarray:
-    """Code-side distribution with the heavy-tailed kernel (1 + dist)^-1."""
-    if B.shape[1] < 2:
-        raise DomainError("need at least 2 code columns")
-    kernel = 1.0 / (1.0 + pairwise_hamming_sq(B))
-    return _normalize_offdiag(kernel)
-
-
-def q_scaled(B: np.ndarray, S: np.ndarray, sp: ScalingParams) -> np.ndarray:
-    """Code-side distribution with per-pair scaled distances.
-
-    Each distance is divided by eta_ij = sp.p on similar pairs and sp.n on
-    dissimilar ones before entering the (1 + d/eta)^-1 kernel. With
-    p = n = 1 this reduces to q_plain exactly.
-    """
-    if B.shape[1] != S.shape[0] or S.shape[0] != S.shape[1]:
-        raise DimensionError(
-            f"code columns {B.shape[1]} must match similarity shape {S.shape}"
-        )
-    eta = scaling_matrix(S, sp)
-    kernel = 1.0 / (1.0 + pairwise_hamming_sq(B) / eta)
-    return _normalize_offdiag(kernel)
 
 
 def scaling_matrix(S: np.ndarray, sp: ScalingParams) -> np.ndarray:

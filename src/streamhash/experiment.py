@@ -24,7 +24,7 @@ from .data import SplitSpec
 from .distribution import GaussianParams, ScalingParams
 from .errors import ConfigError, DomainError, NumericError
 from .index import PackedCodes
-from .metrics import CurvePoint, MetricReport
+from .metrics import MetricReport
 from .model import HashModel
 from .trainer import TrainConfig
 
@@ -84,7 +84,7 @@ _KINDS = {"int": _INT, "float": _NUMBER, "str": _STR}  # annotation -> allowed t
 _TYPE_NAMES = {dict: "object", type(None): "null"}
 
 # The flat train section: allowed types and default of each key. A null
-# scale_p means p = bits / 2 and n = 1; scale_n may be null only then.
+# scale_p means p = bits / 2 and n = 1: scale_n is 1 or null, null only then.
 TRAIN_FIELDS = {
     "learning_rate": (_NUMBER, 0.1), "mu": (_NUMBER, 1.0), "sigma": (_NUMBER, 1.0),
     "scale_p": (_NUMBER + _NULL, None), "scale_n": (_NUMBER + _NULL, 1.0),
@@ -156,6 +156,8 @@ def train_config(raw) -> TrainConfig:
     mu, sigma, p, n = (values.pop(key) for key in ("mu", "sigma", "scale_p", "scale_n"))
     if p is not None and n is None:
         raise ConfigError("train.scale_n must be int or float when scale_p is set, got None")
+    if p is None and n not in (None, 1):
+        raise ConfigError(f"train.scale_n must be 1 or null when scale_p is null, got {n!r}")
     try:
         cfg = TrainConfig(gaussian=GaussianParams(mu, sigma),
                           scaling=None if p is None else ScalingParams(p, n), **values)
@@ -292,10 +294,8 @@ def make_batches(train_split, cfg: ExperimentConfig):
     features, labels = train_split
     batches = []
     for epoch in range(cfg.epochs):
-        epoch_batches = data.stream(
-            features, labels, cfg.train.batch_size, cfg.train.seed + epoch
-        )
-        batches.extend(trainer.with_stage_indices(epoch_batches, start=len(batches) + 1))
+        epoch_batches = data.stream(features, labels, cfg.train.batch_size, cfg.train.seed + epoch)
+        batches += [replace(b, stage_index=len(batches) + b.stage_index) for b in epoch_batches]
     return batches
 
 
@@ -311,13 +311,13 @@ def run_train(cfg: ExperimentConfig, out_dir: Path | None = None) -> TrainOutcom
     train_split, retrieval, test = data.split(features, labels, cfg.split)
     batches = make_batches(train_split, cfg)
     model = hashmodel.init(features.shape[0], cfg.bits, cfg.init_scale, cfg.seed)
-    stage_reports, curve_rows, points, seen = [], [], [], 0
+    stage_reports, curve_rows, seen = [], [], 0
 
     def evaluate_at(stage_index: int) -> None:
         m = evaluate_model(model, retrieval, test, cfg.eval.cutoff, cfg.eval.r_max)
-        points.append(CurvePoint(x=seen, y=m["map"]))
+        points = [row[1:3] for row in curve_rows] + [(seen, m["map"])]
         # a single point spans a degenerate interval; its AUC is its own value
-        auc = metrics.curve_auc(points) if len(points) > 1 else m["map"]
+        auc = metrics.curve_auc(points) if curve_rows else m["map"]
         curve_rows.append((stage_index, seen, m["map"], m["map_at_k"], m["precision_h2"], auc))
 
     for batch in batches:

@@ -1,11 +1,10 @@
-"""Bit-packed binary codes, popcount Hamming search, and the untrained
+"""Bit-packed binary codes, popcount Hamming distances, and the untrained
 random-projection baseline.
 
 Codes are stored as uint64 words, little-endian bit order within each
-word: bit j of an instance is set iff code entry j is +1. Search is a full
-linear scan (databases here stay small enough that a scan beats any index
-structure) with ties broken by ascending database index so rankings are
-reproducible.
+word: bit j of an instance is set iff code entry j is +1. Distances come
+from a full linear scan (databases here stay small enough that a scan
+beats any index structure); metrics.retrieval_scores ranks them.
 """
 
 from __future__ import annotations
@@ -29,17 +28,6 @@ class PackedCodes:
     n: int
     labels: np.ndarray | None = None
 
-    def __len__(self) -> int:
-        return self.n
-
-
-@dataclass
-class RetrievalResult:
-    """Full database ranking for one query: ids by ascending distance."""
-
-    ranked_ids: np.ndarray
-    distances: np.ndarray
-
 
 def pack(B: np.ndarray, labels: np.ndarray | None = None) -> PackedCodes:
     """Pack a (k, n) matrix of +/-1 codes into per-instance uint64 words."""
@@ -47,6 +35,8 @@ def pack(B: np.ndarray, labels: np.ndarray | None = None) -> PackedCodes:
     if not (ones | (B == -1)).all():
         raise DomainError("codes must be exactly +1 or -1")
     k, n = B.shape
+    if labels is not None and labels.shape[0] != n:
+        raise DimensionError(f"{labels.shape[0]} labels for {n} codes")
     n_words = (k + WORD_BITS - 1) // WORD_BITS
     bits = np.zeros((n, n_words * WORD_BITS), dtype=bool)
     bits[:, :k] = ones.T
@@ -68,13 +58,6 @@ def unpack(packed: PackedCodes) -> np.ndarray:
     return np.where(_bits(packed).T == 1, 1.0, -1.0)
 
 
-def hamming(a: np.ndarray, b: np.ndarray) -> int:
-    """Popcount Hamming distance between two packed codes (word arrays)."""
-    if a.shape != b.shape:
-        raise DimensionError(f"packed code shapes differ: {a.shape} vs {b.shape}")
-    return int(np.bitwise_count(np.bitwise_xor(a, b)).sum())
-
-
 def hamming_to_db(query_words: np.ndarray, db: PackedCodes) -> np.ndarray:
     """Distances from packed queries to every database entry.
 
@@ -88,13 +71,6 @@ def hamming_to_db(query_words: np.ndarray, db: PackedCodes) -> np.ndarray:
     for w in range(db.words.shape[1]):
         dists += np.bitwise_count(np.bitwise_xor(db.words[:, w], query_words[..., w, None]))
     return dists
-
-
-def search(query_words: np.ndarray, db: PackedCodes) -> RetrievalResult:
-    """Rank the whole database by ascending distance, ties by ascending id."""
-    dists = hamming_to_db(query_words, db)
-    order = np.argsort(dists, kind="stable")
-    return RetrievalResult(ranked_ids=order, distances=dists[order].astype(np.int64))
 
 
 def lsh_baseline(d: int, k: int, seed: int = 0) -> HashModel:

@@ -34,14 +34,6 @@ CONVENTIONS = {
 
 
 @dataclass
-class CurvePoint:
-    """One point of the quality-vs-training-size curve."""
-
-    x: float  # training instances seen
-    y: float  # mAP at that point
-
-
-@dataclass
 class MetricReport:
     map: float
     map_at_k: float
@@ -93,15 +85,6 @@ def _ap(found: np.ndarray, terms: np.ndarray, stop: int) -> float:
     every caller."""
     total = np.searchsorted(found, stop)  # relevant items among them
     return float(terms[:stop].sum() / total) if total else 0.0
-
-
-def average_precision(result, rel: np.ndarray, cutoff: int | None = None) -> float:
-    """AP of one ranking against per-database-item relevance flags."""
-    if rel.shape[0] != result.ranked_ids.shape[0]:
-        raise DimensionError(
-            f"relevance length {rel.shape[0]} != ranking length {result.ranked_ids.shape[0]}"
-        )
-    return _ap(*_ap_terms(rel[result.ranked_ids]), _cut(rel.shape[0], cutoff))
 
 
 def _validate(queries: PackedCodes, db: PackedCodes, r_max: int | None) -> None:
@@ -197,12 +180,10 @@ def precision_at_r(queries: PackedCodes, db: PackedCodes, r_max: int) -> np.ndar
 
 
 def curve_auc(points) -> float:
-    """Trapezoidal area under a curve, normalized by its x-range.
-
-    Accepts CurvePoints or (x, y) pairs; x must be strictly increasing.
+    """Trapezoidal area under a curve of (x, y) pairs, normalized by its
+    x-range; x must be strictly increasing.
     """
-    xs = np.array([p.x if isinstance(p, CurvePoint) else p[0] for p in points], dtype=float)
-    ys = np.array([p.y if isinstance(p, CurvePoint) else p[1] for p in points], dtype=float)
+    xs, ys = np.array(points, dtype=float).reshape(-1, 2).T
     if xs.shape[0] < 2:
         raise DomainError("curve AUC needs at least 2 points")
     if np.any(np.diff(xs) <= 0):

@@ -9,7 +9,7 @@ distribution Q toward it. Two gradient modes exist:
   through Q's normalizer. This is the default and is verified against a
   finite-difference oracle.
 * "paper" - the closed form X ((B o (1 - B o B)) L)^T, where L holds the
-  row sums of Lmat = (P - Q) o kernel on its diagonal and -Lmat off it.
+  row sums of (P - Q) o kernel on its diagonal and their negation off it.
   Kept for ablation; it omits the 1/eta factor and attaches the tanh
   derivative to the partner sample, so it is an approximation of the true
   gradient.
@@ -17,8 +17,8 @@ distribution Q toward it. Two gradient modes exist:
 Both are X @ M.T for a (k, n) code-space matrix M (code_coefficients).
 
 train_stage allocates its n x n arrays once per stage: build_workspace
-and code_coefficients overwrite one GradWorkspace and one pair Laplacian
-buffer in place on every step (their out arguments).
+overwrites one GradWorkspace (distances, kernel, Q) and code_coefficients
+forms the pair coefficients in one pair Laplacian buffer, on every step.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -95,11 +95,11 @@ class GradWorkspace:
     testing; build_workspace(..., out=ws) refills them in place."""
 
     B: np.ndarray             # (k, n) relaxed codes
+    P: np.ndarray             # (n, n) label-side target
+    eta: np.ndarray | float   # (n, n) per-pair divisors, or 1.0 for plain Q
     D: np.ndarray             # (n, n) dist/eta, zero diagonal
     kernel: np.ndarray        # (n, n) 1 / (1 + D), zero diagonal
     Q: np.ndarray             # (n, n) code-side distribution
-    Lmat: np.ndarray          # (n, n) (P - Q) o kernel, zero diagonal
-    eta: np.ndarray | float   # (n, n) per-pair divisors, or 1.0 for plain Q
 
 
 def kl_loss(P: np.ndarray, Q: np.ndarray, epsilon: float = 1e-12) -> float:
@@ -128,7 +128,8 @@ def stage_eta(S, cfg: TrainConfig, k: int):
 
 
 def build_workspace(B, P, eta, out: GradWorkspace | None = None) -> GradWorkspace:
-    """Distances, Q and the gradient's pair coefficients at relaxed codes B.
+    """Distances, kernel (1 + dist/eta)^-1 and Q, the kernel at unit mass, at
+    relaxed codes B; eta = 1.0 gives the plain Q.
 
     With out, its (n, n) buffers are overwritten and out itself returned,
     so a stage's steps share one workspace; the values equal those of a
@@ -136,18 +137,15 @@ def build_workspace(B, P, eta, out: GradWorkspace | None = None) -> GradWorkspac
     """
     if out is None:
         n = B.shape[1]
-        out = GradWorkspace(B, *(np.empty((n, n)) for _ in range(4)), eta)
-    out.B, out.eta = B, eta
-    D, kernel, Q, Lmat = out.D, out.kernel, out.Q, out.Lmat
+        out = GradWorkspace(B, P, eta, *(np.empty((n, n)) for _ in range(3)))
+    out.B, out.P, out.eta = B, P, eta
+    D, kernel = out.D, out.kernel
     dist.pairwise_hamming_sq(B, out=D)
     D /= eta  # eta > 0 keeps the zero diagonal
     np.add(D, 1.0, out=kernel)
     np.divide(1.0, kernel, out=kernel)
     diag_view(kernel)[:] = 0.0
-    np.divide(kernel, kernel.sum(), out=Q)
-    # kernel's zero diagonal zeroes Lmat's
-    np.subtract(P, Q, out=Lmat)
-    Lmat *= kernel
+    np.divide(kernel, kernel.sum(), out=out.Q)
     return out
 
 
@@ -156,12 +154,15 @@ def pair_laplacian(ws: GradWorkspace, grad_mode: str,
     """(n, n) negated pair coefficients with their row sums on the diagonal,
     so every row sums to 0; written into out when given.
 
-    paper: the published coefficients Lmat; exact: they gain the 1/eta
-    factor from differentiating dist/eta.
+    paper: the published coefficients (P - Q) o kernel, formed in the result;
+    exact: they gain the 1/eta factor from differentiating dist/eta.
     """
-    coeff = ws.Lmat if grad_mode == "paper" else np.divide(ws.Lmat, ws.eta, out=out)
-    row_sums = coeff.sum(axis=1)
-    lap = np.negative(coeff, out=out)
+    lap = np.subtract(ws.P, ws.Q, out=out)
+    lap *= ws.kernel
+    if grad_mode == "exact":
+        lap /= ws.eta
+    row_sums = lap.sum(axis=1)
+    np.negative(lap, out=lap)
     diag_view(lap)[:] = row_sums
     return lap
 
@@ -182,42 +183,6 @@ def code_coefficients(ws: GradWorkspace, grad_mode: str,
 def _check_finite(M: np.ndarray) -> None:
     if not np.all(np.isfinite(M)):
         raise NumericError("gradient contains non-finite entries; stage aborted")
-
-
-def _stage_loss(X, model: HashModel, P, eta, epsilon: float) -> float:
-    ws = build_workspace(hashmodel.encode_relaxed(model, X), P, eta)
-    return kl_loss(P, ws.Q, epsilon)
-
-
-def grad_loss(X, model: HashModel, P, S, cfg: TrainConfig) -> np.ndarray:
-    """Gradient of the stage loss with respect to W, per cfg.grad_mode."""
-    if P.shape[0] != X.shape[1]:
-        raise DimensionError(
-            f"P is {P.shape} but X has {X.shape[1]} columns"
-        )
-    B = hashmodel.encode_relaxed(model, X)
-    ws = build_workspace(B, P, stage_eta(S, cfg, model.k))
-    return X @ code_coefficients(ws, cfg.grad_mode).T
-
-
-def fd_oracle(X, model: HashModel, P, S, cfg: TrainConfig, step: float = 1e-5) -> np.ndarray:
-    """Central finite differences of the stage loss over every W entry."""
-    if step <= 0:
-        raise DomainError("step must be positive")
-    eta = stage_eta(S, cfg, model.k)
-
-    def loss_at(W):
-        return _stage_loss(X, HashModel(W=W), P, eta, cfg.epsilon)
-
-    grad = np.empty_like(model.W)
-    for a in range(model.d):
-        for b in range(model.k):
-            Wp = model.W.copy()
-            Wp[a, b] += step
-            Wm = model.W.copy()
-            Wm[a, b] -= step
-            grad[a, b] = (loss_at(Wp) - loss_at(Wm)) / (2.0 * step)
-    return grad
 
 
 def sgd_step(model: HashModel, gradient: np.ndarray, learning_rate: float) -> HashModel:
@@ -256,6 +221,8 @@ def train_stage(model: HashModel, batch: StreamingBatch, cfg: TrainConfig):
     cfg.validate()
     if batch.size < 2:
         raise DomainError("a stage needs at least 2 instances")
+    if batch.features.shape[1] != batch.size:
+        raise DimensionError(f"{batch.features.shape[1]} feature columns for {batch.size} labels")
     start = time.perf_counter()
     X = batch.features
     S, P = build_target(batch.labels, cfg)
@@ -306,8 +273,3 @@ def train_stream(model: HashModel, batches, cfg: TrainConfig, eval_hook=None):
         if eval_hook is not None:
             eval_hook(model, report)
     return model, reports
-
-
-def with_stage_indices(batches, start: int = 1) -> list[StreamingBatch]:
-    """Renumber stage indices sequentially (used when chaining epochs)."""
-    return [replace(b, stage_index=start + i) for i, b in enumerate(batches)]

@@ -23,6 +23,8 @@ from streamhash.distribution import GaussianParams, ScalingParams
 from streamhash.experiment import config_from_dict
 from streamhash.trainer import TrainConfig
 
+from oracles import fd_oracle, grad_loss
+from test_distribution import code_q
 from test_metrics import bf_metrics
 
 
@@ -49,8 +51,8 @@ def test_criterion_1_gradient_matches_finite_differences():
                           scaling=ScalingParams(2.0, 0.8))
         model = hm.init(d, k, seed=trial)
         S, P = trainer.build_target(labels, cfg)
-        g = trainer.grad_loss(X, model, P, S, cfg)
-        g_fd = trainer.fd_oracle(X, model, P, S, cfg, step=1e-5)
+        g = grad_loss(X, model, P, S, cfg)
+        g_fd = fd_oracle(X, model, P, S, cfg, step=1e-5)
         worst = max(worst, np.abs(g - g_fd).max() / max(np.abs(g_fd).max(), 1e-12))
     elapsed = time.perf_counter() - t0
     check(1, "gradient correctness",
@@ -72,8 +74,8 @@ def test_criterion_2_distribution_normalization():
         off = ~np.eye(n, dtype=bool)
         mats = {
             "p_gaussian": dist.p_gaussian(S),
-            "q_plain": dist.q_plain(B),
-            "q_scaled": dist.q_scaled(B, S, ScalingParams(2.0, 1.0)),
+            "q_plain": code_q(B, S),
+            "q_scaled": code_q(B, S, ScalingParams(2.0, 1.0)),
         }
         has_similar_pair = S[off].sum() > 0
         if has_similar_pair:
@@ -109,23 +111,25 @@ def test_criterion_3_imbalance_smoothing():
 # --- 4: Hamming identity -----------------------------------------------------
 
 def test_criterion_4_hamming_identity():
+    # the popcount distances evaluation ranks by against the distances
+    # training forms from the same codes
     rng = np.random.default_rng(11)
     identity_ok = True
     for _ in range(400):
         k = int(rng.integers(1, 17))
         B = rng.choice([-1.0, 1.0], size=(k, 2))
         packed = index.pack(B)
-        pop = index.hamming(packed.words[0], packed.words[1])
-        identity_ok &= pop == dist.hamming_sq(B[:, 0], B[:, 1])
+        pop = index.hamming_to_db(packed.words, packed)
+        identity_ok &= (pop == dist.pairwise_hamming_sq(B)).all()
     axioms_ok = True
     B = rng.choice([-1.0, 1.0], size=(96, 40))
-    w = index.pack(B).words
+    w = index.pack(B)
+    d = index.hamming_to_db(w.words, w).astype(int)
     for _ in range(300):
         i, j, l = rng.integers(0, 40, size=3)
-        dij = index.hamming(w[i], w[j])
-        axioms_ok &= dij == index.hamming(w[j], w[i])
-        axioms_ok &= index.hamming(w[i], w[i]) == 0
-        axioms_ok &= dij <= index.hamming(w[i], w[l]) + index.hamming(w[l], w[j])
+        axioms_ok &= d[i, j] == d[j, i]
+        axioms_ok &= d[i, i] == 0
+        axioms_ok &= d[i, j] <= d[i, l] + d[l, j]
     check(4, "hamming identity", identity_ok and axioms_ok,
           "popcount == quarter-squared-norm on all sampled pairs; metric axioms hold")
 
@@ -287,12 +291,11 @@ def test_criterion_7_mnist_early_stage_shape():
 # --- 8: metric oracle equivalence ---------------------------------------------
 
 def test_criterion_8_metric_oracle_equivalence():
-    from streamhash.index import RetrievalResult
-
-    hand = metrics.average_precision(
-        RetrievalResult(ranked_ids=np.arange(3), distances=np.arange(3)),
-        np.array([True, False, True]),
-    )
+    # one query against database codes at distances 0, 1, 2, of which the
+    # first and the last share its label
+    db_codes = np.array([[1.0, 1.0, -1.0], [1.0, -1.0, -1.0]])
+    hand = metrics.retrieval_scores(index.pack(np.ones((2, 1)), np.array([0])),
+                                    index.pack(db_codes, np.array([0, 1, 0])))["map"]
     # the hand enumeration of the AP sum: (1/2)(1/1 + 2/3) = 5/6
     ok = hand == (1 / 1 + 2 / 3) / 2
     worst = 0.0
@@ -331,9 +334,7 @@ def test_criterion_9_variant_ablation(tmp_path):
         n = int(rng.integers(2, 9))
         B = rng.uniform(-1, 1, size=(5, n))
         S = dist.build_similarity(rng.integers(0, 3, size=n))
-        worst = max(worst, np.abs(
-            dist.q_scaled(B, S, ScalingParams(1.0, 1.0)) - dist.q_plain(B)
-        ).max())
+        worst = max(worst, np.abs(code_q(B, S, ScalingParams(1.0, 1.0)) - code_q(B, S)).max())
 
     # both distribution variants drive full training runs -> two curves
     curves = {}

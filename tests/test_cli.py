@@ -196,6 +196,14 @@ class TestExitCodes:
         assert cli.main(["train", "--config", str(cfg)]) == 2
         assert not (tmp_path / "out").exists()
 
+    def test_scale_n_without_scale_p_is_2(self, tmp_path, capsys):
+        # a null scale_p fixes n = 1, so scale_n = 3 would be dropped silently
+        cfg = write_config(tmp_path)
+        assert cli.main(["train", "--config", str(cfg), "--set", "train.scale_p=null",
+                         "--set", "train.scale_n=3.0"]) == 2
+        assert "train.scale_n" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_eval_dimension_mismatch_is_4(self, tmp_path):
         cfg = write_config(tmp_path)
         cli.main(["train", "--config", str(cfg)])

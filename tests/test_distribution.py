@@ -1,13 +1,28 @@
-"""Pair distributions: targets P, code-side Q, and the distance measure."""
+"""Pair distributions: targets P, code-side Q, and the distance measure.
+
+Q is the one training forms: build_workspace at the stage's divisors.
+"""
 
 import math
 
 import numpy as np
 import pytest
 
-from streamhash import distribution as dist
+from streamhash import distribution as dist, model as hm, trainer
+from streamhash.data import StreamingBatch
 from streamhash.distribution import GaussianParams, ScalingParams
 from streamhash.errors import DegenerateDistributionError, DimensionError, DomainError
+from streamhash.trainer import TrainConfig
+
+from oracles import hamming_sq
+
+
+def code_q(B, S, scaling=None):
+    """Q of codes B as a training stage forms it, with the divisors
+    stage_eta gives: scaled by scaling on S, or plain when scaling is None."""
+    cfg = TrainConfig(q_variant="plain" if scaling is None else "scaled", scaling=scaling)
+    eta = trainer.stage_eta(S, cfg, B.shape[0])
+    return trainer.build_workspace(B, dist.p_gaussian(S), eta).Q
 
 
 def assert_pair_distribution(M):
@@ -103,6 +118,8 @@ class TestPGaussian:
         S[0, 2] = S[2, 0] = value
         with pytest.raises(DomainError):
             dist.p_gaussian(S)
+        with pytest.raises(DomainError):
+            dist.p_raw(S)
 
     def test_bad_sigma(self):
         with pytest.raises(DomainError):
@@ -118,30 +135,30 @@ class TestPGaussian:
 class TestHammingSq:
     def test_identical_is_zero(self):
         b = np.array([1.0, -1.0, 1.0])
-        assert dist.hamming_sq(b, b) == 0.0
+        assert (dist.pairwise_hamming_sq(np.stack([b, b], axis=1)) == 0.0).all()
 
     def test_hand_case(self):
-        assert dist.hamming_sq(np.array([1.0, 1.0]), np.array([-1.0, -1.0])) == 2.0
+        D = dist.pairwise_hamming_sq(np.array([[1.0, -1.0], [1.0, -1.0]]))
+        assert D[0, 1] == D[1, 0] == 2.0
 
     def test_equals_bit_distance_on_sign_codes(self):
         rng = np.random.default_rng(1)
         for _ in range(100):
             k = rng.integers(1, 17)
-            a = rng.choice([-1.0, 1.0], size=k)
-            b = rng.choice([-1.0, 1.0], size=k)
-            assert dist.hamming_sq(a, b) == (a != b).sum()
+            B = rng.choice([-1.0, 1.0], size=(k, 2))
+            assert dist.pairwise_hamming_sq(B)[0, 1] == (B[:, 0] != B[:, 1]).sum()
 
     def test_range_on_relaxed_codes(self):
         rng = np.random.default_rng(2)
         for _ in range(100):
             k = rng.integers(1, 12)
-            a = rng.uniform(-1, 1, size=k)
-            b = rng.uniform(-1, 1, size=k)
-            assert 0.0 <= dist.hamming_sq(a, b) <= k
+            D = dist.pairwise_hamming_sq(rng.uniform(-1, 1, size=(k, 2)))
+            assert (0.0 <= D).all() and (D <= k).all()
 
     def test_length_mismatch(self):
+        # the per-pair oracle the pairwise form is checked against
         with pytest.raises(DimensionError):
-            dist.hamming_sq(np.ones(3), np.ones(4))
+            hamming_sq(np.ones(3), np.ones(4))
 
     def test_pairwise_matches_pair_op(self):
         rng = np.random.default_rng(3)
@@ -152,14 +169,14 @@ class TestHammingSq:
         assert np.array_equal(out, D)
         for i in range(7):
             for j in range(7):
-                assert D[i, j] == pytest.approx(dist.hamming_sq(B[:, i], B[:, j]), abs=1e-12)
+                assert D[i, j] == pytest.approx(hamming_sq(B[:, i], B[:, j]), abs=1e-12)
 
 
 class TestQPlain:
     def test_hand_case(self):
         # distances 1, 2, 1 -> kernels 1/2, 1/3, 1/2; off-diagonal sum 8/3
         B = np.array([[1.0, 1.0, -1.0], [1.0, -1.0, -1.0]])
-        Q = dist.q_plain(B)
+        Q = code_q(B, dist.build_similarity(np.array([0, 0, 1])))
         assert Q[0, 1] == pytest.approx(0.1875, abs=1e-12)
         assert Q[1, 2] == pytest.approx(0.1875, abs=1e-12)
         assert Q[0, 2] == pytest.approx(0.125, abs=1e-12)
@@ -167,7 +184,7 @@ class TestQPlain:
 
     def test_identical_columns_uniform(self):
         B = np.ones((4, 5))
-        Q = dist.q_plain(B)
+        Q = code_q(B, dist.build_similarity(np.arange(5)))
         off = Q[~np.eye(5, dtype=bool)]
         np.testing.assert_allclose(off, 1.0 / 20, rtol=1e-12)
 
@@ -177,7 +194,7 @@ class TestQScaled:
         # identical similar codes, dissimilar at distance 2; p=2, n=1
         B = np.array([[1.0, 1.0, -1.0], [1.0, 1.0, -1.0]])
         S = dist.build_similarity(np.array([0, 0, 1]))
-        Q = dist.q_scaled(B, S, ScalingParams(p=2.0, n=1.0))
+        Q = code_q(B, S, ScalingParams(p=2.0, n=1.0))
         assert Q[0, 1] == pytest.approx(0.3, abs=1e-12)
         assert Q[0, 2] == pytest.approx(0.1, abs=1e-12)
         assert Q[1, 2] == pytest.approx(0.1, abs=1e-12)
@@ -189,8 +206,8 @@ class TestQScaled:
             n = rng.integers(2, 9)
             B = rng.uniform(-1, 1, size=(6, n))
             S = dist.build_similarity(rng.integers(0, 3, size=n))
-            Q1 = dist.q_scaled(B, S, ScalingParams(1.0, 1.0))
-            Q2 = dist.q_plain(B)
+            Q1 = code_q(B, S, ScalingParams(1.0, 1.0))
+            Q2 = code_q(B, S)
             assert np.abs(Q1 - Q2).max() < 1e-12
 
     def test_larger_p_raises_similar_kernels(self):
@@ -207,13 +224,16 @@ class TestQScaled:
     def test_zero_distances_uniform_regardless_of_scaling(self):
         B = np.ones((3, 6))
         S = dist.build_similarity(np.array([0, 0, 0, 1, 1, 2]))
-        Q = dist.q_scaled(B, S, ScalingParams(p=9.0, n=0.25))
+        Q = code_q(B, S, ScalingParams(p=9.0, n=0.25))
         off = Q[~np.eye(6, dtype=bool)]
         np.testing.assert_allclose(off, 1.0 / 30, rtol=1e-12)
 
     def test_shape_mismatch(self):
+        # codes of 3 instances against the similarity of 4 labels
+        batch = StreamingBatch(features=np.ones((2, 3)), labels=np.arange(4), stage_index=1)
         with pytest.raises(DimensionError):
-            dist.q_scaled(np.ones((2, 3)), np.eye(4), ScalingParams(1.0, 1.0))
+            trainer.train_stage(hm.init(2, 2, seed=0), batch,
+                                TrainConfig(scaling=ScalingParams(1.0, 1.0)))
 
     def test_bad_params(self):
         with pytest.raises(DomainError):
@@ -236,8 +256,8 @@ class TestDistributionInvariants:
             labels = rng.integers(0, 3, size=n)
             S = dist.build_similarity(labels)
             B = rng.uniform(-1, 1, size=(4, n))
-            mats = [dist.p_gaussian(S), dist.q_plain(B),
-                    dist.q_scaled(B, S, ScalingParams(3.0, 1.0))]
+            mats = [dist.p_gaussian(S), code_q(B, S),
+                    code_q(B, S, ScalingParams(3.0, 1.0))]
             if S.sum() > n:  # a similar off-diagonal pair exists
                 mats.append(dist.p_raw(S))
             for M in mats:
@@ -251,10 +271,10 @@ class TestDistributionInvariants:
         S = dist.build_similarity(labels)
         perm = rng.permutation(7)
         P = dist.p_gaussian(S)
-        Q = dist.q_scaled(B, S, ScalingParams(2.0, 1.0))
+        Q = code_q(B, S, ScalingParams(2.0, 1.0))
         P2 = dist.p_gaussian(dist.build_similarity(labels[perm]))
-        Q2 = dist.q_scaled(B[:, perm], dist.build_similarity(labels[perm]),
-                           ScalingParams(2.0, 1.0))
+        Q2 = code_q(B[:, perm], dist.build_similarity(labels[perm]),
+                    ScalingParams(2.0, 1.0))
         np.testing.assert_allclose(P2, P[np.ix_(perm, perm)], atol=1e-15)
         np.testing.assert_allclose(Q2, Q[np.ix_(perm, perm)], atol=1e-15)
 

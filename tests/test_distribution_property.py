@@ -1,5 +1,7 @@
 """Property tests for the pair distributions: every P and Q has an exactly
-zero diagonal and unit mass, and scaled Q with unit scales is plain Q."""
+zero diagonal and unit mass, scaled Q with unit scales is plain Q, and raw
+P is the similarity matrix normalised by its sum, bit for bit. Q is the one
+training forms: build_workspace at stage_eta's divisors."""
 
 import numpy as np
 import pytest
@@ -7,8 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from streamhash import distribution as dist
+from streamhash import distribution as dist, trainer
 from streamhash.distribution import GaussianParams, ScalingParams
+from streamhash.errors import DegenerateDistributionError
+from streamhash.trainer import TrainConfig
+
+from oracles import p_by_sum
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 SCALE = st.floats(1e-3, 1e3)
@@ -38,8 +44,11 @@ def check_distribution(M):
 def test_zero_diagonal_and_unit_mass(batch, mu, sigma, p, n):
     B, labels = batch
     S = dist.build_similarity(labels)
-    for M in (dist.p_raw(S), dist.p_gaussian(S, GaussianParams(mu, sigma)),
-              dist.q_plain(B), dist.q_scaled(B, S, ScalingParams(p, n))):
+    P = dist.p_gaussian(S, GaussianParams(mu, sigma))
+    Qs = [trainer.build_workspace(B, P, trainer.stage_eta(S, cfg, B.shape[0])).Q
+          for cfg in (TrainConfig(q_variant="plain"),
+                      TrainConfig(q_variant="scaled", scaling=ScalingParams(p, n)))]
+    for M in (dist.p_raw(S), P, *Qs):
         check_distribution(M)
 
 
@@ -48,4 +57,21 @@ def test_zero_diagonal_and_unit_mass(batch, mu, sigma, p, n):
 def test_unit_scales_give_plain_q(batch):
     B, labels = batch
     S = dist.build_similarity(labels)
-    assert np.array_equal(dist.q_scaled(B, S, ScalingParams(1.0, 1.0)), dist.q_plain(B))
+    P = dist.p_gaussian(S)
+    scaled, plain = (trainer.build_workspace(B, P, trainer.stage_eta(S, cfg, B.shape[0])).Q
+                     for cfg in (TrainConfig(q_variant="scaled", scaling=ScalingParams(1.0, 1.0)),
+                                 TrainConfig(q_variant="plain")))
+    assert np.array_equal(scaled, plain)
+
+
+@SETTINGS
+@given(S=st.integers(1, 12).flatmap(
+    lambda n: arrays(np.float64, (n, n), elements=st.sampled_from([0.0, 1.0]))))
+def test_raw_p_is_the_similarity_normalised_by_its_sum(S):
+    if np.count_nonzero(S) == np.count_nonzero(S.diagonal()):
+        # no similar pair off the diagonal: both have zero mass to share
+        for build in (dist.p_raw, p_by_sum):
+            with pytest.raises(DegenerateDistributionError):
+                build(S)
+    else:
+        assert dist.p_raw(S).tobytes() == p_by_sum(S).tobytes()

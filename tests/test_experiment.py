@@ -101,6 +101,14 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="train.scale_n"):
             config_from_dict(raw)
 
+    @pytest.mark.parametrize("scale_n", [3.0, 0.5, 2])
+    def test_scale_n_other_than_1_needs_scale_p(self, tmp_path, scale_n):
+        # a null scale_p fixes n = 1; another scale_n would be dropped
+        raw = blob_config(tmp_path)
+        raw["train"].update(scale_p=None, scale_n=scale_n)
+        with pytest.raises(ConfigError, match="train.scale_n"):
+            config_from_dict(raw)
+
     def test_train_values_are_not_converted(self, tmp_path):
         # ints stay ints in the digest payload: pinned digests of the same
         # settings written as ints and as floats

@@ -1,14 +1,28 @@
-"""Packed codes, popcount distances, ranked search, baseline."""
+"""Packed codes, popcount distances, the ranking, baseline."""
 
 import numpy as np
 import pytest
 
-from streamhash import distribution as dist, index, model as hm
+from streamhash import index, metrics, model as hm
 from streamhash.errors import DimensionError, DomainError, FormatError
+
+from oracles import hamming, hamming_sq
 
 
 def random_codes(rng, k, n):
     return rng.choice([-1.0, 1.0], size=(k, n))
+
+
+def ranked_ids(q_codes, db_codes):
+    """The database ranking metrics.retrieval_scores scores for one query.
+    With database item i labelled i, the query labelled i has item i as its
+    only relevant item, so the first R whose Precision@R is nonzero is
+    item i's rank."""
+    n = db_codes.shape[1]
+    db = index.pack(db_codes, np.arange(n))
+    ranks = [np.argmax(metrics.precision_at_r(index.pack(q_codes, np.array([i])), db, n) > 0)
+             for i in range(n)]
+    return np.argsort(ranks)
 
 
 class TestPack:
@@ -53,15 +67,17 @@ class TestPack:
 
 
 class TestHamming:
+    """Pair distances as hamming_to_db gives them."""
+
     def test_identity(self):
         rng = np.random.default_rng(2)
         packed = index.pack(random_codes(rng, 20, 1))
-        assert index.hamming(packed.words[0], packed.words[0]) == 0
+        assert index.hamming_to_db(packed.words[0], packed).tolist() == [0]
 
     def test_hand_case(self):
         a = index.pack(np.array([[1.0], [-1.0], [1.0], [1.0]]))
         b = index.pack(np.array([[-1.0], [-1.0], [1.0], [-1.0]]))
-        assert index.hamming(a.words[0], b.words[0]) == 2
+        assert index.hamming_to_db(a.words[0], b).tolist() == [2]
 
     def test_equals_distance_measure_on_unpacked_codes(self):
         # defining identity: sampled pairs for every k up to 16, plus every
@@ -71,32 +87,32 @@ class TestHamming:
             k = int(rng.integers(1, 17))
             B = random_codes(rng, k, 2)
             packed = index.pack(B)
-            bit = index.hamming(packed.words[0], packed.words[1])
-            assert bit == dist.hamming_sq(B[:, 0], B[:, 1])
+            bit = index.hamming_to_db(packed.words[0], packed)[1]
+            assert bit == hamming_sq(B[:, 0], B[:, 1])
         for k in (1, 2, 3):
             codes = np.array([[1.0 if (i >> j) & 1 else -1.0 for i in range(2**k)]
                               for j in range(k)])
             packed = index.pack(codes)
             for i in range(2**k):
+                row = index.hamming_to_db(packed.words[i], packed)
                 for j in range(2**k):
-                    assert (index.hamming(packed.words[i], packed.words[j])
-                            == dist.hamming_sq(codes[:, i], codes[:, j]))
+                    assert row[j] == hamming_sq(codes[:, i], codes[:, j])
 
     def test_metric_axioms(self):
         rng = np.random.default_rng(4)
         B = random_codes(rng, 48, 30)
         packed = index.pack(B)
-        w = packed.words
+        d = index.hamming_to_db(packed.words, packed).astype(int)
         for _ in range(200):
             i, j, l = rng.integers(0, 30, size=3)
-            dij = index.hamming(w[i], w[j])
-            assert dij == index.hamming(w[j], w[i])
-            assert index.hamming(w[i], w[i]) == 0
-            assert dij <= index.hamming(w[i], w[l]) + index.hamming(w[l], w[j])
+            assert d[i, j] == d[j, i]
+            assert d[i, i] == 0
+            assert d[i, j] <= d[i, l] + d[l, j]
 
     def test_shape_mismatch(self):
+        db = index.pack(np.ones((70, 1)))
         with pytest.raises(DimensionError):
-            index.hamming(np.zeros(1, dtype=np.uint64), np.zeros(2, dtype=np.uint64))
+            index.hamming_to_db(np.zeros(1, dtype=np.uint64), db)
 
 
 class TestHammingToDb:
@@ -112,7 +128,7 @@ class TestHammingToDb:
             single = index.hamming_to_db(q.words[i], db)
             assert single.dtype == dtype
             assert single.tolist() == block[i].tolist()
-            assert single.tolist() == [index.hamming(q.words[i], w) for w in db.words]
+            assert single.tolist() == [hamming(q.words[i], w) for w in db.words]
 
     def test_word_count_mismatch(self):
         rng = np.random.default_rng(0)
@@ -122,51 +138,40 @@ class TestHammingToDb:
 
 
 class TestSearch:
-    def test_distances_are_int64(self):
-        rng = np.random.default_rng(4)
-        db = index.pack(random_codes(rng, 8, 5))
-        q = index.pack(random_codes(rng, 8, 1))
-        assert index.search(q.words[0], db).distances.dtype == np.int64
-
+    """The ranking retrieval_scores scores: by distance, ties by index."""
 
     def test_single_item_database(self):
         rng = np.random.default_rng(5)
-        db = index.pack(random_codes(rng, 8, 1))
-        q = index.pack(random_codes(rng, 8, 1))
-        result = index.search(q.words[0], db)
-        assert result.ranked_ids.tolist() == [0]
+        assert ranked_ids(random_codes(rng, 8, 1), random_codes(rng, 8, 1)).tolist() == [0]
 
     def test_tie_broken_by_lower_index(self):
         B = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, -1.0]])  # items 0,1 identical
-        db = index.pack(B)
-        q = index.pack(np.array([[-1.0], [-1.0]]))
-        result = index.search(q.words[0], db)
+        qB = np.array([[-1.0], [-1.0]])
+        ranked = ranked_ids(qB, B)
         # item 2 at distance 1; items 0 and 1 tie at distance 2, 0 first
-        assert result.ranked_ids.tolist() == [2, 0, 1]
-        assert result.distances.tolist() == [1, 2, 2]
+        assert ranked.tolist() == [2, 0, 1]
+        dists = index.hamming_to_db(index.pack(qB).words[0], index.pack(B))
+        assert dists[ranked].tolist() == [1, 2, 2]
 
     def test_full_permutation_with_nondecreasing_distances(self):
         rng = np.random.default_rng(6)
-        db = index.pack(random_codes(rng, 16, 40))
-        q = index.pack(random_codes(rng, 16, 1))
-        result = index.search(q.words[0], db)
-        assert sorted(result.ranked_ids.tolist()) == list(range(40))
-        assert (np.diff(result.distances) >= 0).all()
+        B, qB = random_codes(rng, 16, 40), random_codes(rng, 16, 1)
+        ranked = ranked_ids(qB, B)
+        assert sorted(ranked.tolist()) == list(range(40))
+        dists = index.hamming_to_db(index.pack(qB).words[0], index.pack(B))[ranked]
+        assert (np.diff(dists.astype(int)) >= 0).all()
 
     def test_agrees_with_naive_sort(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
             n = int(rng.integers(1, 21))
             B = random_codes(rng, 12, n)
-            db = index.pack(B)
             qB = random_codes(rng, 12, 1)
-            q = index.pack(qB)
-            result = index.search(q.words[0], db)
             naive = sorted(
                 range(n),
-                key=lambda i: (dist.hamming_sq(qB[:, 0], B[:, i]), i),
+                key=lambda i: (hamming_sq(qB[:, 0], B[:, i]), i),
             )
-            assert result.ranked_ids.tolist() == naive
+            assert ranked_ids(qB, B).tolist() == naive
 
 
 class TestLshBaseline:

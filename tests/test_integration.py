@@ -3,12 +3,21 @@ experiment uses: IDX files on disk at 28x28 scale, the full split
 protocol, streaming training, packed-code evaluation, and the
 held-out-class protocol."""
 
+import os
+import re
 import struct
+import subprocess
+import sys
+import types
+from pathlib import Path
 
 import numpy as np
 
+import streamhash
 from streamhash import data, experiment, index, model as hm, trainer
 from streamhash.experiment import config_from_dict
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def write_surrogate_idx(tmp_path, n_classes=10, per_class=700, spread=0.9, seed=3):
@@ -97,3 +106,30 @@ def test_unseen_class_protocol_generalizes(tmp_path):
     # frozen seeded measurement is ~0.995 precision@10
     assert trained.precision_at_r[9] >= 0.9
     assert all(0.0 <= v <= 1.0 for v in trained.precision_at_r)
+
+
+class TestPublicSurface:
+    def test_exported_names(self):
+        # submodules aside, exactly these names: a helper that only tests
+        # use belongs in tests/oracles.py, not in the package namespace
+        public = {name for name, value in vars(streamhash).items()
+                  if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+        assert public == {
+            "GaussianParams", "HashModel", "MetricReport", "PackedCodes", "ScalingParams",
+            "SplitSpec", "StageReport", "StreamingBatch", "TrainConfig", "build_similarity",
+            "curve_auc", "encode_binary", "encode_relaxed", "init", "kl_loss",
+            "load_checkpoint", "load_dense", "load_idx", "lsh_baseline", "mean_ap",
+            "normalize_pixels", "p_gaussian", "p_raw", "pack", "pairwise_hamming_sq",
+            "precision_at_r", "precision_h2", "retrieval_scores", "save_checkpoint",
+            "save_dense", "sgd_step", "split", "stream", "synth_blobs", "train_stage",
+            "train_stream", "unpack", "unseen_split",
+        }
+
+    def test_readme_library_example_runs(self):
+        text = (ROOT / "README.md").read_text()
+        code = re.search(r"## Library\n\n```python\n(.*?)```", text, re.S).group(1)
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.startswith("mAP ")

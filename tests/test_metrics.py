@@ -13,8 +13,6 @@ import pytest
 
 from streamhash import data, index, metrics
 from streamhash.errors import DimensionError, DomainError
-from streamhash.index import RetrievalResult
-from streamhash.metrics import CurvePoint
 
 
 # --- independent oracles -----------------------------------------------------
@@ -63,20 +61,27 @@ def make_instance(seed, n_db=20, n_q=5, k=8):
 
 # --- average precision -------------------------------------------------------
 
+def ranked_ap(rel, cutoff=None):
+    """AP of one query through retrieval_scores, for a database that it
+    ranks in order: item i sits at Hamming distance i from the query and is
+    relevant where rel[i] is."""
+    n = len(rel)
+    codes = np.where(np.arange(max(n - 1, 1))[:, None] < np.arange(n), -1.0, 1.0)
+    db = index.pack(codes, np.where(rel, 0, 1))
+    query = index.pack(np.ones((codes.shape[0], 1)), np.array([0]))
+    return metrics.retrieval_scores(query, db, cutoff=cutoff)["map_at_k"]
+
+
 class TestAveragePrecision:
     def test_single_relevant_at_rank_one(self):
-        result = RetrievalResult(ranked_ids=np.arange(3), distances=np.array([0, 1, 2]))
-        rel = np.array([True, False, False])
-        assert metrics.average_precision(result, rel) == 1.0
+        assert ranked_ap(np.array([True, False, False])) == 1.0
 
     def test_hand_case_one_zero_one(self):
-        result = RetrievalResult(ranked_ids=np.arange(3), distances=np.array([0, 1, 2]))
         rel = np.array([True, False, True])
-        assert metrics.average_precision(result, rel) == pytest.approx(5.0 / 6.0, abs=1e-15)
+        assert ranked_ap(rel) == pytest.approx(5.0 / 6.0, abs=1e-15)
 
     def test_no_relevant_items(self):
-        result = RetrievalResult(ranked_ids=np.arange(4), distances=np.arange(4))
-        assert metrics.average_precision(result, np.zeros(4, dtype=bool)) == 0.0
+        assert ranked_ap(np.zeros(4, dtype=bool)) == 0.0
 
     def test_all_relevant_first_is_maximal(self):
         rng = np.random.default_rng(0)
@@ -84,30 +89,26 @@ class TestAveragePrecision:
             n = int(rng.integers(2, 15))
             n_rel = int(rng.integers(1, n + 1))
             rel = np.zeros(n, dtype=bool)
-            best_ids = np.arange(n)
             rel[:n_rel] = True  # relevant items occupy the top ranks
-            result = RetrievalResult(ranked_ids=best_ids, distances=np.arange(n))
-            assert metrics.average_precision(result, rel) == 1.0
+            assert ranked_ap(rel) == 1.0
 
     def test_cutoff_denominator_uses_relevant_within_cutoff(self):
-        result = RetrievalResult(ranked_ids=np.arange(4), distances=np.arange(4))
         rel = np.array([True, False, False, True])
         # top-2 holds one relevant item at rank 1
-        assert metrics.average_precision(result, rel, cutoff=2) == 1.0
+        assert ranked_ap(rel, cutoff=2) == 1.0
 
     def test_length_mismatch(self):
-        result = RetrievalResult(ranked_ids=np.arange(3), distances=np.arange(3))
+        # relevance comes from the database labels: one per code
         with pytest.raises(DimensionError):
-            metrics.average_precision(result, np.zeros(5, dtype=bool))
+            index.pack(np.ones((3, 3)), np.zeros(5))
 
 
 class TestMeanAp:
     def test_single_query_equals_its_ap(self):
         db_B, q_B, db_labels, q_labels, db, _ = make_instance(1, n_q=1)
         queries = index.pack(q_B[:, :1], q_labels[:1])
-        result = index.search(queries.words[0], db)
-        rel = db_labels == q_labels[0]
-        assert metrics.mean_ap(queries, db) == metrics.average_precision(result, rel)
+        ap = bf_metrics(q_B[:, 0], q_labels[0], db_B, db_labels, db.n, 1)[0]
+        assert metrics.mean_ap(queries, db) == ap
 
     def test_full_cutoff_equals_plain(self):
         _, _, _, _, db, queries = make_instance(2)
@@ -353,7 +354,7 @@ class TestValidationBeforeRanking:
 
 class TestCurveAuc:
     def test_constant_curve(self):
-        pts = [CurvePoint(1.0, 0.4), CurvePoint(2.0, 0.4), CurvePoint(5.0, 0.4)]
+        pts = [(1.0, 0.4), (2.0, 0.4), (5.0, 0.4)]
         assert metrics.curve_auc(pts) == pytest.approx(0.4, abs=1e-15)
 
     def test_hand_case(self):

@@ -14,6 +14,9 @@ from streamhash.errors import (
 )
 from streamhash.trainer import TrainConfig
 
+from oracles import fd_oracle, grad_loss
+from test_distribution import code_q
+
 
 def random_instance(rng, n_t=6, d=4, k=3, q_variant="scaled", p_variant="gaussian",
                     scaling=ScalingParams(2.5, 0.7)):
@@ -45,7 +48,7 @@ class TestKlLoss:
         P = dist.p_gaussian(dist.build_similarity(np.array([0, 0, 1])))
         B = np.array([[1.0, 1.0, -1.0], [1.0, 1.0, -1.0]])
         S = dist.build_similarity(np.array([0, 0, 1]))
-        Q = dist.q_scaled(B, S, ScalingParams(2.0, 1.0))
+        Q = code_q(B, S, ScalingParams(2.0, 1.0))
         assert trainer.kl_loss(P, Q) == pytest.approx(0.0445705410, abs=1e-9)
 
     def test_non_negative_on_random_pairs(self):
@@ -56,14 +59,14 @@ class TestKlLoss:
             S = dist.build_similarity(labels)
             P = dist.p_gaussian(S, GaussianParams(1.0, float(rng.uniform(0.2, 2.0))))
             B = rng.uniform(-1, 1, size=(5, n))
-            Q = dist.q_plain(B)
+            Q = code_q(B, S)
             assert trainer.kl_loss(P, Q) >= 0.0
 
     def test_zero_target_entries_contribute_nothing(self):
         labels = np.array([0, 0, 1])
         S = dist.build_similarity(labels)
         P = dist.p_raw(S)
-        Q = dist.q_plain(np.array([[1.0, -1.0, 1.0]]))
+        Q = code_q(np.array([[1.0, -1.0, 1.0]]), S)
         # only the two similar pairs enter the sum
         expected = 2 * 0.5 * np.log(0.5 / Q[0, 1])
         assert trainer.kl_loss(P, Q) == pytest.approx(expected, rel=1e-12)
@@ -82,8 +85,8 @@ class TestKlLoss:
             labels[1] = labels[0]
             cfg = TrainConfig(p_variant=p_variant,
                               gaussian=GaussianParams(1.0, float(rng.uniform(0.1, 2.0))))
-            _, P = trainer.build_target(labels, cfg)
-            Q = dist.q_plain(rng.uniform(-1, 1, size=(int(rng.integers(1, 9)), n)))
+            S, P = trainer.build_target(labels, cfg)
+            Q = code_q(rng.uniform(-1, 1, size=(int(rng.integers(1, 9)), n)), S)
             # some Q entries below the clamp
             Q.ravel()[rng.integers(0, n * n, size=n)] = 1e-20
             epsilon = float(rng.choice([1e-12, 1e-6]))
@@ -105,8 +108,8 @@ class TestGradLoss:
             X, labels, model, S, P, cfg = random_instance(
                 rng, n_t=n_t, d=d, k=k, q_variant=q_variant
             )
-            g = trainer.grad_loss(X, model, P, S, cfg)
-            g_fd = trainer.fd_oracle(X, model, P, S, cfg, step=1e-5)
+            g = grad_loss(X, model, P, S, cfg)
+            g_fd = fd_oracle(X, model, P, S, cfg, step=1e-5)
             rel = np.abs(g - g_fd).max() / max(np.abs(g_fd).max(), 1e-12)
             worst = max(worst, rel)
         assert worst < 1e-4
@@ -119,8 +122,8 @@ class TestGradLoss:
                           scaling=ScalingParams(3.0, 1.0))
         model = hm.init(4, 3, seed=9)
         S, P = trainer.build_target(labels, cfg)
-        g = trainer.grad_loss(X, model, P, S, cfg)
-        g_fd = trainer.fd_oracle(X, model, P, S, cfg, step=1e-5)
+        g = grad_loss(X, model, P, S, cfg)
+        g_fd = fd_oracle(X, model, P, S, cfg, step=1e-5)
         assert np.abs(g - g_fd).max() / np.abs(g_fd).max() < 1e-4
 
     def test_zero_when_target_equals_code_distribution(self):
@@ -128,11 +131,11 @@ class TestGradLoss:
         rng = np.random.default_rng(1)
         X, labels, model, S, _, cfg = random_instance(rng)
         B = hm.encode_relaxed(model, X)
-        Q = dist.q_scaled(B, S, cfg.resolve_scaling(model.k))
+        Q = code_q(B, S, cfg.resolve_scaling(model.k))
         for mode in ("paper", "exact"):
             mode_cfg = TrainConfig(grad_mode=mode, q_variant=cfg.q_variant,
                                    scaling=cfg.scaling)
-            g = trainer.grad_loss(X, model, Q, S, mode_cfg)
+            g = grad_loss(X, model, Q, S, mode_cfg)
             assert (g == 0).all()
 
     def test_zero_model_is_stationary(self):
@@ -143,7 +146,7 @@ class TestGradLoss:
         model = hm.init(4, 3, scale=0.0, seed=0)
         S, P = trainer.build_target(labels, cfg)
         for mode in ("paper", "exact"):
-            g = trainer.grad_loss(X, model, P, S, TrainConfig(grad_mode=mode))
+            g = grad_loss(X, model, P, S, TrainConfig(grad_mode=mode))
             assert (g == 0).all()
 
     def test_row_sum_identity(self):
@@ -182,8 +185,8 @@ class TestGradLoss:
             B = np.tanh(scale * hm.project(model, X))
             fresh = trainer.build_workspace(B, P, eta)
             assert trainer.build_workspace(B, P, eta, out=ws) is ws
-            assert ws.B is B and ws.eta is eta
-            for name in ("D", "kernel", "Q", "Lmat"):
+            assert ws.B is B and ws.P is P and ws.eta is eta
+            for name in ("D", "kernel", "Q"):
                 assert np.array_equal(getattr(ws, name), getattr(fresh, name)), name
             for mode in trainer.GRAD_MODES:
                 lap = np.full_like(P, np.nan)
@@ -215,9 +218,9 @@ class TestGradLoss:
             X, labels, model, S, P, _ = random_instance(
                 rng, scaling=ScalingParams(1.0, 1.0)
             )
-            g_paper = trainer.grad_loss(X, model, P, S, TrainConfig(
+            g_paper = grad_loss(X, model, P, S, TrainConfig(
                 grad_mode="paper", scaling=ScalingParams(1.0, 1.0)))
-            g_exact = trainer.grad_loss(X, model, P, S, TrainConfig(
+            g_exact = grad_loss(X, model, P, S, TrainConfig(
                 grad_mode="exact", scaling=ScalingParams(1.0, 1.0)))
             denom = np.linalg.norm(g_exact)
             devs.append(np.linalg.norm(g_paper - g_exact) / max(denom, 1e-12))
@@ -238,15 +241,15 @@ class TestFdOracle:
     def test_deterministic(self):
         rng = np.random.default_rng(8)
         X, labels, model, S, P, cfg = random_instance(rng)
-        a = trainer.fd_oracle(X, model, P, S, cfg, step=1e-5)
-        b = trainer.fd_oracle(X, model, P, S, cfg, step=1e-5)
+        a = fd_oracle(X, model, P, S, cfg, step=1e-5)
+        b = fd_oracle(X, model, P, S, cfg, step=1e-5)
         assert (a == b).all()
 
     def test_bad_step(self):
         rng = np.random.default_rng(9)
         X, labels, model, S, P, cfg = random_instance(rng)
         with pytest.raises(DomainError):
-            trainer.fd_oracle(X, model, P, S, cfg, step=0.0)
+            fd_oracle(X, model, P, S, cfg, step=0.0)
 
 
 class TestSgdStep:
@@ -260,7 +263,7 @@ class TestSgdStep:
     def test_small_step_decreases_loss(self):
         rng = np.random.default_rng(10)
         X, labels, model, S, P, cfg = random_instance(rng)
-        g = trainer.grad_loss(X, model, P, S, cfg)
+        g = grad_loss(X, model, P, S, cfg)
         eta = trainer.stage_eta(S, cfg, model.k)
 
         def loss(m):
