@@ -3,8 +3,8 @@
 Subcommands: train, eval, sweep, unseen, synth, split. All experiment
 commands read one JSON config file; individual fields can be overridden
 with repeated --set dotted.key=value flags. The output directory resolves
-as --output-dir flag > STREAMHASH_OUT env var > config value. Exit codes
-encode the failure category (see EXIT_CODES).
+as --output-dir flag > STREAMHASH_OUT env var > config value. The exit
+code of a failure is the exit_code of its error class (see errors).
 """
 
 from __future__ import annotations
@@ -17,35 +17,10 @@ import sys
 from pathlib import Path
 
 from . import data, experiment, model as hashmodel
-from .errors import (
-    ConfigError,
-    ConsistencyError,
-    DegenerateDistributionError,
-    DimensionError,
-    DomainError,
-    FormatError,
-    NumericError,
-    SplitError,
-    StreamHashError,
-)
+from .errors import ConfigError, NumericError, StreamHashError
 from .experiment import OUTPUT_DIR_ENV
 
 log = logging.getLogger(__name__)
-
-EXIT_CODES = [
-    ((ConfigError, FormatError), 2),
-    ((SplitError, ConsistencyError, DomainError, DegenerateDistributionError), 3),
-    ((DimensionError,), 4),
-    ((NumericError,), 5),
-    ((StreamHashError,), 1),
-]
-
-
-def _exit_code(exc: Exception) -> int:
-    for types, code in EXIT_CODES:
-        if isinstance(exc, types):
-            return code
-    return 1
 
 
 def _parse_set(values):
@@ -57,7 +32,7 @@ def _parse_set(values):
         key, _, raw = item.partition("=")
         try:
             value = json.loads(raw)
-        except json.JSONDecodeError:
+        except ValueError:  # not JSON, or an integer past the digit limit
             value = raw
         overrides[key] = value
     return overrides
@@ -76,10 +51,10 @@ def _apply_overrides(raw_cfg: dict, overrides: dict) -> dict:
 
 
 def _load_config(args) -> experiment.ExperimentConfig:
-    with open(args.config) as f:
+    with open(args.config, encoding="utf-8") as f:
         try:
             raw = json.load(f)
-        except json.JSONDecodeError as e:
+        except ValueError as e:  # not UTF-8, not JSON, or an integer past the digit limit
             raise ConfigError(f"{args.config}: invalid JSON: {e}") from e
     raw = _apply_overrides(raw, _parse_set(args.set))
     cfg = experiment.config_from_dict(raw)
@@ -117,9 +92,7 @@ def cmd_sweep(args) -> int:
     print(f"{len(rows)} cells ({len(rows) - len(ok)} failed)")
     for r in rows:
         if r["best"]:
-            params = {k: v for k, v in r.items()
-                      if k not in ("cell", "status", "map", "map_at_k",
-                                   "precision_h2", "best", "error")}
+            params = {key: r[key] for key in sorted(cfg.sweep)}
             print(f"best cell {r['cell']}: map={r['map']:.4f} params={params}")
     return 0
 
@@ -213,7 +186,7 @@ def main(argv=None) -> int:
         return args.fn(args)
     except StreamHashError as e:
         print(f"error ({type(e).__name__}): {e}", file=sys.stderr)
-        return _exit_code(e)
+        return e.exit_code
     except OSError as e:  # a missing or unreadable file
         print(f"error: {e}", file=sys.stderr)
         return 2

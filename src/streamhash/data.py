@@ -7,7 +7,9 @@ through explicit seeds so splits and streams are bit-reproducible.
 
 from __future__ import annotations
 
+import math
 import os
+import stat
 import struct
 from collections import deque
 from dataclasses import dataclass
@@ -42,11 +44,45 @@ class StreamingBatch:
         return self.labels.shape[0]
 
 
-def _read_be32(f, path) -> int:
-    raw = f.read(4)
-    if len(raw) != 4:
-        raise FormatError(f"{path}: truncated header")
-    return struct.unpack(">i", raw)[0]
+def _check_claim(f, path, sizes) -> None:
+    """FormatError if a regular file has fewer bytes than the product of its
+    header's sizes, each counted as at least 1: every value takes a byte."""
+    info = os.fstat(f.fileno())
+    if stat.S_ISREG(info.st_mode) and math.prod(max(size, 1) for size in sizes) > info.st_size:
+        claim = " x ".join(map(str, sizes))
+        raise FormatError(f"{path}: header sizes {claim} exceed the file's {info.st_size} bytes")
+
+
+def read_header(f, path, names: str, minimum: int = 1) -> tuple[int, int]:
+    """The two sizes of a text file's first line, `names` (e.g. 'd n'),
+    each at least minimum and together within the file (_check_claim)."""
+    try:
+        a, b = map(int, f.readline().split())
+    except ValueError as e:
+        raise FormatError(f"{path}: header must be two integers '{names}'") from e
+    if min(a, b) < minimum:
+        raise FormatError(f"{path}: header sizes '{names}' must be at least {minimum}")
+    _check_claim(f, path, (a, b))
+    return a, b
+
+
+def _read_idx(path, magic: int) -> tuple[list[int], np.ndarray]:
+    """The sizes and byte payload of an IDX file; the low byte of magic
+    counts the sizes, unsigned big-endian 32-bit words."""
+    fmt = f">{1 + (magic & 0xFF)}I"
+    with open(path, "rb") as f:
+        head = f.read(struct.calcsize(fmt))
+        if len(head) != struct.calcsize(fmt):
+            raise FormatError(f"{path}: truncated header")
+        found, *sizes = struct.unpack(fmt, head)
+        if found != magic:
+            raise FormatError(f"{path}: bad magic {found}, expected {magic}")
+        _check_claim(f, path, sizes)
+        count = math.prod(sizes)
+        raw = f.read(count)
+    if len(raw) != count:
+        raise FormatError(f"{path}: payload truncated, expected {count} bytes")
+    return sizes, np.frombuffer(raw, dtype=np.uint8)
 
 
 def load_idx(image_path, label_path) -> tuple[np.ndarray, np.ndarray]:
@@ -55,35 +91,13 @@ def load_idx(image_path, label_path) -> tuple[np.ndarray, np.ndarray]:
     Each image is flattened row-major into one column. Pixel bytes are kept
     raw (0..255); use normalize_pixels for the [0, 1] scaling.
     """
-    with open(label_path, "rb") as f:
-        magic = _read_be32(f, label_path)
-        if magic != IDX_LABEL_MAGIC:
-            raise FormatError(f"{label_path}: bad magic {magic}, expected {IDX_LABEL_MAGIC}")
-        n_labels = _read_be32(f, label_path)
-        raw = f.read(n_labels)
-        if len(raw) != n_labels:
-            raise FormatError(f"{label_path}: expected {n_labels} labels, file truncated")
-        labels = np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
-
-    with open(image_path, "rb") as f:
-        magic = _read_be32(f, image_path)
-        if magic != IDX_IMAGE_MAGIC:
-            raise FormatError(f"{image_path}: bad magic {magic}, expected {IDX_IMAGE_MAGIC}")
-        n_images = _read_be32(f, image_path)
-        rows = _read_be32(f, image_path)
-        cols = _read_be32(f, image_path)
-        if n_images != n_labels:
-            raise ConsistencyError(
-                f"image count {n_images} does not match label count {n_labels}"
-            )
-        raw = f.read(n_images * rows * cols)
-        if len(raw) != n_images * rows * cols:
-            raise FormatError(f"{image_path}: pixel payload truncated")
-        pixels = np.frombuffer(raw, dtype=np.uint8).astype(np.float64)
-
+    (n_labels,), labels = _read_idx(label_path, IDX_LABEL_MAGIC)
+    (n_images, rows, cols), pixels = _read_idx(image_path, IDX_IMAGE_MAGIC)
+    if n_images != n_labels:
+        raise ConsistencyError(f"image count {n_images} does not match label count {n_labels}")
     # (n, rows*cols) row-major flattening, transposed to one column per image
-    features = pixels.reshape(n_images, rows * cols).T.copy()
-    return features, labels
+    features = pixels.astype(np.float64).reshape(n_images, rows * cols).T.copy()
+    return features, labels.astype(np.int64)
 
 
 def normalize_pixels(raw: np.ndarray) -> np.ndarray:
@@ -110,15 +124,7 @@ def save_dense(path, features: np.ndarray, labels: np.ndarray) -> None:
 def load_dense(path) -> tuple[np.ndarray, np.ndarray]:
     """Read the textual dense-matrix format written by save_dense."""
     with open_text(path) as f:
-        header = f.readline().split()
-        if len(header) != 2:
-            raise FormatError(f"{path}: header must be 'd n'")
-        try:
-            d, n = int(header[0]), int(header[1])
-        except ValueError as e:
-            raise FormatError(f"{path}: non-integer header: {e}") from e
-        if d < 1 or n < 1:
-            raise FormatError(f"{path}: header dimensions must be positive")
+        d, n = read_header(f, path, "d n")
         features = np.empty((d, n), dtype=np.float64)
         read_rows(f, path, features.T, first_line=2)
         fields = f.readline().split()

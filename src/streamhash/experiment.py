@@ -14,7 +14,7 @@ import itertools
 import json
 import logging
 import math
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, astuple, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -83,15 +83,16 @@ _NUMBER, _INT, _STR, _NULL = (int, float), (int,), (str,), (type(None),)
 _KINDS = {"int": _INT, "float": _NUMBER, "str": _STR}  # annotation -> allowed types
 _TYPE_NAMES = {dict: "object", type(None): "null"}
 
+
+def _table(cls) -> dict:
+    """The check_section table of a dataclass's int, float and str fields."""
+    return {f.name: (_KINDS[f.type], f.default) for f in fields(cls) if f.type in _KINDS}
+
+
 # The flat train section: allowed types and default of each key. A null
 # scale_p means p = bits / 2 and n = 1: scale_n is 1 or null, null only then.
-TRAIN_FIELDS = {
-    "learning_rate": (_NUMBER, 0.1), "mu": (_NUMBER, 1.0), "sigma": (_NUMBER, 1.0),
-    "scale_p": (_NUMBER + _NULL, None), "scale_n": (_NUMBER + _NULL, 1.0),
-    "batch_size": (_INT, 50), "inner_iters": (_INT, 5), "grad_mode": (_STR, "exact"),
-    "p_variant": (_STR, "gaussian"), "q_variant": (_STR, "scaled"),
-    "epsilon": (_NUMBER, 1e-12), "seed": (_INT, 0),
-}
+TRAIN_FIELDS = {**_table(TrainConfig), **_table(GaussianParams),
+                "scale_p": (_NUMBER + _NULL, None), "scale_n": (_NUMBER + _NULL, 1.0)}
 
 DATASET_FIELDS = {
     "idx": {"images": (_STR, MISSING), "labels": (_STR, MISSING),
@@ -134,11 +135,6 @@ def check_section(raw, table: dict, section: str) -> dict:
     return values
 
 
-def _table(cls) -> dict:
-    """The check_section table of a dataclass's int, float and str fields."""
-    return {f.name: (_KINDS[f.type], f.default) for f in fields(cls) if f.type in _KINDS}
-
-
 def _options(cls, raw, section: str):
     return cls(**check_section(raw, _table(cls), section))
 
@@ -159,12 +155,10 @@ def train_config(raw) -> TrainConfig:
     if p is None and n not in (None, 1):
         raise ConfigError(f"train.scale_n must be 1 or null when scale_p is null, got {n!r}")
     try:
-        cfg = TrainConfig(gaussian=GaussianParams(mu, sigma),
-                          scaling=None if p is None else ScalingParams(p, n), **values)
-        cfg.validate()
+        return TrainConfig(gaussian=GaussianParams(mu, sigma),
+                           scaling=None if p is None else ScalingParams(p, n), **values)
     except DomainError as e:
         raise ConfigError(f"train: {e}") from e
-    return cfg
 
 
 def _check_dataset(raw: dict) -> dict:
@@ -337,14 +331,8 @@ def run_train(cfg: ExperimentConfig, out_dir: Path | None = None) -> TrainOutcom
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
         hashmodel.save_checkpoint(model, out_dir / "checkpoint.txt")
-        write_csv(
-            out_dir / "stages.csv",
-            ["stage_index", "loss_before", "loss_after", "grad_norm", "wall_time"],
-            [
-                (r.stage_index, r.loss_before, r.loss_after, r.grad_norm, r.wall_time)
-                for r in stage_reports
-            ],
-        )
+        write_csv(out_dir / "stages.csv", [f.name for f in fields(trainer.StageReport)],
+                  [astuple(r) for r in stage_reports])
         write_csv(
             out_dir / "curve.csv",
             ["stage_index", "train_instances_seen", "map", "map_at_k", "precision_h2", "auc_so_far"],

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model as hashmodel
-from .data import open_text
+from .data import open_text, read_header
 from .errors import DimensionError, DomainError, FormatError
 from .model import HashModel
 
@@ -90,13 +90,7 @@ def save_codes(packed: PackedCodes, path) -> None:
 def load_codes(path, labels: np.ndarray | None = None) -> PackedCodes:
     """Read a codes file written by save_codes."""
     with open_text(path) as f:
-        header = f.readline().split()
-        try:
-            k, n = (int(v) for v in header)
-        except ValueError as e:
-            raise FormatError(f"{path}: header must be two integers 'k n'") from e
-        if min(k, n) < 0:
-            raise FormatError(f"{path}: header holds a negative size")
+        k, n = read_header(f, path, "k n", minimum=0)
         lines = [f.readline().strip() for _ in range(n)]
     for i, line in enumerate(lines):
         if len(line) != k or line.strip("01"):

@@ -6,8 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import open_text, read_rows, write_rows
-from .errors import DimensionError, DomainError, FormatError, NumericError
+from .data import open_text, read_header, read_rows, write_rows
+from .errors import DimensionError, DomainError, NumericError
 
 
 @dataclass
@@ -79,15 +79,7 @@ def save_checkpoint(model: HashModel, path) -> None:
 def load_checkpoint(path) -> HashModel:
     """Read a checkpoint written by save_checkpoint."""
     with open_text(path) as f:
-        header = f.readline().split()
-        if len(header) != 2:
-            raise FormatError(f"{path}: header must be 'd k'")
-        try:
-            d, k = int(header[0]), int(header[1])
-        except ValueError as e:
-            raise FormatError(f"{path}: non-integer header: {e}") from e
-        if d < 1 or k < 1:
-            raise FormatError(f"{path}: header dimensions must be positive")
+        d, k = read_header(f, path, "d k")
         W = np.empty((d, k))
         read_rows(f, path, W, first_line=2)
     return HashModel(W=W)

@@ -19,6 +19,8 @@ Both are X @ M.T for a (k, n) code-space matrix M (code_coefficients).
 train_stage allocates its n x n arrays once per stage: build_workspace
 overwrites one GradWorkspace (distances, kernel, Q) and code_coefficients
 forms the pair coefficients in one pair Laplacian buffer, on every step.
+TrainConfig checks its settings when built and HashModel checks that W
+is finite; train_stage repeats neither check.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ class TrainConfig:
     epsilon: float = 1e-12
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         # each check passes only inside its range, so nan fails every one
         if not 0 < self.learning_rate < math.inf:
             raise DomainError("learning_rate must be positive and finite")
@@ -180,18 +182,12 @@ def code_coefficients(ws: GradWorkspace, grad_mode: str,
     return (ws.B @ lap) * tanh_deriv
 
 
-def _check_finite(M: np.ndarray) -> None:
-    if not np.all(np.isfinite(M)):
-        raise NumericError("gradient contains non-finite entries; stage aborted")
-
-
 def sgd_step(model: HashModel, gradient: np.ndarray, learning_rate: float) -> HashModel:
     """One descent update W <- W - lr * gradient, returning a new model."""
     if gradient.shape != model.W.shape:
         raise DimensionError(
             f"gradient shape {gradient.shape} does not match W {model.W.shape}"
         )
-    _check_finite(gradient)
     # W + (-lr * gradient) rounds exactly like W - lr * gradient, and makes
     # one new (d, k) array instead of two
     W = np.multiply(gradient, -learning_rate)
@@ -218,7 +214,6 @@ def train_stage(model: HashModel, batch: StreamingBatch, cfg: TrainConfig):
     The loop runs on Z; W is written once, with the summed step, and
     loss_after is taken at the tracked Z rather than by encoding X again.
     """
-    cfg.validate()
     if batch.size < 2:
         raise DomainError("a stage needs at least 2 instances")
     if batch.features.shape[1] != batch.size:
@@ -236,7 +231,8 @@ def train_stage(model: HashModel, batch: StreamingBatch, cfg: TrainConfig):
         if i == 0:
             loss_before = kl_loss(P, ws.Q, cfg.epsilon)
         M = code_coefficients(ws, cfg.grad_mode, out=lap)
-        _check_finite(M)
+        if not np.all(np.isfinite(M)):  # Z would turn non-finite
+            raise NumericError("gradient contains non-finite entries; stage aborted")
         M_sum += M
         step = M @ K
         Z -= cfg.learning_rate * step

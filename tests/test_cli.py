@@ -1,10 +1,16 @@
 """CLI subcommands, overrides, exit codes."""
 
 import json
+import os
+import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import streamhash
 from streamhash import cli, data, trainer
 from streamhash.errors import NumericError
 from streamhash.experiment import OUTPUT_DIR_ENV
@@ -255,3 +261,61 @@ class TestExitCodes:
         assert (out / "checkpoint.txt").exists()
         assert len((out / "stages.csv").read_text().splitlines()) == 2  # header + stage 1
         assert (out / "curve.csv").read_text().splitlines()[1].startswith("1,")
+
+
+def write_idx(tmp_path, rows, cols):
+    """An IDX pair of 3 images whose header claims rows x cols pixels each."""
+    images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+    images.write_bytes(struct.pack(">IIII", 2051, 3, rows, cols) + bytes(36))
+    labels.write_bytes(struct.pack(">II", 2049, 3) + bytes([0, 1, 2]))
+    return {"kind": "idx", "images": str(images), "labels": str(labels)}
+
+
+def dense_header_case(tmp_path):
+    path = tmp_path / "d.txt"
+    path.write_text("784 100000000\n1.0 2.0\n0 1\n")
+    return ["train", "--config", str(write_config(tmp_path, dataset={"kind": "dense",
+                                                                      "path": str(path)}))]
+
+
+def checkpoint_header_case(tmp_path):
+    path = tmp_path / "ckpt.txt"
+    path.write_text("100000 100000000\n0.5 0.5\n")
+    return ["eval", "--checkpoint", str(path), "--config", str(write_config(tmp_path))]
+
+
+def config_bytes_case(text: bytes):
+    def case(tmp_path):
+        path = write_config(tmp_path)
+        path.write_bytes(path.read_bytes().replace(b'"seed": 0}', text))
+        return ["train", "--config", str(path)]
+    return case
+
+
+# inputs that once ended in a traceback or in a wrong load, by exit code
+REPRODUCED = {
+    "dense header past the file": (dense_header_case, 2),
+    "checkpoint header past the file": (checkpoint_header_case, 2),
+    "idx sizes that read as -2 signed": (lambda tmp_path: ["train", "--config", str(
+        write_config(tmp_path, dataset=write_idx(tmp_path, 2**32 - 2, 2**32 - 2)))], 2),
+    "idx payload past the file": (lambda tmp_path: ["train", "--config", str(
+        write_config(tmp_path, dataset=write_idx(tmp_path, 70000, 70000)))], 2),
+    "config byte that is not utf-8": (config_bytes_case(b'"seed": 0, "\xff": 1}'), 2),
+    "config integer past the digit limit": (config_bytes_case(
+        b'"seed": ' + b"1" * 5000 + b"}"), 2),
+    "--set integer past the digit limit": (lambda tmp_path: [
+        "train", "--config", str(write_config(tmp_path)), "--set", "bits=" + "1" * 5000], 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPRODUCED))
+def test_module_run_exits_with_the_documented_code(tmp_path, name):
+    make_argv, code = REPRODUCED[name]
+    src = str(Path(streamhash.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "streamhash.cli", *make_argv(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == code, done.stderr
+    assert "Traceback" not in done.stdout + done.stderr
+    assert not (tmp_path / "out").exists()

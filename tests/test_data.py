@@ -4,6 +4,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from streamhash import data
 from streamhash.data import SplitSpec
@@ -63,6 +65,32 @@ class TestLoadIdx:
         img, lbl = write_idx_pair(tmp_path, images, [0, 1], truncate_images=True)
         with pytest.raises(FormatError):
             data.load_idx(img, lbl)
+
+
+# unsigned 32-bit IDX sizes; the top ones read as negative when signed
+IDX_SIZES = st.integers(0, 4) | st.integers(0, 2**32 - 1) | st.sampled_from(
+    [2**31, 2**32 - 2, 2**32 - 1, 70000])
+
+
+class TestIdxHeader:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(n=IDX_SIZES, rows=IDX_SIZES, cols=IDX_SIZES, payload=st.integers(0, 24))
+    @example(n=1, rows=2**32 - 2, cols=2**32 - 2, payload=12)  # rows = cols = -2 signed
+    @example(n=1, rows=70000, cols=70000, payload=12)
+    def test_sizes_are_unsigned_and_bounded_by_the_file(self, tmp_path, n, rows, cols, payload):
+        img, lbl = tmp_path / "images.idx", tmp_path / "labels.idx"
+        img.write_bytes(struct.pack(">IIII", 2051, n, rows, cols) + bytes(range(payload)))
+        lbl.write_bytes(struct.pack(">II", 2049, n) + bytes(min(n, 3)))
+        # a zero size counts as one, so that every size must fit the file
+        fits = max(n, 1) * max(rows, 1) * max(cols, 1) <= 16 + payload
+        if n <= 3 and n * rows * cols <= payload and fits:
+            X, y = data.load_idx(img, lbl)
+            assert X.shape == (rows * cols, n) and y.tolist() == [0] * n
+            assert X.T.ravel().tolist() == list(range(n * rows * cols))
+        else:
+            with pytest.raises(FormatError):
+                data.load_idx(img, lbl)
 
 
 class TestNormalizePixels:

@@ -162,3 +162,32 @@ class TestCodes:
         write_rows(path, [str(k), str(n)], [[r] for r in rows])
         with pytest.raises(FormatError, match=f"{re.escape(str(path))}: line {i + 2} "):
             index.load_codes(path)
+
+
+# the rest of each file after its first line; every one loads under "2 2"
+BODIES = {"dense": b"0.5 0.5\n0.5 0.5\n0 1\n", "checkpoint": b"0.5 0.5\n0.5 0.5\n",
+          "codes": b"01\n10\n"}
+LOADERS = {"dense": lambda path: data.load_dense(path)[0],
+           "checkpoint": lambda path: hm.load_checkpoint(path).W,
+           "codes": lambda path: index.unpack(index.load_codes(path))}
+SIZES = st.integers() | st.integers(-(2**70), 2**70)
+FIRST_LINES = (st.binary() | st.text().map(str.encode)
+               | st.tuples(SIZES, SIZES).map(lambda ab: f"{ab[0]} {ab[1]}".encode()))
+
+
+class TestHeader:
+    @SETTINGS
+    @given(kind=st.sampled_from(sorted(LOADERS)), line=FIRST_LINES)
+    @example(kind="dense", line=b"784 100000000")
+    @example(kind="checkpoint", line=b"100000 100000000")
+    @example(kind="codes", line=f"{2**70} 0".encode())
+    @example(kind="codes", line=b"2 2")
+    def test_any_first_line_loads_or_is_rejected(self, tmp_path, kind, line):
+        path = tmp_path / "f.txt"
+        path.write_bytes(line + b"\n" + BODIES[kind])
+        try:
+            loaded = LOADERS[kind](path)
+        except (FormatError, NumericError):
+            return
+        # whatever loads holds no more values than the file has bytes
+        assert loaded.size <= path.stat().st_size

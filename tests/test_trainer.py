@@ -1,5 +1,7 @@
 """KL loss, gradient correctness, SGD updates and the streaming loop."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -286,14 +288,16 @@ class TestSgdStep:
 class TestTrainStage:
     def test_inner_iters_zero_rejected_by_validation(self):
         with pytest.raises(DomainError):
-            TrainConfig(inner_iters=0).validate()
+            TrainConfig(inner_iters=0)
+        with pytest.raises(DomainError):
+            replace(TrainConfig(), inner_iters=0)
 
     @pytest.mark.parametrize("field, value", [
         ("learning_rate", np.nan), ("learning_rate", np.inf), ("batch_size", np.nan),
         ("inner_iters", np.nan), ("epsilon", np.nan)])
     def test_nan_and_infinite_settings_rejected_by_validation(self, field, value):
         with pytest.raises(DomainError):
-            TrainConfig(**{field: value}).validate()
+            TrainConfig(**{field: value})
 
     def test_all_distinct_labels_raw_target_degenerates(self):
         X = np.random.default_rng(0).standard_normal((3, 4))
