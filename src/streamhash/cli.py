@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from . import data, experiment, model as hashmodel
-from .errors import ConfigError, NumericError, StreamHashError
+from .errors import ConfigError, StreamHashError
 from .experiment import OUTPUT_DIR_ENV
 
 log = logging.getLogger(__name__)
@@ -66,11 +66,10 @@ def cmd_train(args) -> int:
     cfg = _load_config(args)
     out_dir = Path(cfg.output_dir)
     outcome = experiment.run_train(cfg, out_dir=out_dir)
-    if outcome.aborted:
-        raise NumericError(f"{outcome.abort_reason}; partial outputs in {out_dir}")
-    final = outcome.curve_rows[-1]
-    print(f"trained {len(outcome.stage_reports)} stages; final map={final[2]:.4f} "
-          f"map@{cfg.eval.cutoff}={final[3]:.4f} precision_h2={final[4]:.4f}")
+    outcome.raise_if_aborted(f"; partial outputs in {out_dir}")
+    final = outcome.final_metrics
+    print(f"trained {outcome.stages_completed} stages; final map={final['map']:.4f} "
+          f"map@{cfg.eval.cutoff}={final['map_at_k']:.4f} precision_h2={final['precision_h2']:.4f}")
     print(f"outputs in {out_dir}")
     return 0
 

@@ -53,15 +53,15 @@ def _check_claim(f, path, sizes) -> None:
         raise FormatError(f"{path}: header sizes {claim} exceed the file's {info.st_size} bytes")
 
 
-def read_header(f, path, names: str, minimum: int = 1) -> tuple[int, int]:
+def read_header(f, path, names: str) -> tuple[int, int]:
     """The two sizes of a text file's first line, `names` (e.g. 'd n'),
-    each at least minimum and together within the file (_check_claim)."""
+    each at least 1 and together within the file (_check_claim)."""
     try:
         a, b = map(int, f.readline().split())
     except ValueError as e:
         raise FormatError(f"{path}: header must be two integers '{names}'") from e
-    if min(a, b) < minimum:
-        raise FormatError(f"{path}: header sizes '{names}' must be at least {minimum}")
+    if min(a, b) < 1:
+        raise FormatError(f"{path}: header sizes '{names}' must be at least 1")
     _check_claim(f, path, (a, b))
     return a, b
 
@@ -273,9 +273,11 @@ def split(features: np.ndarray, labels: np.ndarray, spec: SplitSpec):
     The test set holds `test_per_class` seeded samples per class; every
     non-test instance forms the retrieval set; the train set is a seeded
     uniform sample of `train_size` instances drawn FROM the retrieval set
-    (training images remain retrievable).
+    (training images remain retrievable). An empty test set is a SplitError.
     """
     n = labels.shape[0]
+    if n == 0 or spec.test_per_class < 1:
+        raise SplitError(f"empty test set: {n} instances, test_per_class={spec.test_per_class}")
     rng = np.random.default_rng(spec.seed)
     test_idx = []
     for c in np.unique(labels):
@@ -290,10 +292,9 @@ def split(features: np.ndarray, labels: np.ndarray, spec: SplitSpec):
     mask = np.ones(n, dtype=bool)
     mask[test_idx] = False
     retrieval_idx = np.flatnonzero(mask)
-    if spec.train_size > retrieval_idx.shape[0]:
-        raise SplitError(
-            f"train_size={spec.train_size} exceeds retrieval set size {retrieval_idx.shape[0]}"
-        )
+    if not 0 <= spec.train_size <= retrieval_idx.shape[0]:
+        raise SplitError(f"train_size={spec.train_size} is outside 0..{retrieval_idx.shape[0]}, "
+                         "the retrieval set size")
     train_idx = np.sort(rng.choice(retrieval_idx, size=spec.train_size, replace=False))
 
     def take(idx):
@@ -307,7 +308,7 @@ def unseen_split(features, labels, seen_fraction: float, seed: int, test_per_cla
     form the training set; instances of the remaining classes divide into
     retrieval/test (a seeded per-class test sample, capped at half the
     class, the rest retrieval). Label sets of train vs retrieval+test are
-    disjoint by construction.
+    disjoint by construction. An empty test set is a SplitError.
     """
     classes = np.unique(labels)
     if classes.shape[0] < 2:
@@ -330,9 +331,11 @@ def unseen_split(features, labels, seen_fraction: float, seed: int, test_per_cla
     for c in classes[~np.isin(classes, seen)]:
         members = np.flatnonzero(labels == c)
         take = min(test_per_class, members.shape[0] // 2)
-        if take:
+        if take > 0:
             test_idx.append(rng.choice(members, size=take, replace=False))
-    test_idx = np.sort(np.concatenate(test_idx)) if test_idx else np.array([], dtype=int)
+    if not test_idx:
+        raise SplitError(f"empty test set: test_per_class={test_per_class}, at most half a class")
+    test_idx = np.sort(np.concatenate(test_idx))
     retrieval_idx = np.setdiff1d(unseen_idx, test_idx)
     retrieval = features[:, retrieval_idx], labels[retrieval_idx]
     test = features[:, test_idx], labels[test_idx]

@@ -22,7 +22,7 @@ import numpy as np
 from . import data, index, metrics, model as hashmodel, trainer
 from .data import SplitSpec
 from .distribution import GaussianParams, ScalingParams
-from .errors import ConfigError, DomainError, NumericError
+from .errors import ConfigError, DomainError, SplitError, StreamHashError
 from .index import PackedCodes
 from .metrics import MetricReport
 from .model import HashModel
@@ -103,19 +103,25 @@ DATASET_FIELDS = {
 }
 
 
+def _shown(value) -> str:
+    """repr(value) for an error message, cut to 80 characters ending in …"""
+    text = repr(value)
+    return text if len(text) <= 80 else text[:79] + "…"
+
+
 def check_section(raw, table: dict, section: str) -> dict:
     """Each key of a {key: (allowed types, default)} table mapped to raw's
     value, or to its default where raw lacks it (MISSING: required).
 
     A non-object, an unknown key, a missing required key, a wrong type, a
     nan or infinite float or a NUL byte (no file name holds one) is a
-    ConfigError naming section.key.
+    ConfigError naming section.key and showing the value (_shown).
     bool never counts as int, and no value is converted, so the digest
     holds each value exactly as the config wrote it.
     """
     prefix = f"{section}." if section else ""
     if not isinstance(raw, dict):
-        raise ConfigError(f"{section or 'config'} must be an object, got {raw!r}")
+        raise ConfigError(f"{section or 'config'} must be an object, got {_shown(raw)}")
     unknown = set(raw) - set(table)
     if unknown:
         raise ConfigError(f"unknown {section or 'config'} keys: {sorted(unknown)}")
@@ -126,11 +132,11 @@ def check_section(raw, table: dict, section: str) -> dict:
             raise ConfigError(f"{prefix}{key} is required")
         if not isinstance(value, kinds) or isinstance(value, bool) and bool not in kinds:
             expected = " or ".join(_TYPE_NAMES.get(kind, kind.__name__) for kind in kinds)
-            raise ConfigError(f"{prefix}{key} must be {expected}, got {value!r}")
+            raise ConfigError(f"{prefix}{key} must be {expected}, got {_shown(value)}")
         if isinstance(value, str) and "\0" in value:
             raise ConfigError(f"{prefix}{key} holds a NUL byte")
         if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigError(f"{prefix}{key} must be finite, got {value!r}")
+            raise ConfigError(f"{prefix}{key} must be finite, got {_shown(value)}")
         values[key] = value
     return values
 
@@ -146,39 +152,40 @@ def _train_view(cfg: TrainConfig) -> dict:
     return {key: flat[key] for key in TRAIN_FIELDS}
 
 
-def train_config(raw) -> TrainConfig:
-    """The validated TrainConfig of a flat train section."""
-    values = check_section(raw, TRAIN_FIELDS, "train")
+def train_config(raw, section: str = "train") -> TrainConfig:
+    """The validated TrainConfig of a flat train section named section."""
+    values = check_section(raw, TRAIN_FIELDS, section)
     mu, sigma, p, n = (values.pop(key) for key in ("mu", "sigma", "scale_p", "scale_n"))
     if p is not None and n is None:
-        raise ConfigError("train.scale_n must be int or float when scale_p is set, got None")
+        raise ConfigError(f"{section}.scale_n must be int or float when scale_p is set, got None")
     if p is None and n not in (None, 1):
-        raise ConfigError(f"train.scale_n must be 1 or null when scale_p is null, got {n!r}")
+        raise ConfigError(f"{section}.scale_n must be 1 or null when scale_p is null, got {n!r}")
     try:
         return TrainConfig(gaussian=GaussianParams(mu, sigma),
                            scaling=None if p is None else ScalingParams(p, n), **values)
     except DomainError as e:
-        raise ConfigError(f"train: {e}") from e
+        raise ConfigError(f"{section}: {e}") from e
 
 
 def _check_dataset(raw: dict) -> dict:
     """The dataset section as written, checked against its kind's table."""
     kind = raw.get("kind")
     if not (isinstance(kind, str) and kind in DATASET_FIELDS):
-        raise ConfigError(f"dataset.kind must be one of {tuple(DATASET_FIELDS)}, got {kind!r}")
+        raise ConfigError(f"dataset.kind must be one of {tuple(DATASET_FIELDS)}, "
+                          f"got {_shown(kind)}")
     check_section(raw, {"kind": (_STR, MISSING), **DATASET_FIELDS[kind]}, "dataset")
     return dict(raw)
 
 
-def _check_sweep(grid: dict) -> dict:
-    """A {train key: non-empty list of values} grid, each value checked as
-    that train key."""
+def _sweep_cells(grid: dict):
+    """The {key: value} cells of a {key: non-empty list} grid, the last of
+    the sorted keys varying fastest."""
     for key, values in grid.items():
         if not isinstance(values, list) or not values:
-            raise ConfigError(f"sweep.{key} must be a non-empty list, got {values!r}")
-        for value in values:
-            check_section({key: value}, TRAIN_FIELDS, "sweep")
-    return dict(grid)
+            raise ConfigError(f"sweep.{key} must be a non-empty list, got {_shown(values)}")
+    keys = sorted(grid)
+    for values in itertools.product(*(grid[key] for key in keys)):
+        yield dict(zip(keys, values))
 
 
 def config_from_dict(raw) -> ExperimentConfig:
@@ -190,7 +197,7 @@ def config_from_dict(raw) -> ExperimentConfig:
         split=_options(SplitSpec, top["split"], "split"),
         train=train_config(top["train"]),
         eval=_options(EvalOptions, top["eval"], "eval"),
-        sweep=_check_sweep(top["sweep"]),
+        sweep=dict(top["sweep"]),
         unseen=_options(UnseenOptions, top["unseen"], "unseen"),
         **{key: top[key] for key in scalars},
     )
@@ -202,6 +209,8 @@ def config_from_dict(raw) -> ExperimentConfig:
         raise ConfigError("init_scale must be non-negative")
     if min(vars(cfg.eval).values()) < 1:
         raise ConfigError("eval options must be positive")
+    for cell in _sweep_cells(cfg.sweep):
+        apply_cell(cfg, cell)
     return cfg
 
 
@@ -254,92 +263,73 @@ def write_csv(path, header, rows) -> None:
 
 
 @dataclass
-class TrainOutcome:
-    model: HashModel
-    stage_reports: list
+class TrainOutcome(trainer.StreamOutcome):
     curve_rows: list  # (stage_index, instances_seen, map, map_at_k, precision_h2, auc_so_far)
-    stages_planned: int
 
     @property
     def final_metrics(self) -> dict:
-        _, _, map_, map_at_k, precision_h2, _ = self.curve_rows[-1]
-        return {"map": map_, "map_at_k": map_at_k, "precision_h2": precision_h2}
-
-    @property
-    def stages_completed(self) -> int:
-        return len(self.stage_reports)
-
-    @property
-    def aborted(self) -> bool:
-        """True when a NumericError stopped the stream before its last stage."""
-        return self.stages_completed < self.stages_planned
-
-    @property
-    def abort_reason(self) -> str:
-        return f"aborted after {self.stages_completed} of {self.stages_planned} stages"
+        return dict(zip(("map", "map_at_k", "precision_h2"), self.curve_rows[-1][2:5]))
 
 
 def make_batches(train_split, cfg: ExperimentConfig):
     """Streaming batches over the training pool, one list per run.
 
     Each epoch reshuffles with a distinct seed; stage indices continue
-    across epochs.
+    across epochs. A pool that makes no stage is a SplitError.
     """
     features, labels = train_split
     batches = []
     for epoch in range(cfg.epochs):
         epoch_batches = data.stream(features, labels, cfg.train.batch_size, cfg.train.seed + epoch)
         batches += [replace(b, stage_index=len(batches) + b.stage_index) for b in epoch_batches]
+    if not batches:
+        raise SplitError(f"{labels.shape[0]} training instances make no stage of at least 2")
     return batches
 
 
 def run_train(cfg: ExperimentConfig, out_dir: Path | None = None) -> TrainOutcome:
-    """Train over the stream, evaluating every eval.every_n_stages stages and
-    after the last one for the size curve.
+    """Train with trainer.train_stream, whose hook evaluates every
+    eval.every_n_stages stages for the size curve; the last completed stage
+    is evaluated too.
 
-    A NumericError stops the stream (see TrainOutcome.aborted). When out_dir
-    is given, writes checkpoint.txt, stages.csv and curve.csv, also for a
-    stream cut short.
+    When out_dir is given, writes checkpoint.txt, stages.csv and curve.csv,
+    also for a stream a NumericError cut short (the outcome's abort_reason).
     """
     features, labels = load_dataset(cfg.dataset)
     train_split, retrieval, test = data.split(features, labels, cfg.split)
     batches = make_batches(train_split, cfg)
-    model = hashmodel.init(features.shape[0], cfg.bits, cfg.init_scale, cfg.seed)
-    stage_reports, curve_rows, seen = [], [], 0
+    # instances seen after stage i: stage indices count the batches from 1
+    seen = list(itertools.accumulate((b.size for b in batches), initial=0))
+    curve_rows = []
 
-    def evaluate_at(stage_index: int) -> None:
+    def evaluate_at(model: HashModel, stage_index: int) -> None:
         m = evaluate_model(model, retrieval, test, cfg.eval.cutoff, cfg.eval.r_max)
-        points = [row[1:3] for row in curve_rows] + [(seen, m["map"])]
+        instances = seen[stage_index]
+        points = [row[1:3] for row in curve_rows] + [(instances, m["map"])]
         # a single point spans a degenerate interval; its AUC is its own value
         auc = metrics.curve_auc(points) if curve_rows else m["map"]
-        curve_rows.append((stage_index, seen, m["map"], m["map_at_k"], m["precision_h2"], auc))
+        curve_rows.append((stage_index, instances, m["map"], m["map_at_k"], m["precision_h2"], auc))
 
-    for batch in batches:
-        try:
-            model, report = trainer.train_stage(model, batch, cfg.train)
-        except NumericError as e:
-            log.warning("stage %d aborted: %s", batch.stage_index, e)
-            break
-        stage_reports.append(report)
-        seen += batch.size
+    def eval_hook(model: HashModel, report: trainer.StageReport) -> None:
         if report.stage_index % cfg.eval.every_n_stages == 0:
-            evaluate_at(report.stage_index)
-    last_stage = stage_reports[-1].stage_index if stage_reports else 0
-    if not curve_rows or curve_rows[-1][0] != last_stage:
-        evaluate_at(last_stage)
+            evaluate_at(model, report.stage_index)
+
+    model = hashmodel.init(features.shape[0], cfg.bits, cfg.init_scale, cfg.seed)
+    stream = trainer.train_stream(model, batches, cfg.train, eval_hook)
+    if not curve_rows or curve_rows[-1][0] != stream.stages_completed:
+        evaluate_at(stream.model, stream.stages_completed)
 
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
-        hashmodel.save_checkpoint(model, out_dir / "checkpoint.txt")
+        hashmodel.save_checkpoint(stream.model, out_dir / "checkpoint.txt")
         write_csv(out_dir / "stages.csv", [f.name for f in fields(trainer.StageReport)],
-                  [astuple(r) for r in stage_reports])
+                  [astuple(r) for r in stream.stage_reports])
         write_csv(
             out_dir / "curve.csv",
             ["stage_index", "train_instances_seen", "map", "map_at_k", "precision_h2", "auc_so_far"],
             curve_rows,
         )
-    return TrainOutcome(model=model, stage_reports=stage_reports, curve_rows=curve_rows,
-                        stages_planned=len(batches))
+    return TrainOutcome(**vars(stream), curve_rows=curve_rows)
 
 
 def build_report(metric_values: dict, cfg: ExperimentConfig, method: str,
@@ -412,35 +402,35 @@ def run_eval(model: HashModel, cfg: ExperimentConfig, out_dir: Path | None = Non
 
 
 def apply_cell(cfg: ExperimentConfig, cell: dict) -> ExperimentConfig:
+    """cfg with one sweep cell's train keys replaced; errors name the sweep."""
     # a null setting falls back to its default: an unscaled config's view
     # nulls scale_n, which a swept scale_p needs
     base = {key: value for key, value in _train_view(cfg.train).items() if value is not None}
-    return replace(cfg, train=train_config({**base, **cell}))
+    return replace(cfg, train=train_config({**base, **cell}, "sweep"))
 
 
 def run_sweep(cfg: ExperimentConfig, out_dir: Path | None = None):
     """Train+eval once per grid cell (same seed everywhere); flag the best.
 
-    Cell failures are recorded and the sweep continues. Returns the row
-    dicts in grid order.
+    A cell's library error is recorded in its row and the sweep goes on;
+    any other error ends it. Writes sweep.csv when out_dir is given, then
+    raises an error of the first failure's class if no cell is ok. Returns
+    the row dicts in grid order.
     """
     if not cfg.sweep:
         raise ConfigError("sweep grid is empty")
-    keys = sorted(cfg.sweep)
-    rows = []
-    for i, values in enumerate(itertools.product(*(cfg.sweep[key] for key in keys))):
-        cell = dict(zip(keys, values))
+    rows, failures = [], []
+    for i, cell in enumerate(_sweep_cells(cfg.sweep)):
         row = {"cell": i, **cell}
         try:
             cell_cfg = apply_cell(cfg, cell)
             # final evaluation only: no intermediate curve points needed
-            quiet = replace(cell_cfg, eval=replace(cell_cfg.eval, every_n_stages=10**9))
-            outcome = run_train(quiet)
-            if outcome.aborted:
-                raise NumericError(outcome.abort_reason)
+            outcome = run_train(replace(cell_cfg, eval=replace(cfg.eval, every_n_stages=10**9)))
+            outcome.raise_if_aborted()
             row.update(status="ok", **outcome.final_metrics, error="")
-        except Exception as e:  # record and continue
+        except StreamHashError as e:  # record and continue
             log.warning("sweep cell %d failed: %s", i, e)
+            failures.append(e)
             row.update(status="failed", map="", map_at_k="", precision_h2="", error=str(e))
         rows.append(row)
     ok = [r for r in rows if r["status"] == "ok"]
@@ -449,8 +439,11 @@ def run_sweep(cfg: ExperimentConfig, out_dir: Path | None = None):
         r["best"] = (best is not None and r is best)
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
-        header = ["cell", *keys, "status", "map", "map_at_k", "precision_h2", "best", "error"]
+        header = ["cell", *sorted(cfg.sweep), "status", "map", "map_at_k", "precision_h2", "best",
+                  "error"]
         write_csv(out_dir / "sweep.csv", header, [[r[h] for h in header] for r in rows])
+    if not ok:
+        raise type(failures[0])(f"all {len(rows)} sweep cells failed; cell 0: {failures[0]}")
     return rows
 
 
@@ -465,10 +458,9 @@ def run_unseen(cfg: ExperimentConfig, out_dir: Path | None = None):
     cfg = replace(cfg, bits=unseen.bits)
     batches = make_batches(train_split, cfg)
     model = hashmodel.init(features.shape[0], cfg.bits, cfg.init_scale, cfg.seed)
-    model, stage_reports = trainer.train_stream(model, batches, cfg.train)
-    if len(stage_reports) < len(batches):
-        raise NumericError(f"aborted after {len(stage_reports)} of {len(batches)} stages")
-    reports = evaluate_pair(model, retrieval, test, cfg)
+    stream = trainer.train_stream(model, batches, cfg.train)
+    stream.raise_if_aborted()
+    reports = evaluate_pair(stream.model, retrieval, test, cfg)
     disjointness = {
         "seen_labels": sorted(int(v) for v in np.unique(train_split[1])),
         "unseen_labels": sorted(int(v) for v in np.unique(test[1])),

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model as hashmodel
-from .data import open_text, read_header
-from .errors import DimensionError, DomainError, FormatError
+from .errors import DimensionError, DomainError
 from .model import HashModel
 
 WORD_BITS = 64
@@ -47,15 +46,11 @@ def pack(B: np.ndarray, labels: np.ndarray | None = None) -> PackedCodes:
     return PackedCodes(words=words, k=k, n=n, labels=labels)
 
 
-def _bits(packed: PackedCodes) -> np.ndarray:
-    """(n, k) uint8 0/1 matrix of the packed codes, the mirror of pack."""
-    octets = np.ascontiguousarray(packed.words, dtype="<u8").view(np.uint8)
-    return np.unpackbits(octets, axis=1, count=packed.k, bitorder="little")
-
-
 def unpack(packed: PackedCodes) -> np.ndarray:
-    """Recover the (k, n) +/-1 code matrix from packed words."""
-    return np.where(_bits(packed).T == 1, 1.0, -1.0)
+    """Recover the (k, n) +/-1 code matrix from packed words, the mirror of pack."""
+    octets = np.ascontiguousarray(packed.words, dtype="<u8").view(np.uint8)
+    bits = np.unpackbits(octets, axis=1, count=packed.k, bitorder="little")
+    return np.where(bits.T == 1, 1.0, -1.0)
 
 
 def hamming_to_db(query_words: np.ndarray, db: PackedCodes) -> np.ndarray:
@@ -76,24 +71,3 @@ def hamming_to_db(query_words: np.ndarray, db: PackedCodes) -> np.ndarray:
 def lsh_baseline(d: int, k: int, seed: int = 0) -> HashModel:
     """Untrained random-projection model, the control for learning gains."""
     return hashmodel.init(d, k, scale=1.0, seed=seed)
-
-
-def save_codes(packed: PackedCodes, path) -> None:
-    """Write the textual codes file: `k n` header, one 0/1 line per instance."""
-    text = np.full((packed.n, packed.k + 1), ord("\n"), dtype=np.uint8)
-    text[:, :-1] = _bits(packed) + ord("0")
-    with open(path, "w") as f:
-        f.write(f"{packed.k} {packed.n}\n")
-        f.write(text.tobytes().decode("ascii"))
-
-
-def load_codes(path, labels: np.ndarray | None = None) -> PackedCodes:
-    """Read a codes file written by save_codes."""
-    with open_text(path) as f:
-        k, n = read_header(f, path, "k n", minimum=0)
-        lines = [f.readline().strip() for _ in range(n)]
-    for i, line in enumerate(lines):
-        if len(line) != k or line.strip("01"):
-            raise FormatError(f"{path}: line {i + 2} is not {k} characters of 0/1")
-    ones = np.frombuffer("".join(lines).encode("ascii"), dtype=np.uint8).reshape(n, k) == ord("1")
-    return pack(np.where(ones.T, 1.0, -1.0), labels)

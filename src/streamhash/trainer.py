@@ -251,12 +251,28 @@ def train_stage(model: HashModel, batch: StreamingBatch, cfg: TrainConfig):
     return model, report
 
 
-def train_stream(model: HashModel, batches, cfg: TrainConfig, eval_hook=None):
-    """Fold train_stage over a batch sequence in order.
+@dataclass
+class StreamOutcome:
+    model: HashModel  # after the last completed stage
+    stage_reports: list[StageReport]
+    stages_planned: int
+    abort_reason: str | None  # None when every planned stage completed
+
+    @property
+    def stages_completed(self) -> int:
+        return len(self.stage_reports)
+
+    def raise_if_aborted(self, suffix: str = "") -> None:
+        if self.abort_reason is not None:
+            raise NumericError(self.abort_reason + suffix)
+
+
+def train_stream(model: HashModel, batches, cfg: TrainConfig, eval_hook=None) -> StreamOutcome:
+    """Fold train_stage over a batch sequence in order; the one stage loop.
 
     eval_hook(model, report), when given, runs synchronously after each
-    stage. A NumericError aborts the stream and returns progress so far;
-    other errors propagate.
+    stage. A NumericError ends the stream, and the outcome keeps the
+    progress so far and says why; other errors propagate.
     """
     reports: list[StageReport] = []
     for batch in batches:
@@ -264,8 +280,9 @@ def train_stream(model: HashModel, batches, cfg: TrainConfig, eval_hook=None):
             model, report = train_stage(model, batch, cfg)
         except NumericError as e:
             log.warning("stage %d aborted: %s", batch.stage_index, e)
-            return model, reports
+            reason = f"aborted after {len(reports)} of {len(batches)} stages"
+            return StreamOutcome(model, reports, len(batches), reason)
         reports.append(report)
         if eval_hook is not None:
             eval_hook(model, report)
-    return model, reports
+    return StreamOutcome(model, reports, len(batches), None)

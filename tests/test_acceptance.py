@@ -235,7 +235,7 @@ def run_mnist_configuration(features, labels, bits, train_overrides, every_n_sta
             m = experiment.evaluate_model(current, retrieval, test, 1000, 100)
             curve.append((seen[0], m["map"]))
 
-    model, reports = trainer.train_stream(model, batches, cfg, eval_hook=hook)
+    model = trainer.train_stream(model, batches, cfg, eval_hook=hook).model
     trained = experiment.evaluate_model(model, retrieval, test, 1000, 100)
     baseline = experiment.evaluate_model(
         index.lsh_baseline(features.shape[0], bits, 0), retrieval, test, 1000, 100

@@ -145,6 +145,35 @@ class TestExitCodes:
         assert cli.main(["train", "--config", str(cfg),
                          "--set", "split.test_per_class=1000"]) == 3
 
+    def test_stream_without_a_stage_is_3(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        assert cli.main(["train", "--config", str(cfg), "--set", "split.train_size=1"]) == 3
+        assert "1 training instances make no stage" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_sweep_with_a_bad_grid_value_is_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        assert cli.main(["sweep", "--config", str(cfg),
+                         "--set", 'sweep={"learning_rate": [-1, 0]}']) == 2
+        assert "sweep: learning_rate must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_sweep_over_a_missing_dataset_is_2(self, tmp_path):
+        cfg = write_config(tmp_path, sweep={"sigma": [0.35]},
+                           dataset={"kind": "dense", "path": str(tmp_path / "missing.txt")})
+        assert cli.main(["sweep", "--config", str(cfg)]) == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_sweep_without_an_ok_cell_exits_with_the_first_failure(self, tmp_path, capsys):
+        # 2-instance batches of 12 classes: raw P meets a batch with no similar pair
+        cfg = write_config(tmp_path, sweep={"p_variant": ["raw"]})
+        code = cli.main(["sweep", "--config", str(cfg), "--set", "dataset.num_classes=12",
+                         "--set", "train.batch_size=2"])
+        assert code == 3
+        assert "all 1 sweep cells failed; cell 0: off-diagonal mass is zero" in (
+            capsys.readouterr().err)
+        assert (tmp_path / "out/sweep.csv").read_text().splitlines()[1].startswith("0,raw,failed,")
+
     def test_missing_config_file_is_2(self, tmp_path):
         assert cli.main(["train", "--config", str(tmp_path / "nope.json")]) == 2
 

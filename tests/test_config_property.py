@@ -82,7 +82,8 @@ def test_any_value_builds_a_config_or_is_a_config_error(where, value, scaled):
        where=st.sampled_from(KNOWN), value=VALUES)
 def test_cli_exits_0_or_2(tmp_path, monkeypatch, command, where, value):
     # the dataset file is missing, so a config that builds ends at exit 2
-    # (or 0 for a sweep, whose cells each fail) without training
+    # without training, a sweep's too: its cells are built with the config,
+    # and a file that cannot be read ends the sweep
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
     config = tmp_path / "config.json"

@@ -140,6 +140,14 @@ class TestDenseFormat:
         with pytest.raises(FormatError):
             data.load_dense(path)
 
+    @pytest.mark.parametrize("header", ["x y", "3", "3 1 2", "3.5 1", "-3 1", "3 -1"])
+    def test_bad_header_rejected(self, tmp_path, header):
+        # read_header parses the dense and checkpoint headers alike
+        path = tmp_path / "bad.txt"
+        path.write_text(header + "\n1 0 1\n0\n")
+        with pytest.raises(FormatError, match="header"):
+            data.load_dense(path)
+
 
 class TestSynthBlobs:
     def test_determinism(self):
@@ -199,6 +207,16 @@ class TestSplit:
         with pytest.raises(SplitError):
             data.split(self.X, self.y, spec)
 
+    def test_negative_train_size_rejected(self):
+        with pytest.raises(SplitError, match="train_size=-1 is outside 0..180"):
+            data.split(self.X, self.y, SplitSpec(test_per_class=4, train_size=-1))
+
+    def test_empty_test_set_rejected(self):
+        with pytest.raises(SplitError, match="empty test set: 200 instances, test_per_class=0"):
+            data.split(self.X, self.y, SplitSpec(test_per_class=0, train_size=10))
+        with pytest.raises(SplitError, match="empty test set: 0 instances"):
+            data.split(np.empty((3, 0)), np.empty(0, dtype=np.int64), SplitSpec(1, 0))
+
 
 class TestUnseenSplit:
     def setup_method(self):
@@ -226,6 +244,11 @@ class TestUnseenSplit:
         X, y = data.synth_blobs(1, 3, 10, 0.1, seed=0)
         with pytest.raises(SplitError):
             data.unseen_split(X, y, 0.5, seed=0)
+
+    @pytest.mark.parametrize("test_per_class", [0, -1])
+    def test_empty_test_set_rejected(self, test_per_class):
+        with pytest.raises(SplitError, match="empty test set"):
+            data.unseen_split(self.X, self.y, 0.75, seed=0, test_per_class=test_per_class)
 
 
 class TestStream:

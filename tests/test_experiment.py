@@ -1,5 +1,6 @@
 """Experiment config validation, drivers, and report files."""
 
+import csv
 import json
 import re
 from pathlib import Path
@@ -9,7 +10,7 @@ import pytest
 
 from streamhash import experiment, model as hm, trainer
 from streamhash.distribution import ScalingParams
-from streamhash.errors import ConfigError, NumericError
+from streamhash.errors import ConfigError, NumericError, SplitError
 from streamhash.experiment import ExperimentConfig, UnseenOptions, config_from_dict
 from streamhash.trainer import TrainConfig
 
@@ -167,6 +168,13 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="^train: "):
             config_from_dict(raw)
 
+    def test_long_value_is_cut_in_the_message(self, tmp_path):
+        with pytest.raises(ConfigError) as caught:
+            config_from_dict(blob_config(tmp_path, bits="1" * 5000))
+        message = str(caught.value)
+        assert message.startswith("bits must be int, got '111") and message.endswith("…")
+        assert len(message) == len("bits must be int, got ") + 80
+
     def test_unseen_options(self, tmp_path):
         assert config_from_dict(blob_config(tmp_path)).unseen == UnseenOptions(0.75, 100, 64)
         cfg = config_from_dict(blob_config(tmp_path, unseen={"seen_fraction": 0.5}))
@@ -223,6 +231,25 @@ class TestRunTrain:
         outcome = experiment.run_train(cfg)
         assert len(outcome.stage_reports) == 12
         assert [r.stage_index for r in outcome.stage_reports] == list(range(1, 13))
+        assert outcome.stages_planned == 12 and outcome.abort_reason is None
+
+    def test_aborted_stream_keeps_its_outputs(self, tmp_path, failing_second_stage):
+        outcome = experiment.run_train(config_from_dict(blob_config(tmp_path)), tmp_path / "run")
+        assert outcome.abort_reason == "aborted after 1 of 6 stages"
+        assert outcome.stages_completed == 1 and outcome.stages_planned == 6
+        # the curve ends at the last completed stage
+        assert [row[:2] for row in outcome.curve_rows] == [(1, 20)]
+        assert outcome.final_metrics["map"] == outcome.curve_rows[-1][2]
+        assert len((tmp_path / "run/stages.csv").read_text().splitlines()) == 2
+
+    @pytest.mark.parametrize("train_size", [0, 1])
+    def test_stream_without_a_stage_writes_nothing(self, tmp_path, train_size):
+        raw = blob_config(tmp_path)
+        raw["split"]["train_size"] = train_size
+        message = f"^{train_size} training instances make no stage of at least 2$"
+        with pytest.raises(SplitError, match=message):
+            experiment.run_train(config_from_dict(raw), out_dir=tmp_path / "run")
+        assert not (tmp_path / "run").exists()
 
 
 class TestRunEval:
@@ -271,21 +298,31 @@ class TestRunSweep:
         assert rows[0]["map"] == direct.final_metrics["map"]
 
     def test_cell_failure_recorded_and_sweep_continues(self, tmp_path):
+        # 2-instance batches of 12 classes: the first has no similar pair,
+        # which raw P cannot normalise and the smoothed P can
         raw = blob_config(tmp_path)
-        raw["sweep"] = {"batch_size": [1, 20]}  # batch_size 1 is invalid
-        cfg = config_from_dict(raw)
-        rows = experiment.run_sweep(cfg)
-        assert rows[0]["status"] == "failed" and rows[0]["error"]
-        assert rows[1]["status"] == "ok"
+        raw["dataset"]["num_classes"] = 12
+        raw["train"]["batch_size"] = 2
+        raw["sweep"] = {"p_variant": ["raw", "gaussian"]}
+        rows = experiment.run_sweep(config_from_dict(raw))
+        assert rows[0]["status"] == "failed"
+        assert rows[0]["error"] == "off-diagonal mass is zero"
+        assert rows[1]["status"] == "ok" and rows[1]["best"]
 
     def test_aborted_cell_failed_and_never_best(self, tmp_path, failing_second_stage):
         raw = blob_config(tmp_path)
         raw["sweep"] = {"learning_rate": [0.05, 0.1]}
-        rows = experiment.run_sweep(config_from_dict(raw), out_dir=tmp_path / "sw")
+        # no cell is ok, so the sweep raises the first failure's class once
+        # sweep.csv is written
+        with pytest.raises(NumericError, match=r"^all 2 sweep cells failed; cell 0: aborted after "
+                                               r"1 of 6 stages$"):
+            experiment.run_sweep(config_from_dict(raw), out_dir=tmp_path / "sw")
+        with open(tmp_path / "sw/sweep.csv") as f:
+            rows = list(csv.DictReader(f))
+        assert len(rows) == 2
         for row in rows:
-            assert row["status"] == "failed" and not row["best"]
+            assert row["status"] == "failed" and row["best"] == "False"
             assert row["error"] == "aborted after 1 of 6 stages"
-        assert "aborted after 1 of 6 stages" in (tmp_path / "sw/sweep.csv").read_text()
 
     def test_scale_p_sweep_from_an_unscaled_config(self, tmp_path):
         # the README example writes "scale_p": null, "scale_n": 1.0; the
@@ -311,6 +348,9 @@ class TestRunSweep:
         ({"sigma": []}, "sweep.sigma must be a non-empty list"),
         ({"batch_size": [20, "x"]}, "sweep.batch_size must be int"),
         ({"grad_mode": [None]}, "sweep.grad_mode must be str"),
+        ({"learning_rate": [0.1, -1]}, "sweep: learning_rate must be positive"),
+        ({"scale_p": [None], "scale_n": [2.0]}, "sweep.scale_n must be 1 or null"),
+        ({"momentum": [0.9]}, r"unknown sweep keys: \['momentum'\]"),
     ])
     def test_sweep_grid_checked(self, tmp_path, grid, message):
         with pytest.raises(ConfigError, match=message):
@@ -339,6 +379,15 @@ class TestRunUnseen:
         assert reports[0].bits == 64  # held-out evaluation default width
         assert (tmp_path / "u/unseen_report.csv").exists()
         assert (tmp_path / "u/unseen_split.json").exists()
+
+    def test_empty_test_set_fails_before_training(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(trainer, "train_stage", None)  # any stage would raise TypeError
+        raw = blob_config(tmp_path)
+        raw["dataset"]["num_classes"] = 4
+        raw["unseen"] = {"test_per_class": 0}
+        with pytest.raises(SplitError, match="empty test set"):
+            experiment.run_unseen(config_from_dict(raw), out_dir=tmp_path / "u")
+        assert not (tmp_path / "u").exists()
 
     def test_aborted_stream_raises(self, tmp_path, failing_second_stage):
         raw = blob_config(tmp_path)

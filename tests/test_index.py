@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from streamhash import index, metrics, model as hm
-from streamhash.errors import DimensionError, DomainError, FormatError
+from streamhash.errors import DimensionError, DomainError
 
 from oracles import hamming, hamming_sq
 
@@ -182,37 +182,3 @@ class TestLshBaseline:
 
     def test_deterministic(self):
         assert (index.lsh_baseline(5, 4, seed=1).W == index.lsh_baseline(5, 4, seed=1).W).all()
-
-
-class TestCodesFile:
-    def test_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(8)
-        B = random_codes(rng, 10, 7)
-        packed = index.pack(B, labels=np.arange(7))
-        path = tmp_path / "codes.txt"
-        index.save_codes(packed, path)
-        loaded = index.load_codes(path, labels=np.arange(7))
-        assert (index.unpack(loaded) == B).all()
-        assert path.read_text().splitlines()[0] == "10 7"
-
-    def test_bad_line_rejected(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("3 1\n012\n")
-        with pytest.raises(FormatError, match="line 2 "):
-            index.load_codes(path)
-        path.write_text("3 3\n010\n110\n01\n")
-        with pytest.raises(FormatError, match="line 4 "):
-            index.load_codes(path)
-
-    def test_non_utf8_byte_names_its_line(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_bytes(b"3 1\n01\xff\n")
-        with pytest.raises(FormatError, match="line 2 "):
-            index.load_codes(path)
-
-    @pytest.mark.parametrize("header", ["x y", "3", "3 1 2", "3.5 1", "-3 1", "3 -1"])
-    def test_bad_header_rejected(self, tmp_path, header):
-        path = tmp_path / "bad.txt"
-        path.write_text(header + "\n010\n")
-        with pytest.raises(FormatError):
-            index.load_codes(path)

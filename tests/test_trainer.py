@@ -323,7 +323,7 @@ class TestTrainStage:
                           scaling=ScalingParams(1.0, 1.0))
         batches = data.stream(X, y, 50, seed=0)
         model = hm.init(8, 8, seed=0)
-        model, reports = trainer.train_stream(model, batches, cfg)
+        reports = trainer.train_stream(model, batches, cfg).stage_reports
         assert all(r.loss_before >= 0 and r.loss_after >= 0 for r in reports)
         improved = np.mean([r.loss_after <= r.loss_before for r in reports])
         assert improved >= 0.9
@@ -433,16 +433,17 @@ class TestStageAgainstReference:
 class TestTrainStream:
     def test_empty_stream_returns_model_unchanged(self):
         model = hm.init(3, 2, seed=0)
-        out, reports = trainer.train_stream(model, [], TrainConfig())
-        assert (out.W == model.W).all()
-        assert reports == []
+        outcome = trainer.train_stream(model, [], TrainConfig())
+        assert (outcome.model.W == model.W).all()
+        assert outcome.stage_reports == []
+        assert outcome.stages_planned == 0 and outcome.abort_reason is None
 
     def test_stage_indices_strictly_increase(self):
         X, y = data.synth_blobs(3, 5, 30, 0.3, seed=2)
         batches = data.stream(X, y, 20, seed=0)
         model = hm.init(5, 4, seed=0)
-        _, reports = trainer.train_stream(model, batches, TrainConfig())
-        idx = [r.stage_index for r in reports]
+        outcome = trainer.train_stream(model, batches, TrainConfig())
+        idx = [r.stage_index for r in outcome.stage_reports]
         assert idx == sorted(idx) and len(set(idx)) == len(idx)
 
     def test_bit_identical_across_runs(self):
@@ -452,8 +453,7 @@ class TestTrainStream:
         for _ in range(2):
             batches = data.stream(X, y, 25, seed=cfg.seed)
             model = hm.init(5, 6, seed=cfg.seed)
-            model, _ = trainer.train_stream(model, batches, cfg)
-            runs.append(model.W)
+            runs.append(trainer.train_stream(model, batches, cfg).model.W)
         assert (runs[0] == runs[1]).all()
 
     def test_numeric_error_aborts_returning_progress(self):
@@ -462,8 +462,20 @@ class TestTrainStream:
         batches[1].features[0, 0] = np.inf  # poisons the second stage gradient
         model = hm.init(4, 3, seed=0)
         with np.errstate(invalid="ignore"):
-            model, reports = trainer.train_stream(model, batches, TrainConfig())
-        assert len(reports) == 1  # only the first stage completed
+            outcome = trainer.train_stream(model, batches, TrainConfig())
+        assert outcome.stages_completed == 1  # only the first stage completed
+        assert outcome.stages_planned == len(batches) == 6
+        assert outcome.abort_reason == "aborted after 1 of 6 stages"
+        with pytest.raises(NumericError, match=r"^aborted after 1 of 6 stages; see above$"):
+            outcome.raise_if_aborted("; see above")
+
+    def test_finished_stream_raises_nothing(self):
+        X, y = data.synth_blobs(2, 4, 30, 0.3, seed=5)
+        outcome = trainer.train_stream(hm.init(4, 3, seed=0), data.stream(X, y, 10, seed=0),
+                                       TrainConfig())
+        assert outcome.stages_completed == outcome.stages_planned == 6
+        assert outcome.abort_reason is None
+        outcome.raise_if_aborted()
 
     def test_eval_hook_runs_after_each_stage(self):
         X, y = data.synth_blobs(3, 5, 20, 0.3, seed=6)
