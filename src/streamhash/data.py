@@ -111,9 +111,12 @@ def save_dense(path, features: np.ndarray, labels: np.ndarray) -> None:
     """Write the textual dense-matrix format: `d n` header, one line of d
     reals per instance, then one line of n integer labels.
 
-    repr() formatting makes the round-trip bit-exact for finite floats.
+    repr() formatting makes the round-trip bit-exact for finite floats. A d
+    or n of 0, which load_dense rejects, is a DomainError before the file opens.
     """
     d, n = features.shape
+    if min(d, n) < 1:
+        raise DomainError(f"{path}: a dense file needs d and n of at least 1, got {d} x {n}")
     with open(path, "w") as f:
         f.write(f"{d} {n}\n")
         write_rows(f, features.T)
@@ -257,6 +260,8 @@ def synth_blobs(num_classes: int, dim: int, per_class: int, spread: float, seed:
     """
     if num_classes < 1 or dim < 1 or per_class < 1:
         raise DomainError("num_classes, dim and per_class must be positive")
+    if seed < 0:
+        raise DomainError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     features = np.empty((dim, num_classes * per_class))
     labels = np.repeat(np.arange(num_classes, dtype=np.int64), per_class)

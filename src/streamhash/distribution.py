@@ -34,14 +34,17 @@ class GaussianParams:
 
 @dataclass(frozen=True)
 class ScalingParams:
-    """Per-pair distance divisors: p for similar pairs, n for dissimilar."""
+    """Distance divisors of the scaled Q: scale_p for similar pairs (None
+    stands for bits / 2, see scaling_matrix), scale_n for dissimilar ones."""
 
-    p: float
-    n: float
+    scale_p: float | None = None
+    scale_n: float = 1.0
 
     def __post_init__(self):
-        if not (0 < self.p < math.inf and 0 < self.n < math.inf):
-            raise DomainError("scaling parameters must be positive and finite")
+        if not (self.scale_p is None or 0 < self.scale_p < math.inf):
+            raise DomainError("scale_p must be positive and finite")
+        if not 0 < self.scale_n < math.inf:
+            raise DomainError("scale_n must be positive and finite")
 
 
 def build_similarity(labels: np.ndarray) -> np.ndarray:
@@ -130,6 +133,7 @@ def pairwise_hamming_sq(B: np.ndarray, out: np.ndarray | None = None) -> np.ndar
     return dist
 
 
-def scaling_matrix(S: np.ndarray, sp: ScalingParams) -> np.ndarray:
-    """Per-pair eta matrix: sp.p where S is 1, sp.n elsewhere."""
-    return np.where(S == 1.0, sp.p, sp.n)
+def scaling_matrix(S: np.ndarray, sp: ScalingParams, bits: int) -> np.ndarray:
+    """Per-pair eta matrix of codes of `bits` bits: sp.scale_p (bits / 2 when
+    None) where S is 1, sp.scale_n elsewhere."""
+    return np.where(S == 1.0, bits / 2.0 if sp.scale_p is None else sp.scale_p, sp.scale_n)

@@ -80,19 +80,17 @@ class ExperimentConfig:
 SECTIONS = ("dataset", "split", "train", "eval", "sweep", "unseen")
 
 _NUMBER, _INT, _STR, _NULL = (int, float), (int,), (str,), (type(None),)
-_KINDS = {"int": _INT, "float": _NUMBER, "str": _STR}  # annotation -> allowed types
+_KINDS = {"int": _INT, "float": _NUMBER, "float | None": _NUMBER + _NULL, "str": _STR}
 _TYPE_NAMES = {dict: "object", type(None): "null"}
 
 
 def _table(cls) -> dict:
-    """The check_section table of a dataclass's int, float and str fields."""
+    """The check_section table of a dataclass's fields annotated as a _KINDS key."""
     return {f.name: (_KINDS[f.type], f.default) for f in fields(cls) if f.type in _KINDS}
 
 
-# The flat train section: allowed types and default of each key. A null
-# scale_p means p = bits / 2 and n = 1: scale_n is 1 or null, null only then.
-TRAIN_FIELDS = {**_table(TrainConfig), **_table(GaussianParams),
-                "scale_p": (_NUMBER + _NULL, None), "scale_n": (_NUMBER + _NULL, 1.0)}
+# The flat train section: allowed types and default of each key
+TRAIN_FIELDS = {**_table(TrainConfig), **_table(GaussianParams), **_table(ScalingParams)}
 
 DATASET_FIELDS = {
     "idx": {"images": (_STR, MISSING), "labels": (_STR, MISSING),
@@ -114,8 +112,8 @@ def check_section(raw, table: dict, section: str) -> dict:
     value, or to its default where raw lacks it (MISSING: required).
 
     A non-object, an unknown key, a missing required key, a wrong type, a
-    nan or infinite float or a NUL byte (no file name holds one) is a
-    ConfigError naming section.key and showing the value (_shown).
+    nan or infinite float, a NUL byte (no file name holds one) or a negative
+    seed is a ConfigError naming section.key and showing the value (_shown).
     bool never counts as int, and no value is converted, so the digest
     holds each value exactly as the config wrote it.
     """
@@ -137,6 +135,8 @@ def check_section(raw, table: dict, section: str) -> dict:
             raise ConfigError(f"{prefix}{key} holds a NUL byte")
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"{prefix}{key} must be finite, got {_shown(value)}")
+        if key == "seed" and value < 0:
+            raise ConfigError(f"{prefix}{key} must be non-negative, got {_shown(value)}")
         values[key] = value
     return values
 
@@ -146,23 +146,18 @@ def _options(cls, raw, section: str):
 
 
 def _train_view(cfg: TrainConfig) -> dict:
-    """The flat train settings of cfg, null scale_p and scale_n when unscaled."""
-    flat = {**vars(cfg), **vars(cfg.gaussian), "scale_p": cfg.scaling and cfg.scaling.p,
-            "scale_n": cfg.scaling and cfg.scaling.n}
+    """The flat train settings of cfg."""
+    flat = {**vars(cfg), **vars(cfg.gaussian), **vars(cfg.scaling)}
     return {key: flat[key] for key in TRAIN_FIELDS}
 
 
 def train_config(raw, section: str = "train") -> TrainConfig:
     """The validated TrainConfig of a flat train section named section."""
     values = check_section(raw, TRAIN_FIELDS, section)
-    mu, sigma, p, n = (values.pop(key) for key in ("mu", "sigma", "scale_p", "scale_n"))
-    if p is not None and n is None:
-        raise ConfigError(f"{section}.scale_n must be int or float when scale_p is set, got None")
-    if p is None and n not in (None, 1):
-        raise ConfigError(f"{section}.scale_n must be 1 or null when scale_p is null, got {n!r}")
     try:
-        return TrainConfig(gaussian=GaussianParams(mu, sigma),
-                           scaling=None if p is None else ScalingParams(p, n), **values)
+        gaussian, scaling = (cls(**{key: values.pop(key) for key in _table(cls)})
+                             for cls in (GaussianParams, ScalingParams))
+        return TrainConfig(gaussian=gaussian, scaling=scaling, **values)
     except DomainError as e:
         raise ConfigError(f"{section}: {e}") from e
 
@@ -403,10 +398,7 @@ def run_eval(model: HashModel, cfg: ExperimentConfig, out_dir: Path | None = Non
 
 def apply_cell(cfg: ExperimentConfig, cell: dict) -> ExperimentConfig:
     """cfg with one sweep cell's train keys replaced; errors name the sweep."""
-    # a null setting falls back to its default: an unscaled config's view
-    # nulls scale_n, which a swept scale_p needs
-    base = {key: value for key, value in _train_view(cfg.train).items() if value is not None}
-    return replace(cfg, train=train_config({**base, **cell}, "sweep"))
+    return replace(cfg, train=train_config({**_train_view(cfg.train), **cell}, "sweep"))
 
 
 def run_sweep(cfg: ExperimentConfig, out_dir: Path | None = None):

@@ -50,7 +50,7 @@ Q_VARIANTS = ("plain", "scaled")
 class TrainConfig:
     learning_rate: float = 0.1
     gaussian: GaussianParams = field(default_factory=GaussianParams)
-    scaling: ScalingParams | None = None  # None resolves to p = k/2, n = 1
+    scaling: ScalingParams = field(default_factory=ScalingParams)
     batch_size: int = 50
     inner_iters: int = 5
     grad_mode: str = "exact"
@@ -76,11 +76,6 @@ class TrainConfig:
         if self.q_variant not in Q_VARIANTS:
             raise DomainError(f"q_variant must be one of {Q_VARIANTS}")
 
-    def resolve_scaling(self, k: int) -> ScalingParams:
-        if self.scaling is not None:
-            return self.scaling
-        return ScalingParams(p=k / 2.0, n=1.0)
-
 
 @dataclass
 class StageReport:
@@ -96,12 +91,12 @@ class GradWorkspace:
     """Intermediates of one loss evaluation at fixed codes, exposed for
     testing; build_workspace(..., out=ws) refills them in place."""
 
-    B: np.ndarray             # (k, n) relaxed codes
-    P: np.ndarray             # (n, n) label-side target
-    eta: np.ndarray | float   # (n, n) per-pair divisors, or 1.0 for plain Q
-    D: np.ndarray             # (n, n) dist/eta, zero diagonal
-    kernel: np.ndarray        # (n, n) 1 / (1 + D), zero diagonal
-    Q: np.ndarray             # (n, n) code-side distribution
+    B: np.ndarray       # (k, n) relaxed codes
+    P: np.ndarray       # (n, n) label-side target
+    eta: np.ndarray     # (n, n) per-pair divisors, all 1 for the plain Q
+    D: np.ndarray       # (n, n) dist/eta, zero diagonal
+    kernel: np.ndarray  # (n, n) 1 / (1 + D), zero diagonal
+    Q: np.ndarray       # (n, n) code-side distribution
 
 
 def kl_loss(P: np.ndarray, Q: np.ndarray, epsilon: float = 1e-12) -> float:
@@ -121,17 +116,16 @@ def kl_loss(P: np.ndarray, Q: np.ndarray, epsilon: float = 1e-12) -> float:
     return float(np.vdot(P, ratio))
 
 
-def stage_eta(S, cfg: TrainConfig, k: int):
-    """Per-pair distance divisors of one batch: the scaling matrix for the
-    scaled Q, 1.0 for the plain one."""
-    if cfg.q_variant == "scaled":
-        return dist.scaling_matrix(S, cfg.resolve_scaling(k))
-    return 1.0
+def stage_eta(S, cfg: TrainConfig, k: int) -> np.ndarray:
+    """Per-pair distance divisors of one batch of k-bit codes: cfg.scaling's
+    for the scaled Q, (1, 1) for the plain one (dist.scaling_matrix)."""
+    scaling = cfg.scaling if cfg.q_variant == "scaled" else ScalingParams(1.0, 1.0)
+    return dist.scaling_matrix(S, scaling, k)
 
 
 def build_workspace(B, P, eta, out: GradWorkspace | None = None) -> GradWorkspace:
     """Distances, kernel (1 + dist/eta)^-1 and Q, the kernel at unit mass, at
-    relaxed codes B; eta = 1.0 gives the plain Q.
+    relaxed codes B, for the (n, n) divisors eta of stage_eta.
 
     With out, its (n, n) buffers are overwritten and out itself returned,
     so a stage's steps share one workspace; the values equal those of a

@@ -231,13 +231,28 @@ class TestExitCodes:
         assert cli.main(["train", "--config", str(cfg)]) == 2
         assert not (tmp_path / "out").exists()
 
-    def test_scale_n_without_scale_p_is_2(self, tmp_path, capsys):
-        # a null scale_p fixes n = 1, so scale_n = 3 would be dropped silently
+    def test_scale_n_without_scale_p_trains(self, tmp_path, monkeypatch):
+        # a null scale_p is bits / 2 = 6; the configured scale_n 3 is used as set
+        divisors = set()
+        real = trainer.stage_eta
+
+        def recorded(S, cfg, k):
+            eta = real(S, cfg, k)
+            divisors.update(np.unique(eta).tolist())
+            return eta
+
+        monkeypatch.setattr(trainer, "stage_eta", recorded)
         cfg = write_config(tmp_path)
         assert cli.main(["train", "--config", str(cfg), "--set", "train.scale_p=null",
-                         "--set", "train.scale_n=3.0"]) == 2
-        assert "train.scale_n" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+                         "--set", "train.scale_n=3.0"]) == 0
+        assert divisors == {6.0, 3.0}
+
+    def test_negative_synth_seed_is_3(self, tmp_path, capsys):
+        out = tmp_path / "blobs.txt"
+        assert cli.main(["synth", "--num-classes", "2", "--dim", "2", "--per-class", "2",
+                         "--spread", "0.1", "--seed", "-1", "--out", str(out)]) == 3
+        assert "seed must be non-negative" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_eval_dimension_mismatch_is_4(self, tmp_path):
         cfg = write_config(tmp_path)

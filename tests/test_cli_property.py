@@ -11,7 +11,7 @@ from pathlib import Path
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from streamhash import cli, trainer
+from streamhash import cli, data, trainer
 from streamhash.experiment import OUTPUT_DIR_ENV
 
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None,
@@ -28,13 +28,15 @@ SWEEP_VALUES = {
     "sigma": [0.35, 1.0],
     "grad_mode": ["exact", "paper", "bogus"],
 }
+# a negative seed is a config error; most draws keep every seed valid
+SEEDS = st.sampled_from([0, 0, 0, -1])
 
 
 @st.composite
 def cases(draw):
     """A command and a config over a tiny IDX dataset: up to 3 classes of
-    0-3 instances each, 1-3 bits (or LONG), and every size a few either
-    side of the data it applies to."""
+    0-3 instances each, 1-3 bits (or LONG), every size a few either side
+    of the data it applies to, and seeds of 0 or -1."""
     command = draw(st.sampled_from(["train", "sweep", "unseen", "split"]))
     counts = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
     n = sum(counts)
@@ -50,10 +52,11 @@ def cases(draw):
         "missing_dataset": draw(st.booleans()) if command == "sweep" else False,
         "config": {
             "split": {"test_per_class": draw(st.integers(0, 2)),
-                      "train_size": draw(st.integers(0, 3)), "seed": 0},
+                      "train_size": draw(st.integers(0, 3)), "seed": draw(SEEDS)},
             "bits": draw(st.integers(1, 3) | st.just(LONG)),
             "epochs": draw(st.integers(1, 2)),
-            "train": {"learning_rate": 0.1, "sigma": 0.35, "inner_iters": 1,
+            "seed": draw(SEEDS),
+            "train": {"learning_rate": 0.1, "sigma": 0.35, "inner_iters": 1, "seed": draw(SEEDS),
                       "batch_size": draw(st.integers(2, 3)),
                       "p_variant": draw(st.sampled_from(["gaussian", "raw"]))},
             "eval": {"cutoff": draw(st.integers(max(1, n - 2), n + 2)),
@@ -91,16 +94,17 @@ def csv_rows(path: Path) -> list[dict]:
 
 def edge(command, counts, missing_dataset=False, **sections):
     """An explicit example: a small config that runs, with the given keys
-    of each section replaced (the sweep grid and bits whole)."""
+    of each section replaced (the sweep grid, bits and seed whole)."""
     config = {
         "split": {"test_per_class": 1, "train_size": 2, "seed": 0}, "bits": 2, "epochs": 1,
+        "seed": 0,
         "train": {"learning_rate": 0.1, "sigma": 0.35, "inner_iters": 1, "batch_size": 2,
-                  "p_variant": "gaussian"},
+                  "p_variant": "gaussian", "seed": 0},
         "eval": {"cutoff": 2, "r_max": 2, "every_n_stages": 1}, "sweep": {},
         "unseen": {"seen_fraction": 0.5, "test_per_class": 1, "bits": 2},
     }
     for name, value in sections.items():
-        config[name] = value if name in ("bits", "sweep") else {**config[name], **value}
+        config[name] = value if name in ("bits", "seed", "sweep") else {**config[name], **value}
     return {"command": command, "counts": counts, "missing_dataset": missing_dataset,
             "config": config}
 
@@ -122,6 +126,12 @@ def edge(command, counts, missing_dataset=False, **sections):
 # an empty test set, in the standard and the held-out protocols
 @example(case=edge("train", [3, 3], split={"test_per_class": 0}, eval={"every_n_stages": 2}))
 @example(case=edge("unseen", [3, 3], unseen={"test_per_class": 0}))
+# an empty train part, which split wrote as a file that does not load
+@example(case=edge("split", [2, 2], split={"train_size": 0}))
+# a negative seed, which numpy's generator rejects
+@example(case=edge("train", [3, 3], split={"seed": -1}))
+@example(case=edge("unseen", [3, 3], train={"seed": -1}))
+@example(case=edge("train", [3, 3], seed=-1))
 def test_every_run_ends_in_a_documented_code(monkeypatch, capsys, case):
     stages = []
     real = trainer.train_stage
@@ -150,9 +160,13 @@ def test_every_run_ends_in_a_documented_code(monkeypatch, capsys, case):
         held_out = command == "unseen"
         if (raw["unseen"] if held_out else raw["split"])["test_per_class"] == 0:
             assert code != 0 and not stages  # an empty test set fails before training
-        if code != 0:
-            return
+        if min(raw["seed"], raw["split"]["seed"], raw["train"]["seed"]) < 0:
+            assert code == 2 and not stages
         out = tmp / "out"
+        parts = [out / f"{part}.txt" for part in ("train", "retrieval", "test")]
+        if code != 0:
+            assert not any(path.exists() for path in parts)  # split writes all parts or none
+            return
         if command == "train":
             planned = planned_stages(raw)
             assert planned >= 1
@@ -163,4 +177,5 @@ def test_every_run_ends_in_a_documented_code(monkeypatch, capsys, case):
         elif held_out:
             assert len(csv_rows(out / "unseen_report.csv")) == 2
         else:
-            assert all((out / f"{part}.txt").exists() for part in ("train", "retrieval", "test"))
+            for path in parts:
+                data.load_dense(path)

@@ -68,13 +68,14 @@ def test_any_value_builds_a_config_or_is_a_config_error(where, value, scaled):
         cfg = experiment.config_from_dict(raw)
     except ConfigError:
         return
-    cfg.digest()
     keys = sorted(cfg.sweep)
-    for values in itertools.product(*(cfg.sweep[k] for k in keys)):
-        try:
-            experiment.apply_cell(cfg, dict(zip(keys, values))).digest()
-        except ConfigError:
-            pass
+    # every cell was built with cfg, so none raises here
+    cells = [experiment.apply_cell(cfg, dict(zip(keys, values)))
+             for values in itertools.product(*(cfg.sweep[k] for k in keys))]
+    for built in [cfg, *cells]:
+        built.digest()
+        # the flat view round-trips: it holds every train setting as written
+        assert experiment.train_config(experiment._train_view(built.train)) == built.train
 
 
 @SETTINGS

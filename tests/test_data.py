@@ -148,6 +148,14 @@ class TestDenseFormat:
         with pytest.raises(FormatError, match="header"):
             data.load_dense(path)
 
+    @pytest.mark.parametrize("d, n", [(3, 0), (0, 2), (0, 0)])
+    def test_empty_matrix_not_written(self, tmp_path, d, n):
+        # load_dense rejects a size of 0, so save_dense writes no such file
+        path = tmp_path / "empty.txt"
+        with pytest.raises(DomainError, match=f"got {d} x {n}"):
+            data.save_dense(path, np.zeros((d, n)), np.zeros(n, dtype=np.int64))
+        assert not path.exists()
+
 
 class TestSynthBlobs:
     def test_determinism(self):
@@ -159,6 +167,11 @@ class TestSynthBlobs:
         X, y = data.synth_blobs(3, 4, 10, 0.2, seed=0)
         assert X.shape == (4, 30)
         assert all((y == c).sum() == 10 for c in range(3))
+
+    @pytest.mark.parametrize("args", [(0, 3, 5, 0.1, 0), (2, 3, 5, 0.1, -1)])
+    def test_bad_arguments_rejected(self, args):
+        with pytest.raises(DomainError):
+            data.synth_blobs(*args)
 
     def test_zero_spread_collapses_classes(self):
         X, y = data.synth_blobs(2, 3, 5, 0.0, seed=1)

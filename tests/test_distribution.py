@@ -20,7 +20,7 @@ from oracles import hamming_sq
 def code_q(B, S, scaling=None):
     """Q of codes B as a training stage forms it, with the divisors
     stage_eta gives: scaled by scaling on S, or plain when scaling is None."""
-    cfg = TrainConfig(q_variant="plain" if scaling is None else "scaled", scaling=scaling)
+    cfg = TrainConfig(q_variant="plain") if scaling is None else TrainConfig(scaling=scaling)
     eta = trainer.stage_eta(S, cfg, B.shape[0])
     return trainer.build_workspace(B, dist.p_gaussian(S), eta).Q
 
@@ -194,7 +194,7 @@ class TestQScaled:
         # identical similar codes, dissimilar at distance 2; p=2, n=1
         B = np.array([[1.0, 1.0, -1.0], [1.0, 1.0, -1.0]])
         S = dist.build_similarity(np.array([0, 0, 1]))
-        Q = code_q(B, S, ScalingParams(p=2.0, n=1.0))
+        Q = code_q(B, S, ScalingParams(scale_p=2.0, scale_n=1.0))
         assert Q[0, 1] == pytest.approx(0.3, abs=1e-12)
         assert Q[0, 2] == pytest.approx(0.1, abs=1e-12)
         assert Q[1, 2] == pytest.approx(0.1, abs=1e-12)
@@ -216,15 +216,15 @@ class TestQScaled:
         S = dist.build_similarity(rng.integers(0, 2, size=8))
         D = dist.pairwise_hamming_sq(B)
         for p_small, p_big in [(1.0, 2.0), (2.0, 8.0)]:
-            k_small = 1.0 / (1.0 + D / dist.scaling_matrix(S, ScalingParams(p_small, 1.0)))
-            k_big = 1.0 / (1.0 + D / dist.scaling_matrix(S, ScalingParams(p_big, 1.0)))
+            k_small = 1.0 / (1.0 + D / dist.scaling_matrix(S, ScalingParams(p_small, 1.0), 6))
+            k_big = 1.0 / (1.0 + D / dist.scaling_matrix(S, ScalingParams(p_big, 1.0), 6))
             sim = (S == 1) & ~np.eye(8, dtype=bool)
             assert (k_big[sim] >= k_small[sim]).all()
 
     def test_zero_distances_uniform_regardless_of_scaling(self):
         B = np.ones((3, 6))
         S = dist.build_similarity(np.array([0, 0, 0, 1, 1, 2]))
-        Q = code_q(B, S, ScalingParams(p=9.0, n=0.25))
+        Q = code_q(B, S, ScalingParams(scale_p=9.0, scale_n=0.25))
         off = Q[~np.eye(6, dtype=bool)]
         np.testing.assert_allclose(off, 1.0 / 30, rtol=1e-12)
 
@@ -236,14 +236,23 @@ class TestQScaled:
                                 TrainConfig(scaling=ScalingParams(1.0, 1.0)))
 
     def test_bad_params(self):
-        with pytest.raises(DomainError):
-            ScalingParams(p=0.0, n=1.0)
+        with pytest.raises(DomainError, match="scale_p"):
+            ScalingParams(scale_p=0.0, scale_n=1.0)
+        with pytest.raises(DomainError, match="scale_n"):
+            ScalingParams(scale_p=None, scale_n=0.0)
 
     @pytest.mark.parametrize("p, n", [(np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0),
                                       (1.0, np.inf)])
     def test_nan_and_infinite_params_rejected(self, p, n):
         with pytest.raises(DomainError):
-            ScalingParams(p=p, n=n)
+            ScalingParams(scale_p=p, scale_n=n)
+
+    def test_null_scale_p_is_half_the_bits(self):
+        # only scale_p has a width-dependent default; scale_n stays as set
+        S = dist.build_similarity(np.array([0, 0, 1]))
+        eta = dist.scaling_matrix(S, ScalingParams(scale_n=3.0), 12)
+        np.testing.assert_array_equal(eta, np.where(S == 1.0, 6.0, 3.0))
+        assert ScalingParams() == ScalingParams(None, 1.0)
 
 
 class TestDistributionInvariants:

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from streamhash import experiment, model as hm, trainer
+from streamhash import distribution as dist, experiment, model as hm, trainer
 from streamhash.distribution import ScalingParams
 from streamhash.errors import ConfigError, NumericError, SplitError
 from streamhash.experiment import ExperimentConfig, UnseenOptions, config_from_dict
@@ -94,21 +94,34 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=f"train.{key} must be"):
             config_from_dict(raw)
 
-    def test_scale_n_may_be_null_only_without_scale_p(self, tmp_path):
+    def test_scale_n_may_not_be_null(self, tmp_path):
         raw = blob_config(tmp_path)
-        raw["train"].update(scale_p=None, scale_n=None)
-        assert config_from_dict(raw).train.scaling is None
-        raw["train"].update(scale_p=1.0)
-        with pytest.raises(ConfigError, match="train.scale_n"):
-            config_from_dict(raw)
+        for scale_p in (None, 1.0):
+            raw["train"].update(scale_p=scale_p, scale_n=None)
+            with pytest.raises(ConfigError, match="^train.scale_n must be int or float, got None$"):
+                config_from_dict(raw)
 
     @pytest.mark.parametrize("scale_n", [3.0, 0.5, 2])
-    def test_scale_n_other_than_1_needs_scale_p(self, tmp_path, scale_n):
-        # a null scale_p fixes n = 1; another scale_n would be dropped
+    def test_scale_n_applies_without_scale_p(self, tmp_path, scale_n):
+        # a null scale_p is bits / 2 for similar pairs; scale_n still
+        # divides the dissimilar ones
         raw = blob_config(tmp_path)
         raw["train"].update(scale_p=None, scale_n=scale_n)
-        with pytest.raises(ConfigError, match="train.scale_n"):
+        cfg = config_from_dict(raw)
+        assert cfg.train.scaling == ScalingParams(None, scale_n)
+        S = dist.build_similarity(np.array([0, 0, 1]))
+        np.testing.assert_array_equal(trainer.stage_eta(S, cfg.train, cfg.bits),
+                                      np.where(S == 1.0, cfg.bits / 2, scale_n))
+
+    @pytest.mark.parametrize("where", ["split", "dataset", "train", None])
+    def test_negative_seed_rejected(self, tmp_path, where):
+        raw = blob_config(tmp_path)
+        (raw if where is None else raw[where])["seed"] = -1
+        name = "seed" if where is None else f"{where}.seed"
+        with pytest.raises(ConfigError, match=f"^{name} must be non-negative, got -1$"):
             config_from_dict(raw)
+        (raw if where is None else raw[where])["seed"] = 0
+        assert config_from_dict(raw)
 
     def test_train_values_are_not_converted(self, tmp_path):
         # ints stay ints in the digest payload: pinned digests of the same
@@ -123,7 +136,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("name, digest", [
         ("configs/blobs.json", "beb5671fd98f16df"),
         ("configs/mnist.json", "b0fe04dc91c531e6"),
-        ("README.md", "4a46764ddfddb380"),
+        ("README.md", "5c4489e22b87660f"),
     ])
     def test_shipped_config_digests(self, name, digest):
         text = (ROOT / name).read_text()
@@ -325,8 +338,8 @@ class TestRunSweep:
             assert row["error"] == "aborted after 1 of 6 stages"
 
     def test_scale_p_sweep_from_an_unscaled_config(self, tmp_path):
-        # the README example writes "scale_p": null, "scale_n": 1.0; the
-        # unscaled config's view nulls scale_n, which falls back to 1.0
+        # the README example writes "scale_p": null, "scale_n": 1.0; a cell
+        # keeps the configured scale_n, whatever it is
         raw = blob_config(tmp_path)
         raw["train"].update(scale_p=None, scale_n=1.0)
         raw["sweep"] = {"scale_p": [1.0, 2.0]}
@@ -334,6 +347,10 @@ class TestRunSweep:
         rows = experiment.run_sweep(cfg)
         assert [r["status"] for r in rows] == ["ok", "ok"], rows
         assert experiment.apply_cell(cfg, {"scale_p": 2.0}).train.scaling == ScalingParams(2.0, 1.0)
+        raw["train"].update(scale_n=3.0)
+        cfg = config_from_dict(raw)
+        assert experiment.apply_cell(cfg, {"scale_p": 2.0}).train.scaling == ScalingParams(2.0, 3.0)
+        assert experiment.apply_cell(cfg, {"scale_n": 0.5}).train.scaling == ScalingParams(None, 0.5)
 
     def test_ablation_switches_sweep_together(self, tmp_path):
         raw = blob_config(tmp_path)
@@ -349,8 +366,9 @@ class TestRunSweep:
         ({"batch_size": [20, "x"]}, "sweep.batch_size must be int"),
         ({"grad_mode": [None]}, "sweep.grad_mode must be str"),
         ({"learning_rate": [0.1, -1]}, "sweep: learning_rate must be positive"),
-        ({"scale_p": [None], "scale_n": [2.0]}, "sweep.scale_n must be 1 or null"),
+        ({"scale_p": [1.0], "scale_n": [None]}, "sweep.scale_n must be int or float, got None"),
         ({"momentum": [0.9]}, r"unknown sweep keys: \['momentum'\]"),
+        ({"seed": [0, -1]}, "^sweep.seed must be non-negative, got -1$"),
     ])
     def test_sweep_grid_checked(self, tmp_path, grid, message):
         with pytest.raises(ConfigError, match=message):

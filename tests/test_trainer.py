@@ -133,7 +133,7 @@ class TestGradLoss:
         rng = np.random.default_rng(1)
         X, labels, model, S, _, cfg = random_instance(rng)
         B = hm.encode_relaxed(model, X)
-        Q = code_q(B, S, cfg.resolve_scaling(model.k))
+        Q = code_q(B, S, cfg.scaling)
         for mode in ("paper", "exact"):
             mode_cfg = TrainConfig(grad_mode=mode, q_variant=cfg.q_variant,
                                    scaling=cfg.scaling)
@@ -336,7 +336,7 @@ def reference_stage(W, batch, cfg):
     X = batch.features
     S, P = trainer.build_target(batch.labels, cfg)
     if cfg.q_variant == "scaled":
-        eta = dist.scaling_matrix(S, cfg.resolve_scaling(W.shape[1]))
+        eta = dist.scaling_matrix(S, cfg.scaling, W.shape[1])
     else:
         eta = np.ones_like(S)
 

@@ -1,0 +1,72 @@
+"""Output manifest of the CLI on configs/blobs.json, for byte-identity checks.
+
+Runs `train` six times (as shipped, null scale_p, plain Q, raw P, paper
+gradient, two epochs), then `eval`, `sweep`, `unseen` and `split`, through
+streamhash.cli.main, each into its own directory under OUT_DIR. Writes
+OUT_DIR/manifest.txt: one sha256 per output file (stages.csv without its
+wall_time column) and one per command's stdout. A command that exits
+non-zero stops the script. Two trees whose outputs must not change give
+identical manifests:
+
+    PYTHONPATH=src python tools/parity.py OUT_DIR
+"""
+
+import contextlib
+import csv
+import hashlib
+import io
+import os
+import sys
+from pathlib import Path
+
+from streamhash import cli
+
+CONFIG = Path(__file__).resolve().parents[1] / "configs" / "blobs.json"
+TRAIN_RUNS = {
+    "train": [],
+    "train_scale_p_null": ["train.scale_p=null"],
+    "train_q_plain": ['train.q_variant="plain"'],
+    "train_p_raw": ['train.p_variant="raw"'],
+    "train_grad_paper": ['train.grad_mode="paper"'],
+    "train_epochs_2": ["epochs=2"],
+}
+
+
+def run(name: str, command: str, *args: str) -> str:
+    """stdout of one command writing into the directory `name`."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = cli.main([command, "--config", str(CONFIG), "--output-dir", name, *args])
+    if code != 0:
+        sys.exit(f"{name}: streamhash {command} exited {code}")
+    return stdout.getvalue()
+
+
+def sha256(path: Path) -> str:
+    if path.name != "stages.csv":
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+    with open(path, newline="") as f:
+        rows = list(csv.reader(f))
+    keep = [i for i, column in enumerate(rows[0]) if column != "wall_time"]
+    text = "".join(",".join(row[i] for i in keep) + "\n" for row in rows)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def main(out_dir: Path) -> None:
+    out_dir.mkdir(parents=True, exist_ok=True)
+    os.chdir(out_dir)  # relative output directories keep OUT_DIR out of stdout
+    stdouts = {name: run(name, "train", *(f"--set={s}" for s in sets))
+               for name, sets in TRAIN_RUNS.items()}
+    stdouts["eval"] = run("eval", "eval", "--checkpoint", "train/checkpoint.txt")
+    for command in ("sweep", "unseen", "split"):
+        stdouts[command] = run(command, command)
+    lines = [f"{hashlib.sha256(text.encode()).hexdigest()}  {name}/<stdout>"
+             for name, text in stdouts.items()]
+    lines += [f"{sha256(path)}  {path.as_posix()}" for path in sorted(Path().glob("*/*"))]
+    Path("manifest.txt").write_text("\n".join(lines) + "\n")
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit("usage: python tools/parity.py OUT_DIR")
+    main(Path(sys.argv[1]))
