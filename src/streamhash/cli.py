@@ -122,9 +122,9 @@ def cmd_split(args) -> int:
     train, retrieval, test = data.split(features, labels, cfg.split)
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name, (X, y) in [("train", train), ("retrieval", retrieval), ("test", test)]:
-        data.save_dense(out_dir / f"{name}.txt", X, y)
-        print(f"{name}: {y.shape[0]} instances -> {out_dir / (name + '.txt')}")
+    for name, part in [("train", train), ("retrieval", retrieval), ("test", test)]:
+        data.save_dense(out_dir / f"{name}.txt", part.features, part.labels)
+        print(f"{name}: {part.labels.shape[0]} instances -> {out_dir / (name + '.txt')}")
     return 0
 
 

@@ -1,8 +1,8 @@
 """Dataset ingestion, splits, and the streaming batcher.
 
 Feature matrices are dense float64 arrays of shape (d, n): one column per
-instance. Labels are 1-D int64 arrays of length n. All randomness flows
-through explicit seeds so splits and streams are bit-reproducible.
+instance; labels are 1-D int64 arrays of length n. Splits and streams give
+Parts (column indices) and are bit-reproducible: seeds go through seeded_rng.
 """
 
 from __future__ import annotations
@@ -29,6 +29,37 @@ class SplitSpec:
     test_per_class: int
     train_size: int
     seed: int = 0
+
+
+@dataclass(frozen=True, eq=False)
+class Part:
+    """The columns idx of the (d, n) matrix source, in that order, and their
+    labels: a split part or a stream batch that copies no feature column."""
+
+    source: np.ndarray
+    idx: np.ndarray
+    labels: np.ndarray  # the dataset's labels at idx
+
+    @property
+    def features(self) -> np.ndarray:
+        """The (d, len(idx)) columns, gathered anew on every access."""
+        return self.source[:, self.idx]
+
+    # the (features, labels) pair protocol, which bench/ still unpacks
+    def __iter__(self):
+        return iter((self.features, self.labels))
+
+    def __getitem__(self, i: int):
+        if i not in (0, 1):
+            raise IndexError(f"a part unpacks as (features, labels), got index {i}")
+        return self.labels if i == 1 else self.features
+
+
+def seeded_rng(seed: int) -> np.random.Generator:
+    """The generator of every seeded draw; a negative seed is a DomainError."""
+    if seed < 0:
+        raise DomainError(f"seed must be non-negative, got {seed}")
+    return np.random.default_rng(seed)
 
 
 @dataclass
@@ -260,9 +291,7 @@ def synth_blobs(num_classes: int, dim: int, per_class: int, spread: float, seed:
     """
     if num_classes < 1 or dim < 1 or per_class < 1:
         raise DomainError("num_classes, dim and per_class must be positive")
-    if seed < 0:
-        raise DomainError(f"seed must be non-negative, got {seed}")
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     features = np.empty((dim, num_classes * per_class))
     labels = np.repeat(np.arange(num_classes, dtype=np.int64), per_class)
     for c in range(num_classes):
@@ -272,8 +301,8 @@ def synth_blobs(num_classes: int, dim: int, per_class: int, spread: float, seed:
     return features, labels
 
 
-def split(features: np.ndarray, labels: np.ndarray, spec: SplitSpec):
-    """Standard protocol split into (train, retrieval, test) pairs.
+def split(features: np.ndarray, labels: np.ndarray, spec: SplitSpec) -> tuple[Part, Part, Part]:
+    """Standard protocol split into (train, retrieval, test) parts of features.
 
     The test set holds `test_per_class` seeded samples per class; every
     non-test instance forms the retrieval set; the train set is a seeded
@@ -283,7 +312,7 @@ def split(features: np.ndarray, labels: np.ndarray, spec: SplitSpec):
     n = labels.shape[0]
     if n == 0 or spec.test_per_class < 1:
         raise SplitError(f"empty test set: {n} instances, test_per_class={spec.test_per_class}")
-    rng = np.random.default_rng(spec.seed)
+    rng = seeded_rng(spec.seed)
     test_idx = []
     for c in np.unique(labels):
         members = np.flatnonzero(labels == c)
@@ -301,19 +330,16 @@ def split(features: np.ndarray, labels: np.ndarray, spec: SplitSpec):
         raise SplitError(f"train_size={spec.train_size} is outside 0..{retrieval_idx.shape[0]}, "
                          "the retrieval set size")
     train_idx = np.sort(rng.choice(retrieval_idx, size=spec.train_size, replace=False))
-
-    def take(idx):
-        return features[:, idx], labels[idx]
-
-    return take(train_idx), take(retrieval_idx), take(test_idx)
+    return tuple(Part(features, i, labels[i]) for i in (train_idx, retrieval_idx, test_idx))
 
 
 def unseen_split(features, labels, seen_fraction: float, seed: int, test_per_class: int = 100):
-    """Class-disjoint split: ceil(seen_fraction * #classes) seeded classes
-    form the training set; instances of the remaining classes divide into
-    retrieval/test (a seeded per-class test sample, capped at half the
-    class, the rest retrieval). Label sets of train vs retrieval+test are
-    disjoint by construction. An empty test set is a SplitError.
+    """Class-disjoint split into (train, retrieval, test) parts of features:
+    ceil(seen_fraction * #classes) seeded classes form the training set;
+    instances of the remaining classes divide into retrieval/test (a seeded
+    per-class test sample, capped at half the class, the rest retrieval).
+    Label sets of train vs retrieval+test are disjoint by construction. An
+    empty test set is a SplitError.
     """
     classes = np.unique(labels)
     if classes.shape[0] < 2:
@@ -326,11 +352,9 @@ def unseen_split(features, labels, seen_fraction: float, seed: int, test_per_cla
             f"seen_fraction={seen_fraction} leaves no unseen class "
             f"({n_seen} of {classes.shape[0]} seen)"
         )
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     seen = rng.choice(classes, size=n_seen, replace=False)
     seen_mask = np.isin(labels, seen)
-    train = features[:, seen_mask], labels[seen_mask]
-
     unseen_idx = np.flatnonzero(~seen_mask)
     test_idx = []
     for c in classes[~np.isin(classes, seen)]:
@@ -342,31 +366,25 @@ def unseen_split(features, labels, seen_fraction: float, seed: int, test_per_cla
         raise SplitError(f"empty test set: test_per_class={test_per_class}, at most half a class")
     test_idx = np.sort(np.concatenate(test_idx))
     retrieval_idx = np.setdiff1d(unseen_idx, test_idx)
-    retrieval = features[:, retrieval_idx], labels[retrieval_idx]
-    test = features[:, test_idx], labels[test_idx]
-    return train, retrieval, test
+    parts = (np.flatnonzero(seen_mask), retrieval_idx, test_idx)
+    return tuple(Part(features, i, labels[i]) for i in parts)
 
 
-def stream(features, labels, batch_size: int, seed: int) -> list[StreamingBatch]:
-    """Partition a seeded permutation of the data into consecutive batches.
+def stream(pool: Part, batch_size: int, seed: int) -> list[Part]:
+    """Partition a seeded permutation of the pool into consecutive batches,
+    parts of the pool's matrix.
 
-    Stage indices count from 1. A final short batch is kept unless it has
-    fewer than 2 instances (pairwise terms need one off-diagonal pair).
+    A final short batch is kept unless it has fewer than 2 instances
+    (pairwise terms need one off-diagonal pair).
     """
     if batch_size < 2:
         raise DomainError("batch_size must be at least 2")
-    n = labels.shape[0]
-    order = np.random.default_rng(seed).permutation(n)
+    n = pool.labels.shape[0]
+    order = seeded_rng(seed).permutation(n)
     batches = []
     for start in range(0, n, batch_size):
-        idx = order[start : start + batch_size]
-        if idx.shape[0] < 2:
+        chunk = order[start : start + batch_size]
+        if chunk.shape[0] < 2:
             break
-        batches.append(
-            StreamingBatch(
-                features=features[:, idx],
-                labels=labels[idx],
-                stage_index=len(batches) + 1,
-            )
-        )
+        batches.append(Part(pool.source, pool.idx[chunk], pool.labels[chunk]))
     return batches

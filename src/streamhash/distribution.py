@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -26,9 +27,9 @@ class GaussianParams:
     sigma: float = 1.0
 
     def __post_init__(self):
-        if not math.isfinite(self.mu):
+        if not (isinstance(self.mu, Real) and math.isfinite(self.mu)):
             raise DomainError("mu must be finite")
-        if not 0 < self.sigma < math.inf:
+        if not _positive_finite(self.sigma):
             raise DomainError("sigma must be positive and finite")
 
 
@@ -41,10 +42,14 @@ class ScalingParams:
     scale_n: float = 1.0
 
     def __post_init__(self):
-        if not (self.scale_p is None or 0 < self.scale_p < math.inf):
+        if not (self.scale_p is None or _positive_finite(self.scale_p)):
             raise DomainError("scale_p must be positive and finite")
-        if not 0 < self.scale_n < math.inf:
+        if not _positive_finite(self.scale_n):
             raise DomainError("scale_n must be positive and finite")
+
+
+def _positive_finite(value) -> bool:  # a real number in (0, inf); nan is not
+    return isinstance(value, Real) and 0 < value < math.inf
 
 
 def build_similarity(labels: np.ndarray) -> np.ndarray:

@@ -22,8 +22,7 @@ import numpy as np
 from . import data, index, metrics, model as hashmodel, trainer
 from .data import SplitSpec
 from .distribution import GaussianParams, ScalingParams
-from .errors import ConfigError, DomainError, SplitError, StreamHashError
-from .index import PackedCodes
+from .errors import ConfigError, ConsistencyError, DomainError, SplitError, StreamHashError
 from .metrics import MetricReport
 from .model import HashModel
 from .trainer import TrainConfig
@@ -227,14 +226,14 @@ def load_dataset(spec: dict):
 # evaluation plumbing
 
 
-def encode_packed(model: HashModel, features, labels) -> PackedCodes:
-    return index.pack(hashmodel.encode_binary(model, features), labels)
-
-
-def evaluate_model(model, retrieval, test, cutoff: int, r_max: int):
-    """All retrieval metrics of one model on a retrieval/test split."""
-    db = encode_packed(model, *retrieval)
-    queries = encode_packed(model, *test)
+def evaluate_model(model, retrieval: data.Part, test: data.Part, cutoff: int, r_max: int):
+    """All retrieval metrics of one model on the retrieval/test parts of one
+    matrix, encoded once: database and queries are columns of its codes."""
+    if retrieval.source is not test.source:
+        raise ConsistencyError("retrieval and test parts index different matrices")
+    codes = hashmodel.encode_binary(model, retrieval.source)
+    db = index.pack(codes[:, retrieval.idx], retrieval.labels)
+    queries = index.pack(codes[:, test.idx], test.labels)
     scores = metrics.retrieval_scores(queries, db, cutoff=cutoff, r_max=r_max)
     return {**scores, "precision_at_r": scores["precision_at_r"].tolist()}
 
@@ -266,19 +265,13 @@ class TrainOutcome(trainer.StreamOutcome):
         return dict(zip(("map", "map_at_k", "precision_h2"), self.curve_rows[-1][2:5]))
 
 
-def make_batches(train_split, cfg: ExperimentConfig):
-    """Streaming batches over the training pool, one list per run.
-
-    Each epoch reshuffles with a distinct seed; stage indices continue
-    across epochs. A pool that makes no stage is a SplitError.
-    """
-    features, labels = train_split
-    batches = []
-    for epoch in range(cfg.epochs):
-        epoch_batches = data.stream(features, labels, cfg.train.batch_size, cfg.train.seed + epoch)
-        batches += [replace(b, stage_index=len(batches) + b.stage_index) for b in epoch_batches]
+def make_batches(train: data.Part, cfg: ExperimentConfig) -> list[data.Part]:
+    """The stream batches of every epoch in turn, each epoch reshuffled with
+    its own seed. A pool that makes no stage is a SplitError."""
+    batches = [batch for epoch in range(cfg.epochs)
+               for batch in data.stream(train, cfg.train.batch_size, cfg.train.seed + epoch)]
     if not batches:
-        raise SplitError(f"{labels.shape[0]} training instances make no stage of at least 2")
+        raise SplitError(f"{train.labels.shape[0]} training instances make no stage of at least 2")
     return batches
 
 
@@ -294,7 +287,7 @@ def run_train(cfg: ExperimentConfig, out_dir: Path | None = None) -> TrainOutcom
     train_split, retrieval, test = data.split(features, labels, cfg.split)
     batches = make_batches(train_split, cfg)
     # instances seen after stage i: stage indices count the batches from 1
-    seen = list(itertools.accumulate((b.size for b in batches), initial=0))
+    seen = list(itertools.accumulate((b.labels.shape[0] for b in batches), initial=0))
     curve_rows = []
 
     def evaluate_at(model: HashModel, stage_index: int) -> None:
@@ -454,9 +447,9 @@ def run_unseen(cfg: ExperimentConfig, out_dir: Path | None = None):
     stream.raise_if_aborted()
     reports = evaluate_pair(stream.model, retrieval, test, cfg)
     disjointness = {
-        "seen_labels": sorted(int(v) for v in np.unique(train_split[1])),
-        "unseen_labels": sorted(int(v) for v in np.unique(test[1])),
-        "label_sets_disjoint": not set(np.unique(train_split[1])) & set(np.unique(test[1])),
+        "seen_labels": sorted(int(v) for v in np.unique(train_split.labels)),
+        "unseen_labels": sorted(int(v) for v in np.unique(test.labels)),
+        "label_sets_disjoint": not set(np.unique(train_split.labels)) & set(np.unique(test.labels)),
     }
     if out_dir is not None:
         write_reports(out_dir, reports, stem="unseen_report")

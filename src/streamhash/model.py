@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import open_text, read_header, read_rows, write_rows
+from .data import open_text, read_header, read_rows, seeded_rng, write_rows
 from .errors import DimensionError, DomainError, NumericError
 
 
@@ -41,8 +41,7 @@ def init(d: int, k: int, scale: float = 1.0, seed: int = 0) -> HashModel:
         raise DomainError("d and k must be at least 1")
     if not 0 <= scale < np.inf:
         raise DomainError("scale must be non-negative and finite")
-    rng = np.random.default_rng(seed)
-    W = rng.standard_normal((d, k)) * (scale / np.sqrt(d))
+    W = seeded_rng(seed).standard_normal((d, k)) * (scale / np.sqrt(d))
     return HashModel(W=W)
 
 

@@ -75,6 +75,9 @@ class TrainConfig:
             raise DomainError(f"p_variant must be one of {P_VARIANTS}")
         if self.q_variant not in Q_VARIANTS:
             raise DomainError(f"q_variant must be one of {Q_VARIANTS}")
+        for name, cls in (("gaussian", GaussianParams), ("scaling", ScalingParams)):
+            if not isinstance(getattr(self, name), cls):
+                raise DomainError(f"{name} must be a {cls.__name__}, got {getattr(self, name)!r}")
 
 
 @dataclass
@@ -262,18 +265,20 @@ class StreamOutcome:
 
 
 def train_stream(model: HashModel, batches, cfg: TrainConfig, eval_hook=None) -> StreamOutcome:
-    """Fold train_stage over a batch sequence in order; the one stage loop.
+    """Fold train_stage over a list of data.stream parts, gathering each
+    one's features just before its stage; the one stage loop. Stage i is
+    the i-th part, counted from 1.
 
     eval_hook(model, report), when given, runs synchronously after each
     stage. A NumericError ends the stream, and the outcome keeps the
     progress so far and says why; other errors propagate.
     """
     reports: list[StageReport] = []
-    for batch in batches:
+    for i, part in enumerate(batches, 1):
         try:
-            model, report = train_stage(model, batch, cfg)
+            model, report = train_stage(model, StreamingBatch(part.features, part.labels, i), cfg)
         except NumericError as e:
-            log.warning("stage %d aborted: %s", batch.stage_index, e)
+            log.warning("stage %d aborted: %s", i, e)
             reason = f"aborted after {len(reports)} of {len(batches)} stages"
             return StreamOutcome(model, reports, len(batches), reason)
         reports.append(report)

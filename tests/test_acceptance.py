@@ -223,14 +223,14 @@ def run_mnist_configuration(features, labels, bits, train_overrides, every_n_sta
             "batch_size": 50, "inner_iters": 5, "seed": 0}
     base.update(train_overrides)
     cfg = experiment.train_config(base)
-    batches = data.stream(*train_split, cfg.batch_size, cfg.seed)
+    batches = data.stream(train_split, cfg.batch_size, cfg.seed)
     model = hm.init(features.shape[0], bits, 1.0, 0)
 
     curve = []
     seen = [0]
 
     def hook(current, report):
-        seen[0] += batches[report.stage_index - 1].size
+        seen[0] += batches[report.stage_index - 1].labels.shape[0]
         if report.stage_index % every_n_stages == 0:
             m = experiment.evaluate_model(current, retrieval, test, 1000, 100)
             curve.append((seen[0], m["map"]))

@@ -224,6 +224,17 @@ class TestSplit:
         with pytest.raises(SplitError, match="train_size=-1 is outside 0..180"):
             data.split(self.X, self.y, SplitSpec(test_per_class=4, train_size=-1))
 
+    def test_parts_index_the_matrix_they_were_given(self):
+        spec = SplitSpec(test_per_class=4, train_size=100, seed=0)
+        for part in data.split(self.X, self.y, spec):
+            assert part.source is self.X
+            assert (part.features == self.X[:, part.idx]).all()
+            assert (part.labels == self.y[part.idx]).all()
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(DomainError, match="seed must be non-negative, got -1"):
+            data.split(self.X, self.y, SplitSpec(2, 4, -1))
+
     def test_empty_test_set_rejected(self):
         with pytest.raises(SplitError, match="empty test set: 200 instances, test_per_class=0"):
             data.split(self.X, self.y, SplitSpec(test_per_class=0, train_size=10))
@@ -249,6 +260,16 @@ class TestUnseenSplit:
             )
             assert not (set(ytr) & (set(yrt) | set(yte)))
 
+    def test_parts_index_the_matrix_they_were_given(self):
+        train, retrieval, test = data.unseen_split(self.X, self.y, 0.75, seed=1, test_per_class=5)
+        assert (train.idx == np.flatnonzero(np.isin(self.y, np.unique(train.labels)))).all()
+        for part in (train, retrieval, test):
+            assert part.source is self.X and (part.labels == self.y[part.idx]).all()
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(DomainError, match="seed must be non-negative, got -1"):
+            data.unseen_split(self.X, self.y, 0.75, seed=-1)
+
     def test_full_seen_fraction_rejected(self):
         with pytest.raises(SplitError):
             data.unseen_split(self.X, self.y, 1.0, seed=0)
@@ -264,18 +285,24 @@ class TestUnseenSplit:
             data.unseen_split(self.X, self.y, 0.75, seed=0, test_per_class=test_per_class)
 
 
+def whole(X, y) -> data.Part:
+    """Every column of X, in order, as one part."""
+    return data.Part(X, np.arange(y.shape[0]), y)
+
+
 class TestStream:
     def setup_method(self):
         self.X, self.y = data.synth_blobs(4, 3, 25, 0.1, seed=5)  # n = 100
 
     def test_stage_count_and_sizes(self):
-        batches = data.stream(self.X, self.y, 25, seed=0)
+        batches = data.stream(whole(self.X, self.y), 25, seed=0)
         assert len(batches) == 4
-        assert all(b.size == 25 for b in batches)
-        assert [b.stage_index for b in batches] == [1, 2, 3, 4]
+        assert all(b.labels.shape[0] == b.idx.shape[0] == 25 for b in batches)
+        # batches index the pool's matrix; train_stream numbers them by position
+        assert all(b.source is self.X for b in batches)
 
     def test_batches_partition_the_permutation(self):
-        batches = data.stream(self.X, self.y, 30, seed=1)
+        batches = data.stream(whole(self.X, self.y), 30, seed=1)
         cols = np.concatenate([b.features for b in batches], axis=1)
         # no duplicates, and every original instance appears exactly once
         seen = {tuple(c) for c in cols.T}
@@ -284,16 +311,16 @@ class TestStream:
 
     def test_short_final_batch_dropped(self):
         X, y = data.synth_blobs(1, 2, 101, 0.1, seed=6)
-        batches = data.stream(X, y, 25, seed=0)
+        batches = data.stream(whole(X, y), 25, seed=0)
         assert len(batches) == 4  # the trailing singleton is dropped
         X, y = data.synth_blobs(1, 2, 102, 0.1, seed=6)
-        batches = data.stream(X, y, 25, seed=0)
+        batches = data.stream(whole(X, y), 25, seed=0)
         assert len(batches) == 5
-        assert batches[-1].size == 2
+        assert batches[-1].labels.shape[0] == 2
 
     def test_determinism(self):
-        a = data.stream(self.X, self.y, 17, seed=3)
-        b = data.stream(self.X, self.y, 17, seed=3)
+        a = data.stream(whole(self.X, self.y), 17, seed=3)
+        b = data.stream(whole(self.X, self.y), 17, seed=3)
         assert len(a) == len(b)
         for ba, bb in zip(a, b):
             assert (ba.features == bb.features).all()
@@ -301,4 +328,33 @@ class TestStream:
 
     def test_batch_size_one_rejected(self):
         with pytest.raises(DomainError):
-            data.stream(self.X, self.y, 1, seed=0)
+            data.stream(whole(self.X, self.y), 1, seed=0)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(DomainError, match="seed must be non-negative, got -1"):
+            data.stream(whole(self.X, self.y), 2, seed=-1)
+
+    def test_batches_of_a_part_index_its_source(self):
+        pool = data.Part(self.X, np.arange(99, -1, -3), self.y[99::-3])
+        for batch in data.stream(pool, 8, seed=2):
+            assert batch.source is self.X and set(batch.idx) <= set(pool.idx)
+            assert (batch.labels == self.y[batch.idx]).all()
+
+
+class TestPart:
+    def setup_method(self):
+        self.X = np.arange(12.0).reshape(3, 4)
+        self.part = data.Part(self.X, np.array([2, 0]), np.array([7, 5]))
+
+    def test_features_gather_the_columns_in_order(self):
+        assert (self.part.features == self.X[:, [2, 0]]).all()
+        assert not np.shares_memory(self.part.features, self.X)
+
+    def test_pair_protocol(self):
+        X, y = self.part
+        assert (X == self.X[:, [2, 0]]).all() and (y == [7, 5]).all()
+        assert (self.part[0] == X).all() and self.part[1] is self.part.labels
+        with pytest.raises(IndexError):
+            self.part[2]
+        with pytest.raises(TypeError):
+            len(self.part)

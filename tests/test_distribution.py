@@ -131,6 +131,11 @@ class TestPGaussian:
         with pytest.raises(DomainError):
             GaussianParams(mu, sigma)
 
+    @pytest.mark.parametrize("kwargs", [{"mu": None}, {"sigma": None}, {"sigma": "a"}])
+    def test_non_numbers_rejected(self, kwargs):
+        with pytest.raises(DomainError):
+            GaussianParams(**kwargs)
+
 
 class TestHammingSq:
     def test_identical_is_zero(self):
@@ -246,6 +251,11 @@ class TestQScaled:
     def test_nan_and_infinite_params_rejected(self, p, n):
         with pytest.raises(DomainError):
             ScalingParams(scale_p=p, scale_n=n)
+
+    @pytest.mark.parametrize("kwargs", [{"scale_n": None}, {"scale_p": "a"}])
+    def test_non_numbers_rejected(self, kwargs):
+        with pytest.raises(DomainError):
+            ScalingParams(**kwargs)
 
     def test_null_scale_p_is_half_the_bits(self):
         # only scale_p has a width-dependent default; scale_n stays as set

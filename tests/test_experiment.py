@@ -3,14 +3,16 @@
 import csv
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from streamhash import distribution as dist, experiment, model as hm, trainer
+from streamhash import cli, data, distribution as dist, experiment, index, metrics, trainer
+from streamhash import model as hm
 from streamhash.distribution import ScalingParams
-from streamhash.errors import ConfigError, NumericError, SplitError
+from streamhash.errors import ConfigError, ConsistencyError, NumericError, SplitError
 from streamhash.experiment import ExperimentConfig, UnseenOptions, config_from_dict
 from streamhash.trainer import TrainConfig
 
@@ -287,6 +289,78 @@ class TestRunEval:
         assert len(payload[0]["precision_at_r"]) == cfg.eval.r_max
         assert payload[0]["conventions"]["tie_break"] == "ascending-database-index"
         assert payload[0]["config_digest"] == cfg.digest()
+
+
+class TestEvaluateModel:
+    def test_parts_of_different_matrices_rejected(self):
+        X, y = data.synth_blobs(2, 4, 10, 0.3, seed=0)
+        retrieval = data.Part(X, np.arange(15), y[:15])
+        test = data.Part(X.copy(), np.arange(15, 20), y[15:])
+        with pytest.raises(ConsistencyError, match="different matrices"):
+            experiment.evaluate_model(hm.init(4, 8, seed=0), retrieval, test, 10, 5)
+
+    def test_equals_scores_of_copied_columns(self):
+        X, y = data.synth_blobs(3, 6, 30, 0.5, seed=1)
+        _, retrieval, test = data.split(X, y, data.SplitSpec(5, 10, seed=2))
+        model = hm.init(6, 12, seed=3)
+        db, queries = (index.pack(hm.encode_binary(model, X[:, p.idx]), p.labels)
+                       for p in (retrieval, test))
+        want = metrics.retrieval_scores(queries, db, cutoff=20, r_max=10)
+        got = experiment.evaluate_model(model, retrieval, test, 20, 10)
+        assert got["map"] == want["map"] and got["precision_h2"] == want["precision_h2"]
+        assert got["precision_at_r"] == want["precision_at_r"].tolist()
+
+
+def memory_config(tmp_path) -> ExperimentConfig:
+    """A 10 x 400 x 512 synth dataset, 16.4 MB: 40 training stages of 50
+    and one evaluation per model."""
+    return config_from_dict({
+        "dataset": {"kind": "synth", "num_classes": 10, "dim": 512, "per_class": 400,
+                    "spread": 0.5, "seed": 3},
+        "split": {"test_per_class": 10, "train_size": 2000, "seed": 0},
+        "bits": 32,
+        "train": {"sigma": 0.35},
+        "eval": {"every_n_stages": 10**6},
+        "output_dir": str(tmp_path / "out"),
+    })
+
+
+class TestMemory:
+    """No run holds a second copy of the dataset: split parts and stream
+    batches index it, and an evaluation encodes it once."""
+
+    DATASET_BYTES = 10 * 400 * 512 * 8
+
+    @pytest.mark.parametrize("run", ["run_train", "run_eval", "run_unseen"])
+    def test_peak_below_twice_the_dataset(self, tmp_path, run):
+        cfg = memory_config(tmp_path)
+        args = (hm.init(512, 32, seed=0), cfg) if run == "run_eval" else (cfg,)
+        tracemalloc.start()  # numpy reports its buffers to tracemalloc
+        try:
+            getattr(experiment, run)(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * self.DATASET_BYTES
+
+    def test_no_run_uses_a_part_as_a_pair(self, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a part was unpacked or indexed as (features, labels)")
+
+        monkeypatch.setattr(data.Part, "__iter__", refuse)
+        monkeypatch.setattr(data.Part, "__getitem__", refuse)
+        raw = blob_config(tmp_path)
+        raw["dataset"]["num_classes"] = 4
+        raw["unseen"] = {"test_per_class": 10}
+        cfg = config_from_dict(raw)
+        outcome = experiment.run_train(cfg, out_dir=tmp_path / "t")
+        experiment.run_eval(outcome.model, cfg, out_dir=tmp_path / "e")
+        experiment.run_unseen(cfg, out_dir=tmp_path / "u")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(raw))
+        assert cli.main(["split", "--config", str(config), "--output-dir", str(tmp_path / "s")]) == 0
+        assert sorted(p.name for p in (tmp_path / "s").iterdir()) == [
+            "retrieval.txt", "test.txt", "train.txt"]
 
 
 class TestRunSweep:

@@ -182,3 +182,7 @@ class TestLshBaseline:
 
     def test_deterministic(self):
         assert (index.lsh_baseline(5, 4, seed=1).W == index.lsh_baseline(5, 4, seed=1).W).all()
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(DomainError, match="seed must be non-negative"):
+            index.lsh_baseline(3, 4, seed=-1)

@@ -46,13 +46,13 @@ def test_idx_image_pipeline_learns(tmp_path):
 
     spec = data.SplitSpec(test_per_class=100, train_size=2000, seed=0)
     train_split, retrieval, test = data.split(features, labels, spec)
-    assert test[1].shape[0] == 1000
+    assert test.labels.shape[0] == 1000
 
     cfg = experiment.train_config(
         {"sigma": 0.35, "learning_rate": 0.1, "scale_p": 1.0, "scale_n": 1.0}
     )
     model = hm.init(784, 32, 1.0, 0)
-    outcome = trainer.train_stream(model, data.stream(*train_split, 50, 0), cfg)
+    outcome = trainer.train_stream(model, data.stream(train_split, 50, 0), cfg)
     assert outcome.stages_completed == outcome.stages_planned == 40
     model = outcome.model
 

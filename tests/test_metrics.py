@@ -327,11 +327,12 @@ class TestValidationBeforeRanking:
         return calls
 
     def test_r_max_beyond_database_scans_nothing(self, no_scans):
-        from streamhash import experiment, model as hm
+        from streamhash import data, experiment, model as hm
 
         rng = np.random.default_rng(0)
-        retrieval = (rng.normal(size=(6, 20)), rng.integers(0, 2, size=20))
-        test = (rng.normal(size=(6, 4)), rng.integers(0, 2, size=4))
+        X, y = rng.normal(size=(6, 24)), rng.integers(0, 2, size=24)
+        retrieval = data.Part(X, np.arange(20), y[:20])
+        test = data.Part(X, np.arange(20, 24), y[20:])
         with pytest.raises(DomainError, match="r_max"):
             experiment.evaluate_model(hm.init(6, 8, seed=0), retrieval, test,
                                       cutoff=5, r_max=21)

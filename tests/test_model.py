@@ -39,6 +39,10 @@ class TestInit:
         with pytest.raises(DomainError):
             hm.init(3, 2, scale=scale)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(DomainError, match="seed must be non-negative, got -1"):
+            hm.init(3, 4, seed=-1)
+
 
 class TestEncodeRelaxed:
     def test_zero_model_gives_zero_codes(self):

@@ -172,15 +172,16 @@ def test_pooled_evaluation_then_pooled_save_and_load(tmp_path):
         data._usable_cores = lambda: 2
         metrics.BLOCK_BYTES = 2 * 8 * 60  # one query per block
         rng = np.random.default_rng(0)
-        retrieval = (rng.normal(size=(6, 60)), rng.integers(0, 3, size=60))
-        test = (rng.normal(size=(6, 9)), rng.integers(0, 3, size=9))
+        X, y = rng.normal(size=(6, 69)), rng.integers(0, 3, size=69)
+        retrieval = data.Part(X, np.arange(60), y[:60])
+        test = data.Part(X, np.arange(60, 69), y[60:])
         scores = experiment.evaluate_model(hm.init(6, 16, seed=0), retrieval, test,
                                            cutoff=10, r_max=20)
         assert 0.0 <= scores["map"] <= 1.0
         assert threading.active_count() == 1
-        data.save_dense("d.txt", *retrieval)
+        data.save_dense("d.txt", retrieval.features, retrieval.labels)
         X2, y2 = data.load_dense("d.txt")
-        assert (X2 == retrieval[0]).all() and (y2 == retrieval[1]).all()
+        assert (X2 == retrieval.features).all() and (y2 == retrieval.labels).all()
         print("ok")
     """))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(

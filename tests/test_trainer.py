@@ -17,6 +17,7 @@ from streamhash.errors import (
 from streamhash.trainer import TrainConfig
 
 from oracles import fd_oracle, grad_loss
+from test_data import whole
 from test_distribution import code_q
 
 
@@ -299,6 +300,11 @@ class TestTrainStage:
         with pytest.raises(DomainError):
             TrainConfig(**{field: value})
 
+    @pytest.mark.parametrize("field", ["gaussian", "scaling"])
+    def test_parts_of_the_wrong_type_rejected_when_built(self, field):
+        with pytest.raises(DomainError, match=field):
+            TrainConfig(**{field: None})
+
     def test_all_distinct_labels_raw_target_degenerates(self):
         X = np.random.default_rng(0).standard_normal((3, 4))
         batch = StreamingBatch(features=X, labels=np.arange(4), stage_index=1)
@@ -321,7 +327,7 @@ class TestTrainStage:
         X, y = data.synth_blobs(4, 8, 100, 0.3, seed=0)
         cfg = TrainConfig(learning_rate=0.1, gaussian=GaussianParams(1.0, 0.35),
                           scaling=ScalingParams(1.0, 1.0))
-        batches = data.stream(X, y, 50, seed=0)
+        batches = data.stream(whole(X, y), 50, seed=0)
         model = hm.init(8, 8, seed=0)
         reports = trainer.train_stream(model, batches, cfg).stage_reports
         assert all(r.loss_before >= 0 and r.loss_after >= 0 for r in reports)
@@ -440,7 +446,7 @@ class TestTrainStream:
 
     def test_stage_indices_strictly_increase(self):
         X, y = data.synth_blobs(3, 5, 30, 0.3, seed=2)
-        batches = data.stream(X, y, 20, seed=0)
+        batches = data.stream(whole(X, y), 20, seed=0)
         model = hm.init(5, 4, seed=0)
         outcome = trainer.train_stream(model, batches, TrainConfig())
         idx = [r.stage_index for r in outcome.stage_reports]
@@ -451,15 +457,15 @@ class TestTrainStream:
         cfg = TrainConfig(seed=4)
         runs = []
         for _ in range(2):
-            batches = data.stream(X, y, 25, seed=cfg.seed)
+            batches = data.stream(whole(X, y), 25, seed=cfg.seed)
             model = hm.init(5, 6, seed=cfg.seed)
             runs.append(trainer.train_stream(model, batches, cfg).model.W)
         assert (runs[0] == runs[1]).all()
 
     def test_numeric_error_aborts_returning_progress(self):
         X, y = data.synth_blobs(2, 4, 30, 0.3, seed=5)
-        batches = data.stream(X, y, 10, seed=0)
-        batches[1].features[0, 0] = np.inf  # poisons the second stage gradient
+        batches = data.stream(whole(X, y), 10, seed=0)
+        X[0, batches[1].idx[0]] = np.inf  # poisons the second stage gradient
         model = hm.init(4, 3, seed=0)
         with np.errstate(invalid="ignore"):
             outcome = trainer.train_stream(model, batches, TrainConfig())
@@ -471,7 +477,7 @@ class TestTrainStream:
 
     def test_finished_stream_raises_nothing(self):
         X, y = data.synth_blobs(2, 4, 30, 0.3, seed=5)
-        outcome = trainer.train_stream(hm.init(4, 3, seed=0), data.stream(X, y, 10, seed=0),
+        outcome = trainer.train_stream(hm.init(4, 3, seed=0), data.stream(whole(X, y), 10, seed=0),
                                        TrainConfig())
         assert outcome.stages_completed == outcome.stages_planned == 6
         assert outcome.abort_reason is None
@@ -479,9 +485,9 @@ class TestTrainStream:
 
     def test_eval_hook_runs_after_each_stage(self):
         X, y = data.synth_blobs(3, 5, 20, 0.3, seed=6)
-        batches = data.stream(X, y, 15, seed=0)
+        batches = data.stream(whole(X, y), 15, seed=0)
         seen = []
         model = hm.init(5, 4, seed=0)
         trainer.train_stream(model, batches, TrainConfig(),
                              eval_hook=lambda m, r: seen.append(r.stage_index))
-        assert seen == [b.stage_index for b in batches]
+        assert seen == list(range(1, len(batches) + 1))
