@@ -118,8 +118,7 @@ def cmd_synth(args) -> int:
 
 def cmd_split(args) -> int:
     cfg = _load_config(args)
-    features, labels = experiment.load_dataset(cfg.dataset)
-    train, retrieval, test = data.split(features, labels, cfg.split)
+    train, retrieval, test = data.split(*experiment.load_dataset(cfg.dataset), cfg.split)
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, part in [("train", train), ("retrieval", retrieval), ("test", test)]:

@@ -12,6 +12,7 @@ import os
 import stat
 import struct
 from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,16 +127,19 @@ def load_idx(image_path, label_path) -> tuple[np.ndarray, np.ndarray]:
     (n_images, rows, cols), pixels = _read_idx(image_path, IDX_IMAGE_MAGIC)
     if n_images != n_labels:
         raise ConsistencyError(f"image count {n_images} does not match label count {n_labels}")
-    # (n, rows*cols) row-major flattening, transposed to one column per image
-    features = pixels.astype(np.float64).reshape(n_images, rows * cols).T.copy()
+    features = np.ascontiguousarray(pixels.reshape(n_images, rows * cols).T, dtype=np.float64)
     return features, labels.astype(np.int64)
 
 
 def normalize_pixels(raw: np.ndarray) -> np.ndarray:
     """Scale byte-valued pixels into [0, 1] by dividing by 255."""
+    return _scale_pixels(raw, None)
+
+
+def _scale_pixels(raw: np.ndarray, out: np.ndarray | None) -> np.ndarray:
     if raw.size and (raw.min() < 0 or raw.max() > 255):
         raise DomainError("pixel values must lie in [0, 255]")
-    return raw / 255.0
+    return np.divide(raw, 255.0, out=out)
 
 
 def save_dense(path, features: np.ndarray, labels: np.ndarray) -> None:
@@ -288,16 +292,27 @@ def _in_order(fn, tasks, n_tasks: int):
 def synth_blobs(num_classes: int, dim: int, per_class: int, spread: float, seed: int):
     """Gaussian class blobs: centers uniform in [-1, 1]^dim, isotropic std
     `spread` around each. Returns (features, labels) in class-block order.
+    A helper thread, which never touches rng, places each class as the next is drawn.
     """
     if num_classes < 1 or dim < 1 or per_class < 1:
         raise DomainError("num_classes, dim and per_class must be positive")
     rng = seeded_rng(seed)
     features = np.empty((dim, num_classes * per_class))
     labels = np.repeat(np.arange(num_classes, dtype=np.int64), per_class)
-    for c in range(num_classes):
-        center = rng.uniform(-1.0, 1.0, size=dim)
-        block = center[:, None] + spread * rng.standard_normal((dim, per_class))
-        features[:, c * per_class : (c + 1) * per_class] = block
+
+    def place(c: int, center: np.ndarray, block: np.ndarray) -> None:
+        block *= spread  # then + center: rounded as center + spread * block
+        np.add(block, center[:, None], out=features[:, c * per_class : (c + 1) * per_class])
+
+    with ThreadPoolExecutor(1) as helper:  # joined on exit: a later fork sees one thread
+        placed = None
+        for c in range(num_classes):
+            center = rng.uniform(-1.0, 1.0, size=dim)
+            block = rng.standard_normal((dim, per_class))
+            if placed is not None:
+                placed.result()  # so at most two blocks are alive
+            placed = helper.submit(place, c, center, block)
+        placed.result()
     return features, labels
 
 

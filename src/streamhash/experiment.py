@@ -214,7 +214,7 @@ def load_dataset(spec: dict):
     if kind == "idx":
         features, labels = data.load_idx(spec["images"], spec["labels"])
         if spec.get("normalize", True):
-            features = data.normalize_pixels(features)
+            data._scale_pixels(features, out=features)  # in place: no second matrix
         return features, labels
     if kind == "dense":
         return data.load_dense(spec["path"])
@@ -276,15 +276,18 @@ def make_batches(train: data.Part, cfg: ExperimentConfig) -> list[data.Part]:
 
 
 def run_train(cfg: ExperimentConfig, out_dir: Path | None = None) -> TrainOutcome:
-    """Train with trainer.train_stream, whose hook evaluates every
-    eval.every_n_stages stages for the size curve; the last completed stage
-    is evaluated too.
+    """Load cfg's dataset, split it and train on the parts (train_parts)."""
+    return train_parts(cfg, *data.split(*load_dataset(cfg.dataset), cfg.split), out_dir)
+
+
+def train_parts(cfg: ExperimentConfig, train_split, retrieval, test, out_dir: Path | None = None):
+    """Train on the train part with trainer.train_stream, whose hook scores
+    the retrieval and test parts every eval.every_n_stages stages for the
+    size curve; the last completed stage is evaluated too.
 
     When out_dir is given, writes checkpoint.txt, stages.csv and curve.csv,
     also for a stream a NumericError cut short (the outcome's abort_reason).
     """
-    features, labels = load_dataset(cfg.dataset)
-    train_split, retrieval, test = data.split(features, labels, cfg.split)
     batches = make_batches(train_split, cfg)
     # instances seen after stage i: stage indices count the batches from 1
     seen = list(itertools.accumulate((b.labels.shape[0] for b in batches), initial=0))
@@ -302,7 +305,7 @@ def run_train(cfg: ExperimentConfig, out_dir: Path | None = None) -> TrainOutcom
         if report.stage_index % cfg.eval.every_n_stages == 0:
             evaluate_at(model, report.stage_index)
 
-    model = hashmodel.init(features.shape[0], cfg.bits, cfg.init_scale, cfg.seed)
+    model = hashmodel.init(train_split.source.shape[0], cfg.bits, cfg.init_scale, cfg.seed)
     stream = trainer.train_stream(model, batches, cfg.train, eval_hook)
     if not curve_rows or curve_rows[-1][0] != stream.stages_completed:
         evaluate_at(stream.model, stream.stages_completed)
@@ -380,8 +383,7 @@ def evaluate_pair(model: HashModel, retrieval, test, cfg: ExperimentConfig) -> l
 
 def run_eval(model: HashModel, cfg: ExperimentConfig, out_dir: Path | None = None):
     """Evaluate a model and the seeded untrained baseline on cfg's split."""
-    features, labels = load_dataset(cfg.dataset)
-    _, retrieval, test = data.split(features, labels, cfg.split)
+    _, retrieval, test = data.split(*load_dataset(cfg.dataset), cfg.split)
     # report the checkpoint's actual width
     reports = evaluate_pair(model, retrieval, test, replace(cfg, bits=model.k))
     if out_dir is not None:
@@ -395,7 +397,7 @@ def apply_cell(cfg: ExperimentConfig, cell: dict) -> ExperimentConfig:
 
 
 def run_sweep(cfg: ExperimentConfig, out_dir: Path | None = None):
-    """Train+eval once per grid cell (same seed everywhere); flag the best.
+    """Train+eval each grid cell on one split and seed; flag the best.
 
     A cell's library error is recorded in its row and the sweep goes on;
     any other error ends it. Writes sweep.csv when out_dir is given, then
@@ -404,13 +406,14 @@ def run_sweep(cfg: ExperimentConfig, out_dir: Path | None = None):
     """
     if not cfg.sweep:
         raise ConfigError("sweep grid is empty")
+    parts = data.split(*load_dataset(cfg.dataset), cfg.split)
     rows, failures = [], []
     for i, cell in enumerate(_sweep_cells(cfg.sweep)):
         row = {"cell": i, **cell}
         try:
-            cell_cfg = apply_cell(cfg, cell)
             # final evaluation only: no intermediate curve points needed
-            outcome = run_train(replace(cell_cfg, eval=replace(cfg.eval, every_n_stages=10**9)))
+            cell_cfg = replace(apply_cell(cfg, cell), eval=replace(cfg.eval, every_n_stages=10**9))
+            outcome = train_parts(cell_cfg, *parts)
             outcome.raise_if_aborted()
             row.update(status="ok", **outcome.final_metrics, error="")
         except StreamHashError as e:  # record and continue
@@ -434,15 +437,13 @@ def run_sweep(cfg: ExperimentConfig, out_dir: Path | None = None):
 
 def run_unseen(cfg: ExperimentConfig, out_dir: Path | None = None):
     """Train on seen classes only, evaluate retrieval of held-out classes."""
-    features, labels = load_dataset(cfg.dataset)
     unseen = cfg.unseen
     train_split, retrieval, test = data.unseen_split(
-        features, labels, unseen.seen_fraction, cfg.split.seed,
-        test_per_class=unseen.test_per_class,
-    )
+        *load_dataset(cfg.dataset), unseen.seen_fraction, cfg.split.seed,
+        test_per_class=unseen.test_per_class)
     cfg = replace(cfg, bits=unseen.bits)
     batches = make_batches(train_split, cfg)
-    model = hashmodel.init(features.shape[0], cfg.bits, cfg.init_scale, cfg.seed)
+    model = hashmodel.init(train_split.source.shape[0], cfg.bits, cfg.init_scale, cfg.seed)
     stream = trainer.train_stream(model, batches, cfg.train)
     stream.raise_if_aborted()
     reports = evaluate_pair(stream.model, retrieval, test, cfg)

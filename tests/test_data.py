@@ -1,6 +1,8 @@
 """Dataset loading, splits and the streaming batcher."""
 
+import hashlib
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -157,6 +159,21 @@ class TestDenseFormat:
         assert not path.exists()
 
 
+# sha256 of the features and labels of synth_blobs(num_classes, dim,
+# per_class, spread, seed), as one thread drawing and placing each class in
+# turn made them; any core count must give the same bits
+BLOB_DIGESTS = {
+    (3, 5, 10, 0.2, 9): ("46abdfcfe42e2b50fe74f70ba71d4273ec516b7a16a35d3490e70f443df95d62",
+                         "ca7eaa11b24553ba101ba2ab3e1abef27a775b4f0fe5d2af5383c8655b68403e"),
+    (1, 1, 1, 0.4, 0): ("e338159892aea1b88acfaa4ddd94e15746cfed362eabdacc16cd66de9d3d3b7c",
+                        "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc"),
+    (4, 16, 120, 3.0, 5): ("20891069ef420b7a386a38e1be2a282e1ad2ce2bdd74c98cba52a1f5c9270097",
+                           "2983731ec8dd0a2610d7a03c0ef989f131e4ee660e4e7dae57a483b0631da476"),
+    (10, 64, 200, 3.0, 1): ("f57e2e36d53f700e564325f0b27a0b109bb91c4d81a03bbce031189dffc46795",
+                            "4e64a02568003d897e7b68ba22d98a34f324c87f72edef91cddc23d3c5cfeb56"),
+}
+
+
 class TestSynthBlobs:
     def test_determinism(self):
         a = data.synth_blobs(3, 5, 10, 0.2, seed=9)
@@ -178,6 +195,18 @@ class TestSynthBlobs:
         for c in range(2):
             block = X[:, y == c]
             assert np.ptp(block, axis=1).max() == 0.0
+
+    @pytest.mark.parametrize("args", sorted(BLOB_DIGESTS))
+    def test_bits_are_pinned(self, args):
+        X, y = data.synth_blobs(*args)
+        digests = (hashlib.sha256(X.astype("<f8").tobytes()).hexdigest(),
+                   hashlib.sha256(y.astype("<i8").tobytes()).hexdigest())
+        assert digests == BLOB_DIGESTS[args]
+
+    def test_no_thread_outlives_the_call(self):
+        before = threading.active_count()
+        data.synth_blobs(4, 16, 120, 3.0, 5)
+        assert threading.active_count() == before
 
 
 class TestSplit:

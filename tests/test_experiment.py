@@ -3,6 +3,7 @@
 import csv
 import json
 import re
+import struct
 import tracemalloc
 from pathlib import Path
 
@@ -343,6 +344,24 @@ class TestMemory:
             tracemalloc.stop()
         assert peak < 2 * self.DATASET_BYTES
 
+    def test_idx_load_peak_is_the_matrix_and_its_bytes(self, tmp_path):
+        # one float conversion of the pixel bytes, normalized in place
+        images = np.random.default_rng(0).integers(0, 256, size=(2000, 28, 28), dtype=np.uint8)
+        (tmp_path / "images.idx").write_bytes(struct.pack(">IIII", 2051, 2000, 28, 28)
+                                              + images.tobytes())
+        (tmp_path / "labels.idx").write_bytes(struct.pack(">II", 2049, 2000) + bytes(2000))
+        spec = {"kind": "idx", "images": str(tmp_path / "images.idx"),
+                "labels": str(tmp_path / "labels.idx")}
+        tracemalloc.start()
+        try:
+            features, _ = experiment.load_dataset(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.3 * features.nbytes
+        assert features.flags.c_contiguous
+        assert (features == images.reshape(2000, -1).T / 255.0).all()
+
     def test_no_run_uses_a_part_as_a_pair(self, tmp_path, monkeypatch):
         def refuse(*args):
             raise AssertionError("a part was unpacked or indexed as (features, labels)")
@@ -383,6 +402,26 @@ class TestRunSweep:
         rows = experiment.run_sweep(cfg)
         direct = experiment.run_train(cfg)
         assert rows[0]["map"] == direct.final_metrics["map"]
+
+    def test_dataset_loaded_and_split_once(self, monkeypatch):
+        calls = []
+        for module, name in ((experiment, "load_dataset"), (data, "split")):
+            def counted(*args, real=getattr(module, name), name=name):
+                calls.append(name)
+                return real(*args)
+            monkeypatch.setattr(module, name, counted)
+        cfg = config_from_dict(json.loads((ROOT / "configs/blobs.json").read_text()))
+        rows = experiment.run_sweep(cfg)
+        assert [r["status"] for r in rows] == ["ok"] * 4
+        assert calls == ["load_dataset", "split"]
+
+    def test_split_error_ends_the_sweep_before_any_cell(self, tmp_path):
+        raw = blob_config(tmp_path)
+        raw["split"]["test_per_class"] = 61  # more than a class holds
+        raw["sweep"] = {"learning_rate": [0.05, 0.1]}
+        with pytest.raises(SplitError, match="fewer than test_per_class=61"):
+            experiment.run_sweep(config_from_dict(raw), out_dir=tmp_path / "sw")
+        assert not (tmp_path / "sw").exists()
 
     def test_cell_failure_recorded_and_sweep_continues(self, tmp_path):
         # 2-instance batches of 12 classes: the first has no similar pair,

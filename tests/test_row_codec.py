@@ -190,3 +190,31 @@ def test_pooled_evaluation_then_pooled_save_and_load(tmp_path):
                           cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "ok\n"
+
+
+def test_synth_command_then_pooled_save(tmp_path):
+    """synth_blobs joins its helper thread before it returns, so the fork
+    pool of the save that `streamhash synth` makes next starts from a
+    single-threaded process; run under -X dev -W error, which turns any
+    warning into a failure."""
+    script = tmp_path / "script.py"
+    script.write_text(textwrap.dedent("""
+        import numpy as np
+        from streamhash import cli, data
+
+        data.CHUNK_VALUES = 8
+        data._usable_cores = lambda: 2
+        code = cli.main(["synth", "--num-classes", "3", "--dim", "4", "--per-class", "20",
+                         "--spread", "0.5", "--seed", "2", "--out", "blobs.txt"])
+        assert code == 0
+        X, y = data.load_dense("blobs.txt")
+        X2, y2 = data.synth_blobs(3, 4, 20, 0.5, 2)
+        assert (X == X2).all() and (y == y2).all()
+        print("ok")
+    """))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    done = subprocess.run([sys.executable, "-X", "dev", "-W", "error", str(script)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.endswith("ok\n")

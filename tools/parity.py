@@ -2,7 +2,8 @@
 
 Runs `train` six times (as shipped, null scale_p, plain Q, raw P, paper
 gradient, two epochs), then `eval`, `sweep`, `unseen` and `split`, through
-streamhash.cli.main, each into its own directory under OUT_DIR. Writes
+streamhash.cli.main, each into its own directory under OUT_DIR, and `synth`
+of a 10-class, 64-dimensional blob set into OUT_DIR/synth/blobs.txt. Writes
 OUT_DIR/manifest.txt: one sha256 per output file (stages.csv without its
 wall_time column) and one per command's stdout. A command that exits
 non-zero stops the script. Two trees whose outputs must not change give
@@ -30,15 +31,22 @@ TRAIN_RUNS = {
     "train_grad_paper": ['train.grad_mode="paper"'],
     "train_epochs_2": ["epochs=2"],
 }
+SYNTH = ["synth", "--num-classes", "10", "--dim", "64", "--per-class", "200", "--spread", "3.0",
+         "--seed", "1", "--out", "synth/blobs.txt"]
 
 
 def run(name: str, command: str, *args: str) -> str:
-    """stdout of one command writing into the directory `name`."""
+    """stdout of one command on CONFIG writing into the directory `name`."""
+    return run_argv(name, [command, "--config", str(CONFIG), "--output-dir", name, *args])
+
+
+def run_argv(name: str, argv: list[str]) -> str:
+    """stdout of the command argv, whose outputs go into the directory `name`."""
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
-        code = cli.main([command, "--config", str(CONFIG), "--output-dir", name, *args])
+        code = cli.main(argv)
     if code != 0:
-        sys.exit(f"{name}: streamhash {command} exited {code}")
+        sys.exit(f"{name}: streamhash {argv[0]} exited {code}")
     return stdout.getvalue()
 
 
@@ -60,6 +68,8 @@ def main(out_dir: Path) -> None:
     stdouts["eval"] = run("eval", "eval", "--checkpoint", "train/checkpoint.txt")
     for command in ("sweep", "unseen", "split"):
         stdouts[command] = run(command, command)
+    Path("synth").mkdir(exist_ok=True)
+    stdouts["synth"] = run_argv("synth", SYNTH)
     lines = [f"{hashlib.sha256(text.encode()).hexdigest()}  {name}/<stdout>"
              for name, text in stdouts.items()]
     lines += [f"{sha256(path)}  {path.as_posix()}" for path in sorted(Path().glob("*/*"))]
