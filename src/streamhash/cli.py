@@ -4,7 +4,8 @@ Subcommands: train, eval, sweep, unseen, synth, split. All experiment
 commands read one JSON config file; individual fields can be overridden
 with repeated --set dotted.key=value flags. The output directory resolves
 as --output-dir flag > STREAMHASH_OUT env var > config value. The exit
-code of a failure is the exit_code of its error class (see errors).
+code of a failure is the exit_code of its error class (see errors), and
+running out of memory exits 3.
 """
 
 from __future__ import annotations
@@ -62,9 +63,7 @@ def _load_config(args) -> experiment.ExperimentConfig:
     return experiment.replace(cfg, output_dir=str(out_dir))
 
 
-def cmd_train(args) -> int:
-    cfg = _load_config(args)
-    out_dir = Path(cfg.output_dir)
+def cmd_train(args, cfg, out_dir: Path) -> int:
     outcome = experiment.run_train(cfg, out_dir=out_dir)
     outcome.raise_if_aborted(f"; partial outputs in {out_dir}")
     final = outcome.final_metrics
@@ -74,19 +73,17 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_eval(args) -> int:
-    cfg = _load_config(args)
+def cmd_eval(args, cfg, out_dir: Path) -> int:
     model = hashmodel.load_checkpoint(args.checkpoint)
-    reports = experiment.run_eval(model, cfg, out_dir=Path(cfg.output_dir))
+    reports = experiment.run_eval(model, cfg, out_dir=out_dir)
     for r in reports:
         print(f"{r.method}: map={r.map:.4f} map@{r.map_cutoff}={r.map_at_k:.4f} "
               f"precision_h2={r.precision_h2:.4f}")
     return 0
 
 
-def cmd_sweep(args) -> int:
-    cfg = _load_config(args)
-    rows = experiment.run_sweep(cfg, out_dir=Path(cfg.output_dir))
+def cmd_sweep(args, cfg, out_dir: Path) -> int:
+    rows = experiment.run_sweep(cfg, out_dir=out_dir)
     ok = [r for r in rows if r["status"] == "ok"]
     print(f"{len(rows)} cells ({len(rows) - len(ok)} failed)")
     for r in rows:
@@ -96,9 +93,8 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def cmd_unseen(args) -> int:
-    cfg = _load_config(args)
-    reports, disjointness = experiment.run_unseen(cfg, out_dir=Path(cfg.output_dir))
+def cmd_unseen(args, cfg, out_dir: Path) -> int:
+    reports, disjointness = experiment.run_unseen(cfg, out_dir=out_dir)
     print(f"seen labels: {disjointness['seen_labels']}")
     print(f"unseen labels: {disjointness['unseen_labels']}")
     for r in reports:
@@ -116,10 +112,8 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def cmd_split(args) -> int:
-    cfg = _load_config(args)
+def cmd_split(args, cfg, out_dir: Path) -> int:
     train, retrieval, test = data.split(*experiment.load_dataset(cfg.dataset), cfg.split)
-    out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, part in [("train", train), ("retrieval", retrieval), ("test", test)]:
         data.save_dense(out_dir / f"{name}.txt", part.features, part.labels)
@@ -181,13 +175,19 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
     try:
-        return args.fn(args)
+        if "config" not in args:  # synth: flags only, no config
+            return args.fn(args)
+        cfg = _load_config(args)
+        return args.fn(args, cfg, Path(cfg.output_dir))
     except StreamHashError as e:
         print(f"error ({type(e).__name__}): {e}", file=sys.stderr)
         return e.exit_code
     except OSError as e:  # a missing or unreadable file
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except MemoryError as e:  # a size the config or a file asks for; numpy's message gives it
+        print(f"error: streamhash {args.command} ran out of memory: {e}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

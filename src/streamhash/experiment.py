@@ -2,8 +2,8 @@
 
 A single JSON config file describes an experiment; every report embeds a
 digest of the resolved config so results are self-describing. Validation
-happens before any filesystem write, and all output formatting goes
-through repr() so identical configs reproduce byte-identical CSVs.
+happens before any filesystem write, and every CSV value goes through str()
+(repr for a float) so identical configs reproduce byte-identical CSVs.
 """
 
 from __future__ import annotations
@@ -238,31 +238,26 @@ def evaluate_model(model, retrieval: data.Part, test: data.Part, cutoff: int, r_
     return {**scores, "precision_at_r": scores["precision_at_r"].tolist()}
 
 
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 def write_csv(path, header, rows) -> None:
+    # str(): a float's shortest round-trip repr, and "None" where csv alone writes ""
     with open(path, "w", newline="") as f:
         w = csv.writer(f, lineterminator="\n")
         w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt(v) for v in row])
+        w.writerows(map(str, row) for row in rows)
 
 
 # ---------------------------------------------------------------------------
 # drivers
 
 
+# The scalar scores of curve.csv and sweep.csv, in their column order
+SCORE_COLUMNS = ("map", "map_at_k", "precision_h2")
+
+
 @dataclass
 class TrainOutcome(trainer.StreamOutcome):
-    curve_rows: list  # (stage_index, instances_seen, map, map_at_k, precision_h2, auc_so_far)
-
-    @property
-    def final_metrics(self) -> dict:
-        return dict(zip(("map", "map_at_k", "precision_h2"), self.curve_rows[-1][2:5]))
+    curve_rows: list  # (stage_index, instances_seen, *SCORE_COLUMNS, auc_so_far)
+    final_metrics: dict  # evaluate_model's scores at the last curve point
 
 
 def make_batches(train: data.Part, cfg: ExperimentConfig) -> list[data.Part]:
@@ -291,15 +286,16 @@ def train_parts(cfg: ExperimentConfig, train_split, retrieval, test, out_dir: Pa
     batches = make_batches(train_split, cfg)
     # instances seen after stage i: stage indices count the batches from 1
     seen = list(itertools.accumulate((b.labels.shape[0] for b in batches), initial=0))
-    curve_rows = []
+    curve_rows, final = [], {}
 
     def evaluate_at(model: HashModel, stage_index: int) -> None:
-        m = evaluate_model(model, retrieval, test, cfg.eval.cutoff, cfg.eval.r_max)
+        nonlocal final
+        final = evaluate_model(model, retrieval, test, cfg.eval.cutoff, cfg.eval.r_max)
         instances = seen[stage_index]
-        points = [row[1:3] for row in curve_rows] + [(instances, m["map"])]
+        points = [row[1:3] for row in curve_rows] + [(instances, final["map"])]
         # a single point spans a degenerate interval; its AUC is its own value
-        auc = metrics.curve_auc(points) if curve_rows else m["map"]
-        curve_rows.append((stage_index, instances, m["map"], m["map_at_k"], m["precision_h2"], auc))
+        auc = metrics.curve_auc(points) if curve_rows else final["map"]
+        curve_rows.append((stage_index, instances, *(final[s] for s in SCORE_COLUMNS), auc))
 
     def eval_hook(model: HashModel, report: trainer.StageReport) -> None:
         if report.stage_index % cfg.eval.every_n_stages == 0:
@@ -315,28 +311,16 @@ def train_parts(cfg: ExperimentConfig, train_split, retrieval, test, out_dir: Pa
         hashmodel.save_checkpoint(stream.model, out_dir / "checkpoint.txt")
         write_csv(out_dir / "stages.csv", [f.name for f in fields(trainer.StageReport)],
                   [astuple(r) for r in stream.stage_reports])
-        write_csv(
-            out_dir / "curve.csv",
-            ["stage_index", "train_instances_seen", "map", "map_at_k", "precision_h2", "auc_so_far"],
-            curve_rows,
-        )
-    return TrainOutcome(**vars(stream), curve_rows=curve_rows)
+        write_csv(out_dir / "curve.csv",
+                  ["stage_index", "train_instances_seen", *SCORE_COLUMNS, "auc_so_far"], curve_rows)
+    return TrainOutcome(**vars(stream), curve_rows=curve_rows, final_metrics=final)
 
 
-def build_report(metric_values: dict, cfg: ExperimentConfig, method: str,
-                 auc: float | None = None) -> MetricReport:
-    return MetricReport(
-        map=metric_values["map"],
-        map_at_k=metric_values["map_at_k"],
-        map_cutoff=cfg.eval.cutoff,
-        precision_h2=metric_values["precision_h2"],
-        precision_at_r=metric_values["precision_at_r"],
-        auc=auc,
-        bits=cfg.bits,
-        seed=cfg.seed,
-        config_digest=cfg.digest(),
-        method=method,
-    )
+def _train_final(cfg: ExperimentConfig, train_split, retrieval, test) -> TrainOutcome:
+    """train_parts evaluating the last completed stage only: no curve points
+    before it, and no outputs written."""
+    return train_parts(replace(cfg, eval=replace(cfg.eval, every_n_stages=10**9)),
+                       train_split, retrieval, test)
 
 
 REPORT_COLUMNS = [
@@ -346,15 +330,12 @@ REPORT_COLUMNS = [
 ]
 
 
-def _report_row(r: MetricReport):
+def _report_row(r: MetricReport) -> list:
     series = r.precision_at_r
-    return (
-        r.method, r.bits, r.seed, r.map, r.map_at_k, r.map_cutoff, r.precision_h2,
-        series[0], series[9] if len(series) > 9 else series[-1],
-        "" if r.auc is None else r.auc, r.config_digest,
-        r.conventions["map_denominator"], r.conventions["h2_empty_ball"],
-        r.conventions["tie_break"],
-    )
+    values = {**vars(r), **r.conventions, "precision_at_1": series[0],
+              "precision_at_10": series[9] if len(series) > 9 else series[-1],
+              "auc": "" if r.auc is None else r.auc}
+    return [values[column] for column in REPORT_COLUMNS]
 
 
 def write_reports(out_dir: Path, reports: list[MetricReport], stem: str = "report") -> None:
@@ -365,27 +346,28 @@ def write_reports(out_dir: Path, reports: list[MetricReport], stem: str = "repor
     with open(out_dir / f"{stem}.json", "w") as f:
         json.dump(payload, f, indent=2, sort_keys=True)
         f.write("\n")
-    rows = []
-    for r in reports:
-        rows.extend((r.method, i + 1, v) for i, v in enumerate(r.precision_at_r))
+    rows = [(r.method, i + 1, v) for r in reports for i, v in enumerate(r.precision_at_r)]
     write_csv(out_dir / f"{stem}_precision_at_r.csv", ["method", "R", "precision"], rows)
 
 
-def evaluate_pair(model: HashModel, retrieval, test, cfg: ExperimentConfig) -> list[MetricReport]:
-    """Reports of a model and of the seeded untrained baseline of its shape."""
+def evaluate_pair(model: HashModel, scores: dict, retrieval, test,
+                  cfg: ExperimentConfig) -> list[MetricReport]:
+    """Reports of a model, from its evaluate_model scores, and of the seeded
+    untrained baseline of its shape. A report scores one model state, so
+    its auc is None."""
     baseline = index.lsh_baseline(model.d, model.k, seed=cfg.seed)
-    return [
-        build_report(evaluate_model(m, retrieval, test, cfg.eval.cutoff, cfg.eval.r_max),
-                     cfg, method)
-        for m, method in ((model, "trained"), (baseline, "lsh_baseline"))
-    ]
+    baseline_scores = evaluate_model(baseline, retrieval, test, cfg.eval.cutoff, cfg.eval.r_max)
+    return [MetricReport(**s, map_cutoff=cfg.eval.cutoff, bits=cfg.bits, seed=cfg.seed, auc=None,
+                         config_digest=cfg.digest(), method=method)
+            for s, method in ((scores, "trained"), (baseline_scores, "lsh_baseline"))]
 
 
 def run_eval(model: HashModel, cfg: ExperimentConfig, out_dir: Path | None = None):
     """Evaluate a model and the seeded untrained baseline on cfg's split."""
     _, retrieval, test = data.split(*load_dataset(cfg.dataset), cfg.split)
+    scores = evaluate_model(model, retrieval, test, cfg.eval.cutoff, cfg.eval.r_max)
     # report the checkpoint's actual width
-    reports = evaluate_pair(model, retrieval, test, replace(cfg, bits=model.k))
+    reports = evaluate_pair(model, scores, retrieval, test, replace(cfg, bits=model.k))
     if out_dir is not None:
         write_reports(out_dir, reports)
     return reports
@@ -411,15 +393,14 @@ def run_sweep(cfg: ExperimentConfig, out_dir: Path | None = None):
     for i, cell in enumerate(_sweep_cells(cfg.sweep)):
         row = {"cell": i, **cell}
         try:
-            # final evaluation only: no intermediate curve points needed
-            cell_cfg = replace(apply_cell(cfg, cell), eval=replace(cfg.eval, every_n_stages=10**9))
-            outcome = train_parts(cell_cfg, *parts)
+            outcome = _train_final(apply_cell(cfg, cell), *parts)
             outcome.raise_if_aborted()
-            row.update(status="ok", **outcome.final_metrics, error="")
+            row.update(status="ok", **{s: outcome.final_metrics[s] for s in SCORE_COLUMNS},
+                       error="")
         except StreamHashError as e:  # record and continue
             log.warning("sweep cell %d failed: %s", i, e)
             failures.append(e)
-            row.update(status="failed", map="", map_at_k="", precision_h2="", error=str(e))
+            row.update(status="failed", **dict.fromkeys(SCORE_COLUMNS, ""), error=str(e))
         rows.append(row)
     ok = [r for r in rows if r["status"] == "ok"]
     best = max(ok, key=lambda r: r["map"]) if ok else None
@@ -427,8 +408,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir: Path | None = None):
         r["best"] = (best is not None and r is best)
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
-        header = ["cell", *sorted(cfg.sweep), "status", "map", "map_at_k", "precision_h2", "best",
-                  "error"]
+        header = ["cell", *sorted(cfg.sweep), "status", *SCORE_COLUMNS, "best", "error"]
         write_csv(out_dir / "sweep.csv", header, [[r[h] for h in header] for r in rows])
     if not ok:
         raise type(failures[0])(f"all {len(rows)} sweep cells failed; cell 0: {failures[0]}")
@@ -442,11 +422,9 @@ def run_unseen(cfg: ExperimentConfig, out_dir: Path | None = None):
         *load_dataset(cfg.dataset), unseen.seen_fraction, cfg.split.seed,
         test_per_class=unseen.test_per_class)
     cfg = replace(cfg, bits=unseen.bits)
-    batches = make_batches(train_split, cfg)
-    model = hashmodel.init(train_split.source.shape[0], cfg.bits, cfg.init_scale, cfg.seed)
-    stream = trainer.train_stream(model, batches, cfg.train)
-    stream.raise_if_aborted()
-    reports = evaluate_pair(stream.model, retrieval, test, cfg)
+    outcome = _train_final(cfg, train_split, retrieval, test)
+    outcome.raise_if_aborted()
+    reports = evaluate_pair(outcome.model, outcome.final_metrics, retrieval, test, cfg)
     disjointness = {
         "seen_labels": sorted(int(v) for v in np.unique(train_split.labels)),
         "unseen_labels": sorted(int(v) for v in np.unique(test.labels)),

@@ -2,6 +2,7 @@
 
 import json
 import os
+import resource
 import struct
 import subprocess
 import sys
@@ -352,14 +353,49 @@ REPRODUCED = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(REPRODUCED))
-def test_module_run_exits_with_the_documented_code(tmp_path, name):
-    make_argv, code = REPRODUCED[name]
+def run_module(argv, **kwargs) -> subprocess.CompletedProcess:
+    """`python -m streamhash.cli argv` in a child process, on this tree's package."""
     src = str(Path(streamhash.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-m", "streamhash.cli", *make_argv(tmp_path)],
-                          capture_output=True, text=True, env=env, timeout=120)
+    return subprocess.run([sys.executable, "-m", "streamhash.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120, **kwargs)
+
+
+@pytest.mark.parametrize("name", sorted(REPRODUCED))
+def test_module_run_exits_with_the_documented_code(tmp_path, name):
+    make_argv, code = REPRODUCED[name]
+    done = run_module(make_argv(tmp_path))
     assert done.returncode == code, done.stderr
     assert "Traceback" not in done.stdout + done.stderr
+    assert not (tmp_path / "out").exists()
+
+
+# Each asks configs/blobs.json for more than the capped address space holds:
+# the dataset (per_class x num_classes x dim), W (dim x bits), one stage's
+# n x n buffers
+OUT_OF_MEMORY = {
+    "dataset": ["dataset.per_class=1000000000"],
+    "projection": ["bits=100000000"],
+    "40000 x 40000 stage": ["split.train_size=40000", "dataset.per_class=12000",
+                            "train.batch_size=40000"],
+}
+ADDRESS_SPACE_BYTES = 3 * 10**9
+
+
+def cap_address_space() -> None:
+    """Runs in the child between fork and exec: the cap never reaches pytest."""
+    resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE_BYTES, ADDRESS_SPACE_BYTES))
+
+
+@pytest.mark.parametrize("name", sorted(OUT_OF_MEMORY))
+def test_out_of_memory_is_3_in_one_line(tmp_path, name):
+    config = Path(__file__).resolve().parents[1] / "configs" / "blobs.json"
+    sets = [f"--set={s}" for s in OUT_OF_MEMORY[name]]
+    done = run_module(["train", "--config", str(config), "--output-dir", str(tmp_path / "out"),
+                       *sets], preexec_fn=cap_address_space)
+    assert done.returncode == 3, done.stderr
+    assert done.stderr.startswith("error: streamhash train ran out of memory: Unable to allocate ")
+    assert "GiB for an array with shape" in done.stderr  # the size asked for
+    assert len(done.stderr.splitlines()) == 1 and done.stdout == ""
     assert not (tmp_path / "out").exists()

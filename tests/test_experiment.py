@@ -258,6 +258,17 @@ class TestRunTrain:
         assert outcome.final_metrics["map"] == outcome.curve_rows[-1][2]
         assert len((tmp_path / "run/stages.csv").read_text().splitlines()) == 2
 
+    def test_final_metrics_are_the_last_models_full_scores(self, tmp_path):
+        cfg = config_from_dict(blob_config(tmp_path))
+        outcome = experiment.run_train(cfg)
+        _, retrieval, test = data.split(*experiment.load_dataset(cfg.dataset), cfg.split)
+        want = experiment.evaluate_model(outcome.model, retrieval, test, cfg.eval.cutoff,
+                                         cfg.eval.r_max)
+        assert sorted(outcome.final_metrics) == sorted(want)
+        for key, value in want.items():
+            assert outcome.final_metrics[key] == value, key
+        assert len(outcome.final_metrics["precision_at_r"]) == cfg.eval.r_max
+
     @pytest.mark.parametrize("train_size", [0, 1])
     def test_stream_without_a_stage_writes_nothing(self, tmp_path, train_size):
         raw = blob_config(tmp_path)
@@ -310,6 +321,34 @@ class TestEvaluateModel:
         got = experiment.evaluate_model(model, retrieval, test, 20, 10)
         assert got["map"] == want["map"] and got["precision_h2"] == want["precision_h2"]
         assert got["precision_at_r"] == want["precision_at_r"].tolist()
+
+
+class TestWriteCsv:
+    def test_values_are_str_and_floats_read_back_exactly(self, tmp_path):
+        row = [None, True, 3, 0.1 + 0.2, 5e-324, 1e300]
+        experiment.write_csv(tmp_path / "t.csv", list("abcdef"), [row])
+        lines = (tmp_path / "t.csv").read_text().splitlines()
+        assert lines == ["a,b,c,d,e,f", "None,True,3,0.30000000000000004,5e-324,1e+300"]
+        assert [float(v) for v in lines[1].split(",")[3:]] == row[3:]
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """counted(module, name) wraps module.name to count its calls and returns
+    the {name: calls} dict of every wrapped name."""
+    calls = {}
+
+    def wrap(module, name):
+        real = getattr(module, name)
+        calls[name] = 0
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+        return calls
+
+    return wrap
 
 
 def memory_config(tmp_path) -> ExperimentConfig:
@@ -402,6 +441,14 @@ class TestRunSweep:
         rows = experiment.run_sweep(cfg)
         direct = experiment.run_train(cfg)
         assert rows[0]["map"] == direct.final_metrics["map"]
+
+    def test_a_cell_is_scored_once(self, tmp_path, counted):
+        raw = blob_config(tmp_path)  # a curve point every 3 of 6 stages
+        raw["sweep"] = {"learning_rate": [0.1]}
+        counted(experiment, "evaluate_model")
+        calls = counted(trainer, "train_stream")
+        experiment.run_sweep(config_from_dict(raw))
+        assert calls == {"evaluate_model": 1, "train_stream": 1}
 
     def test_dataset_loaded_and_split_once(self, monkeypatch):
         calls = []
@@ -510,6 +557,16 @@ class TestRunUnseen:
         assert reports[0].bits == 64  # held-out evaluation default width
         assert (tmp_path / "u/unseen_report.csv").exists()
         assert (tmp_path / "u/unseen_split.json").exists()
+
+    def test_trains_once_and_scores_each_model_once(self, tmp_path, counted):
+        raw = blob_config(tmp_path)  # a curve point every 3 of the stages
+        raw["dataset"]["num_classes"] = 4
+        raw["unseen"] = {"test_per_class": 10}
+        counted(trainer, "train_stream")
+        calls = counted(experiment, "evaluate_model")
+        reports, _ = experiment.run_unseen(config_from_dict(raw))
+        assert calls == {"train_stream": 1, "evaluate_model": 2}
+        assert [r.method for r in reports] == ["trained", "lsh_baseline"]
 
     def test_empty_test_set_fails_before_training(self, tmp_path, monkeypatch):
         monkeypatch.setattr(trainer, "train_stage", None)  # any stage would raise TypeError

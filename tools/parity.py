@@ -1,7 +1,8 @@
 """Output manifest of the CLI on configs/blobs.json, for byte-identity checks.
 
 Runs `train` six times (as shipped, null scale_p, plain Q, raw P, paper
-gradient, two epochs), then `eval`, `sweep`, `unseen` and `split`, through
+gradient, two epochs), then `eval`, `sweep`, `sweep` over a null and a set
+scale_p (a None cell value in sweep.csv), `unseen` and `split`, through
 streamhash.cli.main, each into its own directory under OUT_DIR, and `synth`
 of a 10-class, 64-dimensional blob set into OUT_DIR/synth/blobs.txt. Writes
 OUT_DIR/manifest.txt: one sha256 per output file (stages.csv without its
@@ -68,6 +69,8 @@ def main(out_dir: Path) -> None:
     stdouts["eval"] = run("eval", "eval", "--checkpoint", "train/checkpoint.txt")
     for command in ("sweep", "unseen", "split"):
         stdouts[command] = run(command, command)
+    stdouts["sweep_scale_p_null"] = run("sweep_scale_p_null", "sweep",
+                                        '--set=sweep={"scale_p": [null, 1.0]}')
     Path("synth").mkdir(exist_ok=True)
     stdouts["synth"] = run_argv("synth", SYNTH)
     lines = [f"{hashlib.sha256(text.encode()).hexdigest()}  {name}/<stdout>"
