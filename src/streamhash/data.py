@@ -131,12 +131,8 @@ def load_idx(image_path, label_path) -> tuple[np.ndarray, np.ndarray]:
     return features, labels.astype(np.int64)
 
 
-def normalize_pixels(raw: np.ndarray) -> np.ndarray:
-    """Scale byte-valued pixels into [0, 1] by dividing by 255."""
-    return _scale_pixels(raw, None)
-
-
-def _scale_pixels(raw: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+def normalize_pixels(raw: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Scale byte-valued pixels into [0, 1] by dividing by 255, into out when given."""
     if raw.size and (raw.min() < 0 or raw.max() > 255):
         raise DomainError("pixel values must lie in [0, 255]")
     return np.divide(raw, 255.0, out=out)
@@ -296,6 +292,8 @@ def synth_blobs(num_classes: int, dim: int, per_class: int, spread: float, seed:
     """
     if num_classes < 1 or dim < 1 or per_class < 1:
         raise DomainError("num_classes, dim and per_class must be positive")
+    if not 0 <= spread < math.inf:  # nan fails it too
+        raise DomainError(f"spread must be finite and non-negative, got {spread}")
     rng = seeded_rng(seed)
     features = np.empty((dim, num_classes * per_class))
     labels = np.repeat(np.arange(num_classes, dtype=np.int64), per_class)

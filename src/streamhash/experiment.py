@@ -214,7 +214,7 @@ def load_dataset(spec: dict):
     if kind == "idx":
         features, labels = data.load_idx(spec["images"], spec["labels"])
         if spec.get("normalize", True):
-            data._scale_pixels(features, out=features)  # in place: no second matrix
+            data.normalize_pixels(features, out=features)  # in place: no second matrix
         return features, labels
     if kind == "dense":
         return data.load_dense(spec["path"])

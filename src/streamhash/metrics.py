@@ -143,19 +143,11 @@ def retrieval_scores(queries: PackedCodes, db: PackedCodes, cutoff: int | None =
             ph2[i] = np.searchsorted(found, ball) / ball if ball else 0.0
         return np.cumsum(ranked[:, :r_max], axis=1) / ranks
 
-    def sum_in_order(blocks) -> np.ndarray:
-        total = np.zeros(r_max)
-        for block_rows in blocks:
+    p_at_r = np.zeros(r_max)
+    with ThreadPoolExecutor(min(len(starts), cores)) as pool:
+        for block_rows in pool.map(score_block, starts):
             for row in block_rows:
-                total += row
-        return total
-
-    workers = min(len(starts), cores)
-    if workers < 2:
-        p_at_r = sum_in_order(map(score_block, starts))
-    else:
-        with ThreadPoolExecutor(workers) as pool:
-            p_at_r = sum_in_order(pool.map(score_block, starts))
+                p_at_r += row
     return {
         "map": float(np.mean(aps)),
         "map_at_k": float(np.mean(aps_cut)),

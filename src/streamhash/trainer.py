@@ -86,7 +86,6 @@ class StageReport:
     loss_before: float
     loss_after: float
     grad_norm: float
-    wall_time: float
 
 
 @dataclass
@@ -215,7 +214,6 @@ def train_stage(model: HashModel, batch: StreamingBatch, cfg: TrainConfig):
         raise DomainError("a stage needs at least 2 instances")
     if batch.features.shape[1] != batch.size:
         raise DimensionError(f"{batch.features.shape[1]} feature columns for {batch.size} labels")
-    start = time.perf_counter()
     X = batch.features
     S, P = build_target(batch.labels, cfg)
     eta = stage_eta(S, cfg, model.k)
@@ -243,7 +241,6 @@ def train_stage(model: HashModel, batch: StreamingBatch, cfg: TrainConfig):
         loss_before=loss_before,
         loss_after=loss_after,
         grad_norm=grad_norm,
-        wall_time=time.perf_counter() - start,
     )
     return model, report
 
@@ -271,16 +268,19 @@ def train_stream(model: HashModel, batches, cfg: TrainConfig, eval_hook=None) ->
 
     eval_hook(model, report), when given, runs synchronously after each
     stage. A NumericError ends the stream, and the outcome keeps the
-    progress so far and says why; other errors propagate.
+    progress so far and says why; other errors propagate. Each completed
+    stage's time goes to the DEBUG log only, so a report holds results only.
     """
     reports: list[StageReport] = []
     for i, part in enumerate(batches, 1):
+        start = time.perf_counter()
         try:
             model, report = train_stage(model, StreamingBatch(part.features, part.labels, i), cfg)
         except NumericError as e:
             log.warning("stage %d aborted: %s", i, e)
             reason = f"aborted after {len(reports)} of {len(batches)} stages"
             return StreamOutcome(model, reports, len(batches), reason)
+        log.debug("stage %d of %d: %.4f s", i, len(batches), time.perf_counter() - start)
         reports.append(report)
         if eval_hook is not None:
             eval_hook(model, report)

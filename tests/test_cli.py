@@ -49,6 +49,11 @@ class TestTrainCommand:
         cli.main(["train", "--config", str(cfg), "--output-dir", str(tmp_path / "a")])
         cli.main(["train", "--config", str(cfg), "--output-dir", str(tmp_path / "b")])
         assert (tmp_path / "a/curve.csv").read_bytes() == (tmp_path / "b/curve.csv").read_bytes()
+        # every file, stages.csv included
+        names = sorted(p.name for p in (tmp_path / "a").iterdir())
+        assert "stages.csv" in names and names == sorted(p.name for p in (tmp_path / "b").iterdir())
+        for name in names:
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
 
     def test_set_overrides(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -253,6 +258,14 @@ class TestExitCodes:
         assert cli.main(["synth", "--num-classes", "2", "--dim", "2", "--per-class", "2",
                          "--spread", "0.1", "--seed", "-1", "--out", str(out)]) == 3
         assert "seed must be non-negative" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("spread", ["nan", "inf", "-0.5"])
+    def test_non_finite_or_negative_synth_spread_is_3(self, tmp_path, capsys, spread):
+        out = tmp_path / "blobs.txt"
+        assert cli.main(["synth", "--num-classes", "2", "--dim", "2", "--per-class", "2",
+                         "--spread", spread, "--out", str(out)]) == 3
+        assert "spread must be finite and non-negative" in capsys.readouterr().err
         assert not out.exists()
 
     def test_eval_dimension_mismatch_is_4(self, tmp_path):

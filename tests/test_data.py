@@ -1,6 +1,7 @@
 """Dataset loading, splits and the streaming batcher."""
 
 import hashlib
+import math
 import struct
 import threading
 
@@ -185,7 +186,8 @@ class TestSynthBlobs:
         assert X.shape == (4, 30)
         assert all((y == c).sum() == 10 for c in range(3))
 
-    @pytest.mark.parametrize("args", [(0, 3, 5, 0.1, 0), (2, 3, 5, 0.1, -1)])
+    @pytest.mark.parametrize("args", [(0, 3, 5, 0.1, 0), (2, 3, 5, 0.1, -1), (2, 3, 5, math.nan, 0),
+                                      (2, 3, 5, math.inf, 0), (2, 3, 5, -0.5, 0)])
     def test_bad_arguments_rejected(self, args):
         with pytest.raises(DomainError):
             data.synth_blobs(*args)

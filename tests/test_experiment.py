@@ -241,6 +241,11 @@ class TestRunTrain:
         experiment.run_train(cfg, out_dir=tmp_path / "b")
         assert (tmp_path / "a/curve.csv").read_bytes() == (tmp_path / "b/curve.csv").read_bytes()
         assert (tmp_path / "a/checkpoint.txt").read_bytes() == (tmp_path / "b/checkpoint.txt").read_bytes()
+        # every file, stages.csv included
+        names = sorted(p.name for p in (tmp_path / "a").iterdir())
+        assert "stages.csv" in names and names == sorted(p.name for p in (tmp_path / "b").iterdir())
+        for name in names:
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
 
     def test_epochs_extend_the_stream(self, tmp_path):
         cfg = config_from_dict(blob_config(tmp_path, epochs=2))

@@ -260,8 +260,7 @@ class TestBlockedPass:
                 threads.clear()
                 blocked = metrics.retrieval_scores(queries, db, cutoff=5, r_max=30)
                 assert len(threads) == -(-queries.n // rows)
-                pooled = cores > 1 and rows < queries.n
-                assert (threading.get_ident() not in threads) == pooled
+                assert threading.get_ident() not in threads  # always on the pool
                 assert blocked.keys() == whole.keys()
                 for key in whole:
                     np.testing.assert_array_equal(blocked[key], whole[key])
@@ -286,7 +285,7 @@ class TestPool:
         # arrays, switched as often as the interpreter allows
         _, _, _, _, db, queries = make_instance(6, n_db=200, n_q=64)
         monkeypatch.setattr(data, "_usable_cores", lambda: 1)
-        inline = metrics.retrieval_scores(queries, db, cutoff=20, r_max=50)
+        one_core = metrics.retrieval_scores(queries, db, cutoff=20, r_max=50)
         monkeypatch.setattr(data, "_usable_cores", lambda: 8)
         monkeypatch.setattr(metrics, "BLOCK_BYTES", 8 * 8 * db.n)
         interval = sys.getswitchinterval()
@@ -294,8 +293,8 @@ class TestPool:
         try:
             for _ in range(5):
                 pooled = metrics.retrieval_scores(queries, db, cutoff=20, r_max=50)
-                for key in inline:
-                    np.testing.assert_array_equal(pooled[key], inline[key])
+                for key in one_core:
+                    np.testing.assert_array_equal(pooled[key], one_core[key])
         finally:
             sys.setswitchinterval(interval)
 

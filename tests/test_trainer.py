@@ -1,5 +1,6 @@
 """KL loss, gradient correctness, SGD updates and the streaming loop."""
 
+import logging
 from dataclasses import replace
 
 import numpy as np
@@ -459,8 +460,19 @@ class TestTrainStream:
         for _ in range(2):
             batches = data.stream(whole(X, y), 25, seed=cfg.seed)
             model = hm.init(5, 6, seed=cfg.seed)
-            runs.append(trainer.train_stream(model, batches, cfg).model.W)
-        assert (runs[0] == runs[1]).all()
+            runs.append(trainer.train_stream(model, batches, cfg))
+        assert (runs[0].model.W == runs[1].model.W).all()
+        assert runs[0].stage_reports == runs[1].stage_reports
+
+    def test_logs_each_completed_stage_at_debug(self, caplog):
+        X, y = data.synth_blobs(3, 5, 30, 0.3, seed=2)
+        batches = data.stream(whole(X, y), 20, seed=0)
+        with caplog.at_level(logging.DEBUG, logger=trainer.__name__):
+            trainer.train_stream(hm.init(5, 4, seed=0), batches, TrainConfig())
+        records = [r for r in caplog.records if r.name == trainer.__name__]
+        assert [r.levelno for r in records] == [logging.DEBUG] * len(batches)
+        for i, record in enumerate(records, 1):
+            assert record.getMessage().startswith(f"stage {i} of {len(batches)}: ")
 
     def test_numeric_error_aborts_returning_progress(self):
         X, y = data.synth_blobs(2, 4, 30, 0.3, seed=5)

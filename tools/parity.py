@@ -5,16 +5,14 @@ gradient, two epochs), then `eval`, `sweep`, `sweep` over a null and a set
 scale_p (a None cell value in sweep.csv), `unseen` and `split`, through
 streamhash.cli.main, each into its own directory under OUT_DIR, and `synth`
 of a 10-class, 64-dimensional blob set into OUT_DIR/synth/blobs.txt. Writes
-OUT_DIR/manifest.txt: one sha256 per output file (stages.csv without its
-wall_time column) and one per command's stdout. A command that exits
-non-zero stops the script. Two trees whose outputs must not change give
-identical manifests:
+OUT_DIR/manifest.txt: one sha256 per output file, hashed whole, and one
+per command's stdout. A command that exits non-zero stops the script. Two
+trees whose outputs must not change give identical manifests:
 
     PYTHONPATH=src python tools/parity.py OUT_DIR
 """
 
 import contextlib
-import csv
 import hashlib
 import io
 import os
@@ -51,16 +49,6 @@ def run_argv(name: str, argv: list[str]) -> str:
     return stdout.getvalue()
 
 
-def sha256(path: Path) -> str:
-    if path.name != "stages.csv":
-        return hashlib.sha256(path.read_bytes()).hexdigest()
-    with open(path, newline="") as f:
-        rows = list(csv.reader(f))
-    keep = [i for i, column in enumerate(rows[0]) if column != "wall_time"]
-    text = "".join(",".join(row[i] for i in keep) + "\n" for row in rows)
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
 def main(out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     os.chdir(out_dir)  # relative output directories keep OUT_DIR out of stdout
@@ -75,7 +63,8 @@ def main(out_dir: Path) -> None:
     stdouts["synth"] = run_argv("synth", SYNTH)
     lines = [f"{hashlib.sha256(text.encode()).hexdigest()}  {name}/<stdout>"
              for name, text in stdouts.items()]
-    lines += [f"{sha256(path)}  {path.as_posix()}" for path in sorted(Path().glob("*/*"))]
+    lines += [f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.as_posix()}"
+              for path in sorted(Path().glob("*/*"))]
     Path("manifest.txt").write_text("\n".join(lines) + "\n")
 
 
