@@ -24,40 +24,29 @@ from .experiment import OUTPUT_DIR_ENV
 log = logging.getLogger(__name__)
 
 
-def _parse_set(values):
-    """Parse --set dotted.key=value pairs; values are JSON, else strings."""
-    overrides = {}
-    for item in values or []:
+def _load_config(args) -> experiment.ExperimentConfig:
+    """The config file with each --set dotted.key=value applied in command-line
+    order, so a later flag wins; values are JSON, else strings."""
+    with open(args.config, encoding="utf-8") as f:
+        try:
+            raw = json.load(f)
+        except ValueError as e:  # not UTF-8, not JSON, or an integer past the digit limit
+            raise ConfigError(f"{args.config}: invalid JSON: {e}") from e
+    for item in args.set or []:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
-        key, _, raw = item.partition("=")
+        dotted, _, text = item.partition("=")
         try:
-            value = json.loads(raw)
+            value = json.loads(text)
         except ValueError:  # not JSON, or an integer past the digit limit
-            value = raw
-        overrides[key] = value
-    return overrides
-
-
-def _apply_overrides(raw_cfg: dict, overrides: dict) -> dict:
-    for dotted, value in overrides.items():
-        node = raw_cfg
+            value = text
+        node = raw
         *parents, key = dotted.split(".")
         for part in parents:
             node = node.setdefault(part, {}) if isinstance(node, dict) else None
         if not isinstance(node, dict):  # the config itself may not be an object
             raise ConfigError(f"--set path {dotted!r} crosses a non-section value")
         node[key] = value
-    return raw_cfg
-
-
-def _load_config(args) -> experiment.ExperimentConfig:
-    with open(args.config, encoding="utf-8") as f:
-        try:
-            raw = json.load(f)
-        except ValueError as e:  # not UTF-8, not JSON, or an integer past the digit limit
-            raise ConfigError(f"{args.config}: invalid JSON: {e}") from e
-    raw = _apply_overrides(raw, _parse_set(args.set))
     cfg = experiment.config_from_dict(raw)
     out_dir = args.output_dir or os.environ.get(OUTPUT_DIR_ENV) or cfg.output_dir
     return experiment.replace(cfg, output_dir=str(out_dir))

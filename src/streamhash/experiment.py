@@ -60,19 +60,14 @@ class ExperimentConfig:
     sweep: dict = field(default_factory=dict)
     unseen: UnseenOptions = field(default_factory=UnseenOptions)
 
-    def digest(self) -> str:
-        """Hash of everything that determines results (not where they go)."""
-        payload = {
-            "dataset": self.dataset,
-            "split": vars(self.split),
-            "train": _train_view(self.train),
-            "bits": self.bits,
-            "init_scale": self.init_scale,
-            "epochs": self.epochs,
-            "eval": vars(self.eval),
-            "seed": self.seed,
-        }
-        blob = json.dumps(payload, sort_keys=True).encode()
+    def digest(self, *sections: str) -> str:
+        """Hash of everything that determines results (not where they go):
+        every field but output_dir, sweep and unseen, plus those named in
+        sections (run_unseen names "unseen")."""
+        payload = {f.name: getattr(self, f.name) for f in fields(self)
+                   if f.name not in ("output_dir", "sweep", "unseen") or f.name in sections}
+        payload["train"] = _train_view(self.train)
+        blob = json.dumps(payload, sort_keys=True, default=vars).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
@@ -331,9 +326,10 @@ REPORT_COLUMNS = [
 
 
 def _report_row(r: MetricReport) -> list:
+    """r's REPORT_COLUMNS values; precision_at_10 is "" below r_max 10, as auc is when None."""
     series = r.precision_at_r
     values = {**vars(r), **r.conventions, "precision_at_1": series[0],
-              "precision_at_10": series[9] if len(series) > 9 else series[-1],
+              "precision_at_10": series[9] if len(series) > 9 else "",
               "auc": "" if r.auc is None else r.auc}
     return [values[column] for column in REPORT_COLUMNS]
 
@@ -351,14 +347,14 @@ def write_reports(out_dir: Path, reports: list[MetricReport], stem: str = "repor
 
 
 def evaluate_pair(model: HashModel, scores: dict, retrieval, test,
-                  cfg: ExperimentConfig) -> list[MetricReport]:
+                  cfg: ExperimentConfig, digest: str) -> list[MetricReport]:
     """Reports of a model, from its evaluate_model scores, and of the seeded
-    untrained baseline of its shape. A report scores one model state, so
-    its auc is None."""
+    untrained baseline of its shape, each carrying digest. A report scores
+    one model state, so its auc is None."""
     baseline = index.lsh_baseline(model.d, model.k, seed=cfg.seed)
     baseline_scores = evaluate_model(baseline, retrieval, test, cfg.eval.cutoff, cfg.eval.r_max)
     return [MetricReport(**s, map_cutoff=cfg.eval.cutoff, bits=cfg.bits, seed=cfg.seed, auc=None,
-                         config_digest=cfg.digest(), method=method)
+                         config_digest=digest, method=method)
             for s, method in ((scores, "trained"), (baseline_scores, "lsh_baseline"))]
 
 
@@ -366,8 +362,8 @@ def run_eval(model: HashModel, cfg: ExperimentConfig, out_dir: Path | None = Non
     """Evaluate a model and the seeded untrained baseline on cfg's split."""
     _, retrieval, test = data.split(*load_dataset(cfg.dataset), cfg.split)
     scores = evaluate_model(model, retrieval, test, cfg.eval.cutoff, cfg.eval.r_max)
-    # report the checkpoint's actual width
-    reports = evaluate_pair(model, scores, retrieval, test, replace(cfg, bits=model.k))
+    cfg = replace(cfg, bits=model.k)  # report the checkpoint's actual width
+    reports = evaluate_pair(model, scores, retrieval, test, cfg, cfg.digest())
     if out_dir is not None:
         write_reports(out_dir, reports)
     return reports
@@ -424,7 +420,8 @@ def run_unseen(cfg: ExperimentConfig, out_dir: Path | None = None):
     cfg = replace(cfg, bits=unseen.bits)
     outcome = _train_final(cfg, train_split, retrieval, test)
     outcome.raise_if_aborted()
-    reports = evaluate_pair(outcome.model, outcome.final_metrics, retrieval, test, cfg)
+    reports = evaluate_pair(outcome.model, outcome.final_metrics, retrieval, test, cfg,
+                            cfg.digest("unseen"))
     disjointness = {
         "seen_labels": sorted(int(v) for v in np.unique(train_split.labels)),
         "unseen_labels": sorted(int(v) for v in np.unique(test.labels)),

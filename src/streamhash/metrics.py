@@ -61,33 +61,8 @@ class MetricReport:
 BLOCK_BYTES = 8 << 20
 
 
-def _cut(n: int, cutoff: int | None) -> int:
-    """Number of leading ranks a cutoff keeps out of n (all when None)."""
-    if cutoff is None:
-        return n
-    if cutoff < 1:
-        raise DomainError("cutoff must be at least 1")
-    return min(cutoff, n)
-
-
-def _ap_terms(ranked_rel: np.ndarray):
-    """0-based positions of the relevant ranks of one ranking, and its AP
-    terms: the precision at each relevant rank, zero at the others."""
-    found = np.flatnonzero(ranked_rel)
-    terms = np.zeros(ranked_rel.shape[0])
-    terms[found] = np.arange(1, found.size + 1) / (found + 1)
-    return found, terms
-
-
-def _ap(found: np.ndarray, terms: np.ndarray, stop: int) -> float:
-    """AP over the first `stop` ranks. The sum runs over all `stop` terms,
-    zeros included, so numpy groups the float additions the same way for
-    every caller."""
-    total = np.searchsorted(found, stop)  # relevant items among them
-    return float(terms[:stop].sum() / total) if total else 0.0
-
-
-def _validate(queries: PackedCodes, db: PackedCodes, r_max: int | None) -> None:
+def _validate(queries: PackedCodes, db: PackedCodes, cutoff: int | None,
+              r_max: int | None) -> None:
     if r_max is not None:
         if r_max > db.n:
             raise DomainError(f"r_max={r_max} exceeds database size {db.n}")
@@ -99,6 +74,8 @@ def _validate(queries: PackedCodes, db: PackedCodes, r_max: int | None) -> None:
         raise DimensionError(f"query bits {queries.k} != database bits {db.k}")
     if queries.labels is None or db.labels is None:
         raise DomainError("labels are required for relevance judgments")
+    if cutoff is not None and cutoff < 1:
+        raise DomainError("cutoff must be at least 1")
 
 
 def retrieval_scores(queries: PackedCodes, db: PackedCodes, cutoff: int | None = None,
@@ -118,8 +95,8 @@ def retrieval_scores(queries: PackedCodes, db: PackedCodes, cutoff: int | None =
     map_at_k equals map when cutoff is None; precision_at_r is empty when
     r_max is None.
     """
-    _validate(queries, db, r_max)
-    stop = _cut(db.n, cutoff)
+    _validate(queries, db, cutoff, r_max)
+    stop = db.n if cutoff is None else min(cutoff, db.n)
     r_max = r_max or 0
     ranks = np.arange(1, r_max + 1)
     aps, aps_cut, ph2 = np.empty(queries.n), np.empty(queries.n), np.empty(queries.n)
@@ -136,9 +113,16 @@ def retrieval_scores(queries: PackedCodes, db: PackedCodes, cutoff: int | None =
         ranked = db.labels[np.argsort(dists, axis=1, kind="stable")]
         ranked = ranked == queries.labels[block, None]
         for i, ranked_rel, ball in zip(range(start, queries.n), ranked, in_ball):
-            found, terms = _ap_terms(ranked_rel)
-            aps[i] = _ap(found, terms, db.n)
-            aps_cut[i] = _ap(found, terms, stop)
+            # AP terms: the precision at each relevant rank, zero at the
+            # others. An AP over the first `cut` ranks sums all `cut`
+            # terms, zeros included, so numpy groups the float additions
+            # the same way for both cuts.
+            found = np.flatnonzero(ranked_rel)
+            terms = np.zeros(db.n)
+            terms[found] = np.arange(1, found.size + 1) / (found + 1)
+            for out, cut in ((aps, db.n), (aps_cut, stop)):
+                total = np.searchsorted(found, cut)  # relevant items among them
+                out[i] = terms[:cut].sum() / total if total else 0.0
             # the radius-2 ball is the ranking's first `ball` items
             ph2[i] = np.searchsorted(found, ball) / ball if ball else 0.0
         return np.cumsum(ranked[:, :r_max], axis=1) / ranks

@@ -17,7 +17,7 @@ distribution Q toward it. Two gradient modes exist:
 Both are X @ M.T for a (k, n) code-space matrix M (code_coefficients).
 
 train_stage allocates its n x n arrays once per stage: build_workspace
-overwrites one GradWorkspace (distances, kernel, Q) and code_coefficients
+overwrites one GradWorkspace (kernel, Q) and code_coefficients
 forms the pair coefficients in one pair Laplacian buffer, on every step.
 TrainConfig checks its settings when built and HashModel checks that W
 is finite; train_stage repeats neither check.
@@ -96,8 +96,7 @@ class GradWorkspace:
     B: np.ndarray       # (k, n) relaxed codes
     P: np.ndarray       # (n, n) label-side target
     eta: np.ndarray     # (n, n) per-pair divisors, all 1 for the plain Q
-    D: np.ndarray       # (n, n) dist/eta, zero diagonal
-    kernel: np.ndarray  # (n, n) 1 / (1 + D), zero diagonal
+    kernel: np.ndarray  # (n, n) 1 / (1 + dist/eta), zero diagonal
     Q: np.ndarray       # (n, n) code-side distribution
 
 
@@ -135,12 +134,11 @@ def build_workspace(B, P, eta, out: GradWorkspace | None = None) -> GradWorkspac
     """
     if out is None:
         n = B.shape[1]
-        out = GradWorkspace(B, P, eta, *(np.empty((n, n)) for _ in range(3)))
+        out = GradWorkspace(B, P, eta, np.empty((n, n)), np.empty((n, n)))
     out.B, out.P, out.eta = B, P, eta
-    D, kernel = out.D, out.kernel
-    dist.pairwise_hamming_sq(B, out=D)
-    D /= eta  # eta > 0 keeps the zero diagonal
-    np.add(D, 1.0, out=kernel)
+    kernel = dist.pairwise_hamming_sq(B, out=out.kernel)
+    kernel /= eta  # eta > 0 keeps the zero diagonal
+    kernel += 1.0
     np.divide(1.0, kernel, out=kernel)
     diag_view(kernel)[:] = 0.0
     np.divide(kernel, kernel.sum(), out=out.Q)

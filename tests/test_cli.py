@@ -64,6 +64,18 @@ class TestTrainCommand:
         header = (tmp_path / "o/checkpoint.txt").read_text().splitlines()[0]
         assert header == "8 8"
 
+    @pytest.mark.parametrize("sets, key, value", [
+        (["bits=8", "bits=9"], "bits", 9),
+        (['train={"sigma": 0.5}', "train.mu=2.0", 'train={"sigma": 0.5}'], "mu", 1.0),
+        (["train.mu=2.0", 'train={"sigma": 0.5}', "train.mu=3.0"], "mu", 3.0),
+    ])
+    def test_set_flags_apply_in_order_and_the_last_wins(self, tmp_path, sets, key, value):
+        argv = ["train", "--config", str(write_config(tmp_path))]
+        cfg = cli._load_config(cli.build_parser().parse_args(
+            argv + [f"--set={s}" for s in sets]))
+        loaded = cfg.bits if key == "bits" else cfg.train.gaussian.mu
+        assert loaded == value and type(loaded) is type(value)
+
     def test_env_var_output_dir(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path)
         monkeypatch.setenv(OUTPUT_DIR_ENV, str(tmp_path / "env_out"))

@@ -589,3 +589,31 @@ class TestRunUnseen:
         with pytest.raises(NumericError, match=r"aborted after 1 of \d+ stages"):
             experiment.run_unseen(config_from_dict(raw), out_dir=tmp_path / "u")
         assert not (tmp_path / "u").exists()
+
+    def test_digest_covers_the_unseen_protocol(self, tmp_path):
+        # each held-out protocol reports its own digest; the digest of
+        # train, eval and sweep reports does not see the unseen section
+        report_digests, config_digests = set(), set()
+        for unseen in ({"test_per_class": 10}, {"test_per_class": 10, "seen_fraction": 0.5},
+                       {"test_per_class": 5}):
+            raw = blob_config(tmp_path, unseen=unseen)
+            raw["dataset"]["num_classes"] = 4
+            cfg = config_from_dict(raw)
+            reports, _ = experiment.run_unseen(cfg)
+            assert reports[0].config_digest == reports[1].config_digest
+            report_digests.add(reports[0].config_digest)
+            config_digests.add(cfg.digest())
+        assert len(report_digests) == 3 and len(config_digests) == 1
+
+    @pytest.mark.parametrize("r_max", [5, 10])
+    def test_precision_at_10_is_blank_below_r_max_10(self, tmp_path, r_max):
+        raw = blob_config(tmp_path, eval={"cutoff": 50, "r_max": r_max, "every_n_stages": 3})
+        raw["dataset"]["num_classes"] = 4
+        raw["unseen"] = {"test_per_class": 10}
+        reports, _ = experiment.run_unseen(config_from_dict(raw), out_dir=tmp_path / "u")
+        with open(tmp_path / "u/unseen_report.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        first = [repr(r.precision_at_r[0]) for r in reports]
+        assert [row["precision_at_1"] for row in rows] == first
+        expected = [repr(r.precision_at_r[9]) if r_max >= 10 else "" for r in reports]
+        assert [row["precision_at_10"] for row in rows] == expected

@@ -168,8 +168,13 @@ class TestGradLoss:
         rng = np.random.default_rng(4)
         X, labels, model, S, P, cfg = random_instance(rng)
         B = hm.encode_relaxed(model, X)
-        ws = trainer.build_workspace(B, P, trainer.stage_eta(S, cfg, model.k))
-        assert (ws.D >= 0).all() and (np.diag(ws.D) == 0).all()
+        eta = trainer.stage_eta(S, cfg, model.k)
+        ws = trainer.build_workspace(B, P, eta)
+        scaled = dist.pairwise_hamming_sq(B) / eta  # the kernel's dist/eta
+        assert (scaled >= 0).all() and (np.diag(scaled) == 0).all()
+        expected = 1.0 / (1.0 + scaled)
+        np.fill_diagonal(expected, 0.0)
+        assert np.array_equal(ws.kernel, expected)
         assert (ws.kernel > 0).sum() == ws.kernel.size - S.shape[0]
         assert (ws.kernel <= 1).all() and (np.diag(ws.kernel) == 0).all()
         assert ws.Q.sum() == pytest.approx(1.0, abs=1e-12)
@@ -190,7 +195,7 @@ class TestGradLoss:
             fresh = trainer.build_workspace(B, P, eta)
             assert trainer.build_workspace(B, P, eta, out=ws) is ws
             assert ws.B is B and ws.P is P and ws.eta is eta
-            for name in ("D", "kernel", "Q"):
+            for name in ("kernel", "Q"):
                 assert np.array_equal(getattr(ws, name), getattr(fresh, name)), name
             for mode in trainer.GRAD_MODES:
                 lap = np.full_like(P, np.nan)

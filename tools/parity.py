@@ -1,13 +1,16 @@
 """Output manifest of the CLI on configs/blobs.json, for byte-identity checks.
 
-Runs `train` six times (as shipped, null scale_p, plain Q, raw P, paper
-gradient, two epochs), then `eval`, `sweep`, `sweep` over a null and a set
-scale_p (a None cell value in sweep.csv), `unseen` and `split`, through
-streamhash.cli.main, each into its own directory under OUT_DIR, and `synth`
-of a 10-class, 64-dimensional blob set into OUT_DIR/synth/blobs.txt. Writes
-OUT_DIR/manifest.txt: one sha256 per output file, hashed whole, and one
-per command's stdout. A command that exits non-zero stops the script. Two
-trees whose outputs must not change give identical manifests:
+Runs `train` seven times (as shipped, null scale_p, plain Q, raw P, paper
+gradient, two epochs, and a 784-dimensional 10 x 300 blob set at 64 bits in
+batches of 400, whose products OpenBLAS threads), then `eval`, `sweep`,
+`sweep` over a null and a set scale_p (a None cell value in sweep.csv),
+`unseen` and `split`, through streamhash.cli.main, each into its own
+directory under OUT_DIR, and `synth` of a 10-class, 64-dimensional blob
+set into OUT_DIR/synth/blobs.txt. Writes OUT_DIR/manifest.txt: one sha256
+per output file, hashed whole, and one per command's stdout. A command
+that exits non-zero stops the script. Two trees whose outputs must not
+change give identical manifests; the d=784 run's bytes also depend on the
+BLAS thread count, so compare runs at one count:
 
     PYTHONPATH=src python tools/parity.py OUT_DIR
 """
@@ -29,6 +32,10 @@ TRAIN_RUNS = {
     "train_p_raw": ['train.p_variant="raw"'],
     "train_grad_paper": ['train.grad_mode="paper"'],
     "train_epochs_2": ["epochs=2"],
+    # d=784, where OpenBLAS threads its products: bytes per BLAS thread count
+    "train_d784": ['dataset={"kind": "synth", "num_classes": 10, "dim": 784, "per_class": 300, '
+                   '"spread": 3.0, "seed": 1}', "bits=64", "split.train_size=2000",
+                   "train.batch_size=400", "eval.every_n_stages=5"],
 }
 SYNTH = ["synth", "--num-classes", "10", "--dim", "64", "--per-class", "200", "--spread", "3.0",
          "--seed", "1", "--out", "synth/blobs.txt"]
