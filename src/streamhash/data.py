@@ -7,6 +7,8 @@ Parts (column indices) and are bit-reproducible: seeds go through seeded_rng.
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
 import math
 import os
 import stat
@@ -21,6 +23,7 @@ from .errors import ConsistencyError, DomainError, FormatError, NumericError, Sp
 
 IDX_IMAGE_MAGIC = 2051
 IDX_LABEL_MAGIC = 2049
+SIDECAR = ".streamhash-cache"  # PATH + SIDECAR: the parsed arrays of a dense file
 
 
 @dataclass(frozen=True)
@@ -144,6 +147,8 @@ def save_dense(path, features: np.ndarray, labels: np.ndarray) -> None:
 
     repr() formatting makes the round-trip bit-exact for finite floats. A d
     or n of 0, which load_dense rejects, is a DomainError before the file opens.
+    Then PATH + SIDECAR gets the text's sha256 hex line and C-order features and
+    labels in .npy format if _parsed_as, else is removed; OSErrors are ignored.
     """
     d, n = features.shape
     if min(d, n) < 1:
@@ -153,12 +158,36 @@ def save_dense(path, features: np.ndarray, labels: np.ndarray) -> None:
         write_rows(f, features.T)
         f.write(" ".join(str(int(v)) for v in labels.tolist()))
         f.write("\n")
+    sidecar = f"{os.fspath(path)}{SIDECAR}"
+    try:
+        if _parsed_as(features, labels, n):
+            with open(f"{sidecar}.tmp", "wb") as f:
+                f.write(_sha256(path) + b"\n")
+                np.lib.format.write_array_header_1_0(
+                    f, {"descr": features.dtype.str, "fortran_order": False, "shape": (d, n)})
+                features.tofile(f)  # C order whatever the layout, with no copy
+                np.lib.format.write_array(f, labels, allow_pickle=False)
+            os.replace(f"{sidecar}.tmp", sidecar)
+        else:
+            os.remove(sidecar)
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.remove(f"{sidecar}.tmp")
 
 
 def load_dense(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read the textual dense-matrix format written by save_dense."""
+    """Read the textual dense-matrix format written by save_dense, or its sidecar."""
     with open_text(path) as f:
         d, n = read_header(f, path, "d n")
+        try:
+            with open(f"{os.fspath(path)}{SIDECAR}", "rb") as cache:
+                if cache.readline(65) == _sha256(path) + b"\n":
+                    X = np.lib.format.read_array(cache, allow_pickle=False)
+                    y = np.lib.format.read_array(cache, allow_pickle=False)
+                    if X.flags.c_contiguous and X.shape == (d, n) and _parsed_as(X, y, n):
+                        return X, y
+        except (OSError, ValueError, MemoryError):  # a corrupt header may claim any size
+            pass
         features = np.empty((d, n), dtype=np.float64)
         read_rows(f, path, features.T, first_line=2)
         fields = f.readline().split()
@@ -168,9 +197,25 @@ def load_dense(path) -> tuple[np.ndarray, np.ndarray]:
             )
         try:
             labels = np.array([int(v) for v in fields], dtype=np.int64)
-        except ValueError as e:
+        except (ValueError, OverflowError) as e:  # OverflowError: a label outside int64
             raise FormatError(f"{path}: line {n + 2}: {e}") from e
     return features, labels
+
+
+def _parsed_as(features: np.ndarray, labels: np.ndarray, n: int) -> bool:
+    """Whether the text save_dense writes for these arrays parses back to them exactly."""
+    rows = max(1, CHUNK_VALUES // n)  # finiteness a few rows at a time: no full-size temporary
+    blocks = (features[i : i + rows] for i in range(0, len(features), rows))
+    return (features.dtype == np.float64 and labels.dtype == np.int64 and labels.shape == (n,)
+            and all(np.isfinite(block).all() for block in blocks))
+
+
+def _sha256(path) -> bytes:
+    digest = hashlib.sha256()
+    with open(path, "rb") as f:
+        while block := f.read(1 << 20):
+            digest.update(block)
+    return digest.hexdigest().encode()
 
 
 # Values per unit of work of the row codec below. Formatting or parsing a

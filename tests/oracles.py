@@ -1,14 +1,43 @@
 """Reference implementations the tests compare the library against.
 
 Each is the plain, per-entry form of a quantity the library computes in a
-vectorised or fused way; none of them runs in training or evaluation.
+vectorised or fused way; none of them runs in training or evaluation. The
+dense text parser is the oracle of the binary sidecar (load_dense_both_ways).
 """
+
+from pathlib import Path
 
 import numpy as np
 
-from streamhash import model as hm, trainer
+from streamhash import data, model as hm, trainer
 from streamhash.errors import DegenerateDistributionError, DimensionError, DomainError
 from streamhash.model import HashModel
+
+
+def load_dense_both_ways(path):
+    """load_dense of a file save_dense wrote, twice: through its sidecar, with
+    the text parser refused, then with the sidecar removed, through the text
+    parser, the sidecar's oracle. Asserts that the two loads give the same
+    dtypes, shapes, C order and bits; returns the parsed (features, labels)."""
+    sidecar = Path(f"{path}{data.SIDECAR}")
+    assert sidecar.is_file(), f"save_dense wrote no {sidecar.name}"
+    parse = data.read_rows
+    data.read_rows = _refuse_to_parse
+    try:
+        cached = data.load_dense(path)
+    finally:
+        data.read_rows = parse
+    sidecar.unlink()
+    parsed = data.load_dense(path)
+    for a, b in zip(cached, parsed):
+        assert (a.dtype, a.shape) == (b.dtype, b.shape)
+        assert a.flags.c_contiguous and b.flags.c_contiguous
+        assert a.tobytes() == b.tobytes()
+    return parsed
+
+
+def _refuse_to_parse(*args):
+    raise AssertionError("load_dense parsed the text although its sidecar matches")
 
 
 def p_by_sum(S):

@@ -16,6 +16,8 @@ from streamhash import cli, data, trainer
 from streamhash.errors import NumericError
 from streamhash.experiment import OUTPUT_DIR_ENV
 
+from oracles import load_dense_both_ways
+
 
 def write_config(tmp_path, **overrides):
     raw = {
@@ -134,7 +136,7 @@ class TestSynthAndSplitCommands:
         code = cli.main(["synth", "--num-classes", "3", "--dim", "4", "--per-class", "5",
                          "--spread", "0.2", "--seed", "1", "--out", str(out)])
         assert code == 0
-        X, y = data.load_dense(out)
+        X, y = load_dense_both_ways(out)
         assert X.shape == (4, 15)
         expected_X, expected_y = data.synth_blobs(3, 4, 5, 0.2, seed=1)
         assert (X == expected_X).all() and (y == expected_y).all()
@@ -144,7 +146,7 @@ class TestSynthAndSplitCommands:
         code = cli.main(["split", "--config", str(cfg), "--output-dir", str(tmp_path / "sp")])
         assert code == 0
         for name, size in [("train", 120), ("retrieval", 150), ("test", 30)]:
-            X, y = data.load_dense(tmp_path / "sp" / f"{name}.txt")
+            X, y = load_dense_both_ways(tmp_path / "sp" / f"{name}.txt")
             assert y.shape[0] == size
 
 
@@ -191,6 +193,14 @@ class TestExitCodes:
         assert "all 1 sweep cells failed; cell 0: off-diagonal mass is zero" in (
             capsys.readouterr().err)
         assert (tmp_path / "out/sweep.csv").read_text().splitlines()[1].startswith("0,raw,failed,")
+
+    def test_label_outside_int64_is_2(self, tmp_path, capsys):
+        path = tmp_path / "d.txt"
+        path.write_text("3 4\n" + "0.5 1.5 2.5\n" * 4 + f"0 1 2 {2**70}\n")
+        cfg = write_config(tmp_path, dataset={"kind": "dense", "path": str(path)})
+        assert cli.main(["train", "--config", str(cfg)]) == 2
+        assert f"{path}: line 6:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_config_file_is_2(self, tmp_path):
         assert cli.main(["train", "--config", str(tmp_path / "nope.json")]) == 2

@@ -1,9 +1,13 @@
 """Dataset loading, splits and the streaming batcher."""
 
 import hashlib
+import io
 import math
+import os
+import re
 import struct
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +16,9 @@ from hypothesis import strategies as st
 
 from streamhash import data
 from streamhash.data import SplitSpec
-from streamhash.errors import ConsistencyError, DomainError, FormatError, SplitError
+from streamhash.errors import ConsistencyError, DomainError, FormatError, NumericError, SplitError
+
+from oracles import load_dense_both_ways
 
 
 def write_idx_pair(tmp_path, images, labels, image_magic=2051, label_magic=2049,
@@ -126,7 +132,7 @@ class TestDenseFormat:
         y = rng.integers(0, 4, size=11)
         path = tmp_path / "rt.txt"
         data.save_dense(path, X, y)
-        X2, y2 = data.load_dense(path)
+        X2, y2 = load_dense_both_ways(path)
         # bit-exact round-trip
         assert (X == X2).all()
         assert (y == y2).all()
@@ -158,6 +164,172 @@ class TestDenseFormat:
         with pytest.raises(DomainError, match=f"got {d} x {n}"):
             data.save_dense(path, np.zeros((d, n)), np.zeros(n, dtype=np.int64))
         assert not path.exists()
+
+    @pytest.mark.parametrize("label", [2**70, 2**63, -(2**63) - 1])
+    def test_label_outside_int64_is_a_format_error(self, tmp_path, label):
+        path = tmp_path / "d.txt"
+        path.write_text("3 4\n" + "0.5 1.5 2.5\n" * 4 + f"0 1 2 {label}\n")
+        with pytest.raises(FormatError, match=f"{re.escape(str(path))}: line 6:"):
+            data.load_dense(path)
+
+    @pytest.mark.parametrize("label", [2**63 - 1, -(2**63)])
+    def test_int64_extreme_label_loads(self, tmp_path, label):
+        path = tmp_path / "d.txt"
+        path.write_text("3 4\n" + "0.5 1.5 2.5\n" * 4 + f"0 1 2 {label}\n")
+        assert data.load_dense(path)[1].tolist() == [0, 1, 2, label]
+
+
+def sidecar_of(path) -> Path:
+    return Path(f"{path}{data.SIDECAR}")
+
+
+def dense_pair(d=3, n=5, seed=0):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((d, n)), rng.integers(-3, 3, size=n)
+
+
+def write_sidecar(path, features, labels, cut=None):
+    """A sidecar of path that carries the text's digest but the given arrays,
+    pickled if they are object arrays, truncated to `cut` bytes if given."""
+    out = io.BytesIO()
+    out.write(hashlib.sha256(Path(path).read_bytes()).hexdigest().encode() + b"\n")
+    for a in (features, labels):
+        np.lib.format.write_array(out, a, allow_pickle=True)
+    sidecar_of(path).write_bytes(out.getvalue()[:cut])
+
+
+def same(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestDenseSidecar:
+    """save_dense's binary copy of the arrays, which load_dense returns only
+    when it belongs to the text and holds what a parse of the text gives."""
+
+    def test_digest_line_then_the_arrays_as_npy(self, tmp_path):
+        X, y = dense_pair()
+        path = tmp_path / "d.txt"
+        data.save_dense(path, X, y)
+        npy = io.BytesIO()
+        for a in (X, y):
+            np.lib.format.write_array(npy, a, allow_pickle=False)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest().encode()
+        assert sidecar_of(path).read_bytes() == digest + b"\n" + npy.getvalue()
+        assert sorted(os.listdir(tmp_path)) == ["d.txt", "d.txt" + data.SIDECAR]
+
+    @pytest.mark.parametrize("token, error", [("7.5", None), ("nan", NumericError)])
+    def test_same_length_edit_of_the_text_is_parsed(self, tmp_path, token, error):
+        path = tmp_path / "d.txt"
+        data.save_dense(path, np.array([[1.5, 2.0], [3.0, 4.0]]), np.array([0, 1]))
+        path.write_text(path.read_text().replace("1.5", token))
+        if error:
+            with pytest.raises(error, match="line 2:"):
+                data.load_dense(path)
+        else:
+            assert data.load_dense(path)[0].tolist() == [[7.5, 2.0], [3.0, 4.0]]
+
+    @pytest.mark.parametrize("cut", [0, 10, 64, 65, 100, 200, -9, -1])
+    def test_truncated_sidecar_is_ignored(self, tmp_path, cut):
+        X, y = dense_pair()
+        path = tmp_path / "d.txt"
+        data.save_dense(path, X, y)
+        write_sidecar(path, X, y, cut=cut)
+        features, labels = data.load_dense(path)
+        assert same(features, X) and same(labels, y)
+
+    @pytest.mark.parametrize("how", ["object", "float32", "transposed", "fortran", "nan",
+                                     "int32 labels", "short labels", "2-D labels"])
+    def test_sidecar_unlike_a_parse_is_ignored(self, tmp_path, how):
+        X, y = dense_pair()
+        path = tmp_path / "d.txt"
+        data.save_dense(path, X, y)
+        features, labels = np.zeros_like(X), np.zeros_like(y)
+        features = {"object": features.astype(object), "float32": features.astype(np.float32),
+                    "transposed": np.zeros((5, 3)), "fortran": np.asfortranarray(features),
+                    "nan": np.full_like(X, np.nan)}.get(how, features)
+        labels = {"int32 labels": labels.astype(np.int32), "short labels": labels[:-1],
+                  "2-D labels": labels[None]}.get(how, labels)
+        write_sidecar(path, features, labels)
+        features, labels = data.load_dense(path)
+        assert same(features, X) and same(labels, y)
+
+    def test_corrupt_sidecar_next_to_a_bad_text_raises_what_the_text_does(self, tmp_path):
+        X, y = dense_pair()
+        path = tmp_path / "d.txt"
+        data.save_dense(path, X, y)
+        lines = path.read_text().splitlines()
+        lines[1] += " 1.0"
+        path.write_text("\n".join(lines) + "\n")
+        write_sidecar(path, X.astype(object), y)
+        with pytest.raises(FormatError, match="line 2: 4 values, expected 3") as cached:
+            data.load_dense(path)
+        sidecar_of(path).unlink()
+        with pytest.raises(FormatError) as text_alone:
+            data.load_dense(path)
+        assert str(cached.value) == str(text_alone.value)
+
+    def test_sidecar_claiming_a_huge_array_is_ignored(self, tmp_path):
+        # numpy cannot allocate what the corrupt header claims: a MemoryError
+        X, y = dense_pair()
+        path = tmp_path / "d.txt"
+        data.save_dense(path, X, y)
+        header = io.BytesIO()
+        np.lib.format.write_array_header_1_0(
+            header, {"descr": "<f8", "fortran_order": False, "shape": (10**7, 10**7)})
+        digest = hashlib.sha256(path.read_bytes()).hexdigest().encode()
+        sidecar_of(path).write_bytes(digest + b"\n" + header.getvalue() + X.tobytes())
+        features, labels = data.load_dense(path)
+        assert same(features, X) and same(labels, y)
+
+    @pytest.mark.parametrize("how", ["nan", "inf", "float32", "int64", "int32 labels",
+                                     "big-endian"])
+    def test_arrays_a_parse_would_not_return_leave_no_sidecar(self, tmp_path, how):
+        X, y = dense_pair()
+        path = tmp_path / "d.txt"
+        data.save_dense(path, X, y)
+        assert sidecar_of(path).exists()
+        bad_X, bad_y = X.copy(), y
+        if how in ("nan", "inf"):
+            bad_X[1, 3] = float(how)
+        elif how == "int32 labels":
+            bad_y = y.astype(np.int32)
+        else:
+            bad_X = np.arange(15).reshape(3, 5).astype({"float32": np.float32, "int64": np.int64,
+                                                        "big-endian": ">f8"}[how])
+        data.save_dense(path, bad_X, bad_y)
+        assert sorted(os.listdir(tmp_path)) == ["d.txt"]
+        if how in ("nan", "inf"):
+            with pytest.raises(NumericError, match=f"{re.escape(str(path))}: line 5:"):
+                data.load_dense(path)
+        else:
+            features, labels = data.load_dense(path)
+            assert (features == bad_X).all() and (labels == bad_y).all()
+
+    def test_failed_replace_keeps_the_save(self, tmp_path, monkeypatch):
+        X, y = dense_pair()
+        path = tmp_path / "d.txt"
+        data.save_dense(path, X, y)
+        stale = sidecar_of(path).read_bytes()
+
+        def refuse(*args):
+            raise OSError("replace refused")
+
+        monkeypatch.setattr(data.os, "replace", refuse)
+        data.save_dense(path, X + 1.0, y)
+        monkeypatch.undo()
+        assert sorted(os.listdir(tmp_path)) == ["d.txt", "d.txt" + data.SIDECAR]
+        assert sidecar_of(path).read_bytes() == stale  # of the old text: its digest differs
+        features, labels = data.load_dense(path)
+        assert same(features, X + 1.0) and same(labels, y)
+
+    def test_no_sidecar_no_hashing(self, tmp_path, monkeypatch):
+        def refuse(path):
+            raise AssertionError("the text was hashed without a sidecar")
+
+        monkeypatch.setattr(data, "_sha256", refuse)
+        path = tmp_path / "d.txt"
+        path.write_text("2 2\n1.0 2.0\n3.0 4.0\n0 1\n")
+        assert data.load_dense(path)[0].tolist() == [[1.0, 3.0], [2.0, 4.0]]
 
 
 # sha256 of the features and labels of synth_blobs(num_classes, dim,

@@ -423,7 +423,8 @@ class TestMemory:
         config.write_text(json.dumps(raw))
         assert cli.main(["split", "--config", str(config), "--output-dir", str(tmp_path / "s")]) == 0
         assert sorted(p.name for p in (tmp_path / "s").iterdir()) == [
-            "retrieval.txt", "test.txt", "train.txt"]
+            "retrieval.txt", "retrieval.txt.streamhash-cache", "test.txt",
+            "test.txt.streamhash-cache", "train.txt", "train.txt.streamhash-cache"]
 
 
 class TestRunSweep:

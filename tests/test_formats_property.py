@@ -12,6 +12,8 @@ from hypothesis.extra.numpy import arrays
 from streamhash import data, model as hm
 from streamhash.errors import FormatError, NumericError
 
+from oracles import load_dense_both_ways
+
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None,
                     suppress_health_check=[HealthCheck.function_scoped_fixture])
 
@@ -65,9 +67,21 @@ class TestDense:
         X, y = case
         path = tmp_path / "d.txt"
         data.save_dense(path, X, y)
-        X2, y2 = data.load_dense(path)
+        X2, y2 = load_dense_both_ways(path)
         assert (bits(X2) == bits(X)).all()
         assert (y2 == y).all() and y2.dtype == np.int64
+
+    @SETTINGS
+    @given(case=dense_sets(), seed=st.integers(0, 2**32 - 1))
+    def test_gathered_columns_cached_as_parsed(self, tmp_path, case, seed):
+        # columns gathered as a part gathers them are F-ordered; the sidecar
+        # holds them in C order, as the parse returns them
+        X, y = case
+        idx = np.random.default_rng(seed).permutation(X.shape[1])
+        path = tmp_path / "d.txt"
+        data.save_dense(path, X[:, idx], y[idx])
+        X2, y2 = load_dense_both_ways(path)
+        assert (bits(X2) == bits(X[:, idx])).all() and (y2 == y[idx]).all()
 
     @SETTINGS
     @given(case=poisoned(NON_FINITE))

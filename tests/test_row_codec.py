@@ -15,6 +15,8 @@ import streamhash
 from streamhash import data, model as hm
 from streamhash.errors import FormatError, NumericError
 
+from oracles import load_dense_both_ways
+
 SRC = Path(streamhash.__file__).resolve().parent.parent
 
 
@@ -70,7 +72,9 @@ class TestPooledFiles:
         monkeypatch.setattr(data, "_usable_cores", lambda: 2)
         data.save_dense(tmp_path / "pooled.txt", X, y)
         assert (tmp_path / "pooled.txt").read_bytes() == (tmp_path / "one.txt").read_bytes()
-        X2, y2 = data.load_dense(tmp_path / "pooled.txt")
+        sidecar = (tmp_path / f"pooled.txt{data.SIDECAR}").read_bytes()
+        assert sidecar == (tmp_path / f"one.txt{data.SIDECAR}").read_bytes()
+        X2, y2 = load_dense_both_ways(tmp_path / "pooled.txt")  # the text parse is pooled
         assert (X2.view(np.uint64) == X.view(np.uint64)).all() and (y2 == y).all()
         assert X2.flags.c_contiguous
 
@@ -137,6 +141,7 @@ def test_unguarded_script_saves_and_loads(tmp_path):
     workers that re-ran __main__ (spawn, forkserver) would break it."""
     script = tmp_path / "script.py"
     script.write_text(textwrap.dedent("""
+        import os
         import numpy as np
         from streamhash import data, model as hm
 
@@ -144,9 +149,14 @@ def test_unguarded_script_saves_and_loads(tmp_path):
         data._usable_cores = lambda: 2
         X = np.arange(200.0).reshape(4, 50) / 7.0
         data.save_dense("d.txt", X, np.arange(50))
-        X2, y2 = data.load_dense("d.txt")
+        parse, data.read_rows = data.read_rows, None  # the sidecar's load must not parse
+        X1, y1 = data.load_dense("d.txt")
+        data.read_rows = parse
+        os.remove("d.txt.streamhash-cache")
+        X2, y2 = data.load_dense("d.txt")  # a pooled parse of the text
         hm.save_checkpoint(hm.HashModel(W=X.T), "c.txt")
-        assert (X2 == X).all() and (y2 == np.arange(50)).all()
+        assert X1.tobytes() == X2.tobytes() == X.tobytes()
+        assert (y1 == y2).all() and (y2 == np.arange(50)).all()
         assert (hm.load_checkpoint("c.txt").W == X.T).all()
         print("ok")
     """))
@@ -164,6 +174,7 @@ def test_pooled_evaluation_then_pooled_save_and_load(tmp_path):
     run under -X dev -W error, which turns any warning into a failure."""
     script = tmp_path / "script.py"
     script.write_text(textwrap.dedent("""
+        import os
         import threading
         import numpy as np
         from streamhash import data, experiment, metrics, model as hm
@@ -180,8 +191,13 @@ def test_pooled_evaluation_then_pooled_save_and_load(tmp_path):
         assert 0.0 <= scores["map"] <= 1.0
         assert threading.active_count() == 1
         data.save_dense("d.txt", retrieval.features, retrieval.labels)
-        X2, y2 = data.load_dense("d.txt")
-        assert (X2 == retrieval.features).all() and (y2 == retrieval.labels).all()
+        parse, data.read_rows = data.read_rows, None  # the sidecar's load must not parse
+        X1, y1 = data.load_dense("d.txt")
+        data.read_rows = parse
+        os.remove("d.txt.streamhash-cache")
+        X2, y2 = data.load_dense("d.txt")  # a pooled parse of the text
+        assert X1.tobytes() == X2.tobytes() == retrieval.features.tobytes()
+        assert (y1 == y2).all() and (y2 == retrieval.labels).all()
         print("ok")
     """))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(

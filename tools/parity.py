@@ -6,11 +6,15 @@ batches of 400, whose products OpenBLAS threads), then `eval`, `sweep`,
 `sweep` over a null and a set scale_p (a None cell value in sweep.csv),
 `unseen` and `split`, through streamhash.cli.main, each into its own
 directory under OUT_DIR, and `synth` of a 10-class, 64-dimensional blob
-set into OUT_DIR/synth/blobs.txt. Writes OUT_DIR/manifest.txt: one sha256
-per output file, hashed whole, and one per command's stdout. A command
-that exits non-zero stops the script. Two trees whose outputs must not
-change give identical manifests; the d=784 run's bytes also depend on the
-BLAS thread count, so compare runs at one count:
+set into OUT_DIR/synth/blobs.txt. Then `train` runs twice on that dense
+file: train_dense loads it through its binary sidecar, train_dense_text
+parses a plain copy with no sidecar, and the script stops unless the two
+output directories are byte-identical. Writes OUT_DIR/manifest.txt: one
+sha256 per output file (the sidecars of synth and split included), hashed
+whole, and one per command's stdout. A command that exits non-zero stops
+the script. Two trees whose outputs must not change give identical
+manifests; the d=784 run's bytes also depend on the BLAS thread count, so
+compare runs at one count:
 
     PYTHONPATH=src python tools/parity.py OUT_DIR
 """
@@ -19,6 +23,7 @@ import contextlib
 import hashlib
 import io
 import os
+import shutil
 import sys
 from pathlib import Path
 
@@ -39,6 +44,9 @@ TRAIN_RUNS = {
 }
 SYNTH = ["synth", "--num-classes", "10", "--dim", "64", "--per-class", "200", "--spread", "3.0",
          "--seed", "1", "--out", "synth/blobs.txt"]
+# train on the synth file, named by the same relative path (the config
+# digest covers it) from the directory that holds it
+DENSE = ['--set=dataset={"kind": "dense", "path": "blobs.txt"}', "--set=split.train_size=500"]
 
 
 def run(name: str, command: str, *args: str) -> str:
@@ -68,6 +76,16 @@ def main(out_dir: Path) -> None:
                                         '--set=sweep={"scale_p": [null, 1.0]}')
     Path("synth").mkdir(exist_ok=True)
     stdouts["synth"] = run_argv("synth", SYNTH)
+    Path("text").mkdir(exist_ok=True)
+    shutil.copyfile("synth/blobs.txt", "text/blobs.txt")  # the copy has no sidecar
+    for name, data_dir in (("train_dense", "synth"), ("train_dense_text", "text")):
+        os.chdir(data_dir)
+        stdouts[name] = run(f"../{name}", "train", *DENSE)
+        os.chdir("..")
+    shutil.rmtree("text")
+    cached, parsed = (sorted(Path(name).iterdir()) for name in ("train_dense", "train_dense_text"))
+    if [(p.name, p.read_bytes()) for p in cached] != [(p.name, p.read_bytes()) for p in parsed]:
+        sys.exit("train_dense: outputs differ between the sidecar's load and the text's parse")
     lines = [f"{hashlib.sha256(text.encode()).hexdigest()}  {name}/<stdout>"
              for name, text in stdouts.items()]
     lines += [f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.as_posix()}"
