@@ -29,7 +29,6 @@ from .distribution import (
 )
 from .index import (
     PackedCodes,
-    lsh_baseline,
     pack,
     unpack,
 )

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConsistencyError, DomainError, FormatError, NumericError, SplitError
+from .errors import (ConsistencyError, DimensionError, DomainError, FormatError, NumericError,
+                     SplitError)
 
 IDX_IMAGE_MAGIC = 2051
 IDX_LABEL_MAGIC = 2049
@@ -146,13 +147,19 @@ def save_dense(path, features: np.ndarray, labels: np.ndarray) -> None:
     reals per instance, then one line of n integer labels.
 
     repr() formatting makes the round-trip bit-exact for finite floats. A d
-    or n of 0, which load_dense rejects, is a DomainError before the file opens.
-    Then PATH + SIDECAR gets the text's sha256 hex line and C-order features and
-    labels in .npy format if _parsed_as, else is removed; OSErrors are ignored.
+    or n of 0, or labels not integers in the int64 range, which load_dense
+    rejects, are a DomainError and labels not of shape (n,) a DimensionError,
+    before the file opens. Then PATH + SIDECAR gets the text's sha256 hex
+    line and C-order features and labels in .npy format if _parsed_as, else
+    is removed; OSErrors are ignored.
     """
     d, n = features.shape
     if min(d, n) < 1:
         raise DomainError(f"{path}: a dense file needs d and n of at least 1, got {d} x {n}")
+    if labels.shape != (n,):
+        raise DimensionError(f"{path}: labels of shape {labels.shape} for {n} instances")
+    if not np.issubdtype(labels.dtype, np.integer) or labels.max() > np.iinfo(np.int64).max:
+        raise DomainError(f"{path}: labels must be int64-range integers, got {labels.dtype}")
     with open(path, "w") as f:
         f.write(f"{d} {n}\n")
         write_rows(f, features.T)

@@ -1,7 +1,7 @@
 """Pairwise similarity distributions over a streaming batch.
 
 Training aligns a code-side distribution Q with a label-side target P
-built from the binary similarity matrix, either by raw normalization or
+built from the boolean similarity mask, either by raw normalization or
 with Gaussian smoothing. Both are (n, n) matrices with an exactly-zero
 diagonal whose off-diagonal entries sum to 1. This module builds P, the
 pairwise Hamming distances and the per-pair scaling matrix; Q is formed
@@ -53,40 +53,47 @@ def _positive_finite(value) -> bool:  # a real number in (0, inf); nan is not
 
 
 def build_similarity(labels: np.ndarray) -> np.ndarray:
-    """Binary label-agreement matrix: entry (i, j) is 1 iff labels match."""
+    """Boolean label-agreement mask: entry (i, j) is True iff labels match."""
     if labels.shape[0] < 2:
         raise DomainError("similarity needs at least 2 instances")
-    return (labels[:, None] == labels[None, :]).astype(np.float64)
+    return labels[:, None] == labels[None, :]
 
 
-def _similar_pairs(S: np.ndarray):
-    """Mask of a binary S's ones and their off-diagonal count."""
-    similar = S == 1.0
-    n_ones = np.count_nonzero(similar)
-    if n_ones + np.count_nonzero(S == 0.0) != S.size:
-        raise DomainError("P needs a binary similarity matrix")
-    return similar, n_ones - np.count_nonzero(similar.diagonal())
+def _mask(S: np.ndarray) -> np.ndarray:  # S, if it is build_similarity's bool mask
+    if S.dtype != np.bool_:
+        raise DomainError(f"need a boolean similarity mask, got dtype {S.dtype}")
+    return S
+
+
+def _two_valued(S: np.ndarray, weigh) -> np.ndarray:
+    """P over a boolean similarity mask S (DomainError otherwise): the
+    weights weigh(n_similar, n_dissimilar) of one off-diagonal pair of each
+    kind, normalized to unit mass (zero mass is degenerate), zero diagonal."""
+    n_similar = np.count_nonzero(_mask(S)) - np.count_nonzero(S.diagonal())
+    n_dissimilar = S.size - S.shape[0] - n_similar
+    w_similar, w_dissimilar = weigh(n_similar, n_dissimilar)
+    total = n_similar * w_similar + n_dissimilar * w_dissimilar
+    if not total:
+        raise DegenerateDistributionError("off-diagonal mass is zero")
+    P = np.where(S, w_similar / total, w_dissimilar / total)
+    diag_view(P)[:] = 0.0
+    return P
 
 
 def p_raw(S: np.ndarray) -> np.ndarray:
-    """Target distribution by direct normalization of the similarity matrix:
+    """Target distribution by direct normalization of the similarity mask:
     each similar pair off the diagonal gets 1 / (number of them), so
     dissimilar pairs get exactly 0 and the result is extremely imbalanced
     whenever similar pairs are rare. Raises when no off-diagonal pair is
     similar."""
-    similar, n_similar = _similar_pairs(S)
-    if not n_similar:
-        raise DegenerateDistributionError("off-diagonal mass is zero")
-    P = np.where(similar, 1.0 / n_similar, 0.0)
-    diag_view(P)[:] = 0.0
-    return P
+    return _two_valued(S, lambda n_similar, n_dissimilar: (1.0, 0.0))
 
 
 def p_gaussian(S: np.ndarray, g: GaussianParams = GaussianParams()) -> np.ndarray:
     """Target distribution after smoothing similarity values with a
     Gaussian pdf f(s) = exp(-(s - mu)^2 / (2 sigma^2)) / (sqrt(2 pi) sigma).
 
-    S must be binary (DomainError otherwise), so P takes two values off
+    S is a boolean mask (DomainError otherwise), so P takes two values off
     the diagonal, in the similar:dissimilar ratio
     exp((2 mu - 1) / (2 sigma^2)). They come in closed form from the
     log-weights shifted by their maximum over the pair kinds present: the
@@ -95,21 +102,15 @@ def p_gaussian(S: np.ndarray, g: GaussianParams = GaussianParams()) -> np.ndarra
     sigma). The lighter kind's mass is 0 only where the ratio exceeds the
     float range.
     """
-    similar, n_similar = _similar_pairs(S)
-    n = S.shape[0]
-    if n < 2:
-        raise DegenerateDistributionError("off-diagonal mass is zero")
-    n_dissimilar = n * (n - 1) - n_similar
     # log(f(0) / f(1)), the dissimilar log-weight minus the similar one
     log_ratio = (0.5 - g.mu) / g.sigma / g.sigma
-    if n_similar and (log_ratio <= 0 or not n_dissimilar):
-        w_similar, w_dissimilar = 1.0, math.exp(min(log_ratio, 0.0))
-    else:
-        w_similar, w_dissimilar = math.exp(min(-log_ratio, 0.0)), 1.0
-    total = n_similar * w_similar + n_dissimilar * w_dissimilar
-    P = np.where(similar, w_similar / total, w_dissimilar / total)
-    diag_view(P)[:] = 0.0
-    return P
+
+    def weigh(n_similar, n_dissimilar):
+        if n_similar and (log_ratio <= 0 or not n_dissimilar):
+            return 1.0, math.exp(min(log_ratio, 0.0))
+        return math.exp(min(-log_ratio, 0.0)), 1.0
+
+    return _two_valued(S, weigh)
 
 
 def diag_view(A: np.ndarray) -> np.ndarray:
@@ -140,5 +141,6 @@ def pairwise_hamming_sq(B: np.ndarray, out: np.ndarray | None = None) -> np.ndar
 
 def scaling_matrix(S: np.ndarray, sp: ScalingParams, bits: int) -> np.ndarray:
     """Per-pair eta matrix of codes of `bits` bits: sp.scale_p (bits / 2 when
-    None) where S is 1, sp.scale_n elsewhere."""
-    return np.where(S == 1.0, bits / 2.0 if sp.scale_p is None else sp.scale_p, sp.scale_n)
+    None) where the boolean similarity mask S is True, sp.scale_n elsewhere.
+    Any other S is a DomainError, as in p_raw and p_gaussian."""
+    return np.where(_mask(S), bits / 2.0 if sp.scale_p is None else sp.scale_p, sp.scale_n)

@@ -349,9 +349,10 @@ def write_reports(out_dir: Path, reports: list[MetricReport], stem: str = "repor
 def evaluate_pair(model: HashModel, scores: dict, retrieval, test,
                   cfg: ExperimentConfig, digest: str) -> list[MetricReport]:
     """Reports of a model, from its evaluate_model scores, and of the seeded
-    untrained baseline of its shape, each carrying digest. A report scores
-    one model state, so its auc is None."""
-    baseline = index.lsh_baseline(model.d, model.k, seed=cfg.seed)
+    untrained baseline of its shape, the random projection that is the
+    control for learning gains (method lsh_baseline), each carrying digest.
+    A report scores one model state, so its auc is None."""
+    baseline = hashmodel.init(model.d, model.k, 1.0, cfg.seed)
     baseline_scores = evaluate_model(baseline, retrieval, test, cfg.eval.cutoff, cfg.eval.r_max)
     return [MetricReport(**s, map_cutoff=cfg.eval.cutoff, bits=cfg.bits, seed=cfg.seed, auc=None,
                          config_digest=digest, method=method)

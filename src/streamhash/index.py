@@ -1,5 +1,4 @@
-"""Bit-packed binary codes, popcount Hamming distances, and the untrained
-random-projection baseline.
+"""Bit-packed binary codes and popcount Hamming distances.
 
 Codes are stored as uint64 words, little-endian bit order within each
 word: bit j of an instance is set iff code entry j is +1. Distances come
@@ -13,9 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import model as hashmodel
 from .errors import DimensionError, DomainError
-from .model import HashModel
 
 WORD_BITS = 64
 
@@ -66,8 +63,3 @@ def hamming_to_db(query_words: np.ndarray, db: PackedCodes) -> np.ndarray:
     for w in range(db.words.shape[1]):
         dists += np.bitwise_count(np.bitwise_xor(db.words[:, w], query_words[..., w, None]))
     return dists
-
-
-def lsh_baseline(d: int, k: int, seed: int = 0) -> HashModel:
-    """Untrained random-projection model, the control for learning gains."""
-    return hashmodel.init(d, k, scale=1.0, seed=seed)

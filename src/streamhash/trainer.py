@@ -69,12 +69,10 @@ class TrainConfig:
             raise DomainError("inner_iters must be at least 1")
         if not 0.0 < self.epsilon <= 1e-6:
             raise DomainError("epsilon must lie in (0, 1e-6]")
-        if self.grad_mode not in GRAD_MODES:
-            raise DomainError(f"grad_mode must be one of {GRAD_MODES}")
-        if self.p_variant not in P_VARIANTS:
-            raise DomainError(f"p_variant must be one of {P_VARIANTS}")
-        if self.q_variant not in Q_VARIANTS:
-            raise DomainError(f"q_variant must be one of {Q_VARIANTS}")
+        for name, allowed in (("grad_mode", GRAD_MODES), ("p_variant", P_VARIANTS),
+                              ("q_variant", Q_VARIANTS)):
+            if getattr(self, name) not in allowed:
+                raise DomainError(f"{name} must be one of {allowed}")
         for name, cls in (("gaussian", GaussianParams), ("scaling", ScalingParams)):
             if not isinstance(getattr(self, name), cls):
                 raise DomainError(f"{name} must be a {cls.__name__}, got {getattr(self, name)!r}")
@@ -117,16 +115,9 @@ def kl_loss(P: np.ndarray, Q: np.ndarray, epsilon: float = 1e-12) -> float:
     return float(np.vdot(P, ratio))
 
 
-def stage_eta(S, cfg: TrainConfig, k: int) -> np.ndarray:
-    """Per-pair distance divisors of one batch of k-bit codes: cfg.scaling's
-    for the scaled Q, (1, 1) for the plain one (dist.scaling_matrix)."""
-    scaling = cfg.scaling if cfg.q_variant == "scaled" else ScalingParams(1.0, 1.0)
-    return dist.scaling_matrix(S, scaling, k)
-
-
 def build_workspace(B, P, eta, out: GradWorkspace | None = None) -> GradWorkspace:
     """Distances, kernel (1 + dist/eta)^-1 and Q, the kernel at unit mass, at
-    relaxed codes B, for the (n, n) divisors eta of stage_eta.
+    relaxed codes B, for the (n, n) divisors eta of build_target.
 
     With out, its (n, n) buffers are overwritten and out itself returned,
     so a stage's steps share one workspace; the values equal those of a
@@ -189,14 +180,14 @@ def sgd_step(model: HashModel, gradient: np.ndarray, learning_rate: float) -> Ha
     return HashModel(W=W)
 
 
-def build_target(labels, cfg: TrainConfig):
-    """Similarity matrix and label-side target P for one batch."""
+def build_target(labels, cfg: TrainConfig, k: int):
+    """Label-side target P of one batch and the per-pair distance divisors
+    eta of its k-bit codes, both from the batch's similarity mask: eta is
+    cfg.scaling's for the scaled Q, (1, 1) for the plain one."""
     S = dist.build_similarity(labels)
-    if cfg.p_variant == "raw":
-        P = dist.p_raw(S)
-    else:
-        P = dist.p_gaussian(S, cfg.gaussian)
-    return S, P
+    P = dist.p_raw(S) if cfg.p_variant == "raw" else dist.p_gaussian(S, cfg.gaussian)
+    scaling = cfg.scaling if cfg.q_variant == "scaled" else ScalingParams(1.0, 1.0)
+    return P, dist.scaling_matrix(S, scaling, k)
 
 
 def train_stage(model: HashModel, batch: StreamingBatch, cfg: TrainConfig):
@@ -213,8 +204,7 @@ def train_stage(model: HashModel, batch: StreamingBatch, cfg: TrainConfig):
     if batch.features.shape[1] != batch.size:
         raise DimensionError(f"{batch.features.shape[1]} feature columns for {batch.size} labels")
     X = batch.features
-    S, P = build_target(batch.labels, cfg)
-    eta = stage_eta(S, cfg, model.k)
+    P, eta = build_target(batch.labels, cfg, model.k)
     Z = hashmodel.project(model, X)
     K = X.T @ X
     M_sum = np.zeros_like(Z)
@@ -234,12 +224,8 @@ def train_stage(model: HashModel, batch: StreamingBatch, cfg: TrainConfig):
     model = sgd_step(model, X @ M_sum.T, cfg.learning_rate)
     # Z now tracks the new model's projections W^T X up to rounding
     loss_after = kl_loss(P, build_workspace(np.tanh(Z), P, eta, out=ws).Q, cfg.epsilon)
-    report = StageReport(
-        stage_index=batch.stage_index,
-        loss_before=loss_before,
-        loss_after=loss_after,
-        grad_norm=grad_norm,
-    )
+    report = StageReport(stage_index=batch.stage_index, loss_before=loss_before,
+                         loss_after=loss_after, grad_norm=grad_norm)
     return model, report
 
 

@@ -5,11 +5,13 @@ vectorised or fused way; none of them runs in training or evaluation. The
 dense text parser is the oracle of the binary sidecar (load_dense_both_ways).
 """
 
+import math
 from pathlib import Path
 
 import numpy as np
 
 from streamhash import data, model as hm, trainer
+from streamhash.distribution import ScalingParams
 from streamhash.errors import DegenerateDistributionError, DimensionError, DomainError
 from streamhash.model import HashModel
 
@@ -50,6 +52,35 @@ def p_by_sum(S):
     return out / total
 
 
+def reference_target(labels, cfg, k):
+    """(P, eta) of trainer.build_target from a float64 n x n similarity
+    matrix S with entries 1.0 and 0.0 instead of a boolean mask: P's two
+    values in the closed form p_gaussian documents (raw: 1 / n_similar and
+    0), eta scale_p (k / 2 when None) where S == 1.0 and scale_n elsewhere,
+    all 1 for the plain Q."""
+    S = (labels[:, None] == labels[None, :]).astype(np.float64)
+    similar = S == 1.0
+    n = S.shape[0]
+    n_similar = np.count_nonzero(similar) - np.count_nonzero(similar.diagonal())
+    n_dissimilar = n * (n - 1) - n_similar
+    if cfg.p_variant == "raw":
+        if not n_similar:
+            raise DegenerateDistributionError("off-diagonal mass is zero")
+        P = np.where(similar, 1.0 / n_similar, 0.0)
+    else:
+        log_ratio = (0.5 - cfg.gaussian.mu) / cfg.gaussian.sigma / cfg.gaussian.sigma
+        if n_similar and (log_ratio <= 0 or not n_dissimilar):
+            w_similar, w_dissimilar = 1.0, math.exp(min(log_ratio, 0.0))
+        else:
+            w_similar, w_dissimilar = math.exp(min(-log_ratio, 0.0)), 1.0
+        total = n_similar * w_similar + n_dissimilar * w_dissimilar
+        P = np.where(similar, w_similar / total, w_dissimilar / total)
+    np.fill_diagonal(P, 0.0)
+    sp = cfg.scaling if cfg.q_variant == "scaled" else ScalingParams(1.0, 1.0)
+    eta = np.where(S == 1.0, k / 2.0 if sp.scale_p is None else sp.scale_p, sp.scale_n)
+    return P, eta
+
+
 def hamming_sq(b_i, b_j):
     """Quarter squared distance ||b_i - b_j||^2 / 4 of two code vectors."""
     if b_i.shape != b_j.shape:
@@ -68,18 +99,18 @@ def _stage_loss(X, model, P, eta, epsilon):
     return trainer.kl_loss(P, ws.Q, epsilon)
 
 
-def grad_loss(X, model, P, S, cfg):
-    """Gradient of the stage loss with respect to W, per cfg.grad_mode."""
-    ws = trainer.build_workspace(hm.encode_relaxed(model, X), P,
-                                 trainer.stage_eta(S, cfg, model.k))
+def grad_loss(X, model, P, eta, cfg):
+    """Gradient of the stage loss at target P and divisors eta with respect
+    to W, per cfg.grad_mode."""
+    ws = trainer.build_workspace(hm.encode_relaxed(model, X), P, eta)
     return X @ trainer.code_coefficients(ws, cfg.grad_mode).T
 
 
-def fd_oracle(X, model, P, S, cfg, step=1e-5):
-    """Central finite differences of the stage loss over every W entry."""
+def fd_oracle(X, model, P, eta, cfg, step=1e-5):
+    """Central finite differences of the stage loss at target P and divisors
+    eta over every W entry."""
     if step <= 0:
         raise DomainError("step must be positive")
-    eta = trainer.stage_eta(S, cfg, model.k)
 
     def loss_at(W):
         return _stage_loss(X, HashModel(W=W), P, eta, cfg.epsilon)

@@ -50,9 +50,9 @@ def test_criterion_1_gradient_matches_finite_differences():
                           q_variant="scaled" if trial % 2 else "plain",
                           scaling=ScalingParams(2.0, 0.8))
         model = hm.init(d, k, seed=trial)
-        S, P = trainer.build_target(labels, cfg)
-        g = grad_loss(X, model, P, S, cfg)
-        g_fd = fd_oracle(X, model, P, S, cfg, step=1e-5)
+        P, eta = trainer.build_target(labels, cfg, k)
+        g = grad_loss(X, model, P, eta, cfg)
+        g_fd = fd_oracle(X, model, P, eta, cfg, step=1e-5)
         worst = max(worst, np.abs(g - g_fd).max() / max(np.abs(g_fd).max(), 1e-12))
     elapsed = time.perf_counter() - t0
     check(1, "gradient correctness",
@@ -74,8 +74,8 @@ def test_criterion_2_distribution_normalization():
         off = ~np.eye(n, dtype=bool)
         mats = {
             "p_gaussian": dist.p_gaussian(S),
-            "q_plain": code_q(B, S),
-            "q_scaled": code_q(B, S, ScalingParams(2.0, 1.0)),
+            "q_plain": code_q(B, labels),
+            "q_scaled": code_q(B, labels, ScalingParams(2.0, 1.0)),
         }
         has_similar_pair = S[off].sum() > 0
         if has_similar_pair:
@@ -86,7 +86,7 @@ def test_criterion_2_distribution_normalization():
             ok &= (np.diag(M) == 0).all()
         ok &= (mats["p_gaussian"][off] > 0).all()
         if has_similar_pair:
-            dissim = off & (S == 0)
+            dissim = off & ~S
             ok &= (mats["p_raw"][dissim] == 0).all()
     check(2, "distribution normalization", bool(ok),
           f"1000 inputs, worst off-diagonal sum deviation {worst_sum_dev:.2e} (< 1e-9)")
@@ -101,7 +101,7 @@ def test_criterion_3_imbalance_smoothing():
     ratio = P[0, 1] / P[0, 2]
     expected = math.exp(0.5)
     Praw = dist.p_raw(S)
-    raw_dissim_mass = Praw[(S == 0) & ~np.eye(4, dtype=bool)].sum()
+    raw_dissim_mass = Praw[~S & ~np.eye(4, dtype=bool)].sum()
     ok = abs(ratio - expected) < 1e-6 and raw_dissim_mass == 0.0
     check(3, "imbalance smoothing", ok,
           f"smoothed ratio {ratio:.9f} vs e^0.5 {expected:.9f}; "
@@ -172,7 +172,7 @@ def test_criterion_5_synthetic_blob_learning(tmp_path):
         features, labels = experiment.load_dataset(seed_cfg.dataset)
         _, retrieval, test = data.split(features, labels, seed_cfg.split)
         baseline = experiment.evaluate_model(
-            index.lsh_baseline(16, 16, seed=seed), retrieval, test,
+            hm.init(16, 16, scale=1.0, seed=seed), retrieval, test,
             seed_cfg.eval.cutoff, seed_cfg.eval.r_max,
         )
         maps.append(outcome.final_metrics["map"])
@@ -238,7 +238,7 @@ def run_mnist_configuration(features, labels, bits, train_overrides, every_n_sta
     model = trainer.train_stream(model, batches, cfg, eval_hook=hook).model
     trained = experiment.evaluate_model(model, retrieval, test, 1000, 100)
     baseline = experiment.evaluate_model(
-        index.lsh_baseline(features.shape[0], bits, 0), retrieval, test, 1000, 100
+        hm.init(features.shape[0], bits, scale=1.0, seed=0), retrieval, test, 1000, 100
     )
     return trained, baseline, curve, time.perf_counter() - t0
 
@@ -333,8 +333,9 @@ def test_criterion_9_variant_ablation(tmp_path):
     for _ in range(50):
         n = int(rng.integers(2, 9))
         B = rng.uniform(-1, 1, size=(5, n))
-        S = dist.build_similarity(rng.integers(0, 3, size=n))
-        worst = max(worst, np.abs(code_q(B, S, ScalingParams(1.0, 1.0)) - code_q(B, S)).max())
+        labels = rng.integers(0, 3, size=n)
+        worst = max(worst, np.abs(code_q(B, labels, ScalingParams(1.0, 1.0))
+                                  - code_q(B, labels)).max())
 
     # both distribution variants drive full training runs -> two curves
     curves = {}

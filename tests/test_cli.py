@@ -262,14 +262,14 @@ class TestExitCodes:
     def test_scale_n_without_scale_p_trains(self, tmp_path, monkeypatch):
         # a null scale_p is bits / 2 = 6; the configured scale_n 3 is used as set
         divisors = set()
-        real = trainer.stage_eta
+        real = trainer.build_target
 
-        def recorded(S, cfg, k):
-            eta = real(S, cfg, k)
+        def recorded(labels, cfg, k):
+            P, eta = real(labels, cfg, k)
             divisors.update(np.unique(eta).tolist())
-            return eta
+            return P, eta
 
-        monkeypatch.setattr(trainer, "stage_eta", recorded)
+        monkeypatch.setattr(trainer, "build_target", recorded)
         cfg = write_config(tmp_path)
         assert cli.main(["train", "--config", str(cfg), "--set", "train.scale_p=null",
                          "--set", "train.scale_n=3.0"]) == 0

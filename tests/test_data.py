@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 
 from streamhash import data
 from streamhash.data import SplitSpec
-from streamhash.errors import ConsistencyError, DomainError, FormatError, NumericError, SplitError
+from streamhash.errors import (ConsistencyError, DimensionError, DomainError, FormatError,
+                              NumericError, SplitError)
 
 from oracles import load_dense_both_ways
 
@@ -164,6 +165,37 @@ class TestDenseFormat:
         with pytest.raises(DomainError, match=f"got {d} x {n}"):
             data.save_dense(path, np.zeros((d, n)), np.zeros(n, dtype=np.int64))
         assert not path.exists()
+
+    @pytest.mark.parametrize("labels", [np.arange(4), np.arange(10).reshape(2, 5),
+                                        np.arange(6), np.int64(3)],
+                             ids=["4", "2x5", "6", "scalar"])
+    def test_labels_not_one_per_instance_not_written(self, tmp_path, labels):
+        # the label count or shape is checked before the text or a sidecar opens
+        path = tmp_path / "d.txt"
+        with pytest.raises(DimensionError, match=r"labels of shape \(.*\) for 5 instances"):
+            data.save_dense(path, np.ones((3, 5)), labels)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("labels", [np.array([0.0, 1.0]), np.array([False, True]),
+                                        np.array(["0", "1"]),
+                                        np.array([1, 2**64 - 1], dtype=np.uint64)],
+                             ids=["float64", "bool", "str_", "uint64_above_int64"])
+    def test_non_integer_labels_not_written(self, tmp_path, labels):
+        # load_dense reads labels as int64, so a uint64 label above its
+        # range would make a file that its own loader rejects
+        path = tmp_path / "d.txt"
+        with pytest.raises(DomainError, match=f"labels must be int64-range integers, "
+                                              f"got {labels.dtype}"):
+            data.save_dense(path, np.ones((3, 2)), labels)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint8, np.uint64])
+    def test_other_integer_labels_load_as_int64(self, tmp_path, dtype):
+        top = min(np.iinfo(dtype).max, np.iinfo(np.int64).max)
+        path = tmp_path / "d.txt"
+        data.save_dense(path, np.ones((3, 3)), np.array([0, 7, top], dtype=dtype))
+        labels = data.load_dense(path)[1]
+        assert labels.dtype == np.int64 and labels.tolist() == [0, 7, top]
 
     @pytest.mark.parametrize("label", [2**70, 2**63, -(2**63) - 1])
     def test_label_outside_int64_is_a_format_error(self, tmp_path, label):
@@ -405,6 +437,14 @@ class TestSplit:
         assert tr_cols <= rt_cols
         assert not (tr_cols & te_cols)
         assert not (rt_cols & te_cols)
+
+    def test_indices_ascend(self):
+        # each part lists its columns in matrix order, whatever order the
+        # seeded draws came in; the outputs written from the parts rely on it
+        spec = SplitSpec(test_per_class=4, train_size=50, seed=11)
+        for part in data.split(self.X, self.y, spec):
+            assert (np.diff(part.idx) > 0).all()
+            assert (part.labels == self.y[part.idx]).all()
 
     def test_determinism(self):
         spec = SplitSpec(test_per_class=4, train_size=50, seed=11)

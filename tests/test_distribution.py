@@ -17,12 +17,13 @@ from streamhash.trainer import TrainConfig
 from oracles import hamming_sq
 
 
-def code_q(B, S, scaling=None):
+def code_q(B, labels, scaling=None):
     """Q of codes B as a training stage forms it, with the divisors
-    stage_eta gives: scaled by scaling on S, or plain when scaling is None."""
+    build_target gives for labels: scaled by scaling, or plain when scaling
+    is None."""
     cfg = TrainConfig(q_variant="plain") if scaling is None else TrainConfig(scaling=scaling)
-    eta = trainer.stage_eta(S, cfg, B.shape[0])
-    return trainer.build_workspace(B, dist.p_gaussian(S), eta).Q
+    P, eta = trainer.build_target(np.asarray(labels), cfg, B.shape[0])
+    return trainer.build_workspace(B, P, eta).Q
 
 
 def assert_pair_distribution(M):
@@ -35,7 +36,8 @@ def assert_pair_distribution(M):
 class TestBuildSimilarity:
     def test_two_classes(self):
         S = dist.build_similarity(np.array([0, 0, 1]))
-        expected = np.array([[1, 1, 0], [1, 1, 0], [0, 0, 1]], dtype=float)
+        expected = np.array([[1, 1, 0], [1, 1, 0], [0, 0, 1]], dtype=bool)
+        assert S.dtype == np.bool_
         np.testing.assert_array_equal(S, expected)
 
     def test_all_equal_and_all_distinct(self):
@@ -114,12 +116,24 @@ class TestPGaussian:
 
     @pytest.mark.parametrize("value", [0.5, 2.0, -1.0, np.nan, np.inf])
     def test_non_binary_similarity_rejected(self, value):
-        S = dist.build_similarity(np.array([0, 0, 1]))
+        # only a boolean mask holds similarities; a float matrix is refused
+        # whatever it holds, by the eta builder as well as by P's (read as a
+        # mask, 0.5 and nan would get the similar divisor)
+        S = dist.build_similarity(np.array([0, 0, 1])).astype(np.float64)
         S[0, 2] = S[2, 0] = value
-        with pytest.raises(DomainError):
-            dist.p_gaussian(S)
-        with pytest.raises(DomainError):
-            dist.p_raw(S)
+        for build in (dist.p_gaussian, dist.p_raw,
+                      lambda S: dist.scaling_matrix(S, ScalingParams(), 4)):
+            with pytest.raises(DomainError, match="boolean similarity mask, got dtype float64"):
+                build(S)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint8])
+    def test_non_boolean_mask_rejected(self, dtype):
+        # a 0/1 matrix of another dtype is not a mask, even with binary values
+        S = dist.build_similarity(np.array([0, 0, 1])).astype(dtype)
+        for build in (dist.p_gaussian, dist.p_raw,
+                      lambda S: dist.scaling_matrix(S, ScalingParams(), 4)):
+            with pytest.raises(DomainError, match=f"boolean similarity mask, got dtype {S.dtype}"):
+                build(S)
 
     def test_bad_sigma(self):
         with pytest.raises(DomainError):
@@ -181,7 +195,7 @@ class TestQPlain:
     def test_hand_case(self):
         # distances 1, 2, 1 -> kernels 1/2, 1/3, 1/2; off-diagonal sum 8/3
         B = np.array([[1.0, 1.0, -1.0], [1.0, -1.0, -1.0]])
-        Q = code_q(B, dist.build_similarity(np.array([0, 0, 1])))
+        Q = code_q(B, [0, 0, 1])
         assert Q[0, 1] == pytest.approx(0.1875, abs=1e-12)
         assert Q[1, 2] == pytest.approx(0.1875, abs=1e-12)
         assert Q[0, 2] == pytest.approx(0.125, abs=1e-12)
@@ -189,7 +203,7 @@ class TestQPlain:
 
     def test_identical_columns_uniform(self):
         B = np.ones((4, 5))
-        Q = code_q(B, dist.build_similarity(np.arange(5)))
+        Q = code_q(B, np.arange(5))
         off = Q[~np.eye(5, dtype=bool)]
         np.testing.assert_allclose(off, 1.0 / 20, rtol=1e-12)
 
@@ -198,8 +212,7 @@ class TestQScaled:
     def test_hand_case(self):
         # identical similar codes, dissimilar at distance 2; p=2, n=1
         B = np.array([[1.0, 1.0, -1.0], [1.0, 1.0, -1.0]])
-        S = dist.build_similarity(np.array([0, 0, 1]))
-        Q = code_q(B, S, ScalingParams(scale_p=2.0, scale_n=1.0))
+        Q = code_q(B, [0, 0, 1], ScalingParams(scale_p=2.0, scale_n=1.0))
         assert Q[0, 1] == pytest.approx(0.3, abs=1e-12)
         assert Q[0, 2] == pytest.approx(0.1, abs=1e-12)
         assert Q[1, 2] == pytest.approx(0.1, abs=1e-12)
@@ -210,9 +223,9 @@ class TestQScaled:
         for _ in range(20):
             n = rng.integers(2, 9)
             B = rng.uniform(-1, 1, size=(6, n))
-            S = dist.build_similarity(rng.integers(0, 3, size=n))
-            Q1 = code_q(B, S, ScalingParams(1.0, 1.0))
-            Q2 = code_q(B, S)
+            labels = rng.integers(0, 3, size=n)
+            Q1 = code_q(B, labels, ScalingParams(1.0, 1.0))
+            Q2 = code_q(B, labels)
             assert np.abs(Q1 - Q2).max() < 1e-12
 
     def test_larger_p_raises_similar_kernels(self):
@@ -223,13 +236,12 @@ class TestQScaled:
         for p_small, p_big in [(1.0, 2.0), (2.0, 8.0)]:
             k_small = 1.0 / (1.0 + D / dist.scaling_matrix(S, ScalingParams(p_small, 1.0), 6))
             k_big = 1.0 / (1.0 + D / dist.scaling_matrix(S, ScalingParams(p_big, 1.0), 6))
-            sim = (S == 1) & ~np.eye(8, dtype=bool)
+            sim = S & ~np.eye(8, dtype=bool)
             assert (k_big[sim] >= k_small[sim]).all()
 
     def test_zero_distances_uniform_regardless_of_scaling(self):
         B = np.ones((3, 6))
-        S = dist.build_similarity(np.array([0, 0, 0, 1, 1, 2]))
-        Q = code_q(B, S, ScalingParams(scale_p=9.0, scale_n=0.25))
+        Q = code_q(B, [0, 0, 0, 1, 1, 2], ScalingParams(scale_p=9.0, scale_n=0.25))
         off = Q[~np.eye(6, dtype=bool)]
         np.testing.assert_allclose(off, 1.0 / 30, rtol=1e-12)
 
@@ -261,7 +273,7 @@ class TestQScaled:
         # only scale_p has a width-dependent default; scale_n stays as set
         S = dist.build_similarity(np.array([0, 0, 1]))
         eta = dist.scaling_matrix(S, ScalingParams(scale_n=3.0), 12)
-        np.testing.assert_array_equal(eta, np.where(S == 1.0, 6.0, 3.0))
+        np.testing.assert_array_equal(eta, [[6.0, 6.0, 3.0], [6.0, 6.0, 3.0], [3.0, 3.0, 6.0]])
         assert ScalingParams() == ScalingParams(None, 1.0)
 
 
@@ -275,8 +287,8 @@ class TestDistributionInvariants:
             labels = rng.integers(0, 3, size=n)
             S = dist.build_similarity(labels)
             B = rng.uniform(-1, 1, size=(4, n))
-            mats = [dist.p_gaussian(S), code_q(B, S),
-                    code_q(B, S, ScalingParams(3.0, 1.0))]
+            mats = [dist.p_gaussian(S), code_q(B, labels),
+                    code_q(B, labels, ScalingParams(3.0, 1.0))]
             if S.sum() > n:  # a similar off-diagonal pair exists
                 mats.append(dist.p_raw(S))
             for M in mats:
@@ -290,10 +302,9 @@ class TestDistributionInvariants:
         S = dist.build_similarity(labels)
         perm = rng.permutation(7)
         P = dist.p_gaussian(S)
-        Q = code_q(B, S, ScalingParams(2.0, 1.0))
+        Q = code_q(B, labels, ScalingParams(2.0, 1.0))
         P2 = dist.p_gaussian(dist.build_similarity(labels[perm]))
-        Q2 = code_q(B[:, perm], dist.build_similarity(labels[perm]),
-                    ScalingParams(2.0, 1.0))
+        Q2 = code_q(B[:, perm], labels[perm], ScalingParams(2.0, 1.0))
         np.testing.assert_allclose(P2, P[np.ix_(perm, perm)], atol=1e-15)
         np.testing.assert_allclose(Q2, Q[np.ix_(perm, perm)], atol=1e-15)
 
@@ -304,6 +315,6 @@ class TestDistributionInvariants:
         Praw = dist.p_raw(S)
         Pg = dist.p_gaussian(S)
         off = ~np.eye(6, dtype=bool)
-        dissim = off & (S == 0)
+        dissim = off & ~S
         assert (Praw[dissim] == 0).all()
         assert (Pg[off] > 0).all()

@@ -1,7 +1,7 @@
 """Property tests for the pair distributions: every P and Q has an exactly
 zero diagonal and unit mass, scaled Q with unit scales is plain Q, and raw
-P is the similarity matrix normalised by its sum, bit for bit. Q is the one
-training forms: build_workspace at stage_eta's divisors."""
+P is the similarity mask normalised by its sum, bit for bit. Q is the one
+training forms: build_workspace at build_target's divisors."""
 
 import numpy as np
 import pytest
@@ -45,7 +45,7 @@ def test_zero_diagonal_and_unit_mass(batch, mu, sigma, p, n):
     B, labels = batch
     S = dist.build_similarity(labels)
     P = dist.p_gaussian(S, GaussianParams(mu, sigma))
-    Qs = [trainer.build_workspace(B, P, trainer.stage_eta(S, cfg, B.shape[0])).Q
+    Qs = [trainer.build_workspace(B, P, trainer.build_target(labels, cfg, B.shape[0])[1]).Q
           for cfg in (TrainConfig(q_variant="plain"),
                       TrainConfig(q_variant="scaled", scaling=ScalingParams(p, n)))]
     for M in (dist.p_raw(S), P, *Qs):
@@ -56,22 +56,20 @@ def test_zero_diagonal_and_unit_mass(batch, mu, sigma, p, n):
 @given(batch=batches())
 def test_unit_scales_give_plain_q(batch):
     B, labels = batch
-    S = dist.build_similarity(labels)
-    P = dist.p_gaussian(S)
-    scaled, plain = (trainer.build_workspace(B, P, trainer.stage_eta(S, cfg, B.shape[0])).Q
+    P = dist.p_gaussian(dist.build_similarity(labels))
+    scaled, plain = (trainer.build_workspace(B, P, trainer.build_target(labels, cfg, B.shape[0])[1]).Q
                      for cfg in (TrainConfig(q_variant="scaled", scaling=ScalingParams(1.0, 1.0)),
                                  TrainConfig(q_variant="plain")))
     assert np.array_equal(scaled, plain)
 
 
 @SETTINGS
-@given(S=st.integers(1, 12).flatmap(
-    lambda n: arrays(np.float64, (n, n), elements=st.sampled_from([0.0, 1.0]))))
+@given(S=st.integers(1, 12).flatmap(lambda n: arrays(np.bool_, (n, n))))
 def test_raw_p_is_the_similarity_normalised_by_its_sum(S):
     if np.count_nonzero(S) == np.count_nonzero(S.diagonal()):
         # no similar pair off the diagonal: both have zero mass to share
-        for build in (dist.p_raw, p_by_sum):
+        for build in (dist.p_raw, lambda S: p_by_sum(S.astype(np.float64))):
             with pytest.raises(DegenerateDistributionError):
                 build(S)
     else:
-        assert dist.p_raw(S).tobytes() == p_by_sum(S).tobytes()
+        assert dist.p_raw(S).tobytes() == p_by_sum(S.astype(np.float64)).tobytes()

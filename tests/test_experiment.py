@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from streamhash import cli, data, distribution as dist, experiment, index, metrics, trainer
+from streamhash import cli, data, experiment, index, metrics, trainer
 from streamhash import model as hm
 from streamhash.distribution import ScalingParams
 from streamhash.errors import ConfigError, ConsistencyError, NumericError, SplitError
@@ -112,9 +112,10 @@ class TestConfigValidation:
         raw["train"].update(scale_p=None, scale_n=scale_n)
         cfg = config_from_dict(raw)
         assert cfg.train.scaling == ScalingParams(None, scale_n)
-        S = dist.build_similarity(np.array([0, 0, 1]))
-        np.testing.assert_array_equal(trainer.stage_eta(S, cfg.train, cfg.bits),
-                                      np.where(S == 1.0, cfg.bits / 2, scale_n))
+        _, eta = trainer.build_target(np.array([0, 0, 1]), cfg.train, cfg.bits)
+        np.testing.assert_array_equal(eta, [[cfg.bits / 2, cfg.bits / 2, scale_n],
+                                            [cfg.bits / 2, cfg.bits / 2, scale_n],
+                                            [scale_n, scale_n, cfg.bits / 2]])
 
     @pytest.mark.parametrize("where", ["split", "dataset", "train", None])
     def test_negative_seed_rejected(self, tmp_path, where):
@@ -254,6 +255,19 @@ class TestRunTrain:
         assert [r.stage_index for r in outcome.stage_reports] == list(range(1, 13))
         assert outcome.stages_planned == 12 and outcome.abort_reason is None
 
+    def test_each_epoch_reshuffled_with_its_own_seed(self, tmp_path):
+        # epoch e streams the train part with seed train.seed + e
+        raw = blob_config(tmp_path, epochs=3)
+        raw["train"]["seed"] = 4
+        cfg = config_from_dict(raw)
+        train, _, _ = data.split(*experiment.load_dataset(cfg.dataset), cfg.split)
+        got = experiment.make_batches(train, cfg)
+        want = [b for e in range(3) for b in data.stream(train, cfg.train.batch_size, 4 + e)]
+        assert len(got) == len(want) == 18
+        for a, b in zip(got, want):
+            assert a.source is b.source and (a.idx == b.idx).all()
+            assert (a.labels == b.labels).all()
+
     def test_aborted_stream_keeps_its_outputs(self, tmp_path, failing_second_stage):
         outcome = experiment.run_train(config_from_dict(blob_config(tmp_path)), tmp_path / "run")
         assert outcome.abort_reason == "aborted after 1 of 6 stages"
@@ -296,6 +310,18 @@ class TestRunEval:
         rows = (tmp_path / "e1/report.csv").read_text().splitlines()
         assert len(rows) == 3  # header + trained + baseline
         assert "lsh_baseline" in rows[2]
+
+    def test_baseline_report_scores_the_seeded_init_model(self, tmp_path):
+        # the lsh_baseline row scores an untrained random projection: init
+        # at scale 1 with the config's seed and the checkpoint's shape
+        cfg = config_from_dict(blob_config(tmp_path, seed=5))
+        model = hm.init(8, 10, scale=0.3, seed=1)
+        _, baseline = experiment.run_eval(model, cfg)
+        _, retrieval, test = data.split(*experiment.load_dataset(cfg.dataset), cfg.split)
+        want = experiment.evaluate_model(hm.init(8, 10, scale=1.0, seed=5), retrieval, test,
+                                         cfg.eval.cutoff, cfg.eval.r_max)
+        assert baseline.method == "lsh_baseline" and baseline.bits == 10
+        assert {name: getattr(baseline, name) for name in want} == want
 
     def test_json_mirror_carries_conventions_and_series(self, tmp_path):
         cfg = config_from_dict(blob_config(tmp_path))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from streamhash import index, metrics, model as hm
+from streamhash import index, metrics
 from streamhash.errors import DimensionError, DomainError
 
 from oracles import hamming, hamming_sq
@@ -172,17 +172,3 @@ class TestSearch:
                 key=lambda i: (hamming_sq(qB[:, 0], B[:, i]), i),
             )
             assert ranked_ids(qB, B).tolist() == naive
-
-
-class TestLshBaseline:
-    def test_identical_to_init(self):
-        a = index.lsh_baseline(10, 6, seed=3)
-        b = hm.init(10, 6, scale=1.0, seed=3)
-        assert (a.W == b.W).all()
-
-    def test_deterministic(self):
-        assert (index.lsh_baseline(5, 4, seed=1).W == index.lsh_baseline(5, 4, seed=1).W).all()
-
-    def test_negative_seed_rejected(self):
-        with pytest.raises(DomainError, match="seed must be non-negative"):
-            index.lsh_baseline(3, 4, seed=-1)

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 import streamhash
-from streamhash import data, experiment, index, model as hm, trainer
+from streamhash import data, experiment, model as hm, trainer
 from streamhash.experiment import config_from_dict
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -58,7 +58,7 @@ def test_idx_image_pipeline_learns(tmp_path):
 
     trained = experiment.evaluate_model(model, retrieval, test, 1000, 100)
     baseline = experiment.evaluate_model(
-        index.lsh_baseline(784, 32, 0), retrieval, test, 1000, 100
+        hm.init(784, 32, scale=1.0, seed=0), retrieval, test, 1000, 100
     )
     # frozen seeded measurement: ~0.999 vs ~0.19 for the random projection
     assert trained["map"] >= 0.9
@@ -119,7 +119,7 @@ class TestPublicSurface:
             "GaussianParams", "HashModel", "MetricReport", "PackedCodes", "ScalingParams",
             "SplitSpec", "StageReport", "StreamingBatch", "TrainConfig", "build_similarity",
             "curve_auc", "encode_binary", "encode_relaxed", "init", "kl_loss",
-            "load_checkpoint", "load_dense", "load_idx", "lsh_baseline", "mean_ap",
+            "load_checkpoint", "load_dense", "load_idx", "mean_ap",
             "normalize_pixels", "p_gaussian", "p_raw", "pack", "pairwise_hamming_sq",
             "precision_at_r", "precision_h2", "retrieval_scores", "save_checkpoint",
             "save_dense", "sgd_step", "split", "stream", "synth_blobs", "train_stage",

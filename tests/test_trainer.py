@@ -1,5 +1,6 @@
 """KL loss, gradient correctness, SGD updates and the streaming loop."""
 
+import itertools
 import logging
 from dataclasses import replace
 
@@ -17,7 +18,7 @@ from streamhash.errors import (
 )
 from streamhash.trainer import TrainConfig
 
-from oracles import fd_oracle, grad_loss
+from oracles import fd_oracle, grad_loss, reference_target
 from test_data import whole
 from test_distribution import code_q
 
@@ -29,8 +30,8 @@ def random_instance(rng, n_t=6, d=4, k=3, q_variant="scaled", p_variant="gaussia
     cfg = TrainConfig(grad_mode="exact", p_variant=p_variant, q_variant=q_variant,
                       scaling=scaling)
     model = hm.init(d, k, scale=1.0, seed=int(rng.integers(1 << 30)))
-    S, P = trainer.build_target(labels, cfg)
-    return X, labels, model, S, P, cfg
+    P, eta = trainer.build_target(labels, cfg, k)
+    return X, labels, model, P, eta, cfg
 
 
 def masked_kl(P, Q, epsilon):
@@ -51,8 +52,7 @@ class TestKlLoss:
         # value frozen from direct high-precision evaluation of the sum
         P = dist.p_gaussian(dist.build_similarity(np.array([0, 0, 1])))
         B = np.array([[1.0, 1.0, -1.0], [1.0, 1.0, -1.0]])
-        S = dist.build_similarity(np.array([0, 0, 1]))
-        Q = code_q(B, S, ScalingParams(2.0, 1.0))
+        Q = code_q(B, [0, 0, 1], ScalingParams(2.0, 1.0))
         assert trainer.kl_loss(P, Q) == pytest.approx(0.0445705410, abs=1e-9)
 
     def test_non_negative_on_random_pairs(self):
@@ -63,14 +63,14 @@ class TestKlLoss:
             S = dist.build_similarity(labels)
             P = dist.p_gaussian(S, GaussianParams(1.0, float(rng.uniform(0.2, 2.0))))
             B = rng.uniform(-1, 1, size=(5, n))
-            Q = code_q(B, S)
+            Q = code_q(B, labels)
             assert trainer.kl_loss(P, Q) >= 0.0
 
     def test_zero_target_entries_contribute_nothing(self):
         labels = np.array([0, 0, 1])
         S = dist.build_similarity(labels)
         P = dist.p_raw(S)
-        Q = code_q(np.array([[1.0, -1.0, 1.0]]), S)
+        Q = code_q(np.array([[1.0, -1.0, 1.0]]), labels)
         # only the two similar pairs enter the sum
         expected = 2 * 0.5 * np.log(0.5 / Q[0, 1])
         assert trainer.kl_loss(P, Q) == pytest.approx(expected, rel=1e-12)
@@ -89,13 +89,43 @@ class TestKlLoss:
             labels[1] = labels[0]
             cfg = TrainConfig(p_variant=p_variant,
                               gaussian=GaussianParams(1.0, float(rng.uniform(0.1, 2.0))))
-            S, P = trainer.build_target(labels, cfg)
-            Q = code_q(rng.uniform(-1, 1, size=(int(rng.integers(1, 9)), n)), S)
+            P, _ = trainer.build_target(labels, cfg, 1)
+            Q = code_q(rng.uniform(-1, 1, size=(int(rng.integers(1, 9)), n)), labels)
             # some Q entries below the clamp
             Q.ravel()[rng.integers(0, n * n, size=n)] = 1e-20
             epsilon = float(rng.choice([1e-12, 1e-6]))
             assert trainer.kl_loss(P, Q, epsilon) == pytest.approx(
                 masked_kl(P, Q, epsilon), rel=1e-13, abs=0)
+
+
+LABELS = {
+    "distinct": lambda n, rng: np.arange(n),
+    "equal": lambda n, rng: np.full(n, 3),
+    "mixed": lambda n, rng: rng.integers(0, 4, size=n),
+}
+
+
+class TestBuildTarget:
+    @pytest.mark.parametrize("kind", LABELS)
+    @pytest.mark.parametrize("n", [2, 50, 400])
+    def test_equals_float_similarity_reference(self, n, kind):
+        # P and eta from the boolean mask are float64 and equal, byte for
+        # byte, those built from a float64 similarity matrix
+        labels = LABELS[kind](n, np.random.default_rng(n))
+        for p_variant, q_variant, scale_p, mu in itertools.product(
+                trainer.P_VARIANTS, trainer.Q_VARIANTS, (None, 2.5), (0.5, 1.0)):
+            cfg = TrainConfig(p_variant=p_variant, q_variant=q_variant,
+                              gaussian=GaussianParams(mu, 0.35),
+                              scaling=ScalingParams(scale_p, 0.7))
+            if p_variant == "raw" and np.unique(labels).size == n:  # no similar pair
+                for build in (trainer.build_target, reference_target):
+                    with pytest.raises(DegenerateDistributionError):
+                        build(labels, cfg, 12)
+                continue
+            got, want = trainer.build_target(labels, cfg, 12), reference_target(labels, cfg, 12)
+            for a, b in zip(got, want):
+                assert a.dtype == np.float64 and a.shape == (n, n)
+                assert a.tobytes() == b.tobytes()
 
 
 class TestGradLoss:
@@ -109,11 +139,11 @@ class TestGradLoss:
             d = int(rng.integers(2, 6))
             k = int(rng.integers(1, 5))
             q_variant = "scaled" if trial % 2 else "plain"
-            X, labels, model, S, P, cfg = random_instance(
+            X, labels, model, P, eta, cfg = random_instance(
                 rng, n_t=n_t, d=d, k=k, q_variant=q_variant
             )
-            g = grad_loss(X, model, P, S, cfg)
-            g_fd = fd_oracle(X, model, P, S, cfg, step=1e-5)
+            g = grad_loss(X, model, P, eta, cfg)
+            g_fd = fd_oracle(X, model, P, eta, cfg, step=1e-5)
             rel = np.abs(g - g_fd).max() / max(np.abs(g_fd).max(), 1e-12)
             worst = max(worst, rel)
         assert worst < 1e-4
@@ -125,21 +155,21 @@ class TestGradLoss:
         cfg = TrainConfig(grad_mode="exact", p_variant="raw", q_variant="scaled",
                           scaling=ScalingParams(3.0, 1.0))
         model = hm.init(4, 3, seed=9)
-        S, P = trainer.build_target(labels, cfg)
-        g = grad_loss(X, model, P, S, cfg)
-        g_fd = fd_oracle(X, model, P, S, cfg, step=1e-5)
+        P, eta = trainer.build_target(labels, cfg, model.k)
+        g = grad_loss(X, model, P, eta, cfg)
+        g_fd = fd_oracle(X, model, P, eta, cfg, step=1e-5)
         assert np.abs(g - g_fd).max() / np.abs(g_fd).max() < 1e-4
 
     def test_zero_when_target_equals_code_distribution(self):
         # force P = Q by feeding Q back as the target
         rng = np.random.default_rng(1)
-        X, labels, model, S, _, cfg = random_instance(rng)
+        X, labels, model, _, eta, cfg = random_instance(rng)
         B = hm.encode_relaxed(model, X)
-        Q = code_q(B, S, cfg.scaling)
+        Q = code_q(B, labels, cfg.scaling)
         for mode in ("paper", "exact"):
             mode_cfg = TrainConfig(grad_mode=mode, q_variant=cfg.q_variant,
                                    scaling=cfg.scaling)
-            g = grad_loss(X, model, Q, S, mode_cfg)
+            g = grad_loss(X, model, Q, eta, mode_cfg)
             assert (g == 0).all()
 
     def test_zero_model_is_stationary(self):
@@ -148,34 +178,32 @@ class TestGradLoss:
         labels = rng.integers(0, 2, size=6)
         cfg = TrainConfig()
         model = hm.init(4, 3, scale=0.0, seed=0)
-        S, P = trainer.build_target(labels, cfg)
+        P, eta = trainer.build_target(labels, cfg, model.k)
         for mode in ("paper", "exact"):
-            g = grad_loss(X, model, P, S, TrainConfig(grad_mode=mode))
+            g = grad_loss(X, model, P, eta, TrainConfig(grad_mode=mode))
             assert (g == 0).all()
 
     def test_row_sum_identity(self):
         # the Laplacian-like structure: the pair Laplacian's rows sum to zero
         rng = np.random.default_rng(3)
         for _ in range(20):
-            X, labels, model, S, P, cfg = random_instance(rng)
-            ws = trainer.build_workspace(hm.encode_relaxed(model, X), P,
-                                         trainer.stage_eta(S, cfg, model.k))
+            X, labels, model, P, eta, cfg = random_instance(rng)
+            ws = trainer.build_workspace(hm.encode_relaxed(model, X), P, eta)
             for mode in trainer.GRAD_MODES:
-                rows = trainer.pair_laplacian(ws, mode) @ np.ones(S.shape[0])
+                rows = trainer.pair_laplacian(ws, mode) @ np.ones(P.shape[0])
                 assert np.abs(rows).max() < 1e-10
 
     def test_workspace_invariants(self):
         rng = np.random.default_rng(4)
-        X, labels, model, S, P, cfg = random_instance(rng)
+        X, labels, model, P, eta, cfg = random_instance(rng)
         B = hm.encode_relaxed(model, X)
-        eta = trainer.stage_eta(S, cfg, model.k)
         ws = trainer.build_workspace(B, P, eta)
         scaled = dist.pairwise_hamming_sq(B) / eta  # the kernel's dist/eta
         assert (scaled >= 0).all() and (np.diag(scaled) == 0).all()
         expected = 1.0 / (1.0 + scaled)
         np.fill_diagonal(expected, 0.0)
         assert np.array_equal(ws.kernel, expected)
-        assert (ws.kernel > 0).sum() == ws.kernel.size - S.shape[0]
+        assert (ws.kernel > 0).sum() == ws.kernel.size - P.shape[0]
         assert (ws.kernel <= 1).all() and (np.diag(ws.kernel) == 0).all()
         assert ws.Q.sum() == pytest.approx(1.0, abs=1e-12)
         assert ws.B is B
@@ -187,8 +215,7 @@ class TestGradLoss:
         # one workspace serves two successive codes; each time it is the
         # same object and equal to a fresh workspace bit for bit
         rng = np.random.default_rng(12)
-        X, labels, model, S, P, cfg = random_instance(rng, n_t=9, q_variant=q_variant)
-        eta = trainer.stage_eta(S, cfg, model.k)
+        X, labels, model, P, eta, cfg = random_instance(rng, n_t=9, q_variant=q_variant)
         ws = trainer.build_workspace(hm.encode_relaxed(model, X), P, eta)
         for scale in (0.5, 2.0):
             B = np.tanh(scale * hm.project(model, X))
@@ -208,11 +235,10 @@ class TestGradLoss:
         # divided by eta, so the gradients w.r.t. the codes are collinear
         rng = np.random.default_rng(5)
         eta = 2.0
-        X, labels, model, S, P, cfg = random_instance(
+        X, labels, model, P, etas, cfg = random_instance(
             rng, scaling=ScalingParams(eta, eta)
         )
-        ws = trainer.build_workspace(hm.encode_relaxed(model, X), P,
-                                     trainer.stage_eta(S, cfg, model.k))
+        ws = trainer.build_workspace(hm.encode_relaxed(model, X), P, etas)
         g_paper_codes = ws.B @ trainer.pair_laplacian(ws, "paper")
         g_exact_codes = ws.B @ trainer.pair_laplacian(ws, "exact")
         np.testing.assert_allclose(g_paper_codes, eta * g_exact_codes, atol=1e-12)
@@ -224,12 +250,12 @@ class TestGradLoss:
         rng = np.random.default_rng(6)
         devs = []
         for _ in range(5):
-            X, labels, model, S, P, _ = random_instance(
+            X, labels, model, P, eta, _ = random_instance(
                 rng, scaling=ScalingParams(1.0, 1.0)
             )
-            g_paper = grad_loss(X, model, P, S, TrainConfig(
+            g_paper = grad_loss(X, model, P, eta, TrainConfig(
                 grad_mode="paper", scaling=ScalingParams(1.0, 1.0)))
-            g_exact = grad_loss(X, model, P, S, TrainConfig(
+            g_exact = grad_loss(X, model, P, eta, TrainConfig(
                 grad_mode="exact", scaling=ScalingParams(1.0, 1.0)))
             denom = np.linalg.norm(g_exact)
             devs.append(np.linalg.norm(g_paper - g_exact) / max(denom, 1e-12))
@@ -249,16 +275,16 @@ class TestFdOracle:
 
     def test_deterministic(self):
         rng = np.random.default_rng(8)
-        X, labels, model, S, P, cfg = random_instance(rng)
-        a = fd_oracle(X, model, P, S, cfg, step=1e-5)
-        b = fd_oracle(X, model, P, S, cfg, step=1e-5)
+        X, labels, model, P, eta, cfg = random_instance(rng)
+        a = fd_oracle(X, model, P, eta, cfg, step=1e-5)
+        b = fd_oracle(X, model, P, eta, cfg, step=1e-5)
         assert (a == b).all()
 
     def test_bad_step(self):
         rng = np.random.default_rng(9)
-        X, labels, model, S, P, cfg = random_instance(rng)
+        X, labels, model, P, eta, cfg = random_instance(rng)
         with pytest.raises(DomainError):
-            fd_oracle(X, model, P, S, cfg, step=0.0)
+            fd_oracle(X, model, P, eta, cfg, step=0.0)
 
 
 class TestSgdStep:
@@ -271,9 +297,8 @@ class TestSgdStep:
 
     def test_small_step_decreases_loss(self):
         rng = np.random.default_rng(10)
-        X, labels, model, S, P, cfg = random_instance(rng)
-        g = grad_loss(X, model, P, S, cfg)
-        eta = trainer.stage_eta(S, cfg, model.k)
+        X, labels, model, P, eta, cfg = random_instance(rng)
+        g = grad_loss(X, model, P, eta, cfg)
 
         def loss(m):
             return trainer.kl_loss(P, trainer.build_workspace(hm.encode_relaxed(m, X), P, eta).Q)
@@ -346,11 +371,7 @@ def reference_stage(W, batch, cfg):
     re-encodes the batch, forms the dense n x n diagonal of row sums and
     writes W. Returns (W, loss_before, loss_after, grad_norm)."""
     X = batch.features
-    S, P = trainer.build_target(batch.labels, cfg)
-    if cfg.q_variant == "scaled":
-        eta = dist.scaling_matrix(S, cfg.scaling, W.shape[1])
-    else:
-        eta = np.ones_like(S)
+    P, eta = reference_target(batch.labels, cfg, W.shape[1])
 
     def workspace(W):
         B = np.tanh(W.T @ X)
@@ -422,14 +443,16 @@ class TestStageAgainstReference:
         counted(trainer, "build_workspace")
         counted(trainer, "sgd_step")
         counted(hm, "encode_relaxed")
+        counted(dist, "build_similarity")
         counted(dist, "scaling_matrix")
         counted(dist, "p_gaussian")
         cfg = TrainConfig(inner_iters=4)
         trainer.train_stage(hm.init(16, 5, seed=0), batch, cfg)
-        # loss_after comes from the tracked projections: no encode at all
+        # loss_after comes from the tracked projections: no encode at all;
+        # one similarity mask serves P and eta
         assert calls.get("encode_relaxed", 0) == 0
         assert calls == {"build_workspace": cfg.inner_iters + 1, "sgd_step": 1,
-                         "scaling_matrix": 1, "p_gaussian": 1}
+                         "build_similarity": 1, "scaling_matrix": 1, "p_gaussian": 1}
 
     def test_non_finite_step_raises_before_w_is_written(self, monkeypatch):
         X, y = data.synth_blobs(3, 16, 10, 0.8, seed=0)

@@ -1,0 +1,144 @@
+"""Mutation check: every listed one-place edit of the program must be caught.
+
+For each mutant, copies src/, tests/, tools/, configs/ and README.md into a
+temporary directory, applies the edit there (its old text must occur exactly
+once in its file), runs tier-1 with -x and then tools/parity.py at one BLAS
+thread. A mutant is killed when tier-1 fails or its parity manifest differs
+from the manifest of an unmutated copy made by the same invocation, so no
+golden file is kept and the result does not depend on the CPU or the BLAS
+build. The unmutated copy must pass tier-1 first. Exits 1 if that copy
+fails, if an edit does not apply, or if any mutant survives both checks:
+
+    python tools/mutants.py
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+COPIED = ["src", "tests", "tools", "configs", "README.md"]
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    file: str  # relative to the repository root
+    old: str   # occurs exactly once in file
+    new: str
+    breaks: str  # the guarantee the edit breaks
+
+
+MUTANTS = [
+    Mutant("split_test_unsorted", "src/streamhash/data.py",
+           "test_idx = np.sort(np.concatenate(test_idx))\n    mask",
+           "test_idx = np.concatenate(test_idx)\n    mask",
+           "split parts list their columns in matrix order"),
+    Mutant("epochs_share_a_seed", "src/streamhash/experiment.py",
+           "data.stream(train, cfg.train.batch_size, cfg.train.seed + epoch)",
+           "data.stream(train, cfg.train.batch_size, cfg.train.seed)",
+           "epoch e of the stream is shuffled with seed train.seed + e"),
+    Mutant("stale_sidecar_kept", "src/streamhash/data.py",
+           "os.remove(sidecar)",
+           "pass",
+           "a save that writes no sidecar removes a stale one"),
+    Mutant("load_skips_finiteness", "src/streamhash/data.py",
+           "X.shape == (d, n) and _parsed_as(X, y, n)",
+           "X.shape == (d, n) and X.dtype == np.float64 and y.dtype == np.int64 "
+           "and y.shape == (n,)",
+           "a sidecar with non-finite features is ignored, and the text's error raised"),
+    Mutant("p_diagonal_kept", "src/streamhash/distribution.py",
+           "    diag_view(P)[:] = 0.0\n    return P\n\n\ndef p_raw",
+           "    return P\n\n\ndef p_raw",
+           "p_raw and p_gaussian have an exactly zero diagonal"),
+    Mutant("eta_similar_gets_scale_n", "src/streamhash/distribution.py",
+           "np.where(_mask(S), bits / 2.0 if sp.scale_p is None else sp.scale_p, sp.scale_n)",
+           "np.where(_mask(S), sp.scale_n, sp.scale_n)",
+           "similar pairs' distances are divided by scale_p (bits / 2 when null)"),
+    Mutant("similar_count_with_diagonal", "src/streamhash/distribution.py",
+           "n_similar = np.count_nonzero(_mask(S)) - np.count_nonzero(S.diagonal())",
+           "n_similar = np.count_nonzero(_mask(S))",
+           "P's similar pairs are counted off the diagonal only, so P has unit mass"),
+]
+
+
+def copy_tree(dest: Path) -> None:
+    for name in COPIED:
+        src = ROOT / name
+        if src.is_dir():
+            shutil.copytree(src, dest / name,
+                            ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+        else:
+            shutil.copy2(src, dest / name)
+
+
+def mutated(tree: Path, mutant: Mutant) -> str:
+    """The text of mutant.file in tree with the edit applied."""
+    text = (tree / mutant.file).read_text()
+    count = text.count(mutant.old)
+    if count != 1:
+        sys.exit(f"{mutant.name}: the old text occurs {count} times in {mutant.file}, not once")
+    return text.replace(mutant.old, mutant.new)
+
+
+def tier1_failure(tree: Path) -> str | None:
+    """None if tier-1 passes in tree, else the first failing test as pytest
+    names it (or pytest's exit status), stopping at the first failure."""
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    out = subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+                          "--continue-on-collection-errors", "tests"],
+                         cwd=tree, env=env, capture_output=True, text=True)
+    if out.returncode == 0:
+        return None
+    failed = [line.split()[1] for line in out.stdout.splitlines()
+              if line.startswith(("FAILED ", "ERROR "))]
+    return failed[0] if failed else f"pytest exit status {out.returncode}"
+
+
+def manifest(tree: Path) -> str | None:
+    """tools/parity.py's manifest of tree at one BLAS thread; None if it exits non-zero."""
+    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "OPENBLAS_NUM_THREADS": "1"}
+    out_dir = tree / "parity-out"
+    result = subprocess.run([sys.executable, str(tree / "tools" / "parity.py"), str(out_dir)],
+                            cwd=tree, env=env, capture_output=True, text=True)
+    return (out_dir / "manifest.txt").read_text() if result.returncode == 0 else None
+
+
+def main() -> int:
+    for mutant in MUTANTS:  # every edit applies before anything runs
+        mutated(ROOT, mutant)
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory(prefix="streamhash-mutants-") as tmp:
+        clean = Path(tmp) / "clean"
+        copy_tree(clean)
+        failure = tier1_failure(clean)
+        if failure:
+            sys.exit(f"the unmutated copy fails tier-1 ({failure}); no mutant can be judged")
+        want = manifest(clean)
+        if want is None:
+            sys.exit("tools/parity.py fails on the unmutated copy")
+        survivors = []
+        for mutant in MUTANTS:
+            tree = Path(tmp) / mutant.name
+            copy_tree(tree)
+            (tree / mutant.file).write_text(mutated(tree, mutant))
+            failure = tier1_failure(tree)
+            by = [check for check, caught in ((f"tier-1 ({failure})", failure),
+                                              ("parity", manifest(tree) != want)) if caught]
+            print(f"{mutant.name}: {'killed by ' + ' and '.join(by) if by else 'SURVIVED'}"
+                  f" - breaks: {mutant.breaks}", flush=True)
+            if not by:
+                survivors.append(mutant.name)
+            shutil.rmtree(tree)
+    print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants killed "
+          f"in {time.perf_counter() - start:.0f} s")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
