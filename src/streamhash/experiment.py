@@ -223,12 +223,13 @@ def load_dataset(spec: dict):
 
 def evaluate_model(model, retrieval: data.Part, test: data.Part, cutoff: int, r_max: int):
     """All retrieval metrics of one model on the retrieval/test parts of one
-    matrix, encoded once: database and queries are columns of its codes."""
+    matrix, encoded and packed once: database and queries are rows of its
+    packed codes."""
     if retrieval.source is not test.source:
         raise ConsistencyError("retrieval and test parts index different matrices")
-    codes = hashmodel.encode_binary(model, retrieval.source)
-    db = index.pack(codes[:, retrieval.idx], retrieval.labels)
-    queries = index.pack(codes[:, test.idx], test.labels)
+    words = index.pack(hashmodel.encode_binary(model, retrieval.source)).words
+    db, queries = (index.PackedCodes(words[part.idx], model.k, part.idx.size, part.labels)
+                   for part in (retrieval, test))
     scores = metrics.retrieval_scores(queries, db, cutoff=cutoff, r_max=r_max)
     return {**scores, "precision_at_r": scores["precision_at_r"].tolist()}
 

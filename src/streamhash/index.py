@@ -31,8 +31,8 @@ def pack(B: np.ndarray, labels: np.ndarray | None = None) -> PackedCodes:
     if not (ones | (B == -1)).all():
         raise DomainError("codes must be exactly +1 or -1")
     k, n = B.shape
-    if labels is not None and labels.shape[0] != n:
-        raise DimensionError(f"{labels.shape[0]} labels for {n} codes")
+    if labels is not None and labels.shape != (n,):
+        raise DimensionError(f"labels of shape {labels.shape} for {n} codes")
     n_words = (k + WORD_BITS - 1) // WORD_BITS
     bits = np.zeros((n, n_words * WORD_BITS), dtype=bool)
     bits[:, :k] = ones.T
@@ -59,7 +59,10 @@ def hamming_to_db(query_words: np.ndarray, db: PackedCodes) -> np.ndarray:
     """
     if query_words.shape[-1] != db.words.shape[1]:
         raise DimensionError("query and database use different code lengths")
-    dists = np.zeros(query_words.shape[:-1] + (db.n,), dtype=np.min_scalar_type(db.k))
-    for w in range(db.words.shape[1]):
-        dists += np.bitwise_count(np.bitwise_xor(db.words[:, w], query_words[..., w, None]))
+    counts = (np.bitwise_count(np.bitwise_xor(db.words[:, w], query_words[..., w, None]))
+              for w in range(db.words.shape[1]))
+    # the first word's uint8 counts are the sum itself below 256 bits
+    dists = next(counts).astype(np.min_scalar_type(db.k), copy=False)
+    for count in counts:
+        dists += count
     return dists

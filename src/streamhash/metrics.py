@@ -51,10 +51,12 @@ class MetricReport:
 # Memory budget of the ranking temporaries of one retrieval_scores call.
 # Its blocks are ranked on a thread pool over the usable cores, and the
 # budget is split across them: blocks of BLOCK_BYTES // (8 * db.n * cores)
-# queries. Each of a block's largest temporaries (the XOR of one query word
-# against the database, the int64 argsort indices, the gathered labels)
-# takes about BLOCK_BYTES / cores, so summed over the blocks in flight it
-# stays near BLOCK_BYTES whatever the database size and the core count.
+# queries. Each of a block's 8-byte temporaries (the XOR of one query word
+# against the database, then the int64 argsort indices) takes about
+# BLOCK_BYTES / cores, so summed over the blocks in flight it stays near
+# BLOCK_BYTES whatever the database size and the core count. The rest is
+# one byte per entry: the distances below 256 bits, the gathered label
+# codes below 256 distinct labels, the relevance flags.
 # There is no setting: results are identical for any core count, and the
 # pool is joined before the call returns, so a later fork pool
 # (data._in_order) starts from a single-threaded process.
@@ -74,6 +76,9 @@ def _validate(queries: PackedCodes, db: PackedCodes, cutoff: int | None,
         raise DimensionError(f"query bits {queries.k} != database bits {db.k}")
     if queries.labels is None or db.labels is None:
         raise DomainError("labels are required for relevance judgments")
+    for part in (queries, db):
+        if part.labels.shape != (part.n,):
+            raise DimensionError(f"labels of shape {part.labels.shape} for {part.n} codes")
     if cutoff is not None and cutoff < 1:
         raise DomainError("cutoff must be at least 1")
 
@@ -86,9 +91,10 @@ def retrieval_scores(queries: PackedCodes, db: PackedCodes, cutoff: int | None =
     Queries are ranked a block at a time: hamming_to_db gives the block's
     distances in the smallest unsigned dtype that holds k, and one stable
     argsort per row (a radix sort on 8/16-bit keys) orders them with ties by
-    ascending database index. Blocks are scored on a pool of min(blocks,
+    ascending database index, and relevance compares the labels' dense codes
+    gathered in that order. Blocks are scored on a pool of min(blocks,
     usable cores) threads, which share the packed database; numpy releases
-    the GIL in the popcount, the argsort and the label gather. Each query's
+    the GIL in the popcount, the argsort and the code gather. Each query's
     reductions run as in a query-at-a-time evaluation, and this thread adds
     the blocks' Precision@R rows in query order, so no result depends on the
     block size or the core count. The pool is joined before this returns.
@@ -103,6 +109,17 @@ def retrieval_scores(queries: PackedCodes, db: PackedCodes, cutoff: int | None =
     cores = data._usable_cores()
     rows = max(1, BLOCK_BYTES // (8 * max(1, db.n) * cores))
     starts = range(0, queries.n, rows)
+    # each label's index among the distinct labels of both sets, which the
+    # blocks gather in the smallest unsigned dtype: equal codes are exactly
+    # equal labels, and each NaN is a label of its own (uint64 with signed
+    # labels go through Python ints: their common float64 merges some)
+    labels = (db.labels, queries.labels)
+    kinds = {db.labels.dtype.kind, queries.labels.dtype.kind}
+    as_ints = np.result_type(*labels).kind == "f" and kinds <= {"i", "u"}
+    distinct, label_codes = np.unique(np.concatenate(labels, dtype=object if as_ints else None),
+                                      return_inverse=True, equal_nan=False)
+    label_codes = label_codes.astype(np.min_scalar_type(distinct.size - 1))
+    db_codes, query_codes = label_codes[:db.n], label_codes[db.n:]
 
     def score_block(start: int) -> np.ndarray:
         """Score queries start..start+rows into aps, aps_cut and ph2, and
@@ -110,19 +127,20 @@ def retrieval_scores(queries: PackedCodes, db: PackedCodes, cutoff: int | None =
         block = slice(start, start + rows)
         dists = hamming_to_db(queries.words[block], db)
         in_ball = np.count_nonzero(dists <= 2, axis=1)
-        ranked = db.labels[np.argsort(dists, axis=1, kind="stable")]
-        ranked = ranked == queries.labels[block, None]
+        ranked = db_codes[np.argsort(dists, axis=1, kind="stable")]
+        ranked = ranked == query_codes[block, None]
+        terms = np.zeros(db.n)
         for i, ranked_rel, ball in zip(range(start, queries.n), ranked, in_ball):
             # AP terms: the precision at each relevant rank, zero at the
             # others. An AP over the first `cut` ranks sums all `cut`
             # terms, zeros included, so numpy groups the float additions
             # the same way for both cuts.
             found = np.flatnonzero(ranked_rel)
-            terms = np.zeros(db.n)
             terms[found] = np.arange(1, found.size + 1) / (found + 1)
             for out, cut in ((aps, db.n), (aps_cut, stop)):
                 total = np.searchsorted(found, cut)  # relevant items among them
                 out[i] = terms[:cut].sum() / total if total else 0.0
+            terms[found] = 0.0  # all zeros again for the next query
             # the radius-2 ball is the ranking's first `ball` items
             ph2[i] = np.searchsorted(found, ball) / ball if ball else 0.0
         return np.cumsum(ranked[:, :r_max], axis=1) / ranks

@@ -60,9 +60,13 @@ def encode_relaxed(model: HashModel, X: np.ndarray) -> np.ndarray:
 def encode_binary(model: HashModel, X: np.ndarray) -> np.ndarray:
     """Binary codes sgn(W^T X) with sgn(u) = +1 iff u > 0, else -1.
 
-    Zero projections map to -1; the tie-break is deterministic.
+    Zero projections map to -1; the tie-break is deterministic. The codes
+    are written over the projections, so one (k, n) float matrix is made.
     """
-    return np.where(project(model, X) > 0.0, 1.0, -1.0)
+    Z = project(model, X)
+    np.multiply(Z > 0.0, 2.0, out=Z)  # 2 where positive, 0 at zero and nan
+    Z -= 1.0
+    return Z
 
 
 def save_checkpoint(model: HashModel, path) -> None:

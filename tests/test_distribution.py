@@ -174,6 +174,17 @@ class TestHammingSq:
             D = dist.pairwise_hamming_sq(rng.uniform(-1, 1, size=(k, 2)))
             assert (0.0 <= D).all() and (D <= k).all()
 
+    @pytest.mark.parametrize("n", [50, 100])
+    def test_duplicate_relaxed_columns_never_negative(self, n):
+        # a duplicated column's distance is 0 in exact arithmetic, but the
+        # rounded sq_i + sq_j - 2 gram_ij falls just below it in about half
+        # of these draws without the clamp, which keeps every distance in
+        # range
+        rng = np.random.default_rng(9)
+        for _ in range(20):
+            B = np.tanh(rng.standard_normal((64, n // 2)))[:, rng.integers(0, n // 2, size=n)]
+            assert (dist.pairwise_hamming_sq(B) >= 0.0).all()
+
     def test_length_mismatch(self):
         # the per-pair oracle the pairwise form is checked against
         with pytest.raises(DimensionError):

@@ -353,6 +353,27 @@ class TestEvaluateModel:
         assert got["map"] == want["map"] and got["precision_h2"] == want["precision_h2"]
         assert got["precision_at_r"] == want["precision_at_r"].tolist()
 
+    def test_parts_are_packs_of_their_columns(self, monkeypatch):
+        # the source is packed once and each part takes rows of its words
+        X, y = data.synth_blobs(3, 6, 30, 0.5, seed=1)
+        _, retrieval, test = data.split(X, y, data.SplitSpec(5, 10, seed=2))
+        model = hm.init(6, 70, seed=3)  # two words per code
+        ranked = []
+
+        def scores(queries, db, **kwargs):
+            ranked.append((queries, db))
+            return {"precision_at_r": np.zeros(0)}
+
+        monkeypatch.setattr(metrics, "retrieval_scores", scores)
+        experiment.evaluate_model(model, retrieval, test, 20, 10)
+        [(queries, db)] = ranked
+        for got, part in ((db, retrieval), (queries, test)):
+            want = index.pack(hm.encode_binary(model, part.features), part.labels)
+            for name in ("words", "k", "n", "labels"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert type(a) is type(b) and np.asarray(a).dtype == np.asarray(b).dtype
+                assert np.array_equal(a, b)
+
 
 class TestWriteCsv:
     def test_values_are_str_and_floats_read_back_exactly(self, tmp_path):
@@ -413,6 +434,23 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak < 2 * self.DATASET_BYTES
+
+    def test_evaluation_peak_is_one_code_matrix(self):
+        # the codes are written over the projections and packed once, and
+        # the parts take rows of the packed words: the peak is the float
+        # codes plus pack's boolean masks, never a second float matrix
+        rng = np.random.default_rng(0)
+        n, k = 40_000, 64
+        X, y = rng.standard_normal((8, n)), rng.integers(0, 10, size=n)
+        retrieval, test = data.Part(X, np.arange(40, n), y[40:]), data.Part(X, np.arange(40), y[:40])
+        model = hm.init(8, k, seed=0)
+        tracemalloc.start()
+        try:
+            experiment.evaluate_model(model, retrieval, test, 100, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * (8 * k * n)
 
     def test_idx_load_peak_is_the_matrix_and_its_bytes(self, tmp_path):
         # one float conversion of the pixel bytes, normalized in place

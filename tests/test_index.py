@@ -65,6 +65,13 @@ class TestPack:
         with pytest.raises(DomainError):
             index.pack(np.array([[1.0], [0.5]]))
 
+    @pytest.mark.parametrize("shape", [(5, 2), (5, 1), (1, 5), (4,), (6,)])
+    def test_labels_not_one_per_code_rejected(self, shape):
+        # 2-D labels once packed, and ranking them ended in a raw IndexError
+        labels = np.arange(np.prod(shape)).reshape(shape)
+        with pytest.raises(DimensionError, match=rf"labels of shape \({shape[0]}.* for 5 codes"):
+            index.pack(np.ones((3, 5)), labels)
+
 
 class TestHamming:
     """Pair distances as hamming_to_db gives them."""

@@ -266,6 +266,47 @@ class TestBlockedPass:
                     np.testing.assert_array_equal(blocked[key], whole[key])
 
 
+def label_case(name, rng):
+    """(database labels, query labels) whose values stress the ranking's
+    dense label codes; 11 queries."""
+    if name == "over_256_labels":
+        # 300 labels: codes 0..43 and 256..299 coincide modulo 256
+        return rng.permutation(np.arange(600) % 300), rng.choice([0, 1, 43, 256, 257, 299], 11)
+    if name == "extreme_int64":
+        # 2**62 - 1 and 2**62 are one value as float64
+        values = np.array([-2**62, -2**62 + 1, -1, 0, 2**62 - 1, 2**62])
+        return rng.choice(values, 40), rng.choice(values, 11)
+    if name == "uint64_db_int64_queries":
+        # 2**62 + 1 and 2**62 are one value as float64, the two dtypes' common type
+        values = np.array([0, 5, 2**62, 2**62 + 1])
+        return rng.choice(values, 40).astype(np.uint64), rng.choice(np.append(values, -5), 11)
+    if name == "query_labels_absent_from_db":
+        return rng.choice([0, 2, 4], 40), rng.choice([-1, 0, 1, 2, 3, 4, 5], 11)
+    values = np.array([0.0, 1.5, -2.25, np.nan])  # float labels; nan equals nothing
+    return rng.choice(values, 40), rng.choice(np.append(values, 3.0), 11)
+
+
+class TestLabelValues:
+    @pytest.mark.parametrize("case", ["over_256_labels", "extreme_int64", "uint64_db_int64_queries",
+                                      "query_labels_absent_from_db", "float_with_nan"])
+    def test_matches_per_query_brute_force(self, monkeypatch, case):
+        rng = np.random.default_rng(21)
+        db_labels, q_labels = label_case(case, rng)
+        db_B = rng.choice([-1.0, 1.0], size=(6, db_labels.size))  # 6 bits: ties, full balls
+        q_B = rng.choice([-1.0, 1.0], size=(6, q_labels.size))
+        db, queries = index.pack(db_B, db_labels), index.pack(q_B, q_labels)
+        monkeypatch.setattr(data, "_usable_cores", lambda: 1)
+        monkeypatch.setattr(metrics, "BLOCK_BYTES", 4 * 8 * db.n)  # blocks of 4, 4 and 3
+        expect = [bf_metrics(q_B[:, i], q_labels[i], db_B, db_labels, 9, 12)
+                  for i in range(queries.n)]
+        got = metrics.retrieval_scores(queries, db, cutoff=9, r_max=12)
+        assert got["map"] == np.mean([e[0] for e in expect])
+        assert got["map_at_k"] == np.mean([e[1] for e in expect])
+        assert got["precision_h2"] == np.mean([e[2] for e in expect])
+        np.testing.assert_array_equal(got["precision_at_r"],
+                                      np.mean([e[3] for e in expect], axis=0))
+
+
 class TestPool:
     @pytest.fixture
     def many_blocks(self, monkeypatch):
@@ -343,9 +384,13 @@ class TestValidationBeforeRanking:
         empty.n = 0
         wide = index.pack(np.ones((9, 2)), np.array([0, 1]))
         unlabeled = index.pack(np.ones((8, 2)))
+        # built directly, as pack would refuse them: labels not one per code
+        column_labels = index.PackedCodes(queries.words, 8, queries.n, queries.labels[:, None])
+        short_labels = index.PackedCodes(db.words, 8, db.n, db.labels[:-1])
         cases = [(empty, db, {}, DomainError), (wide, db, {}, DimensionError),
                  (unlabeled, db, {}, DomainError), (queries, db, {"r_max": 0}, DomainError),
-                 (queries, db, {"cutoff": 0}, DomainError)]
+                 (queries, db, {"cutoff": 0}, DomainError),
+                 (column_labels, db, {}, DimensionError), (queries, short_labels, {}, DimensionError)]
         for q, d, kwargs, error in cases:
             with pytest.raises(error):
                 metrics.retrieval_scores(q, d, **kwargs)

@@ -109,6 +109,21 @@ class TestEncodeBinary:
         m = hm.init(7, 3, seed=0)
         assert hm.encode_binary(m, np.ones((7, 9))).shape == (3, 9)
 
+    def test_bytes_equal_the_where_reference(self):
+        # the codes are written over the projections: same dtype, shape and
+        # bytes as a fresh np.where, with zero (of either sign) and nan at -1
+        rng = np.random.default_rng(6)
+        m = hm.init(5, 7, seed=4)
+        X = rng.standard_normal((5, 30))
+        X[:, [0, 9, 29]] = 0.0
+        X[:, 4] = -0.0
+        X[:, 17] = np.nan
+        want = np.where(m.W.T @ X > 0.0, 1.0, -1.0)
+        assert (m.W.T @ X[:, [0, 4, 9, 29]] == 0.0).all()
+        got = hm.encode_binary(m, X)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
 
 class TestCheckpoint:
     def test_roundtrip_exact(self, tmp_path):

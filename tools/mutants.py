@@ -64,6 +64,31 @@ MUTANTS = [
            "n_similar = np.count_nonzero(_mask(S)) - np.count_nonzero(S.diagonal())",
            "n_similar = np.count_nonzero(_mask(S))",
            "P's similar pairs are counted off the diagonal only, so P has unit mass"),
+    Mutant("hamming_clamp_deleted", "src/streamhash/distribution.py",
+           "    np.maximum(dist, 0.0, out=dist)\n",
+           "",
+           "no pairwise distance of relaxed codes is negative"),
+    Mutant("ap_terms_not_rezeroed", "src/streamhash/metrics.py",
+           "            terms[found] = 0.0  # all zeros again for the next query\n",
+           "",
+           "each query's AP sums its own terms only"),
+    Mutant("label_codes_from_db_only", "src/streamhash/metrics.py",
+           "np.unique(np.concatenate(labels, dtype=object if as_ints else None),\n"
+           "                                      return_inverse=True, equal_nan=False)",
+           "np.unique(db.labels), np.searchsorted(np.unique(db.labels), np.concatenate(labels))",
+           "a query label absent from the database matches no database item"),
+    Mutant("uint64_signed_labels_as_float", "src/streamhash/metrics.py",
+           "dtype=object if as_ints else None",
+           "dtype=None",
+           "a uint64 label and a signed one are equal exactly when == says so"),
+    Mutant("label_codes_fixed_uint8", "src/streamhash/metrics.py",
+           "label_codes.astype(np.min_scalar_type(distinct.size - 1))",
+           "label_codes.astype(np.uint8)",
+           "labels stay distinct above 256 distinct labels"),
+    Mutant("encode_binary_ge", "src/streamhash/model.py",
+           "np.multiply(Z > 0.0, 2.0, out=Z)",
+           "np.multiply(Z >= 0.0, 2.0, out=Z)",
+           "a zero projection encodes as -1"),
 ]
 
 
