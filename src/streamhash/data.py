@@ -18,6 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+import orjson
 
 from .errors import (ConsistencyError, DimensionError, DomainError, FormatError, NumericError,
                      SplitError)
@@ -146,12 +147,13 @@ def save_dense(path, features: np.ndarray, labels: np.ndarray) -> None:
     """Write the textual dense-matrix format: `d n` header, one line of d
     reals per instance, then one line of n integer labels.
 
-    repr() formatting makes the round-trip bit-exact for finite floats. A d
-    or n of 0, or labels not integers in the int64 range, which load_dense
-    rejects, are a DomainError and labels not of shape (n,) a DimensionError,
-    before the file opens. Then PATH + SIDECAR gets the text's sha256 hex
-    line and C-order features and labels in .npy format if _parsed_as, else
-    is removed; OSErrors are ignored.
+    Values are written as repr() writes them (write_rows), so the round-trip
+    is bit-exact for finite floats. A d or n of 0, or labels not integers in
+    the int64 range, which load_dense rejects, are a DomainError and labels
+    not of shape (n,) a DimensionError, before the file opens. The text goes
+    through PATH.tmp (replacing), hashed as it is written. Then PATH +
+    SIDECAR gets that sha256 hex line and C-order features and labels in
+    .npy format if _parsed_as, else is removed; OSErrors are ignored.
     """
     d, n = features.shape
     if min(d, n) < 1:
@@ -160,26 +162,42 @@ def save_dense(path, features: np.ndarray, labels: np.ndarray) -> None:
         raise DimensionError(f"{path}: labels of shape {labels.shape} for {n} instances")
     if not np.issubdtype(labels.dtype, np.integer) or labels.max() > np.iinfo(np.int64).max:
         raise DomainError(f"{path}: labels must be int64-range integers, got {labels.dtype}")
-    with open(path, "w") as f:
-        f.write(f"{d} {n}\n")
-        write_rows(f, features.T)
-        f.write(" ".join(str(int(v)) for v in labels.tolist()))
-        f.write("\n")
+    digest = hashlib.sha256()
+    with replacing(path) as f:
+        def write(text: bytes) -> None:
+            f.write(text)
+            digest.update(text)
+
+        write(f"{d} {n}\n".encode())
+        write_rows(write, features.T)
+        write((" ".join(str(int(v)) for v in labels.tolist()) + "\n").encode())
     sidecar = f"{os.fspath(path)}{SIDECAR}"
-    try:
+    with contextlib.suppress(OSError):
         if _parsed_as(features, labels, n):
-            with open(f"{sidecar}.tmp", "wb") as f:
-                f.write(_sha256(path) + b"\n")
+            with replacing(sidecar) as f:
+                f.write(digest.hexdigest().encode() + b"\n")
                 np.lib.format.write_array_header_1_0(
                     f, {"descr": features.dtype.str, "fortran_order": False, "shape": (d, n)})
                 features.tofile(f)  # C order whatever the layout, with no copy
                 np.lib.format.write_array(f, labels, allow_pickle=False)
-            os.replace(f"{sidecar}.tmp", sidecar)
         else:
             os.remove(sidecar)
-    except OSError:
+
+
+@contextlib.contextmanager
+def replacing(path):
+    """A binary file opened at PATH.tmp, which replaces path when the block
+    ends normally and is removed on any exception: a failed save leaves no
+    partial file at path, and an older file there stays intact."""
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
         with contextlib.suppress(OSError):
-            os.remove(f"{sidecar}.tmp")
+            os.remove(tmp)
+        raise
 
 
 def load_dense(path) -> tuple[np.ndarray, np.ndarray]:
@@ -225,24 +243,22 @@ def _sha256(path) -> bytes:
     return digest.hexdigest().encode()
 
 
-# Values per unit of work of the row codec below. Formatting or parsing a
-# chunk costs far more than handing it to a worker, and its text, about
-# 0.6 MB, is small enough to keep two chunks per worker in flight.
+# Values per unit of work of the row codec below. Parsing a chunk costs far
+# more than handing it to a worker, and its text, about 0.6 MB, is small
+# enough to keep two chunks per worker in flight, or one being written.
 CHUNK_VALUES = 1 << 15
 
 
-def write_rows(f, rows: np.ndarray) -> None:
-    """Write each row of the 2-D array `rows` to f as one line of reals.
+def write_rows(write, rows: np.ndarray) -> None:
+    """Pass the text of the 2-D array `rows`, one line of reals per row, to
+    write in bytes, chunks of about CHUNK_VALUES values formatted inline.
 
-    repr() formatting round-trips float64 exactly. Rows are formatted in
-    chunks of about CHUNK_VALUES values, on every usable core.
+    Every value is written as repr() writes it, which round-trips float64
+    exactly (_format_rows).
     """
-    n_rows, width = rows.shape
-    step = max(1, CHUNK_VALUES // max(1, width))
-    starts = range(0, n_rows, step)
-    chunks = ((rows[start : start + step],) for start in starts)
-    for text in _in_order(_format_rows, chunks, len(starts)):
-        f.write(text)
+    step = max(1, CHUNK_VALUES // max(1, rows.shape[1]))
+    for start in range(0, rows.shape[0], step):
+        write(_format_rows(rows[start : start + step]))
 
 
 def read_rows(f, path, out: np.ndarray, first_line: int) -> None:
@@ -271,8 +287,25 @@ def open_text(path):
     return open(path, encoding="utf-8", errors="surrogateescape")
 
 
-def _format_rows(rows: np.ndarray) -> str:
-    return "".join([" ".join(map(repr, row.tolist())) + "\n" for row in rows])
+def _format_rows(rows: np.ndarray) -> bytes:
+    """The lines of rows, each value's text as repr() writes it.
+
+    float64 rows go through orjson's shortest round-trip writer, whose text
+    equals repr's for 0.0, -0.0 and 1e-4 <= |x| < 1e16; every other value
+    (nan, an infinity, a tiny or a huge one) keeps its repr() token.
+    """
+    if rows.dtype != np.float64:
+        return "".join([" ".join(map(repr, row.tolist())) + "\n" for row in rows]).encode()
+    rows = np.ascontiguousarray(rows)  # orjson takes C-ordered arrays only
+    size = np.abs(rows)
+    other = ~((size >= 1e-4) & (size < 1e16) | (rows == 0.0))
+    lines = orjson.dumps(rows, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].split(b"],[")
+    for i in np.flatnonzero(other.any(axis=1)):
+        tokens = lines[i].split(b",")
+        for j in np.flatnonzero(other[i]):
+            tokens[j] = repr(float(rows[i, j])).encode()
+        lines[i] = b",".join(tokens)
+    return b"\n".join(lines).replace(b",", b" ") + b"\n"
 
 
 def _parse_rows(lines: list[str], width: int, first_line: int, path) -> np.ndarray:
@@ -310,7 +343,7 @@ def _in_order(fn, tasks, n_tasks: int):
     exception is raised here when its result is due.
 
     fork, not spawn or forkserver: those re-run the caller's __main__ in
-    every worker, which breaks a script that calls save_dense at top level
+    every worker, which breaks a script that calls load_dense at top level
     without an `if __name__ == "__main__"` guard. A fork pool starts all of
     its workers before its own manager thread.
     """

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import open_text, read_header, read_rows, seeded_rng, write_rows
+from .data import open_text, read_header, read_rows, replacing, seeded_rng, write_rows
 from .errors import DimensionError, DomainError, NumericError
 
 
@@ -72,11 +72,13 @@ def encode_binary(model: HashModel, X: np.ndarray) -> np.ndarray:
 def save_checkpoint(model: HashModel, path) -> None:
     """Write the textual checkpoint: `d k` header, then d rows of k reals.
 
-    repr() formatting round-trips float64 exactly.
+    Values are written as repr() writes them (write_rows), which round-trips
+    float64 exactly. The text goes through PATH.tmp (replacing), so a failed
+    save leaves no partial file at path.
     """
-    with open(path, "w") as f:
-        f.write(f"{model.d} {model.k}\n")
-        write_rows(f, model.W)
+    with replacing(path) as f:
+        f.write(f"{model.d} {model.k}\n".encode())
+        write_rows(f.write, model.W)
 
 
 def load_checkpoint(path) -> HashModel:

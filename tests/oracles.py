@@ -42,6 +42,13 @@ def _refuse_to_parse(*args):
     raise AssertionError("load_dense parsed the text although its sidecar matches")
 
 
+def format_rows_by_repr(rows):
+    """The text of the dense and checkpoint rows by definition: each value's
+    repr(), spaces between them, one line per row; the reference of
+    data._format_rows, which writes float64 values through orjson."""
+    return "".join([" ".join(map(repr, row.tolist())) + "\n" for row in rows])
+
+
 def p_by_sum(S):
     """Raw target P by definition: S with a zeroed diagonal over its sum."""
     out = S.copy()

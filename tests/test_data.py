@@ -343,8 +343,12 @@ class TestDenseSidecar:
         data.save_dense(path, X, y)
         stale = sidecar_of(path).read_bytes()
 
-        def refuse(*args):
-            raise OSError("replace refused")
+        replace = os.replace
+
+        def refuse(src, dst):  # the sidecar's replace only: the text's goes through
+            if str(dst).endswith(data.SIDECAR):
+                raise OSError("replace refused")
+            replace(src, dst)
 
         monkeypatch.setattr(data.os, "replace", refuse)
         data.save_dense(path, X + 1.0, y)

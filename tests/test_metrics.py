@@ -217,12 +217,22 @@ class TestBlockedPass:
     @pytest.mark.parametrize("k", [1, 63, 64, 65, 130, 300])
     def test_matches_per_query_brute_force(self, monkeypatch, rows, k):
         db_B, q_B, db_labels, q_labels, db, queries = clustered_instance(k, k)
-        # blocks of `rows` queries; 7 queries never fill the last block
+        # blocks of `rows` queries on one core; 7 queries never fill the last block
+        monkeypatch.setattr(data, "_usable_cores", lambda: 1)
         monkeypatch.setattr(metrics, "BLOCK_BYTES", rows * 8 * db.n)
+        real, blocks = metrics.hamming_to_db, []
+
+        def recording(query_words, packed):
+            blocks.append(len(query_words))
+            return real(query_words, packed)
+
+        monkeypatch.setattr(metrics, "hamming_to_db", recording)
         for cutoff, r_max in [(7, 10), (db.n + 5, db.n)]:
             expect = [bf_metrics(q_B[:, i], q_labels[i], db_B, db_labels, cutoff, r_max)
                       for i in range(queries.n)]
+            blocks.clear()
             got = metrics.retrieval_scores(queries, db, cutoff=cutoff, r_max=r_max)
+            assert blocks == [min(rows, queries.n - s) for s in range(0, queries.n, rows)]
             assert got["map"] == np.mean([e[0] for e in expect])
             assert got["map_at_k"] == np.mean([e[1] for e in expect])
             assert got["precision_h2"] == np.mean([e[2] for e in expect])

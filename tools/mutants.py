@@ -85,6 +85,14 @@ MUTANTS = [
            "label_codes.astype(np.min_scalar_type(distinct.size - 1))",
            "label_codes.astype(np.uint8)",
            "labels stay distinct above 256 distinct labels"),
+    Mutant("fast_text_from_1e-5", "src/streamhash/data.py",
+           "size >= 1e-4",
+           "size >= 1e-5",
+           "dense and checkpoint values are written as repr() writes them"),
+    Mutant("fast_text_below_1e17", "src/streamhash/data.py",
+           "size < 1e16",
+           "size < 1e17",
+           "dense and checkpoint values are written as repr() writes them"),
     Mutant("encode_binary_ge", "src/streamhash/model.py",
            "np.multiply(Z > 0.0, 2.0, out=Z)",
            "np.multiply(Z >= 0.0, 2.0, out=Z)",
