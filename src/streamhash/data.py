@@ -13,7 +13,6 @@ import math
 import os
 import stat
 import struct
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -26,6 +25,11 @@ from .errors import (ConsistencyError, DimensionError, DomainError, FormatError,
 IDX_IMAGE_MAGIC = 2051
 IDX_LABEL_MAGIC = 2049
 SIDECAR = ".streamhash-cache"  # PATH + SIDECAR: the parsed arrays of a dense file
+
+# orjson maps an 8 MiB read buffer on its first loads. Mapped here, before the
+# large allocations of a run, it costs no peak RSS; mapped by the first parse
+# of a run (a checkpoint's, before an evaluation) it added 7-9 MB (glibc, 3.8.3).
+orjson.loads(b"0")
 
 
 @dataclass(frozen=True)
@@ -243,10 +247,13 @@ def _sha256(path) -> bytes:
     return digest.hexdigest().encode()
 
 
-# Values per unit of work of the row codec below. Parsing a chunk costs far
-# more than handing it to a worker, and its text, about 0.6 MB, is small
-# enough to keep two chunks per worker in flight, or one being written.
+# Values per chunk of the row codec below: about 0.6 MB of text, so one
+# chunk's text, its JSON document and its Python values stay small.
 CHUNK_VALUES = 1 << 15
+
+# JSON number bytes, the space and the line end: a chunk of nothing else is
+# one JSON document once spaces are commas and line ends are "],[" (_parse_chunk).
+ROW_BYTES = b"0123456789+-.eE \n"
 
 
 def write_rows(write, rows: np.ndarray) -> None:
@@ -268,17 +275,13 @@ def read_rows(f, path, out: np.ndarray, first_line: int) -> None:
     line number of the first one; errors name the file and the line:
     FormatError for a wrong field count (a missing line has none) or a
     value that does not parse, NumericError for nan or an infinity. Lines
-    are parsed in chunks of about CHUNK_VALUES values, on every usable core.
+    are parsed inline in chunks of about CHUNK_VALUES values (_parse_chunk).
     """
     n_rows, width = out.shape
     step = max(1, CHUNK_VALUES // width)
-    starts = range(0, n_rows, step)
-    chunks = (
-        ([f.readline() for _ in range(min(step, n_rows - start))], width, first_line + start, path)
-        for start in starts
-    )
-    for i, rows in enumerate(_in_order(_parse_rows, chunks, len(starts))):
-        out[starts[i] : starts[i] + step] = rows
+    for start in range(0, n_rows, step):
+        lines = [f.readline() for _ in range(min(step, n_rows - start))]
+        out[start : start + step] = _parse_chunk(lines, width, first_line + start, path)
 
 
 def open_text(path):
@@ -308,7 +311,34 @@ def _format_rows(rows: np.ndarray) -> bytes:
     return b"\n".join(lines).replace(b",", b" ") + b"\n"
 
 
+def _parse_chunk(lines: list[str], width: int, first_line: int, path) -> np.ndarray:
+    """The rows of lines exactly as _parse_rows parses them, through orjson
+    where its values are float()'s.
+
+    A chunk of ROW_BYTES only, its final line end dropped, is read as one
+    JSON document. The result is kept when it has one row of width values a
+    line, all finite. Every other chunk (a token outside JSON's grammar, a
+    non-ASCII byte, a missing line) goes to _parse_rows, which raises every
+    error.
+    """
+    text = "".join(lines).encode("ascii", "replace").removesuffix(b"\n")
+    if not text.translate(None, ROW_BYTES):
+        doc = b"[[" + text.replace(b" ", b",").replace(b"\n", b"],[") + b"]]"
+        try:
+            rows = np.array(orjson.loads(doc), dtype=np.float64)
+        except ValueError:  # not JSON, or rows of unequal lengths
+            pass
+        else:
+            # orjson reads the integer -0 as 0: a chunk with a zero may hold no -0 token
+            minus_zero = (rows == 0.0).any() and (
+                b"-0 " in text or b"-0\n" in text or text.endswith(b"-0"))
+            if rows.shape == (len(lines), width) and np.isfinite(rows).all() and not minus_zero:
+                return rows
+    return _parse_rows(lines, width, first_line, path)
+
+
 def _parse_rows(lines: list[str], width: int, first_line: int, path) -> np.ndarray:
+    """The reference parser: float() of each space-separated field."""
     rows = np.empty((len(lines), width))
     for i, line in enumerate(lines):
         fields = line.split()
@@ -323,51 +353,6 @@ def _parse_rows(lines: list[str], width: int, first_line: int, path) -> np.ndarr
         if not np.isfinite(rows[i]).all():
             raise NumericError(f"{path}: line {first_line + i}: non-finite value")
     return rows
-
-
-def _usable_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _in_order(fn, tasks, n_tasks: int):
-    """Yield fn(*task) for each of the n_tasks tasks of the iterable
-    `tasks`, in order.
-
-    Runs inline for a single task, on a single usable core and where the
-    platform cannot fork. Otherwise the tasks go to a pool of forked
-    worker processes with at most two per worker in flight, so tasks drawn
-    lazily from a file stay a few chunks ahead of the results. A worker's
-    exception is raised here when its result is due.
-
-    fork, not spawn or forkserver: those re-run the caller's __main__ in
-    every worker, which breaks a script that calls load_dense at top level
-    without an `if __name__ == "__main__"` guard. A fork pool starts all of
-    its workers before its own manager thread.
-    """
-    workers = min(n_tasks, _usable_cores())
-    if workers < 2 or not hasattr(os, "fork"):
-        for task in tasks:
-            yield fn(*task)
-        return
-    # imported here, so that a process that never pools does not load them
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    pending: deque = deque()
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        try:
-            for task in tasks:
-                if len(pending) == 2 * workers:
-                    yield pending.popleft().result()
-                pending.append(pool.submit(fn, *task))
-            while pending:
-                yield pending.popleft().result()
-        finally:
-            for future in pending:
-                future.cancel()
 
 
 def synth_blobs(num_classes: int, dim: int, per_class: int, spread: float, seed: int):
@@ -387,7 +372,7 @@ def synth_blobs(num_classes: int, dim: int, per_class: int, spread: float, seed:
         block *= spread  # then + center: rounded as center + spread * block
         np.add(block, center[:, None], out=features[:, c * per_class : (c + 1) * per_class])
 
-    with ThreadPoolExecutor(1) as helper:  # joined on exit: a later fork sees one thread
+    with ThreadPoolExecutor(1) as helper:  # joined on exit: no thread outlives the call
         placed = None
         for c in range(num_classes):
             center = rng.uniform(-1.0, 1.0, size=dim)

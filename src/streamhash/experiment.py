@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import itertools
 import json
 import logging
@@ -235,11 +236,21 @@ def evaluate_model(model, retrieval: data.Part, test: data.Part, cutoff: int, r_
 
 
 def write_csv(path, header, rows) -> None:
+    """The CSV of header and rows, written whole through data.replacing."""
     # str(): a float's shortest round-trip repr, and "None" where csv alone writes ""
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(header)
-        w.writerows(map(str, row) for row in rows)
+    text = io.StringIO()
+    w = csv.writer(text, lineterminator="\n")
+    w.writerow(header)
+    w.writerows(map(str, row) for row in rows)
+    with data.replacing(path) as f:
+        f.write(text.getvalue().encode())
+
+
+def write_json(path, payload) -> None:
+    """payload as indented JSON with sorted keys, written whole through data.replacing."""
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    with data.replacing(path) as f:
+        f.write(text.encode())
 
 
 # ---------------------------------------------------------------------------
@@ -339,10 +350,7 @@ def write_reports(out_dir: Path, reports: list[MetricReport], stem: str = "repor
     """One CSV row per report plus a JSON mirror and the Precision@R series."""
     out_dir.mkdir(parents=True, exist_ok=True)
     write_csv(out_dir / f"{stem}.csv", REPORT_COLUMNS, [_report_row(r) for r in reports])
-    payload = [vars(r) for r in reports]  # every MetricReport field
-    with open(out_dir / f"{stem}.json", "w") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(out_dir / f"{stem}.json", [vars(r) for r in reports])  # every MetricReport field
     rows = [(r.method, i + 1, v) for r in reports for i, v in enumerate(r.precision_at_r)]
     write_csv(out_dir / f"{stem}_precision_at_r.csv", ["method", "R", "precision"], rows)
 
@@ -431,7 +439,5 @@ def run_unseen(cfg: ExperimentConfig, out_dir: Path | None = None):
     }
     if out_dir is not None:
         write_reports(out_dir, reports, stem="unseen_report")
-        with open(out_dir / "unseen_split.json", "w") as f:
-            json.dump(disjointness, f, indent=2, sort_keys=True)
-            f.write("\n")
+        write_json(out_dir / "unseen_split.json", disjointness)
     return reports, disjointness

@@ -17,12 +17,12 @@ precision_at_r are views of it.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import data
 from .errors import DimensionError, DomainError
 from .index import PackedCodes, hamming_to_db
 
@@ -58,9 +58,15 @@ class MetricReport:
 # one byte per entry: the distances below 256 bits, the gathered label
 # codes below 256 distinct labels, the relevance flags.
 # There is no setting: results are identical for any core count, and the
-# pool is joined before the call returns, so a later fork pool
-# (data._in_order) starts from a single-threaded process.
+# pool is joined before the call returns, so no thread outlives the call.
 BLOCK_BYTES = 8 << 20
+
+
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def _validate(queries: PackedCodes, db: PackedCodes, cutoff: int | None,
@@ -106,7 +112,7 @@ def retrieval_scores(queries: PackedCodes, db: PackedCodes, cutoff: int | None =
     r_max = r_max or 0
     ranks = np.arange(1, r_max + 1)
     aps, aps_cut, ph2 = np.empty(queries.n), np.empty(queries.n), np.empty(queries.n)
-    cores = data._usable_cores()
+    cores = _usable_cores()
     rows = max(1, BLOCK_BYTES // (8 * max(1, db.n) * cores))
     starts = range(0, queries.n, rows)
     # each label's index among the distinct labels of both sets, which the

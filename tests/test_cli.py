@@ -149,6 +149,27 @@ class TestSynthAndSplitCommands:
             X, y = load_dense_both_ways(tmp_path / "sp" / f"{name}.txt")
             assert y.shape[0] == size
 
+    def test_split_failing_on_its_third_part_leaves_no_test_file(self, tmp_path, monkeypatch,
+                                                                  capsys):
+        cfg = write_config(tmp_path)
+        real, parts = data.write_rows, []
+
+        def third_part_fails(write, rows):
+            parts.append(rows.shape)
+            if len(parts) == 3:
+                write(data._format_rows(rows[:1]))  # a first chunk, then the disk is full
+                raise OSError("disk full")
+            real(write, rows)
+
+        monkeypatch.setattr(data, "write_rows", third_part_fails)
+        code = cli.main(["split", "--config", str(cfg), "--output-dir", str(tmp_path / "sp")])
+        assert code == 2 and "disk full" in capsys.readouterr().err
+        assert parts == [(120, 8), (150, 8), (30, 8)]
+        assert sorted(os.listdir(tmp_path / "sp")) == [
+            f"{name}.txt{tail}" for name in ("retrieval", "train") for tail in ("", data.SIDECAR)]
+        for name, size in [("train", 120), ("retrieval", 150)]:
+            assert load_dense_both_ways(tmp_path / "sp" / f"{name}.txt")[1].shape == (size,)
+
 
 class TestExitCodes:
     def test_invalid_config_is_2(self, tmp_path):

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import os
 import re
 import struct
 import tracemalloc
@@ -382,6 +383,34 @@ class TestWriteCsv:
         lines = (tmp_path / "t.csv").read_text().splitlines()
         assert lines == ["a,b,c,d,e,f", "None,True,3,0.30000000000000004,5e-324,1e+300"]
         assert [float(v) for v in lines[1].split(",")[3:]] == row[3:]
+
+
+class Unwritable:
+    def __str__(self):
+        raise OSError("disk full")
+
+
+class TestFailedWrites:
+    """A CSV or JSON output whose write fails mid-way leaves no partial file
+    at its path, and an older file there stays intact."""
+
+    @pytest.mark.parametrize("older", [False, True])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_no_partial_file(self, tmp_path, fmt, older):
+        path = tmp_path / f"out.{fmt}"
+
+        def write(last):
+            if fmt == "csv":  # the third row fails, after two are formatted
+                experiment.write_csv(path, ["a"], [[1], [2], [last]])
+            else:  # "b" fails, after "a" is formatted
+                experiment.write_json(path, {"a": [1, 2], "b": last})
+
+        if older:
+            write(3)
+        before = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
+        with pytest.raises((OSError, TypeError)):
+            write(Unwritable())
+        assert {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)} == before
 
 
 @pytest.fixture

@@ -11,7 +11,7 @@ import threading
 import numpy as np
 import pytest
 
-from streamhash import data, index, metrics
+from streamhash import index, metrics
 from streamhash.errors import DimensionError, DomainError
 
 
@@ -218,7 +218,7 @@ class TestBlockedPass:
     def test_matches_per_query_brute_force(self, monkeypatch, rows, k):
         db_B, q_B, db_labels, q_labels, db, queries = clustered_instance(k, k)
         # blocks of `rows` queries on one core; 7 queries never fill the last block
-        monkeypatch.setattr(data, "_usable_cores", lambda: 1)
+        monkeypatch.setattr(metrics, "_usable_cores", lambda: 1)
         monkeypatch.setattr(metrics, "BLOCK_BYTES", rows * 8 * db.n)
         real, blocks = metrics.hamming_to_db, []
 
@@ -252,7 +252,7 @@ class TestBlockedPass:
 
     def test_block_size_does_not_change_results(self, monkeypatch):
         _, _, _, _, db, queries = make_instance(9, n_db=30, n_q=11)
-        monkeypatch.setattr(data, "_usable_cores", lambda: 1)
+        monkeypatch.setattr(metrics, "_usable_cores", lambda: 1)
         whole = metrics.retrieval_scores(queries, db, cutoff=5, r_max=30)
         real = metrics.hamming_to_db
         threads = []
@@ -263,7 +263,7 @@ class TestBlockedPass:
 
         monkeypatch.setattr(metrics, "hamming_to_db", recording)
         for cores in (1, 2, 3):
-            monkeypatch.setattr(data, "_usable_cores", lambda: cores)
+            monkeypatch.setattr(metrics, "_usable_cores", lambda: cores)
             for rows in (1, 4, 11):
                 # the budget is split across the cores: blocks of `rows` queries
                 monkeypatch.setattr(metrics, "BLOCK_BYTES", rows * cores * 8 * db.n)
@@ -305,7 +305,7 @@ class TestLabelValues:
         db_B = rng.choice([-1.0, 1.0], size=(6, db_labels.size))  # 6 bits: ties, full balls
         q_B = rng.choice([-1.0, 1.0], size=(6, q_labels.size))
         db, queries = index.pack(db_B, db_labels), index.pack(q_B, q_labels)
-        monkeypatch.setattr(data, "_usable_cores", lambda: 1)
+        monkeypatch.setattr(metrics, "_usable_cores", lambda: 1)
         monkeypatch.setattr(metrics, "BLOCK_BYTES", 4 * 8 * db.n)  # blocks of 4, 4 and 3
         expect = [bf_metrics(q_B[:, i], q_labels[i], db_B, db_labels, 9, 12)
                   for i in range(queries.n)]
@@ -322,7 +322,7 @@ class TestPool:
     def many_blocks(self, monkeypatch):
         """Two workers over one-query blocks, whatever the host has."""
         _, _, _, _, db, queries = make_instance(2, n_db=30, n_q=9)
-        monkeypatch.setattr(data, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(metrics, "_usable_cores", lambda: 2)
         monkeypatch.setattr(metrics, "BLOCK_BYTES", 2 * 8 * db.n)
         return queries, db
 
@@ -335,9 +335,9 @@ class TestPool:
         # eight threads writing one-query blocks into the shared per-query
         # arrays, switched as often as the interpreter allows
         _, _, _, _, db, queries = make_instance(6, n_db=200, n_q=64)
-        monkeypatch.setattr(data, "_usable_cores", lambda: 1)
+        monkeypatch.setattr(metrics, "_usable_cores", lambda: 1)
         one_core = metrics.retrieval_scores(queries, db, cutoff=20, r_max=50)
-        monkeypatch.setattr(data, "_usable_cores", lambda: 8)
+        monkeypatch.setattr(metrics, "_usable_cores", lambda: 8)
         monkeypatch.setattr(metrics, "BLOCK_BYTES", 8 * 8 * db.n)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)

@@ -1,18 +1,20 @@
 """The row codec behind the dense and checkpoint formats: the writer's text
-equals the repr() oracle's, saves run inline and never fork, a failed save
-leaves no partial file, and a parse split into many chunks, so that the
-worker pool runs, gives the same values and the same errors as one chunk
-parsed inline."""
+equals the repr() oracle's, the orjson reader's values and errors equal the
+float() reference parser's, saves and loads run inline and never fork, a
+failed save leaves no partial file, and a file split into many chunks gives
+the bytes, values and errors of one chunk."""
 
 import os
 import subprocess
 import sys
 import textwrap
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 import streamhash
@@ -25,47 +27,20 @@ SRC = Path(streamhash.__file__).resolve().parent.parent
 
 
 @pytest.fixture
-def pooled(monkeypatch):
-    """Three values per chunk and two workers, whatever the host has."""
+def no_fork(monkeypatch):
+    """Three values per chunk and two cores, with every fork refused."""
+    def refuse():
+        raise AssertionError("the codec forked")
+
     monkeypatch.setattr(data, "CHUNK_VALUES", 3)
-    monkeypatch.setattr(data, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "fork", refuse)
 
 
 def dense_set(d=4, n=23, seed=5):
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((d, n)) * 10.0 ** rng.integers(-300, 300, size=(d, n))
     return X, rng.integers(-5, 5, size=n)
-
-
-def position(i):
-    return i, os.getpid()
-
-
-class TestInOrder:
-    def test_results_in_task_order_from_workers(self, pooled):
-        out = list(data._in_order(position, [(i,) for i in range(20)], 20))
-        assert [i for i, _ in out] == list(range(20))
-        assert os.getpid() not in {pid for _, pid in out}
-
-    def test_tasks_drawn_two_per_worker_ahead(self, pooled):
-        drawn = []
-
-        def tasks():
-            for i in range(20):
-                drawn.append(i)
-                yield (i,)
-
-        for i, _ in data._in_order(position, tasks(), 20):
-            # 2 workers: the result due plus at most 4 tasks in flight
-            assert len(drawn) <= min(20, i + 5)
-
-    def test_one_task_runs_inline(self, pooled):
-        assert list(data._in_order(position, [(0,)], 1)) == [(0, os.getpid())]
-
-    def test_one_core_runs_inline(self, monkeypatch):
-        monkeypatch.setattr(data, "_usable_cores", lambda: 1)
-        out = list(data._in_order(position, [(i,) for i in range(5)], 5))
-        assert out == [(i, os.getpid()) for i in range(5)]
 
 
 def assert_formats_as_repr(values, width):
@@ -140,32 +115,178 @@ class TestFormatRows:
         assert data._format_rows(rows) == format_rows_by_repr(rows).encode()
 
 
+def outcome(parse, lines, width):
+    """parse's rows of lines as (shape, bytes), or its error as (type, message)."""
+    try:
+        rows = parse(lines, width, 7, "f.txt")
+    except (FormatError, NumericError) as e:
+        return type(e), str(e)
+    return rows.shape, rows.tobytes()
+
+
+def assert_parses_as_reference(lines, width):
+    """_parse_chunk gives _parse_rows' values bit for bit, or its error."""
+    want = outcome(data._parse_rows, lines, width)
+    assert outcome(data._parse_chunk, lines, width) == want
+    return want
+
+
+def assert_read_through_orjson(tokens, width):
+    """_parse_chunk reads the tokens, in lines of width, as float() does,
+    with the reference parser refused."""
+    lines = [" ".join(tokens[i : i + width]) + "\n" for i in range(0, len(tokens), width)]
+    want = data._parse_rows(lines, width, 7, "f.txt")
+    assert want.ravel().tolist() == [float(t) for t in tokens]
+
+    def refuse(*args):
+        raise AssertionError("the chunk went to the reference parser")
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(data, "_parse_rows", refuse)
+        rows = data._parse_chunk(lines, width, 7, "f.txt")
+    assert rows.shape == want.shape and rows.tobytes() == want.tobytes()
+
+
+def finite_bit_patterns(count, seed):
+    bits = np.random.default_rng(seed).integers(0, 1 << 64, count, dtype=np.uint64,
+                                                endpoint=False)
+    values = bits.view(np.float64)
+    return np.where(np.isfinite(values), values, 1.5)
+
+
+def halfway_tokens(count, seed):
+    """The exact decimal midpoints of count random pairs of adjacent finite
+    doubles, and each midpoint with a 1 appended: float() rounds the first
+    to even and the second up."""
+    tokens = []
+    with localcontext(prec=1200):  # every midpoint of doubles is exact in 1200 digits
+        for x in np.abs(finite_bit_patterns(count, seed)):
+            up = np.nextafter(x, np.inf)
+            if not np.isfinite(up):
+                continue
+            mid = (Decimal(float(x)) + Decimal(float(up))) / 2
+            digits, exponent = f"{mid:e}".split("e")
+            sign = "-" if len(tokens) % 4 >= 2 else ""
+            tokens += [f"{sign}{digits}e{exponent}", f"{sign}{digits}1e{exponent}"]
+    return tokens
+
+
+SIGNED_ZEROS = [
+    pytest.param(["-0 1\n"], 2, id="first"),
+    pytest.param(["1 -0\n"], 2, id="last_in_line"),
+    pytest.param(["1 -0"], 2, id="end_of_file"),
+    pytest.param(["0 -0\n", "-0 0\n"], 2, id="next_to_zeros"),
+    pytest.param(["-0.0 0.0\n"], 2, id="floats"),
+    pytest.param(["1e-400 -1e-400\n"], 2, id="underflow"),
+    pytest.param(["1e-0 0\n"], 2, id="exponent_minus_zero"),
+    pytest.param(["-0\n", "-0\n", "-0"], 1, id="column"),
+]
+
+OUTSIDE_JSON = [
+    ".5 1\n", "+5 1\n", "007 1\n", "1_0 1\n", "1.\t2\n", "1\t2\n", "1  2\n", "1 2\r\n",
+    " 1 2\n", "1 2 \n", "1. 2\n", "1e5 2E-3\n", "١ 2\n", "1 2\n", "1 2\x0b\n",
+    "\udcff 1\n", "0x10 1\n", "1e 2\n", "-- 1\n",
+]
+
+NOT_NUMBERS = ["true 1\n", "null 1\n", '"1" 2\n', "[1] 2\n", "1,2 3\n", "1],[2 3\n",
+               "] 1\n", "[ 1\n", "1 2\n3\n"]
+
+NON_FINITE = ["nan 1\n", "NaN 1\n", "inf 1\n", "-inf 1\n", "Infinity 1\n", "1e400 1\n",
+              "-1e400 1\n", "1" * 400 + " 1\n"]
+
+SOUP = ["0", "-0", "1", "-1", "25", "0.5", "-0.0", "1e5", "1E-5", "1e-0", "1e400", "1e-400",
+        "18446744073709551616", ".5", "+5", "007", "1_0", "true", "null", '"1"', "[1]", "1,2",
+        "]", "[", ",", "],[", "nan", "inf", "1.", "-", "e", "١", "\t", "\r", ""]
+
+
+class TestParseChunk:
+    """_parse_chunk reads chunks of JSON numbers through orjson and gives
+    exactly the values of the float() reference parser _parse_rows, and its
+    errors, on every chunk."""
+
+    @pytest.mark.parametrize("width", [1, 784])
+    def test_random_bit_patterns(self, width):
+        values = finite_bit_patterns(128 * 784, 11)  # over 10**5, whole lines of 784
+        assert_read_through_orjson([repr(v) for v in values.tolist()], width)
+
+    def test_halfway_cases_and_long_decimals(self):
+        tokens = halfway_tokens(2000, 12)
+        rng = np.random.default_rng(13)
+        for _ in range(2000):
+            digits = "".join(map(str, rng.integers(0, 10, rng.integers(18, 60))))
+            point = rng.integers(1, min(20, len(digits)))
+            tokens.append(f"{rng.integers(1, 10)}{digits[:point]}.{digits[point:]}"
+                          f"e{rng.integers(-340, 280)}")
+        assert_read_through_orjson(tokens, 8)
+
+    def test_integers_past_2_to_53_and_2_to_64(self):
+        edges = [2**53 + 1, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 1, 2**64, 2**64 + 2**11,
+                 2**64 + 2**11 + 1, 2**64 + 3 * 2**11, 10**22, 10**23, 2**1023 * 3 // 2]
+        rng = np.random.default_rng(14)
+        ints = edges + [int(v) for v in rng.integers(2**53, 2**63, 500, dtype=np.int64)]
+        ints += [int(a) << int(b) for a, b in zip(rng.integers(2**52, 2**63, 500),
+                                                   rng.integers(1, 40, 500))]
+        tokens = [str(sign * v) for v in ints for sign in (1, -1)]
+        # orjson reads integers within 64 bits as ints; past them, a release
+        # may read them as doubles or refuse them, so only the values are pinned
+        assert_read_through_orjson([t for t in tokens if abs(int(t)) < 2**64], 2)  # sign pairs
+        assert_parses_as_reference([t + "\n" for t in tokens], 1)
+
+    @pytest.mark.parametrize("lines, width", SIGNED_ZEROS)
+    def test_signed_zeros(self, lines, width):
+        raw = assert_parses_as_reference(lines, width)[1]
+        signs = np.signbit(np.frombuffer(raw)).tolist()
+        assert signs == [token.startswith("-") for line in lines for token in line.split()]
+
+    def test_last_line_without_line_end(self, tmp_path):
+        want = ((2, 1), np.array([1.0, 25.0]).tobytes())
+        assert assert_parses_as_reference(["1\n", "25"], 1) == want
+        (tmp_path / "c.txt").write_text("2 1\n1\n25")
+        assert hm.load_checkpoint(tmp_path / "c.txt").W.tolist() == [[1.0], [25.0]]
+
+    @pytest.mark.parametrize("line", OUTSIDE_JSON + NOT_NUMBERS + NON_FINITE)
+    def test_tokens_outside_json_numbers(self, line):
+        assert_parses_as_reference(["1.5 2.5\n", line, "3.5 4.5\n"], 2)
+
+    @pytest.mark.parametrize("lines", [["1],[2\n", ""], ["1],[2"], ["1\n", ""], ["\n"], [""]])
+    def test_missing_lines(self, lines):
+        assert assert_parses_as_reference(lines, 1)[0] is FormatError
+
+    def test_crlf_file_parses_as_lf(self, tmp_path):
+        W = dense_set(d=6, n=3)[0]
+        hm.save_checkpoint(hm.HashModel(W=W), tmp_path / "c.txt")
+        crlf = (tmp_path / "c.txt").read_bytes().replace(b"\n", b"\r\n")
+        (tmp_path / "crlf.txt").write_bytes(crlf)
+        assert hm.load_checkpoint(tmp_path / "crlf.txt").W.tobytes() == W.tobytes()
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 3), st.lists(st.lists(st.sampled_from(SOUP), max_size=4),
+                                      min_size=1, max_size=4),
+           st.sampled_from(["\n", ""]), st.integers(0, 2))
+    def test_token_soup(self, width, lines, end, missing):
+        lines = [" ".join(tokens) + "\n" for tokens in lines]
+        lines[-1] = lines[-1][:-1] + end
+        assert_parses_as_reference(lines + [""] * missing, width)
+
+
 class TestSaves:
     """Saves format inline: they never fork, and a failed one leaves no file
     at its path and an older file there intact."""
 
-    @pytest.fixture
-    def no_fork(self, monkeypatch):
-        """Three values per chunk and two cores, with every fork refused."""
-        def refuse():
-            raise AssertionError("a save forked")
-
-        monkeypatch.setattr(data, "CHUNK_VALUES", 3)
-        monkeypatch.setattr(data, "_usable_cores", lambda: 2)
-        monkeypatch.setattr(os, "fork", refuse)
-
-    def test_saves_never_fork(self, tmp_path, no_fork, monkeypatch):
+    def test_saves_never_fork(self, tmp_path, no_fork):
         X, y = dense_set()
         data.save_dense(tmp_path / "d.txt", X, y)
         hm.save_checkpoint(hm.HashModel(W=X), tmp_path / "c.txt")
         out = str(tmp_path / "blobs.txt")
         assert cli.main(["synth", "--num-classes", "3", "--dim", "4", "--per-class", "20",
                          "--spread", "0.5", "--seed", "2", "--out", out]) == 0
-        monkeypatch.undo()  # the loads below may fork
+        # the loads parse in many chunks with every fork refused too
         assert (hm.load_checkpoint(tmp_path / "c.txt").W == X).all()
         X2, y2 = load_dense_both_ways(tmp_path / "d.txt")
         assert (X2.view(np.uint64) == X.view(np.uint64)).all() and (y2 == y).all()
-        assert data.load_dense(tmp_path / "blobs.txt")[1].shape == (60,)
+        X3, y3 = load_dense_both_ways(out)
+        X4, y4 = data.synth_blobs(3, 4, 20, 0.5, 2)
+        assert X3.tobytes() == X4.tobytes() and (y3 == y4).all()
 
     @pytest.mark.parametrize("older", [False, True])
     @pytest.mark.parametrize("fmt", ["dense", "checkpoint"])
@@ -193,20 +314,18 @@ class TestSaves:
         assert {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)} == before
 
 
-class TestPooledFiles:
-    """Files written in many chunks, then parsed on the pool: the bytes and
-    values of one chunk."""
+class TestManyChunkFiles:
+    """Files written and parsed in many chunks: the bytes and values of one chunk."""
 
     def test_dense_bytes_and_values(self, tmp_path, monkeypatch):
         X, y = dense_set()
         data.save_dense(tmp_path / "one.txt", X, y)
         monkeypatch.setattr(data, "CHUNK_VALUES", 3)
-        monkeypatch.setattr(data, "_usable_cores", lambda: 2)
-        data.save_dense(tmp_path / "pooled.txt", X, y)
-        assert (tmp_path / "pooled.txt").read_bytes() == (tmp_path / "one.txt").read_bytes()
-        sidecar = (tmp_path / f"pooled.txt{data.SIDECAR}").read_bytes()
+        data.save_dense(tmp_path / "many.txt", X, y)
+        assert (tmp_path / "many.txt").read_bytes() == (tmp_path / "one.txt").read_bytes()
+        sidecar = (tmp_path / f"many.txt{data.SIDECAR}").read_bytes()
         assert sidecar == (tmp_path / f"one.txt{data.SIDECAR}").read_bytes()
-        X2, y2 = load_dense_both_ways(tmp_path / "pooled.txt")  # the text parse is pooled
+        X2, y2 = load_dense_both_ways(tmp_path / "many.txt")  # the text parse is in 8 chunks
         assert (X2.view(np.uint64) == X.view(np.uint64)).all() and (y2 == y).all()
         assert X2.flags.c_contiguous
 
@@ -214,10 +333,9 @@ class TestPooledFiles:
         W = dense_set(d=19, n=5)[0]
         hm.save_checkpoint(hm.HashModel(W=W), tmp_path / "one.txt")
         monkeypatch.setattr(data, "CHUNK_VALUES", 3)
-        monkeypatch.setattr(data, "_usable_cores", lambda: 2)
-        hm.save_checkpoint(hm.HashModel(W=W), tmp_path / "pooled.txt")
-        assert (tmp_path / "pooled.txt").read_bytes() == (tmp_path / "one.txt").read_bytes()
-        W2 = hm.load_checkpoint(tmp_path / "pooled.txt").W
+        hm.save_checkpoint(hm.HashModel(W=W), tmp_path / "many.txt")
+        assert (tmp_path / "many.txt").read_bytes() == (tmp_path / "one.txt").read_bytes()
+        W2 = hm.load_checkpoint(tmp_path / "many.txt").W
         assert (W2.view(np.uint64) == W.view(np.uint64)).all()
 
 
@@ -263,14 +381,14 @@ def test_late_chunk_error_matches_one_chunk(tmp_path, monkeypatch, fmt, how, err
     path.write_bytes(text.encode(errors="surrogateescape"))
     one_chunk = error_of(load, path)
     monkeypatch.setattr(data, "CHUNK_VALUES", 12)  # 3 lines of 4 values a chunk
-    monkeypatch.setattr(data, "_usable_cores", lambda: 2)
     assert error_of(load, path) == one_chunk
     assert one_chunk[0] is error and f"{path}: line {line}:" in one_chunk[1]
 
 
 def test_unguarded_script_saves_and_loads(tmp_path):
-    """A top-level script with no __main__ guard must survive the pool:
-    workers that re-ran __main__ (spawn, forkserver) would break it."""
+    """A top-level script with no __main__ guard saves and loads in many
+    chunks: nothing starts a worker process, which under spawn or forkserver
+    would re-run __main__."""
     script = tmp_path / "script.py"
     script.write_text(textwrap.dedent("""
         import os
@@ -278,14 +396,13 @@ def test_unguarded_script_saves_and_loads(tmp_path):
         from streamhash import data, model as hm
 
         data.CHUNK_VALUES = 8
-        data._usable_cores = lambda: 2
         X = np.arange(200.0).reshape(4, 50) / 7.0
         data.save_dense("d.txt", X, np.arange(50))
         parse, data.read_rows = data.read_rows, None  # the sidecar's load must not parse
         X1, y1 = data.load_dense("d.txt")
         data.read_rows = parse
         os.remove("d.txt.streamhash-cache")
-        X2, y2 = data.load_dense("d.txt")  # a pooled parse of the text
+        X2, y2 = data.load_dense("d.txt")  # a parse of the text in 25 chunks
         hm.save_checkpoint(hm.HashModel(W=X.T), "c.txt")
         assert X1.tobytes() == X2.tobytes() == X.tobytes()
         assert (y1 == y2).all() and (y2 == np.arange(50)).all()
@@ -298,73 +415,3 @@ def test_unguarded_script_saves_and_loads(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "ok\n"
-
-
-def test_pooled_evaluation_then_save_and_pooled_parse(tmp_path):
-    """An evaluation on the thread pool leaves no thread behind, so the fork
-    pool of a later parse starts from a single-threaded process; run under
-    -X dev -W error, which turns any warning into a failure."""
-    script = tmp_path / "script.py"
-    script.write_text(textwrap.dedent("""
-        import os
-        import threading
-        import numpy as np
-        from streamhash import data, experiment, metrics, model as hm
-
-        data.CHUNK_VALUES = 8
-        data._usable_cores = lambda: 2
-        metrics.BLOCK_BYTES = 2 * 8 * 60  # one query per block
-        rng = np.random.default_rng(0)
-        X, y = rng.normal(size=(6, 69)), rng.integers(0, 3, size=69)
-        retrieval = data.Part(X, np.arange(60), y[:60])
-        test = data.Part(X, np.arange(60, 69), y[60:])
-        scores = experiment.evaluate_model(hm.init(6, 16, seed=0), retrieval, test,
-                                           cutoff=10, r_max=20)
-        assert 0.0 <= scores["map"] <= 1.0
-        assert threading.active_count() == 1
-        data.save_dense("d.txt", retrieval.features, retrieval.labels)
-        parse, data.read_rows = data.read_rows, None  # the sidecar's load must not parse
-        X1, y1 = data.load_dense("d.txt")
-        data.read_rows = parse
-        os.remove("d.txt.streamhash-cache")
-        X2, y2 = data.load_dense("d.txt")  # a pooled parse of the text
-        assert X1.tobytes() == X2.tobytes() == retrieval.features.tobytes()
-        assert (y1 == y2).all() and (y2 == retrieval.labels).all()
-        print("ok")
-    """))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
-    done = subprocess.run([sys.executable, "-X", "dev", "-W", "error", str(script)],
-                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout == "ok\n"
-
-
-def test_synth_command_then_pooled_parse(tmp_path):
-    """synth_blobs joins its helper thread before it returns, so the fork
-    pool of a later parse of the file that `streamhash synth` saved starts
-    from a single-threaded process; run under -X dev -W error, which turns
-    any warning into a failure."""
-    script = tmp_path / "script.py"
-    script.write_text(textwrap.dedent("""
-        import os
-        import numpy as np
-        from streamhash import cli, data
-
-        data.CHUNK_VALUES = 8
-        data._usable_cores = lambda: 2
-        code = cli.main(["synth", "--num-classes", "3", "--dim", "4", "--per-class", "20",
-                         "--spread", "0.5", "--seed", "2", "--out", "blobs.txt"])
-        assert code == 0
-        os.remove("blobs.txt.streamhash-cache")
-        X, y = data.load_dense("blobs.txt")  # a pooled parse of the text
-        X2, y2 = data.synth_blobs(3, 4, 20, 0.5, 2)
-        assert (X == X2).all() and (y == y2).all()
-        print("ok")
-    """))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
-    done = subprocess.run([sys.executable, "-X", "dev", "-W", "error", str(script)],
-                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.endswith("ok\n")

@@ -93,6 +93,38 @@ MUTANTS = [
            "size < 1e16",
            "size < 1e17",
            "dense and checkpoint values are written as repr() writes them"),
+    Mutant("parse_minus_zero_unguarded", "src/streamhash/data.py",
+           "np.isfinite(rows).all() and not minus_zero:",
+           "np.isfinite(rows).all():",
+           "an integer -0 token parses as -0.0, as float() parses it"),
+    Mutant("parse_strips_last_byte", "src/streamhash/data.py",
+           'encode("ascii", "replace").removesuffix(b"\\n")',
+           'encode("ascii", "replace")[:-1]',
+           "a last line with no line end keeps its last character"),
+    Mutant("parse_any_bytes_as_json", "src/streamhash/data.py",
+           "if not text.translate(None, ROW_BYTES):",
+           "if True:",
+           "a token float() rejects (true, null, \"1\", 1],[2) is a FormatError"),
+    Mutant("parse_no_shape_check", "src/streamhash/data.py",
+           "if rows.shape == (len(lines), width) and np.isfinite",
+           "if np.isfinite",
+           "a line of the wrong length, or a missing line, is a FormatError"),
+    Mutant("sidecar_digest_unchecked", "src/streamhash/data.py",
+           'cache.readline(65) == _sha256(path) + b"\\n"',
+           "cache.readline(65)",
+           "a sidecar is used only when it holds the sha256 of the text beside it"),
+    Mutant("sidecar_order_unchecked", "src/streamhash/data.py",
+           "X.flags.c_contiguous and X.shape == (d, n)",
+           "X.shape == (d, n)",
+           "load_dense returns C-ordered features, as a parse does"),
+    Mutant("sidecar_memory_error_raised", "src/streamhash/data.py",
+           "except (OSError, ValueError, MemoryError):",
+           "except (OSError, ValueError):",
+           "a sidecar whose header claims a huge array is ignored"),
+    Mutant("label_overflow_uncaught", "src/streamhash/data.py",
+           "except (ValueError, OverflowError) as e:",
+           "except ValueError as e:",
+           "a label outside int64 is a FormatError (exit code 2)"),
     Mutant("encode_binary_ge", "src/streamhash/model.py",
            "np.multiply(Z > 0.0, 2.0, out=Z)",
            "np.multiply(Z >= 0.0, 2.0, out=Z)",
