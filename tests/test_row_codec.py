@@ -385,6 +385,73 @@ def test_late_chunk_error_matches_one_chunk(tmp_path, monkeypatch, fmt, how, err
     assert one_chunk[0] is error and f"{path}: line {line}:" in one_chunk[1]
 
 
+def run_dev_script(tmp_path, body):
+    """Run `body` as a script under -X dev -W error, which turns any warning
+    into a failure, with os.fork refused; return its stdout."""
+    script = tmp_path / "script.py"
+    script.write_text("import os\n\ndef refuse():\n    raise AssertionError('forked')\n\n"
+                      "os.fork = refuse\n" + textwrap.dedent(body))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    done = subprocess.run([sys.executable, "-X", "dev", "-W", "error", str(script)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_pooled_evaluation_then_save_and_pooled_parse(tmp_path):
+    """An evaluation on the thread pool leaves no thread behind, and a later
+    save and many-chunk parse of the text start no process."""
+    assert run_dev_script(tmp_path, """
+        import threading
+        import numpy as np
+        from streamhash import data, experiment, metrics, model as hm
+
+        data.CHUNK_VALUES = 8
+        metrics._usable_cores = lambda: 2
+        metrics.BLOCK_BYTES = 2 * 8 * 60  # one query per block
+        rng = np.random.default_rng(0)
+        X, y = rng.normal(size=(6, 69)), rng.integers(0, 3, size=69)
+        retrieval = data.Part(X, np.arange(60), y[:60])
+        test = data.Part(X, np.arange(60, 69), y[60:])
+        scores = experiment.evaluate_model(hm.init(6, 16, seed=0), retrieval, test,
+                                           cutoff=10, r_max=20)
+        assert 0.0 <= scores["map"] <= 1.0
+        assert threading.active_count() == 1
+        data.save_dense("d.txt", retrieval.features, retrieval.labels)
+        parse, data.read_rows = data.read_rows, None  # the sidecar's load must not parse
+        X1, y1 = data.load_dense("d.txt")
+        data.read_rows = parse
+        os.remove("d.txt.streamhash-cache")
+        X2, y2 = data.load_dense("d.txt")  # a parse of the text in many chunks
+        assert X1.tobytes() == X2.tobytes() == retrieval.features.tobytes()
+        assert (y1 == y2).all() and (y2 == retrieval.labels).all()
+        assert threading.active_count() == 1
+        print("ok")
+    """) == "ok\n"
+
+
+def test_synth_command_then_pooled_parse(tmp_path):
+    """synth_blobs joins its helper thread before it returns, and a later
+    many-chunk parse of the file that `streamhash synth` saved starts no
+    process."""
+    assert run_dev_script(tmp_path, """
+        import threading
+        from streamhash import cli, data
+
+        data.CHUNK_VALUES = 8
+        code = cli.main(["synth", "--num-classes", "3", "--dim", "4", "--per-class", "20",
+                         "--spread", "0.5", "--seed", "2", "--out", "blobs.txt"])
+        assert code == 0
+        assert threading.active_count() == 1
+        os.remove("blobs.txt.streamhash-cache")
+        X, y = data.load_dense("blobs.txt")  # a parse of the text in many chunks
+        X2, y2 = data.synth_blobs(3, 4, 20, 0.5, 2)
+        assert (X == X2).all() and (y == y2).all()
+        print("ok")
+    """).endswith("ok\n")
+
+
 def test_unguarded_script_saves_and_loads(tmp_path):
     """A top-level script with no __main__ guard saves and loads in many
     chunks: nothing starts a worker process, which under spawn or forkserver
