@@ -1,8 +1,9 @@
 """Dataset ingestion, splits, and the streaming batcher.
 
 Feature matrices are dense float64 arrays of shape (d, n): one column per
-instance; labels are 1-D int64 arrays of length n. Splits and streams give
-Parts (column indices) and are bit-reproducible: seeds go through seeded_rng.
+instance; labels are 1-D int64 arrays of length n. save_dense, HashModel
+and retrieval_scores check what enters. Splits and streams give Parts
+(column indices) and are bit-reproducible: seeds go through seeded_rng.
 """
 
 from __future__ import annotations
@@ -60,9 +61,7 @@ class Part:
         return iter((self.features, self.labels))
 
     def __getitem__(self, i: int):
-        if i not in (0, 1):
-            raise IndexError(f"a part unpacks as (features, labels), got index {i}")
-        return self.labels if i == 1 else self.features
+        return getattr(self, ("features", "labels")[i])  # IndexError past 1, as for a pair
 
 
 def seeded_rng(seed: int) -> np.random.Generator:
@@ -151,21 +150,25 @@ def save_dense(path, features: np.ndarray, labels: np.ndarray) -> None:
     """Write the textual dense-matrix format: `d n` header, one line of d
     reals per instance, then one line of n integer labels.
 
-    Values are written as repr() writes them (write_rows), so the round-trip
-    is bit-exact for finite floats. A d or n of 0, or labels not integers in
-    the int64 range, which load_dense rejects, are a DomainError and labels
-    not of shape (n,) a DimensionError, before the file opens. The text goes
-    through PATH.tmp (replacing), hashed as it is written. Then PATH +
-    SIDECAR gets that sha256 hex line and C-order features and labels in
-    .npy format if _parsed_as, else is removed; OSErrors are ignored.
+    Before the file opens: a d or n of 0, features not int, uint or float
+    and labels not int64-range integers are a DomainError, labels not of
+    shape (n,) a DimensionError, a nan or an infinity a NumericError. The
+    float64 features and int64 labels go through write_rows and PATH.tmp
+    (replacing), hashed as written; then PATH + SIDECAR gets that sha256
+    hex line and the arrays, C order, as .npy, ignoring any OSError.
     """
     d, n = features.shape
     if min(d, n) < 1:
         raise DomainError(f"{path}: a dense file needs d and n of at least 1, got {d} x {n}")
     if labels.shape != (n,):
         raise DimensionError(f"{path}: labels of shape {labels.shape} for {n} instances")
+    if features.dtype.kind not in "iuf":
+        raise DomainError(f"{path}: features must be real numbers, got {features.dtype}")
     if not np.issubdtype(labels.dtype, np.integer) or labels.max() > np.iinfo(np.int64).max:
         raise DomainError(f"{path}: labels must be int64-range integers, got {labels.dtype}")
+    features, labels = np.asarray(features, dtype=np.float64), labels.astype(np.int64, copy=False)
+    if not _parsed_as(features, labels, n):  # converted: only a nan or an inf fails it
+        raise NumericError(f"{path}: features hold a nan or an infinity")
     digest = hashlib.sha256()
     with replacing(path) as f:
         def write(text: bytes) -> None:
@@ -174,18 +177,13 @@ def save_dense(path, features: np.ndarray, labels: np.ndarray) -> None:
 
         write(f"{d} {n}\n".encode())
         write_rows(write, features.T)
-        write((" ".join(str(int(v)) for v in labels.tolist()) + "\n").encode())
-    sidecar = f"{os.fspath(path)}{SIDECAR}"
-    with contextlib.suppress(OSError):
-        if _parsed_as(features, labels, n):
-            with replacing(sidecar) as f:
-                f.write(digest.hexdigest().encode() + b"\n")
-                np.lib.format.write_array_header_1_0(
-                    f, {"descr": features.dtype.str, "fortran_order": False, "shape": (d, n)})
-                features.tofile(f)  # C order whatever the layout, with no copy
-                np.lib.format.write_array(f, labels, allow_pickle=False)
-        else:
-            os.remove(sidecar)
+        write((" ".join(map(str, labels.tolist())) + "\n").encode())
+    with contextlib.suppress(OSError), replacing(f"{os.fspath(path)}{SIDECAR}") as f:
+        f.write(digest.hexdigest().encode() + b"\n")
+        np.lib.format.write_array_header_1_0(
+            f, {"descr": features.dtype.str, "fortran_order": False, "shape": (d, n)})
+        features.tofile(f)  # C order whatever the layout, with no copy
+        np.lib.format.write_array(f, labels, allow_pickle=False)
 
 
 @contextlib.contextmanager
@@ -205,7 +203,7 @@ def replacing(path):
 
 
 def load_dense(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read the textual dense-matrix format written by save_dense, or its sidecar."""
+    """Read what save_dense wrote, from its sidecar or from its text, which ends at its labels."""
     with open_text(path) as f:
         d, n = read_header(f, path, "d n")
         try:
@@ -228,15 +226,16 @@ def load_dense(path) -> tuple[np.ndarray, np.ndarray]:
             labels = np.array([int(v) for v in fields], dtype=np.int64)
         except (ValueError, OverflowError) as e:  # OverflowError: a label outside int64
             raise FormatError(f"{path}: line {n + 2}: {e}") from e
+        read_end(f, path, first_line=n + 3)
     return features, labels
 
 
 def _parsed_as(features: np.ndarray, labels: np.ndarray, n: int) -> bool:
     """Whether the text save_dense writes for these arrays parses back to them exactly."""
     rows = max(1, CHUNK_VALUES // n)  # finiteness a few rows at a time: no full-size temporary
-    blocks = (features[i : i + rows] for i in range(0, len(features), rows))
     return (features.dtype == np.float64 and labels.dtype == np.int64 and labels.shape == (n,)
-            and all(np.isfinite(block).all() for block in blocks))
+            and all(np.isfinite(features[i : i + rows]).all()
+                    for i in range(0, len(features), rows)))
 
 
 def _sha256(path) -> bytes:
@@ -260,8 +259,8 @@ def write_rows(write, rows: np.ndarray) -> None:
     """Pass the text of the 2-D array `rows`, one line of reals per row, to
     write in bytes, chunks of about CHUNK_VALUES values formatted inline.
 
-    Every value is written as repr() writes it, which round-trips float64
-    exactly (_format_rows).
+    Every value is written as repr() writes its float64 value, which
+    round-trips exactly (_format_rows).
     """
     step = max(1, CHUNK_VALUES // max(1, rows.shape[1]))
     for start in range(0, rows.shape[0], step):
@@ -284,6 +283,13 @@ def read_rows(f, path, out: np.ndarray, first_line: int) -> None:
         out[start : start + step] = _parse_chunk(lines, width, first_line + start, path)
 
 
+def read_end(f, path, first_line: int) -> None:
+    """FormatError at the first non-blank line left in f, numbered from first_line."""
+    for i, line in enumerate(f, start=first_line):
+        if line.strip():
+            raise FormatError(f"{path}: line {i}: text after the last declared line")
+
+
 def open_text(path):
     """Open a text file for reading. Bytes that are not UTF-8 decode to
     lone surrogates, which no number parses, so the parser names their line."""
@@ -291,15 +297,13 @@ def open_text(path):
 
 
 def _format_rows(rows: np.ndarray) -> bytes:
-    """The lines of rows, each value's text as repr() writes it.
+    """The lines of rows as float64, each value's text as repr() writes it.
 
-    float64 rows go through orjson's shortest round-trip writer, whose text
+    The rows go through orjson's shortest round-trip writer, whose text
     equals repr's for 0.0, -0.0 and 1e-4 <= |x| < 1e16; every other value
     (nan, an infinity, a tiny or a huge one) keeps its repr() token.
     """
-    if rows.dtype != np.float64:
-        return "".join([" ".join(map(repr, row.tolist())) + "\n" for row in rows]).encode()
-    rows = np.ascontiguousarray(rows)  # orjson takes C-ordered arrays only
+    rows = np.ascontiguousarray(rows, dtype=np.float64)  # orjson takes C-ordered arrays only
     size = np.abs(rows)
     other = ~((size >= 1e-4) & (size < 1e16) | (rows == 0.0))
     lines = orjson.dumps(rows, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].split(b"],[")

@@ -71,18 +71,15 @@ def _usable_cores() -> int:
 
 def _validate(queries: PackedCodes, db: PackedCodes, cutoff: int | None,
               r_max: int | None) -> None:
-    if r_max is not None:
-        if r_max > db.n:
-            raise DomainError(f"r_max={r_max} exceeds database size {db.n}")
-        if r_max < 1:
-            raise DomainError("r_max must be at least 1")
+    if r_max is not None and not 1 <= r_max <= db.n:
+        raise DomainError(f"r_max={r_max} is outside 1..{db.n}, the database size")
     if queries.n == 0:
         raise DomainError("empty query set")
     if queries.k != db.k:
         raise DimensionError(f"query bits {queries.k} != database bits {db.k}")
-    if queries.labels is None or db.labels is None:
-        raise DomainError("labels are required for relevance judgments")
-    for part in (queries, db):
+    for part in (queries, db):  # labels, which relevance compares, are int64 only
+        if part.labels is None or part.labels.dtype != np.int64:
+            raise DomainError(f"labels must be int64, got {getattr(part.labels, 'dtype', None)}")
         if part.labels.shape != (part.n,):
             raise DimensionError(f"labels of shape {part.labels.shape} for {part.n} codes")
     if cutoff is not None and cutoff < 1:
@@ -105,7 +102,7 @@ def retrieval_scores(queries: PackedCodes, db: PackedCodes, cutoff: int | None =
     the blocks' Precision@R rows in query order, so no result depends on the
     block size or the core count. The pool is joined before this returns.
     map_at_k equals map when cutoff is None; precision_at_r is empty when
-    r_max is None.
+    r_max is None. Every input, int64 labels included, is checked first.
     """
     _validate(queries, db, cutoff, r_max)
     stop = db.n if cutoff is None else min(cutoff, db.n)
@@ -115,15 +112,10 @@ def retrieval_scores(queries: PackedCodes, db: PackedCodes, cutoff: int | None =
     cores = _usable_cores()
     rows = max(1, BLOCK_BYTES // (8 * max(1, db.n) * cores))
     starts = range(0, queries.n, rows)
-    # each label's index among the distinct labels of both sets, which the
-    # blocks gather in the smallest unsigned dtype: equal codes are exactly
-    # equal labels, and each NaN is a label of its own (uint64 with signed
-    # labels go through Python ints: their common float64 merges some)
-    labels = (db.labels, queries.labels)
-    kinds = {db.labels.dtype.kind, queries.labels.dtype.kind}
-    as_ints = np.result_type(*labels).kind == "f" and kinds <= {"i", "u"}
-    distinct, label_codes = np.unique(np.concatenate(labels, dtype=object if as_ints else None),
-                                      return_inverse=True, equal_nan=False)
+    # each label's index among both sets' distinct labels, in the smallest
+    # unsigned dtype, for the blocks to gather: equal codes are equal labels
+    distinct, label_codes = np.unique(np.concatenate((db.labels, queries.labels)),
+                                      return_inverse=True)
     label_codes = label_codes.astype(np.min_scalar_type(distinct.size - 1))
     db_codes, query_codes = label_codes[:db.n], label_codes[db.n:]
 

@@ -6,19 +6,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import open_text, read_header, read_rows, replacing, seeded_rng, write_rows
+from .data import open_text, read_end, read_header, read_rows, replacing, seeded_rng, write_rows
 from .errors import DimensionError, DomainError, NumericError
 
 
 @dataclass
 class HashModel:
-    """Projection matrix W of shape (d, k): one column per hash function."""
+    """Projection matrix W (d, k), finite and real: one column per hash function."""
 
     W: np.ndarray
 
     def __post_init__(self):
         if self.W.ndim != 2 or self.W.shape[0] < 1 or self.W.shape[1] < 1:
             raise DimensionError("W must be a (d, k) matrix with d, k >= 1")
+        if self.W.dtype.kind not in "iuf":
+            raise DomainError(f"W must hold real numbers, got {self.W.dtype}")
         if not np.all(np.isfinite(self.W)):
             raise NumericError("W contains non-finite entries")
 
@@ -72,9 +74,9 @@ def encode_binary(model: HashModel, X: np.ndarray) -> np.ndarray:
 def save_checkpoint(model: HashModel, path) -> None:
     """Write the textual checkpoint: `d k` header, then d rows of k reals.
 
-    Values are written as repr() writes them (write_rows), which round-trips
-    float64 exactly. The text goes through PATH.tmp (replacing), so a failed
-    save leaves no partial file at path.
+    Values are written as repr() writes their float64 values (write_rows),
+    which round-trips exactly. The text goes through PATH.tmp (replacing),
+    so a failed save leaves no partial file at path.
     """
     with replacing(path) as f:
         f.write(f"{model.d} {model.k}\n".encode())
@@ -82,9 +84,10 @@ def save_checkpoint(model: HashModel, path) -> None:
 
 
 def load_checkpoint(path) -> HashModel:
-    """Read a checkpoint written by save_checkpoint."""
+    """Read a checkpoint written by save_checkpoint, which ends at its row d."""
     with open_text(path) as f:
         d, k = read_header(f, path, "d k")
         W = np.empty((d, k))
         read_rows(f, path, W, first_line=2)
+        read_end(f, path, first_line=d + 2)
     return HashModel(W=W)

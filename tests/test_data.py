@@ -189,6 +189,47 @@ class TestDenseFormat:
             data.save_dense(path, np.ones((3, 2)), labels)
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("features", [np.ones((3, 2), dtype=bool),
+                                          np.ones((3, 2), dtype=complex),
+                                          np.ones((3, 2)).astype(object),
+                                          np.full((3, 2), "1")],
+                             ids=["bool", "complex", "object", "str_"])
+    def test_non_real_features_not_written(self, tmp_path, features):
+        # the text would hold tokens (True, (1+0j)) that load_dense rejects
+        path = tmp_path / "d.txt"
+        with pytest.raises(DomainError, match=f"features must be real numbers, "
+                                              f"got {features.dtype}") as refused:
+            data.save_dense(path, features, np.arange(2))
+        assert refused.value.exit_code == 3
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+    def test_non_finite_features_not_written(self, tmp_path, value, dtype):
+        # load_dense raises the same NumericError (exit 5) for such a file
+        features = np.ones((3, 4), dtype=dtype)
+        features[2, 1] = value
+        path = tmp_path / "d.txt"
+        with pytest.raises(NumericError, match="nan or an infinity") as refused:
+            data.save_dense(path, features, np.arange(4))
+        assert refused.value.exit_code == 5
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("tail, line", [("garbage line\n", 5), ("\n\n0 1\n", 7), ("1", 5)])
+    def test_text_after_the_label_line_is_a_format_error(self, tmp_path, tail, line):
+        path = tmp_path / "d.txt"
+        path.write_text("3 2\n0.5 1.5 2.5\n3.5 4.5 5.5\n0 1\n" + tail)
+        with pytest.raises(FormatError, match=f"{re.escape(str(path))}: line {line}: text after"):
+            data.load_dense(path)
+
+    @pytest.mark.parametrize("tail", ["", "\n", "\n\n", "  \n\t\n", " "])
+    def test_trailing_blank_lines_load(self, tmp_path, tail):
+        path = tmp_path / "d.txt"
+        path.write_text("3 2\n0.5 1.5 2.5\n3.5 4.5 5.5\n0 1\n" + tail)
+        features, labels = data.load_dense(path)
+        assert features.tolist() == [[0.5, 3.5], [1.5, 4.5], [2.5, 5.5]]
+        assert labels.tolist() == [0, 1]
+
     @pytest.mark.parametrize("dtype", [np.int32, np.uint8, np.uint64])
     def test_other_integer_labels_load_as_int64(self, tmp_path, dtype):
         top = min(np.iinfo(dtype).max, np.iinfo(np.int64).max)
@@ -316,26 +357,28 @@ class TestDenseSidecar:
     @pytest.mark.parametrize("how", ["nan", "inf", "float32", "int64", "int32 labels",
                                      "big-endian"])
     def test_arrays_a_parse_would_not_return_leave_no_sidecar(self, tmp_path, how):
+        # non-finite features are refused before any file opens, so the older
+        # save stays; arrays of any other real dtype are saved as their
+        # float64 and int64 values, which the sidecar holds as a parse does
         X, y = dense_pair()
         path = tmp_path / "d.txt"
         data.save_dense(path, X, y)
-        assert sidecar_of(path).exists()
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         bad_X, bad_y = X.copy(), y
         if how in ("nan", "inf"):
             bad_X[1, 3] = float(how)
-        elif how == "int32 labels":
+            with pytest.raises(NumericError, match="nan or an infinity"):
+                data.save_dense(path, bad_X, bad_y)
+            assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+            return
+        if how == "int32 labels":
             bad_y = y.astype(np.int32)
         else:
             bad_X = np.arange(15).reshape(3, 5).astype({"float32": np.float32, "int64": np.int64,
                                                         "big-endian": ">f8"}[how])
         data.save_dense(path, bad_X, bad_y)
-        assert sorted(os.listdir(tmp_path)) == ["d.txt"]
-        if how in ("nan", "inf"):
-            with pytest.raises(NumericError, match=f"{re.escape(str(path))}: line 5:"):
-                data.load_dense(path)
-        else:
-            features, labels = data.load_dense(path)
-            assert (features == bad_X).all() and (labels == bad_y).all()
+        features, labels = load_dense_both_ways(path)
+        assert same(features, bad_X.astype(np.float64)) and same(labels, bad_y.astype(np.int64))
 
     def test_failed_replace_keeps_the_save(self, tmp_path, monkeypatch):
         X, y = dense_pair()

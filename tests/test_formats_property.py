@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
+from hypothesis.extra.numpy import arrays, from_dtype
 
 from streamhash import data, model as hm
 from streamhash.errors import FormatError, NumericError
@@ -58,6 +58,21 @@ def dense_sets(draw):
     return X, np.array(draw(st.lists(LABELS, min_size=n, max_size=n)), dtype=np.int64)
 
 
+# every real dtype the features may have: int, uint and float of each width
+REAL_DTYPES = [np.dtype(t) for t in (np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16,
+                                     np.uint32, np.uint64, np.float16, np.float32, np.float64)]
+
+
+@st.composite
+def real_sets(draw, dtype):
+    """(features, labels): finite features of dtype in C order, Fortran
+    order or big-endian, and int32 or int64 labels."""
+    X = draw(arrays(dtype, draw(SHAPE), elements=from_dtype(dtype, allow_nan=False,
+                                                            allow_infinity=False)))
+    X = draw(st.sampled_from([X, np.asfortranarray(X), X.astype(dtype.newbyteorder(">"))]))
+    return X, draw(arrays(draw(st.sampled_from([np.int32, np.int64])), X.shape[1]))
+
+
 class TestDense:
     @SETTINGS
     @given(case=dense_sets())
@@ -84,14 +99,30 @@ class TestDense:
         assert (bits(X2) == bits(X[:, idx])).all() and (y2 == y[idx]).all()
 
     @SETTINGS
-    @given(case=poisoned(NON_FINITE))
+    @given(case=poisoned(NON_FINITE.map(repr)))
     def test_non_finite_rejected(self, tmp_path, case):
-        X, row, col, value = case
-        X[row, col] = value
+        # written as text: save_dense refuses to write a non-finite value
+        X, row, col, token = case
+        rows = [[repr(v) for v in X[:, i].tolist()] for i in range(X.shape[1])]
+        rows[col][row] = token
         path = tmp_path / "d.txt"
-        data.save_dense(path, X, np.zeros(X.shape[1], dtype=np.int64))
-        with pytest.raises(NumericError, match=f"line {col + 2}:"):
+        write_rows(path, [str(X.shape[0]), str(X.shape[1])], rows, [" ".join(["0"] * X.shape[1])])
+        with pytest.raises(NumericError, match=f"{re.escape(str(path))}: line {col + 2}:"):
             data.load_dense(path)
+
+    @pytest.mark.parametrize("dtype", REAL_DTYPES, ids=str)
+    @settings(SETTINGS, max_examples=15)
+    @given(st.data())
+    def test_every_real_dtype_saved_as_float64(self, tmp_path, dtype, data_):
+        # any real features and integer labels, in any layout and byte
+        # order, load as their float64 and int64 values, from the sidecar
+        # and from the text alike (load_dense_both_ways)
+        X, y = data_.draw(real_sets(dtype))
+        path = tmp_path / "d.txt"
+        data.save_dense(path, X, y)
+        X2, y2 = load_dense_both_ways(path)
+        assert X2.dtype == np.float64 and (bits(X2) == bits(X.astype(np.float64))).all()
+        assert y2.dtype == np.int64 and (y2 == y).all()
 
     @SETTINGS
     @given(case=poisoned(UNPARSED))

@@ -278,7 +278,8 @@ class TestBlockedPass:
 
 def label_case(name, rng):
     """(database labels, query labels) whose values stress the ranking's
-    dense label codes; 11 queries."""
+    dense label codes; 11 queries. The uint64 and float cases are not
+    int64 labels, which retrieval_scores refuses."""
     if name == "over_256_labels":
         # 300 labels: codes 0..43 and 256..299 coincide modulo 256
         return rng.permutation(np.arange(600) % 300), rng.choice([0, 1, 43, 256, 257, 299], 11)
@@ -287,12 +288,12 @@ def label_case(name, rng):
         values = np.array([-2**62, -2**62 + 1, -1, 0, 2**62 - 1, 2**62])
         return rng.choice(values, 40), rng.choice(values, 11)
     if name == "uint64_db_int64_queries":
-        # 2**62 + 1 and 2**62 are one value as float64, the two dtypes' common type
+        # 2**62 + 1 and 2**62 would be one value as float64, the two dtypes' common type
         values = np.array([0, 5, 2**62, 2**62 + 1])
         return rng.choice(values, 40).astype(np.uint64), rng.choice(np.append(values, -5), 11)
     if name == "query_labels_absent_from_db":
         return rng.choice([0, 2, 4], 40), rng.choice([-1, 0, 1, 2, 3, 4, 5], 11)
-    values = np.array([0.0, 1.5, -2.25, np.nan])  # float labels; nan equals nothing
+    values = np.array([0.0, 1.5, -2.25, np.nan])  # float labels; nan would equal nothing
     return rng.choice(values, 40), rng.choice(np.append(values, 3.0), 11)
 
 
@@ -305,6 +306,11 @@ class TestLabelValues:
         db_B = rng.choice([-1.0, 1.0], size=(6, db_labels.size))  # 6 bits: ties, full balls
         q_B = rng.choice([-1.0, 1.0], size=(6, q_labels.size))
         db, queries = index.pack(db_B, db_labels), index.pack(q_B, q_labels)
+        if db_labels.dtype != np.int64:
+            # labels are int64 only: uint64 and float labels are refused
+            with pytest.raises(DomainError, match=f"labels must be int64, got {db_labels.dtype}"):
+                metrics.retrieval_scores(queries, db, cutoff=9, r_max=12)
+            return
         monkeypatch.setattr(metrics, "_usable_cores", lambda: 1)
         monkeypatch.setattr(metrics, "BLOCK_BYTES", 4 * 8 * db.n)  # blocks of 4, 4 and 3
         expect = [bf_metrics(q_B[:, i], q_labels[i], db_B, db_labels, 9, 12)
@@ -315,6 +321,24 @@ class TestLabelValues:
         assert got["precision_h2"] == np.mean([e[2] for e in expect])
         np.testing.assert_array_equal(got["precision_at_r"],
                                       np.mean([e[3] for e in expect], axis=0))
+
+    @pytest.mark.parametrize("side", ["db", "queries"])
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint64, np.float64, bool, object])
+    def test_labels_not_int64_refused(self, side, dtype):
+        rng = np.random.default_rng(5)
+        labels = {"db": rng.integers(0, 3, 20), "queries": rng.integers(0, 3, 4)}
+        labels[side] = labels[side].astype(dtype)
+        db = index.pack(rng.choice([-1.0, 1.0], size=(8, 20)), labels["db"])
+        queries = index.pack(rng.choice([-1.0, 1.0], size=(8, 4)), labels["queries"])
+        with pytest.raises(DomainError, match=f"labels must be int64, got {np.dtype(dtype)}"):
+            metrics.retrieval_scores(queries, db)
+
+    @pytest.mark.parametrize("side", ["db", "queries"])
+    def test_missing_labels_refused(self, side):
+        codes = {name: index.pack(np.ones((8, 3)), None if name == side else np.zeros(3, np.int64))
+                 for name in ("db", "queries")}
+        with pytest.raises(DomainError, match="labels must be int64, got None"):
+            metrics.retrieval_scores(codes["queries"], codes["db"])
 
 
 class TestPool:

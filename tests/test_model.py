@@ -144,3 +144,31 @@ class TestCheckpoint:
         path.write_text("2 2\n1.0 2.0\n3.0\n")
         with pytest.raises(FormatError):
             hm.load_checkpoint(path)
+
+    @pytest.mark.parametrize("tail, line", [("1 2\n", 4), ("\n\ngarbage\n", 6), ("x", 4)])
+    def test_text_after_row_d_is_a_format_error(self, tmp_path, tail, line):
+        path = tmp_path / "model.txt"
+        path.write_text("2 2\n1.0 2.0\n3.0 4.0\n" + tail)
+        with pytest.raises(FormatError, match=f"line {line}: text after the last declared line"):
+            hm.load_checkpoint(path)
+
+    @pytest.mark.parametrize("tail", ["", "\n", "\n \n\t\n"])
+    def test_trailing_blank_lines_load(self, tmp_path, tail):
+        path = tmp_path / "model.txt"
+        path.write_text("2 2\n1.0 2.0\n3.0 4.0\n" + tail)
+        assert hm.load_checkpoint(path).W.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+    @pytest.mark.parametrize("W", [np.ones((2, 2), dtype=bool), np.ones((2, 2), dtype=complex),
+                                   np.ones((2, 2)).astype(object), np.full((2, 2), "1")],
+                             ids=["bool", "complex", "object", "str_"])
+    def test_non_real_W_refused(self, W):
+        # a checkpoint holds float64 text: a complex W would lose its imaginary part
+        with pytest.raises(DomainError, match=f"W must hold real numbers, got {W.dtype}"):
+            hm.HashModel(W=W)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint64, np.float16, np.float32])
+    def test_real_W_saved_as_its_float64_values(self, tmp_path, dtype):
+        W = (np.arange(6).reshape(2, 3) * 7.25).astype(dtype)
+        path = tmp_path / "model.txt"
+        hm.save_checkpoint(hm.HashModel(W=W), path)
+        assert hm.load_checkpoint(path).W.tobytes() == W.astype(np.float64).tobytes()

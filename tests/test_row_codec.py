@@ -102,12 +102,14 @@ class TestFormatRows:
 
     @pytest.mark.parametrize("dtype", [np.int64, np.float32])
     def test_other_dtypes_as_repr_of_their_python_values(self, dtype):
+        # the Python values of their float64 values: float32 text is each
+        # value's double's repr, and an int is written as a float
         rows = (np.arange(-6, 6).reshape(3, 4) * 7.25).astype(dtype)
-        assert data._format_rows(rows) == format_rows_by_repr(rows).encode()
+        assert data._format_rows(rows) == format_rows_by_repr(rows.astype(np.float64)).encode()
 
-    def test_int_features_are_written_as_ints(self, tmp_path):
+    def test_int_features_are_written_as_floats(self, tmp_path):
         data.save_dense(tmp_path / "d.txt", np.array([[1, 2], [3, 4]]), np.array([0, 1]))
-        assert (tmp_path / "d.txt").read_text() == "2 2\n1 3\n2 4\n0 1\n"
+        assert (tmp_path / "d.txt").read_text() == "2 2\n1.0 3.0\n2.0 4.0\n0 1\n"
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(arrays(np.float64, array_shapes(min_dims=2, max_dims=2, max_side=40)))

@@ -43,10 +43,6 @@ MUTANTS = [
            "data.stream(train, cfg.train.batch_size, cfg.train.seed + epoch)",
            "data.stream(train, cfg.train.batch_size, cfg.train.seed)",
            "epoch e of the stream is shuffled with seed train.seed + e"),
-    Mutant("stale_sidecar_kept", "src/streamhash/data.py",
-           "os.remove(sidecar)",
-           "pass",
-           "a save that writes no sidecar removes a stale one"),
     Mutant("load_skips_finiteness", "src/streamhash/data.py",
            "X.shape == (d, n) and _parsed_as(X, y, n)",
            "X.shape == (d, n) and X.dtype == np.float64 and y.dtype == np.int64 "
@@ -73,14 +69,15 @@ MUTANTS = [
            "",
            "each query's AP sums its own terms only"),
     Mutant("label_codes_from_db_only", "src/streamhash/metrics.py",
-           "np.unique(np.concatenate(labels, dtype=object if as_ints else None),\n"
-           "                                      return_inverse=True, equal_nan=False)",
-           "np.unique(db.labels), np.searchsorted(np.unique(db.labels), np.concatenate(labels))",
+           "np.unique(np.concatenate((db.labels, queries.labels)),\n"
+           "                                      return_inverse=True)",
+           "np.unique(db.labels), np.searchsorted(np.unique(db.labels),\n"
+           "                                      np.concatenate((db.labels, queries.labels)))",
            "a query label absent from the database matches no database item"),
-    Mutant("uint64_signed_labels_as_float", "src/streamhash/metrics.py",
-           "dtype=object if as_ints else None",
-           "dtype=None",
-           "a uint64 label and a signed one are equal exactly when == says so"),
+    Mutant("labels_of_any_dtype_ranked", "src/streamhash/metrics.py",
+           "if part.labels is None or part.labels.dtype != np.int64:",
+           "if part.labels is None:",
+           "labels that are not int64 are a DomainError before any ranking"),
     Mutant("label_codes_fixed_uint8", "src/streamhash/metrics.py",
            "label_codes.astype(np.min_scalar_type(distinct.size - 1))",
            "label_codes.astype(np.uint8)",
@@ -125,6 +122,34 @@ MUTANTS = [
            "except (ValueError, OverflowError) as e:",
            "except ValueError as e:",
            "a label outside int64 is a FormatError (exit code 2)"),
+    Mutant("save_takes_any_feature_dtype", "src/streamhash/data.py",
+           'if features.dtype.kind not in "iuf":',
+           "if False:",
+           "bool, complex, object and text features are a DomainError before any file opens"),
+    Mutant("save_writes_non_finite", "src/streamhash/data.py",
+           "if not _parsed_as(features, labels, n):",
+           "if False:",
+           "nan or infinite features are a NumericError before any file opens"),
+    Mutant("load_ignores_trailing_lines", "src/streamhash/data.py",
+           "        if line.strip():\n",
+           "        if False:\n",
+           "a non-blank line after a file's last declared line is a FormatError"),
+    Mutant("sidecar_shape_unchecked", "src/streamhash/data.py",
+           "X.flags.c_contiguous and X.shape == (d, n) and _parsed_as",
+           "X.flags.c_contiguous and _parsed_as",
+           "a sidecar is used only when its features have the text header's shape"),
+    Mutant("failed_save_keeps_tmp", "src/streamhash/data.py",
+           "        with contextlib.suppress(OSError):\n            os.remove(tmp)\n        raise",
+           "        raise",
+           "a failed save leaves no PATH.tmp behind"),
+    Mutant("sidecar_features_off_by_an_ulp", "src/streamhash/data.py",
+           "features.tofile(f)",
+           "(features * (1 + 2**-52)).tofile(f)",
+           "the sidecar holds exactly the features a parse of the text returns"),
+    Mutant("model_takes_any_W_dtype", "src/streamhash/model.py",
+           'if self.W.dtype.kind not in "iuf":',
+           "if False:",
+           "a W that is not of a real dtype is a DomainError"),
     Mutant("encode_binary_ge", "src/streamhash/model.py",
            "np.multiply(Z > 0.0, 2.0, out=Z)",
            "np.multiply(Z >= 0.0, 2.0, out=Z)",
