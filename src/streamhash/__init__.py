@@ -21,7 +21,6 @@ from .data import (
 )
 from .distribution import (
     GaussianParams,
-    ScalingParams,
     build_similarity,
     p_gaussian,
     p_raw,

@@ -12,6 +12,7 @@ import contextlib
 import hashlib
 import math
 import os
+import secrets
 import stat
 import struct
 from concurrent.futures import ThreadPoolExecutor
@@ -153,8 +154,8 @@ def save_dense(path, features: np.ndarray, labels: np.ndarray) -> None:
     Before the file opens: a d or n of 0, features not int, uint or float
     and labels not int64-range integers are a DomainError, labels not of
     shape (n,) a DimensionError, a nan or an infinity a NumericError. The
-    float64 features and int64 labels go through write_rows and PATH.tmp
-    (replacing), hashed as written; then PATH + SIDECAR gets that sha256
+    float64 features and int64 labels go through write_rows and a temporary
+    file (replacing), hashed as written; then PATH + SIDECAR gets that sha256
     hex line and the arrays, C order, as .npy, ignoring any OSError.
     """
     d, n = features.shape
@@ -188,12 +189,14 @@ def save_dense(path, features: np.ndarray, labels: np.ndarray) -> None:
 
 @contextlib.contextmanager
 def replacing(path):
-    """A binary file opened at PATH.tmp, which replaces path when the block
-    ends normally and is removed on any exception: a failed save leaves no
-    partial file at path, and an older file there stays intact."""
-    tmp = f"{os.fspath(path)}.tmp"
+    """A binary file created at a new PATH.<16 random hex digits>.tmp, which
+    replaces path when the block ends normally and is removed on any
+    exception: a failed save leaves no partial file at path and an older
+    file there intact, and each of two saves to one path writes its own
+    file. It is created as open(path, "wb") creates one, with the same mode."""
+    tmp = f"{os.fspath(path)}.{secrets.token_hex(8)}.tmp"
     try:
-        with open(tmp, "wb") as f:
+        with open(tmp, "xb") as f:
             yield f
         os.replace(tmp, path)
     except BaseException:

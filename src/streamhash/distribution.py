@@ -33,21 +33,6 @@ class GaussianParams:
             raise DomainError("sigma must be positive and finite")
 
 
-@dataclass(frozen=True)
-class ScalingParams:
-    """Distance divisors of the scaled Q: scale_p for similar pairs (None
-    stands for bits / 2, see scaling_matrix), scale_n for dissimilar ones."""
-
-    scale_p: float | None = None
-    scale_n: float = 1.0
-
-    def __post_init__(self):
-        if not (self.scale_p is None or _positive_finite(self.scale_p)):
-            raise DomainError("scale_p must be positive and finite")
-        if not _positive_finite(self.scale_n):
-            raise DomainError("scale_n must be positive and finite")
-
-
 def _positive_finite(value) -> bool:  # a real number in (0, inf); nan is not
     return isinstance(value, Real) and 0 < value < math.inf
 
@@ -139,8 +124,8 @@ def pairwise_hamming_sq(B: np.ndarray, out: np.ndarray | None = None) -> np.ndar
     return dist
 
 
-def scaling_matrix(S: np.ndarray, sp: ScalingParams, bits: int) -> np.ndarray:
-    """Per-pair eta matrix of codes of `bits` bits: sp.scale_p (bits / 2 when
-    None) where the boolean similarity mask S is True, sp.scale_n elsewhere.
-    Any other S is a DomainError, as in p_raw and p_gaussian."""
-    return np.where(_mask(S), bits / 2.0 if sp.scale_p is None else sp.scale_p, sp.scale_n)
+def scaling_matrix(S: np.ndarray, similar: float, dissimilar: float) -> np.ndarray:
+    """Per-pair eta matrix: similar where the boolean similarity mask S is
+    True, dissimilar elsewhere. Any other S is a DomainError, as in p_raw
+    and p_gaussian."""
+    return np.where(_mask(S), similar, dissimilar)

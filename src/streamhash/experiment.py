@@ -22,7 +22,7 @@ import numpy as np
 
 from . import data, index, metrics, model as hashmodel, trainer
 from .data import SplitSpec
-from .distribution import GaussianParams, ScalingParams
+from .distribution import GaussianParams
 from .errors import ConfigError, ConsistencyError, DomainError, SplitError, StreamHashError
 from .metrics import MetricReport
 from .model import HashModel
@@ -85,7 +85,7 @@ def _table(cls) -> dict:
 
 
 # The flat train section: allowed types and default of each key
-TRAIN_FIELDS = {**_table(TrainConfig), **_table(GaussianParams), **_table(ScalingParams)}
+TRAIN_FIELDS = {**_table(TrainConfig), **_table(GaussianParams)}
 
 DATASET_FIELDS = {
     "idx": {"images": (_STR, MISSING), "labels": (_STR, MISSING),
@@ -142,7 +142,7 @@ def _options(cls, raw, section: str):
 
 def _train_view(cfg: TrainConfig) -> dict:
     """The flat train settings of cfg."""
-    flat = {**vars(cfg), **vars(cfg.gaussian), **vars(cfg.scaling)}
+    flat = {**vars(cfg), **vars(cfg.gaussian)}
     return {key: flat[key] for key in TRAIN_FIELDS}
 
 
@@ -150,9 +150,8 @@ def train_config(raw, section: str = "train") -> TrainConfig:
     """The validated TrainConfig of a flat train section named section."""
     values = check_section(raw, TRAIN_FIELDS, section)
     try:
-        gaussian, scaling = (cls(**{key: values.pop(key) for key in _table(cls)})
-                             for cls in (GaussianParams, ScalingParams))
-        return TrainConfig(gaussian=gaussian, scaling=scaling, **values)
+        gaussian = GaussianParams(**{key: values.pop(key) for key in _table(GaussianParams)})
+        return TrainConfig(gaussian=gaussian, **values)
     except DomainError as e:
         raise ConfigError(f"{section}: {e}") from e
 
@@ -191,8 +190,9 @@ def config_from_dict(raw) -> ExperimentConfig:
         unseen=_options(UnseenOptions, top["unseen"], "unseen"),
         **{key: top[key] for key in scalars},
     )
-    if cfg.bits < 1:
-        raise ConfigError("bits must be at least 1")
+    for name, bits in (("bits", cfg.bits), ("unseen.bits", cfg.unseen.bits)):
+        if bits < 1:
+            raise ConfigError(f"{name} must be at least 1")
     if cfg.epochs < 1:
         raise ConfigError("epochs must be at least 1")
     if cfg.init_scale < 0:

@@ -75,7 +75,7 @@ def save_checkpoint(model: HashModel, path) -> None:
     """Write the textual checkpoint: `d k` header, then d rows of k reals.
 
     Values are written as repr() writes their float64 values (write_rows),
-    which round-trips exactly. The text goes through PATH.tmp (replacing),
+    which round-trips exactly. The text goes through a temporary file (replacing),
     so a failed save leaves no partial file at path.
     """
     with replacing(path) as f:

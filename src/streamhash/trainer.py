@@ -35,7 +35,7 @@ import numpy as np
 from . import distribution as dist
 from . import model as hashmodel
 from .data import StreamingBatch
-from .distribution import GaussianParams, ScalingParams, diag_view
+from .distribution import GaussianParams, _positive_finite, diag_view
 from .errors import DimensionError, DomainError, NumericError
 from .model import HashModel
 
@@ -50,7 +50,8 @@ Q_VARIANTS = ("plain", "scaled")
 class TrainConfig:
     learning_rate: float = 0.1
     gaussian: GaussianParams = field(default_factory=GaussianParams)
-    scaling: ScalingParams = field(default_factory=ScalingParams)
+    scale_p: float | None = None  # scaled Q's similar-pair divisor; None: k / 2
+    scale_n: float = 1.0  # and its dissimilar-pair divisor
     batch_size: int = 50
     inner_iters: int = 5
     grad_mode: str = "exact"
@@ -61,6 +62,10 @@ class TrainConfig:
 
     def __post_init__(self):
         # each check passes only inside its range, so nan fails every one
+        if not (self.scale_p is None or _positive_finite(self.scale_p)):
+            raise DomainError("scale_p must be positive and finite")
+        if not _positive_finite(self.scale_n):
+            raise DomainError("scale_n must be positive and finite")
         if not 0 < self.learning_rate < math.inf:
             raise DomainError("learning_rate must be positive and finite")
         if not self.batch_size >= 2:
@@ -73,9 +78,8 @@ class TrainConfig:
                               ("q_variant", Q_VARIANTS)):
             if getattr(self, name) not in allowed:
                 raise DomainError(f"{name} must be one of {allowed}")
-        for name, cls in (("gaussian", GaussianParams), ("scaling", ScalingParams)):
-            if not isinstance(getattr(self, name), cls):
-                raise DomainError(f"{name} must be a {cls.__name__}, got {getattr(self, name)!r}")
+        if not isinstance(self.gaussian, GaussianParams):
+            raise DomainError(f"gaussian must be a GaussianParams, got {self.gaussian!r}")
 
 
 @dataclass
@@ -183,11 +187,13 @@ def sgd_step(model: HashModel, gradient: np.ndarray, learning_rate: float) -> Ha
 def build_target(labels, cfg: TrainConfig, k: int):
     """Label-side target P of one batch and the per-pair distance divisors
     eta of its k-bit codes, both from the batch's similarity mask: eta is
-    cfg.scaling's for the scaled Q, (1, 1) for the plain one."""
+    (scale_p, scale_n) for the scaled Q, a null scale_p standing for k / 2,
+    and (1, 1) for the plain one."""
     S = dist.build_similarity(labels)
     P = dist.p_raw(S) if cfg.p_variant == "raw" else dist.p_gaussian(S, cfg.gaussian)
-    scaling = cfg.scaling if cfg.q_variant == "scaled" else ScalingParams(1.0, 1.0)
-    return P, dist.scaling_matrix(S, scaling, k)
+    if cfg.q_variant == "plain":
+        return P, dist.scaling_matrix(S, 1.0, 1.0)
+    return P, dist.scaling_matrix(S, k / 2 if cfg.scale_p is None else cfg.scale_p, cfg.scale_n)
 
 
 def train_stage(model: HashModel, batch: StreamingBatch, cfg: TrainConfig):

@@ -11,7 +11,6 @@ from pathlib import Path
 import numpy as np
 
 from streamhash import data, model as hm, trainer
-from streamhash.distribution import ScalingParams
 from streamhash.errors import DegenerateDistributionError, DimensionError, DomainError
 from streamhash.model import HashModel
 
@@ -83,8 +82,10 @@ def reference_target(labels, cfg, k):
         total = n_similar * w_similar + n_dissimilar * w_dissimilar
         P = np.where(similar, w_similar / total, w_dissimilar / total)
     np.fill_diagonal(P, 0.0)
-    sp = cfg.scaling if cfg.q_variant == "scaled" else ScalingParams(1.0, 1.0)
-    eta = np.where(S == 1.0, k / 2.0 if sp.scale_p is None else sp.scale_p, sp.scale_n)
+    if cfg.q_variant == "plain":
+        eta = np.ones_like(S)
+    else:
+        eta = np.where(S == 1.0, k / 2.0 if cfg.scale_p is None else cfg.scale_p, cfg.scale_n)
     return P, eta
 
 

@@ -19,7 +19,7 @@ import pytest
 from streamhash import cli, data, distribution as dist, experiment, index, metrics
 from streamhash import model as hm
 from streamhash import trainer
-from streamhash.distribution import GaussianParams, ScalingParams
+from streamhash.distribution import GaussianParams
 from streamhash.experiment import config_from_dict
 from streamhash.trainer import TrainConfig
 
@@ -48,7 +48,7 @@ def test_criterion_1_gradient_matches_finite_differences():
         labels = rng.integers(0, 3, size=n_t)
         cfg = TrainConfig(grad_mode="exact",
                           q_variant="scaled" if trial % 2 else "plain",
-                          scaling=ScalingParams(2.0, 0.8))
+                          scale_p=2.0, scale_n=0.8)
         model = hm.init(d, k, seed=trial)
         P, eta = trainer.build_target(labels, cfg, k)
         g = grad_loss(X, model, P, eta, cfg)
@@ -75,7 +75,7 @@ def test_criterion_2_distribution_normalization():
         mats = {
             "p_gaussian": dist.p_gaussian(S),
             "q_plain": code_q(B, labels),
-            "q_scaled": code_q(B, labels, ScalingParams(2.0, 1.0)),
+            "q_scaled": code_q(B, labels, (2.0, 1.0)),
         }
         has_similar_pair = S[off].sum() > 0
         if has_similar_pair:
@@ -334,7 +334,7 @@ def test_criterion_9_variant_ablation(tmp_path):
         n = int(rng.integers(2, 9))
         B = rng.uniform(-1, 1, size=(5, n))
         labels = rng.integers(0, 3, size=n)
-        worst = max(worst, np.abs(code_q(B, labels, ScalingParams(1.0, 1.0))
+        worst = max(worst, np.abs(code_q(B, labels, (1.0, 1.0))
                                   - code_q(B, labels)).max())
 
     # both distribution variants drive full training runs -> two curves

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import streamhash
-from streamhash import cli, data, trainer
+from streamhash import cli, data, experiment, trainer
 from streamhash.errors import NumericError
 from streamhash.experiment import OUTPUT_DIR_ENV
 
@@ -278,6 +278,21 @@ class TestExitCodes:
     def test_invalid_config_leaves_no_outputs(self, tmp_path):
         cfg = write_config(tmp_path, bits=-1)
         assert cli.main(["train", "--config", str(cfg)]) == 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("bits", [0, -3])
+    @pytest.mark.parametrize("command", ["train", "sweep", "unseen", "split"])
+    def test_unseen_bits_below_1_is_2_before_any_load(self, tmp_path, capsys, monkeypatch,
+                                                      command, bits):
+        # checked with bits, for every command, as the config loads
+        def refuse(spec):
+            raise AssertionError("the dataset loaded although the config is invalid")
+
+        monkeypatch.setattr(experiment, "load_dataset", refuse)
+        cfg = write_config(tmp_path, sweep={"sigma": [0.35]})
+        assert cli.main([command, "--config", str(cfg), "--set", f"unseen.bits={bits}"]) == 2
+        assert capsys.readouterr().err == (
+            "error (ConfigError): unseen.bits must be at least 1\n")
         assert not (tmp_path / "out").exists()
 
     def test_scale_n_without_scale_p_trains(self, tmp_path, monkeypatch):

@@ -5,7 +5,10 @@ import io
 import math
 import os
 import re
+import stat
 import struct
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
@@ -409,6 +412,90 @@ class TestDenseSidecar:
         path = tmp_path / "d.txt"
         path.write_text("2 2\n1.0 2.0\n3.0 4.0\n0 1\n")
         assert data.load_dense(path)[0].tolist() == [[1.0, 3.0], [2.0, 4.0]]
+
+
+# Each child saves its arrays to argv[2] argv[3] times, once its parent
+# closes its stdin: the two children of a test start saving together.
+SAVE_LOOP = """
+import sys
+import numpy as np
+from streamhash import data
+value, path, saves = float(sys.argv[1]), sys.argv[2], int(sys.argv[3])
+features, labels = np.full((40, 1500), value), np.arange(1500) * int(value + 1)
+print("ready", flush=True)
+sys.stdin.read()
+for _ in range(saves):
+    data.save_dense(path, features, labels)
+"""
+
+
+class TestConcurrentSaves:
+    """Two saves to one path at once, from two threads or two processes:
+    each writes its own temporary file, so each returns normally and the
+    path holds one save whole, never a mix, with no temporary file left."""
+
+    @staticmethod
+    def inputs(value):  # the arrays SAVE_LOOP saves for value
+        return np.full((40, 1500), value), np.arange(1500) * int(value + 1)
+
+    @staticmethod
+    def assert_one_whole_save(path, inputs):
+        assert sorted(os.listdir(path.parent)) == [path.name, path.name + data.SIDECAR]
+        probe = path.parent.parent / "probe"
+        with open(probe, "wb"):  # the mode a plain open gives a new file
+            pass
+        assert {stat.S_IMODE(p.stat().st_mode) for p in (path, sidecar_of(path))} == {
+            stat.S_IMODE(probe.stat().st_mode)}
+        probe.unlink()
+        cached = data.load_dense(path)  # through the sidecar when its digest matches
+        sidecar_of(path).unlink()
+        parsed = data.load_dense(path)
+        assert all(same(a, b) for a, b in zip(cached, parsed))
+        assert [same(parsed[0], X) and same(parsed[1], y) for X, y in inputs].count(True) == 1
+
+    def test_two_threads(self, tmp_path):
+        path = tmp_path / "out" / "d.txt"
+        path.parent.mkdir()
+        inputs = [self.inputs(0.0), self.inputs(1.0)]
+        errors = []
+
+        def save(X, y):
+            try:
+                data.save_dense(path, X, y)
+            except Exception as e:  # recorded: every save must return normally
+                errors.append(e)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # the threads take turns far more often
+        try:
+            for _ in range(20):
+                threads = [threading.Thread(target=save, args=xy) for xy in inputs]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                    assert not t.is_alive()
+                assert errors == []
+                self.assert_one_whole_save(path, inputs)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_two_processes(self, tmp_path):
+        path = tmp_path / "out" / "d.txt"
+        path.parent.mkdir()
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        children = [subprocess.Popen([sys.executable, "-c", SAVE_LOOP, value, str(path), "60"],
+                                     stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                                     stderr=subprocess.PIPE, env=env, text=True)
+                    for value in ("0.0", "1.0")]
+        for child in children:
+            assert child.stdout.readline() == "ready\n"
+        for child in children:
+            child.stdin.close()  # both start saving
+        for child in children:
+            with child:  # closes its pipes
+                assert (child.wait(timeout=120), child.stderr.read()) == (0, "")
+        self.assert_one_whole_save(path, [self.inputs(0.0), self.inputs(1.0)])
 
 
 # sha256 of the features and labels of synth_blobs(num_classes, dim,

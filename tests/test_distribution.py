@@ -10,18 +10,19 @@ import pytest
 
 from streamhash import distribution as dist, model as hm, trainer
 from streamhash.data import StreamingBatch
-from streamhash.distribution import GaussianParams, ScalingParams
+from streamhash.distribution import GaussianParams
 from streamhash.errors import DegenerateDistributionError, DimensionError, DomainError
 from streamhash.trainer import TrainConfig
 
 from oracles import hamming_sq
 
 
-def code_q(B, labels, scaling=None):
+def code_q(B, labels, scales=None):
     """Q of codes B as a training stage forms it, with the divisors
-    build_target gives for labels: scaled by scaling, or plain when scaling
-    is None."""
-    cfg = TrainConfig(q_variant="plain") if scaling is None else TrainConfig(scaling=scaling)
+    build_target gives for labels: scaled by scales = (scale_p, scale_n),
+    or plain when scales is None."""
+    cfg = (TrainConfig(q_variant="plain") if scales is None
+           else TrainConfig(scale_p=scales[0], scale_n=scales[1]))
     P, eta = trainer.build_target(np.asarray(labels), cfg, B.shape[0])
     return trainer.build_workspace(B, P, eta).Q
 
@@ -122,7 +123,7 @@ class TestPGaussian:
         S = dist.build_similarity(np.array([0, 0, 1])).astype(np.float64)
         S[0, 2] = S[2, 0] = value
         for build in (dist.p_gaussian, dist.p_raw,
-                      lambda S: dist.scaling_matrix(S, ScalingParams(), 4)):
+                      lambda S: dist.scaling_matrix(S, 2.0, 1.0)):
             with pytest.raises(DomainError, match="boolean similarity mask, got dtype float64"):
                 build(S)
 
@@ -131,7 +132,7 @@ class TestPGaussian:
         # a 0/1 matrix of another dtype is not a mask, even with binary values
         S = dist.build_similarity(np.array([0, 0, 1])).astype(dtype)
         for build in (dist.p_gaussian, dist.p_raw,
-                      lambda S: dist.scaling_matrix(S, ScalingParams(), 4)):
+                      lambda S: dist.scaling_matrix(S, 2.0, 1.0)):
             with pytest.raises(DomainError, match=f"boolean similarity mask, got dtype {S.dtype}"):
                 build(S)
 
@@ -223,7 +224,7 @@ class TestQScaled:
     def test_hand_case(self):
         # identical similar codes, dissimilar at distance 2; p=2, n=1
         B = np.array([[1.0, 1.0, -1.0], [1.0, 1.0, -1.0]])
-        Q = code_q(B, [0, 0, 1], ScalingParams(scale_p=2.0, scale_n=1.0))
+        Q = code_q(B, [0, 0, 1], (2.0, 1.0))
         assert Q[0, 1] == pytest.approx(0.3, abs=1e-12)
         assert Q[0, 2] == pytest.approx(0.1, abs=1e-12)
         assert Q[1, 2] == pytest.approx(0.1, abs=1e-12)
@@ -235,7 +236,7 @@ class TestQScaled:
             n = rng.integers(2, 9)
             B = rng.uniform(-1, 1, size=(6, n))
             labels = rng.integers(0, 3, size=n)
-            Q1 = code_q(B, labels, ScalingParams(1.0, 1.0))
+            Q1 = code_q(B, labels, (1.0, 1.0))
             Q2 = code_q(B, labels)
             assert np.abs(Q1 - Q2).max() < 1e-12
 
@@ -245,14 +246,14 @@ class TestQScaled:
         S = dist.build_similarity(rng.integers(0, 2, size=8))
         D = dist.pairwise_hamming_sq(B)
         for p_small, p_big in [(1.0, 2.0), (2.0, 8.0)]:
-            k_small = 1.0 / (1.0 + D / dist.scaling_matrix(S, ScalingParams(p_small, 1.0), 6))
-            k_big = 1.0 / (1.0 + D / dist.scaling_matrix(S, ScalingParams(p_big, 1.0), 6))
+            k_small = 1.0 / (1.0 + D / dist.scaling_matrix(S, p_small, 1.0))
+            k_big = 1.0 / (1.0 + D / dist.scaling_matrix(S, p_big, 1.0))
             sim = S & ~np.eye(8, dtype=bool)
             assert (k_big[sim] >= k_small[sim]).all()
 
     def test_zero_distances_uniform_regardless_of_scaling(self):
         B = np.ones((3, 6))
-        Q = code_q(B, [0, 0, 0, 1, 1, 2], ScalingParams(scale_p=9.0, scale_n=0.25))
+        Q = code_q(B, [0, 0, 0, 1, 1, 2], (9.0, 0.25))
         off = Q[~np.eye(6, dtype=bool)]
         np.testing.assert_allclose(off, 1.0 / 30, rtol=1e-12)
 
@@ -261,31 +262,31 @@ class TestQScaled:
         batch = StreamingBatch(features=np.ones((2, 3)), labels=np.arange(4), stage_index=1)
         with pytest.raises(DimensionError):
             trainer.train_stage(hm.init(2, 2, seed=0), batch,
-                                TrainConfig(scaling=ScalingParams(1.0, 1.0)))
+                                TrainConfig(scale_p=1.0, scale_n=1.0))
 
     def test_bad_params(self):
-        with pytest.raises(DomainError, match="scale_p"):
-            ScalingParams(scale_p=0.0, scale_n=1.0)
-        with pytest.raises(DomainError, match="scale_n"):
-            ScalingParams(scale_p=None, scale_n=0.0)
+        with pytest.raises(DomainError, match="scale_p must be positive and finite"):
+            TrainConfig(scale_p=0.0, scale_n=1.0)
+        with pytest.raises(DomainError, match="scale_n must be positive and finite"):
+            TrainConfig(scale_p=None, scale_n=0.0)
 
     @pytest.mark.parametrize("p, n", [(np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0),
                                       (1.0, np.inf)])
     def test_nan_and_infinite_params_rejected(self, p, n):
         with pytest.raises(DomainError):
-            ScalingParams(scale_p=p, scale_n=n)
+            TrainConfig(scale_p=p, scale_n=n)
 
     @pytest.mark.parametrize("kwargs", [{"scale_n": None}, {"scale_p": "a"}])
     def test_non_numbers_rejected(self, kwargs):
         with pytest.raises(DomainError):
-            ScalingParams(**kwargs)
+            TrainConfig(**kwargs)
 
     def test_null_scale_p_is_half_the_bits(self):
-        # only scale_p has a width-dependent default; scale_n stays as set
-        S = dist.build_similarity(np.array([0, 0, 1]))
-        eta = dist.scaling_matrix(S, ScalingParams(scale_n=3.0), 12)
+        # only scale_p has a width-dependent default, which build_target
+        # resolves against the code width k; scale_n stays as set
+        eta = trainer.build_target(np.array([0, 0, 1]), TrainConfig(scale_n=3.0), 12)[1]
         np.testing.assert_array_equal(eta, [[6.0, 6.0, 3.0], [6.0, 6.0, 3.0], [3.0, 3.0, 6.0]])
-        assert ScalingParams() == ScalingParams(None, 1.0)
+        assert (TrainConfig().scale_p, TrainConfig().scale_n) == (None, 1.0)
 
 
 class TestDistributionInvariants:
@@ -299,7 +300,7 @@ class TestDistributionInvariants:
             S = dist.build_similarity(labels)
             B = rng.uniform(-1, 1, size=(4, n))
             mats = [dist.p_gaussian(S), code_q(B, labels),
-                    code_q(B, labels, ScalingParams(3.0, 1.0))]
+                    code_q(B, labels, (3.0, 1.0))]
             if S.sum() > n:  # a similar off-diagonal pair exists
                 mats.append(dist.p_raw(S))
             for M in mats:
@@ -313,9 +314,9 @@ class TestDistributionInvariants:
         S = dist.build_similarity(labels)
         perm = rng.permutation(7)
         P = dist.p_gaussian(S)
-        Q = code_q(B, labels, ScalingParams(2.0, 1.0))
+        Q = code_q(B, labels, (2.0, 1.0))
         P2 = dist.p_gaussian(dist.build_similarity(labels[perm]))
-        Q2 = code_q(B[:, perm], labels[perm], ScalingParams(2.0, 1.0))
+        Q2 = code_q(B[:, perm], labels[perm], (2.0, 1.0))
         np.testing.assert_allclose(P2, P[np.ix_(perm, perm)], atol=1e-15)
         np.testing.assert_allclose(Q2, Q[np.ix_(perm, perm)], atol=1e-15)
 

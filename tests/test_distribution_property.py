@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from streamhash import distribution as dist, trainer
-from streamhash.distribution import GaussianParams, ScalingParams
+from streamhash.distribution import GaussianParams
 from streamhash.errors import DegenerateDistributionError
 from streamhash.trainer import TrainConfig
 
@@ -47,7 +47,7 @@ def test_zero_diagonal_and_unit_mass(batch, mu, sigma, p, n):
     P = dist.p_gaussian(S, GaussianParams(mu, sigma))
     Qs = [trainer.build_workspace(B, P, trainer.build_target(labels, cfg, B.shape[0])[1]).Q
           for cfg in (TrainConfig(q_variant="plain"),
-                      TrainConfig(q_variant="scaled", scaling=ScalingParams(p, n)))]
+                      TrainConfig(q_variant="scaled", scale_p=p, scale_n=n))]
     for M in (dist.p_raw(S), P, *Qs):
         check_distribution(M)
 
@@ -58,7 +58,7 @@ def test_unit_scales_give_plain_q(batch):
     B, labels = batch
     P = dist.p_gaussian(dist.build_similarity(labels))
     scaled, plain = (trainer.build_workspace(B, P, trainer.build_target(labels, cfg, B.shape[0])[1]).Q
-                     for cfg in (TrainConfig(q_variant="scaled", scaling=ScalingParams(1.0, 1.0)),
+                     for cfg in (TrainConfig(q_variant="scaled", scale_p=1.0, scale_n=1.0),
                                  TrainConfig(q_variant="plain")))
     assert np.array_equal(scaled, plain)
 

@@ -13,7 +13,6 @@ import pytest
 
 from streamhash import cli, data, experiment, index, metrics, trainer
 from streamhash import model as hm
-from streamhash.distribution import ScalingParams
 from streamhash.errors import ConfigError, ConsistencyError, NumericError, SplitError
 from streamhash.experiment import ExperimentConfig, UnseenOptions, config_from_dict
 from streamhash.trainer import TrainConfig
@@ -112,7 +111,7 @@ class TestConfigValidation:
         raw = blob_config(tmp_path)
         raw["train"].update(scale_p=None, scale_n=scale_n)
         cfg = config_from_dict(raw)
-        assert cfg.train.scaling == ScalingParams(None, scale_n)
+        assert (cfg.train.scale_p, cfg.train.scale_n) == (None, scale_n)
         _, eta = trainer.build_target(np.array([0, 0, 1]), cfg.train, cfg.bits)
         np.testing.assert_array_equal(eta, [[cfg.bits / 2, cfg.bits / 2, scale_n],
                                             [cfg.bits / 2, cfg.bits / 2, scale_n],
@@ -605,11 +604,14 @@ class TestRunSweep:
         cfg = config_from_dict(raw)
         rows = experiment.run_sweep(cfg)
         assert [r["status"] for r in rows] == ["ok", "ok"], rows
-        assert experiment.apply_cell(cfg, {"scale_p": 2.0}).train.scaling == ScalingParams(2.0, 1.0)
+        train = experiment.apply_cell(cfg, {"scale_p": 2.0}).train
+        assert (train.scale_p, train.scale_n) == (2.0, 1.0)
         raw["train"].update(scale_n=3.0)
         cfg = config_from_dict(raw)
-        assert experiment.apply_cell(cfg, {"scale_p": 2.0}).train.scaling == ScalingParams(2.0, 3.0)
-        assert experiment.apply_cell(cfg, {"scale_n": 0.5}).train.scaling == ScalingParams(None, 0.5)
+        train = experiment.apply_cell(cfg, {"scale_p": 2.0}).train
+        assert (train.scale_p, train.scale_n) == (2.0, 3.0)
+        train = experiment.apply_cell(cfg, {"scale_n": 0.5}).train
+        assert (train.scale_p, train.scale_n) == (None, 0.5)
 
     def test_ablation_switches_sweep_together(self, tmp_path):
         raw = blob_config(tmp_path)

@@ -116,9 +116,9 @@ class TestPublicSurface:
         public = {name for name, value in vars(streamhash).items()
                   if not name.startswith("_") and not isinstance(value, types.ModuleType)}
         assert public == {
-            "GaussianParams", "HashModel", "MetricReport", "PackedCodes", "ScalingParams",
-            "SplitSpec", "StageReport", "StreamingBatch", "TrainConfig", "build_similarity",
-            "curve_auc", "encode_binary", "encode_relaxed", "init", "kl_loss",
+            "GaussianParams", "HashModel", "MetricReport", "PackedCodes", "SplitSpec",
+            "StageReport", "StreamingBatch", "TrainConfig", "build_similarity", "curve_auc",
+            "encode_binary", "encode_relaxed", "init", "kl_loss",
             "load_checkpoint", "load_dense", "load_idx", "mean_ap",
             "normalize_pixels", "p_gaussian", "p_raw", "pack", "pairwise_hamming_sq",
             "precision_at_r", "precision_h2", "retrieval_scores", "save_checkpoint",

@@ -9,7 +9,7 @@ import pytest
 
 from streamhash import data, distribution as dist, model as hm, trainer
 from streamhash.data import StreamingBatch
-from streamhash.distribution import GaussianParams, ScalingParams
+from streamhash.distribution import GaussianParams
 from streamhash.errors import (
     DegenerateDistributionError,
     DimensionError,
@@ -24,11 +24,11 @@ from test_distribution import code_q
 
 
 def random_instance(rng, n_t=6, d=4, k=3, q_variant="scaled", p_variant="gaussian",
-                    scaling=ScalingParams(2.5, 0.7)):
+                    scale_p=2.5, scale_n=0.7):
     X = rng.standard_normal((d, n_t))
     labels = rng.integers(0, 3, size=n_t)
     cfg = TrainConfig(grad_mode="exact", p_variant=p_variant, q_variant=q_variant,
-                      scaling=scaling)
+                      scale_p=scale_p, scale_n=scale_n)
     model = hm.init(d, k, scale=1.0, seed=int(rng.integers(1 << 30)))
     P, eta = trainer.build_target(labels, cfg, k)
     return X, labels, model, P, eta, cfg
@@ -52,7 +52,7 @@ class TestKlLoss:
         # value frozen from direct high-precision evaluation of the sum
         P = dist.p_gaussian(dist.build_similarity(np.array([0, 0, 1])))
         B = np.array([[1.0, 1.0, -1.0], [1.0, 1.0, -1.0]])
-        Q = code_q(B, [0, 0, 1], ScalingParams(2.0, 1.0))
+        Q = code_q(B, [0, 0, 1], (2.0, 1.0))
         assert trainer.kl_loss(P, Q) == pytest.approx(0.0445705410, abs=1e-9)
 
     def test_non_negative_on_random_pairs(self):
@@ -116,7 +116,7 @@ class TestBuildTarget:
                 trainer.P_VARIANTS, trainer.Q_VARIANTS, (None, 2.5), (0.5, 1.0)):
             cfg = TrainConfig(p_variant=p_variant, q_variant=q_variant,
                               gaussian=GaussianParams(mu, 0.35),
-                              scaling=ScalingParams(scale_p, 0.7))
+                              scale_p=scale_p, scale_n=0.7)
             if p_variant == "raw" and np.unique(labels).size == n:  # no similar pair
                 for build in (trainer.build_target, reference_target):
                     with pytest.raises(DegenerateDistributionError):
@@ -153,7 +153,7 @@ class TestGradLoss:
         labels = np.array([0, 0, 1, 1, 2, 2])
         X = rng.standard_normal((4, 6))
         cfg = TrainConfig(grad_mode="exact", p_variant="raw", q_variant="scaled",
-                          scaling=ScalingParams(3.0, 1.0))
+                          scale_p=3.0, scale_n=1.0)
         model = hm.init(4, 3, seed=9)
         P, eta = trainer.build_target(labels, cfg, model.k)
         g = grad_loss(X, model, P, eta, cfg)
@@ -165,10 +165,10 @@ class TestGradLoss:
         rng = np.random.default_rng(1)
         X, labels, model, _, eta, cfg = random_instance(rng)
         B = hm.encode_relaxed(model, X)
-        Q = code_q(B, labels, cfg.scaling)
+        Q = code_q(B, labels, (cfg.scale_p, cfg.scale_n))
         for mode in ("paper", "exact"):
             mode_cfg = TrainConfig(grad_mode=mode, q_variant=cfg.q_variant,
-                                   scaling=cfg.scaling)
+                                   scale_p=cfg.scale_p, scale_n=cfg.scale_n)
             g = grad_loss(X, model, Q, eta, mode_cfg)
             assert (g == 0).all()
 
@@ -236,7 +236,7 @@ class TestGradLoss:
         rng = np.random.default_rng(5)
         eta = 2.0
         X, labels, model, P, etas, cfg = random_instance(
-            rng, scaling=ScalingParams(eta, eta)
+            rng, scale_p=eta, scale_n=eta
         )
         ws = trainer.build_workspace(hm.encode_relaxed(model, X), P, etas)
         g_paper_codes = ws.B @ trainer.pair_laplacian(ws, "paper")
@@ -251,12 +251,12 @@ class TestGradLoss:
         devs = []
         for _ in range(5):
             X, labels, model, P, eta, _ = random_instance(
-                rng, scaling=ScalingParams(1.0, 1.0)
+                rng, scale_p=1.0, scale_n=1.0
             )
             g_paper = grad_loss(X, model, P, eta, TrainConfig(
-                grad_mode="paper", scaling=ScalingParams(1.0, 1.0)))
+                grad_mode="paper", scale_p=1.0, scale_n=1.0))
             g_exact = grad_loss(X, model, P, eta, TrainConfig(
-                grad_mode="exact", scaling=ScalingParams(1.0, 1.0)))
+                grad_mode="exact", scale_p=1.0, scale_n=1.0))
             denom = np.linalg.norm(g_exact)
             devs.append(np.linalg.norm(g_paper - g_exact) / max(denom, 1e-12))
         print(f"\npaper-vs-exact W-level relative deviation (uniform eta): {devs}")
@@ -331,10 +331,12 @@ class TestTrainStage:
         with pytest.raises(DomainError):
             TrainConfig(**{field: value})
 
-    @pytest.mark.parametrize("field", ["gaussian", "scaling"])
-    def test_parts_of_the_wrong_type_rejected_when_built(self, field):
-        with pytest.raises(DomainError, match=field):
-            TrainConfig(**{field: None})
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"gaussian": None}, "gaussian must be a GaussianParams, got None"),
+        ({"scale_p": "2"}, "scale_p must be positive and finite")], ids=["gaussian", "scaling"])
+    def test_parts_of_the_wrong_type_rejected_when_built(self, kwargs, message):
+        with pytest.raises(DomainError, match=message):
+            TrainConfig(**kwargs)
 
     def test_all_distinct_labels_raw_target_degenerates(self):
         X = np.random.default_rng(0).standard_normal((3, 4))
@@ -357,7 +359,7 @@ class TestTrainStage:
     def test_losses_non_negative_and_mostly_improving_on_blobs(self):
         X, y = data.synth_blobs(4, 8, 100, 0.3, seed=0)
         cfg = TrainConfig(learning_rate=0.1, gaussian=GaussianParams(1.0, 0.35),
-                          scaling=ScalingParams(1.0, 1.0))
+                          scale_p=1.0, scale_n=1.0)
         batches = data.stream(whole(X, y), 50, seed=0)
         model = hm.init(8, 8, seed=0)
         reports = trainer.train_stream(model, batches, cfg).stage_reports
@@ -416,7 +418,7 @@ class TestStageAgainstReference:
         idx = rng.choice(y.shape[0], size=n, replace=False)
         batch = StreamingBatch(features=X[:, idx], labels=y[idx], stage_index=1)
         cfg = TrainConfig(learning_rate=0.3, gaussian=GaussianParams(1.0, 0.5),
-                          scaling=ScalingParams(2.5, 0.7), grad_mode=grad_mode,
+                          scale_p=2.5, scale_n=0.7, grad_mode=grad_mode,
                           q_variant=q_variant)
         model = hm.init(16, 6, seed=n)
         W_ref, before, after, grad_norm = reference_stage(model.W, batch, cfg)

@@ -39,6 +39,10 @@ MUTANTS = [
            "test_idx = np.sort(np.concatenate(test_idx))\n    mask",
            "test_idx = np.concatenate(test_idx)\n    mask",
            "split parts list their columns in matrix order"),
+    Mutant("unseen_bits_unchecked", "src/streamhash/experiment.py",
+           '(("bits", cfg.bits), ("unseen.bits", cfg.unseen.bits))',
+           '(("bits", cfg.bits),)',
+           "an unseen.bits below 1 is a config error (exit 2) before any dataset loads"),
     Mutant("epochs_share_a_seed", "src/streamhash/experiment.py",
            "data.stream(train, cfg.train.batch_size, cfg.train.seed + epoch)",
            "data.stream(train, cfg.train.batch_size, cfg.train.seed)",
@@ -52,10 +56,18 @@ MUTANTS = [
            "    diag_view(P)[:] = 0.0\n    return P\n\n\ndef p_raw",
            "    return P\n\n\ndef p_raw",
            "p_raw and p_gaussian have an exactly zero diagonal"),
-    Mutant("eta_similar_gets_scale_n", "src/streamhash/distribution.py",
-           "np.where(_mask(S), bits / 2.0 if sp.scale_p is None else sp.scale_p, sp.scale_n)",
-           "np.where(_mask(S), sp.scale_n, sp.scale_n)",
-           "similar pairs' distances are divided by scale_p (bits / 2 when null)"),
+    Mutant("eta_similar_gets_scale_n", "src/streamhash/trainer.py",
+           "dist.scaling_matrix(S, k / 2 if cfg.scale_p is None else cfg.scale_p, cfg.scale_n)",
+           "dist.scaling_matrix(S, cfg.scale_n, cfg.scale_n)",
+           "similar pairs' distances are divided by scale_p (k / 2 when null)"),
+    Mutant("null_scale_p_is_k", "src/streamhash/trainer.py",
+           "k / 2 if cfg.scale_p is None",
+           "k if cfg.scale_p is None",
+           "a null scale_p divides similar pairs' distances by k / 2"),
+    Mutant("plain_q_scaled", "src/streamhash/trainer.py",
+           '    if cfg.q_variant == "plain":\n        return P, dist.scaling_matrix(S, 1.0, 1.0)\n',
+           "",
+           "the plain Q divides no distance"),
     Mutant("similar_count_with_diagonal", "src/streamhash/distribution.py",
            "n_similar = np.count_nonzero(_mask(S)) - np.count_nonzero(S.diagonal())",
            "n_similar = np.count_nonzero(_mask(S))",
@@ -141,7 +153,11 @@ MUTANTS = [
     Mutant("failed_save_keeps_tmp", "src/streamhash/data.py",
            "        with contextlib.suppress(OSError):\n            os.remove(tmp)\n        raise",
            "        raise",
-           "a failed save leaves no PATH.tmp behind"),
+           "a failed save leaves no temporary file behind"),
+    Mutant("save_through_a_fixed_tmp", "src/streamhash/data.py",
+           'f"{os.fspath(path)}.{secrets.token_hex(8)}.tmp"',
+           'f"{os.fspath(path)}.tmp"',
+           "two saves to one path at once both return normally, and one of them wins whole"),
     Mutant("sidecar_features_off_by_an_ulp", "src/streamhash/data.py",
            "features.tofile(f)",
            "(features * (1 + 2**-52)).tofile(f)",

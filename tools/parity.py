@@ -9,14 +9,23 @@ directory under OUT_DIR, and `synth` of a 10-class, 64-dimensional blob
 set into OUT_DIR/synth/blobs.txt. Then `train` runs twice on that dense
 file: train_dense loads it through its binary sidecar, train_dense_text
 parses a plain copy with no sidecar, and the script stops unless the two
-output directories are byte-identical. Writes OUT_DIR/manifest.txt: one
-sha256 per output file (the sidecars of synth and split included), hashed
-whole, and one per command's stdout. A command that exits non-zero stops
-the script. Two trees whose outputs must not change give identical
-manifests; the d=784 run's bytes also depend on the BLAS thread count, so
-compare runs at one count:
+output directories are byte-identical. Writes OUT_DIR/manifest.txt: a
+first line naming the numpy version, its BLAS and OPENBLAS_CORETYPE, then
+one sha256 per output file (the sidecars of synth and split included),
+hashed whole, and one per command's stdout. A command that exits non-zero
+stops the script. Two trees whose outputs must not change give identical
+manifests. The bytes depend on the BLAS kernel as well as on the tree:
+the kernel OpenBLAS picks for the CPU (pinned by OPENBLAS_CORETYPE) and,
+for the d=784 run, the thread count. So compare runs at one kernel and
+one count:
 
     PYTHONPATH=src python tools/parity.py OUT_DIR
+
+tools/parity.manifest is the manifest of the committed tree at one pinned
+kernel; a change that keeps every output leaves it as it is:
+
+    OPENBLAS_CORETYPE=Haswell OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tools/parity.py OUT_DIR
+    diff tools/parity.manifest OUT_DIR/manifest.txt
 """
 
 import contextlib
@@ -26,6 +35,8 @@ import os
 import shutil
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from streamhash import cli
 
@@ -86,8 +97,11 @@ def main(out_dir: Path) -> None:
     cached, parsed = (sorted(Path(name).iterdir()) for name in ("train_dense", "train_dense_text"))
     if [(p.name, p.read_bytes()) for p in cached] != [(p.name, p.read_bytes()) for p in parsed]:
         sys.exit("train_dense: outputs differ between the sidecar's load and the text's parse")
-    lines = [f"{hashlib.sha256(text.encode()).hexdigest()}  {name}/<stdout>"
-             for name, text in stdouts.items()]
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    lines = [f"# numpy {np.__version__} | blas {blas['name']} {blas['version']} | "
+             f"OPENBLAS_CORETYPE={os.environ.get('OPENBLAS_CORETYPE', '')}"]
+    lines += [f"{hashlib.sha256(text.encode()).hexdigest()}  {name}/<stdout>"
+              for name, text in stdouts.items()]
     lines += [f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.as_posix()}"
               for path in sorted(Path().glob("*/*"))]
     Path("manifest.txt").write_text("\n".join(lines) + "\n")
