@@ -11,7 +11,7 @@ from them in trainer.build_workspace.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from numbers import Real
 
 import numpy as np
@@ -27,6 +27,7 @@ class GaussianParams:
     sigma: float = 1.0
 
     def __post_init__(self):
+        refuse_bools(self)
         if not (isinstance(self.mu, Real) and math.isfinite(self.mu)):
             raise DomainError("mu must be finite")
         if not _positive_finite(self.sigma):
@@ -35,6 +36,12 @@ class GaussianParams:
 
 def _positive_finite(value) -> bool:  # a real number in (0, inf); nan is not
     return isinstance(value, Real) and 0 < value < math.inf
+
+
+def refuse_bools(settings) -> None:  # a bool is an int; no numeric field of settings takes one
+    for f in fields(settings):
+        if f.type in ("int", "float", "float | None") and type(getattr(settings, f.name)) is bool:
+            raise DomainError(f"{f.name} must be a number, got {getattr(settings, f.name)}")
 
 
 def build_similarity(labels: np.ndarray) -> np.ndarray:

@@ -8,9 +8,9 @@ distribution Q toward it. Two gradient modes exist:
   the per-pair 1/eta factor from differentiating dist/eta and the coupling
   through Q's normalizer. This is the default and is verified against a
   finite-difference oracle.
-* "paper" - the closed form X ((B o (1 - B o B)) L)^T, where L holds the
-  row sums of (P - Q) o kernel on its diagonal and their negation off it.
-  Kept for ablation; it omits the 1/eta factor and attaches the tanh
+* "paper" - the closed form X (C o r - C A)^T with C = B o (1 - B o B),
+  where A = (P - Q) o kernel holds the pair coefficients and r their row
+  sums. Kept for ablation; it omits the 1/eta factor and attaches the tanh
   derivative to the partner sample, so it is an approximation of the true
   gradient.
 
@@ -18,7 +18,7 @@ Both are X @ M.T for a (k, n) code-space matrix M (code_coefficients).
 
 train_stage allocates its n x n arrays once per stage: build_workspace
 overwrites one GradWorkspace (kernel, Q) and code_coefficients
-forms the pair coefficients in one pair Laplacian buffer, on every step.
+forms the pair coefficients in one coefficient buffer, on every step.
 TrainConfig checks its settings when built and HashModel checks that W
 is finite; train_stage repeats neither check.
 """
@@ -26,7 +26,6 @@ is finite; train_stage repeats neither check.
 from __future__ import annotations
 
 import logging
-import math
 import time
 from dataclasses import dataclass, field
 
@@ -35,7 +34,7 @@ import numpy as np
 from . import distribution as dist
 from . import model as hashmodel
 from .data import StreamingBatch
-from .distribution import GaussianParams, _positive_finite, diag_view
+from .distribution import GaussianParams, _positive_finite, diag_view, refuse_bools
 from .errors import DimensionError, DomainError, NumericError
 from .model import HashModel
 
@@ -61,12 +60,13 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        refuse_bools(self)
         # each check passes only inside its range, so nan fails every one
         if not (self.scale_p is None or _positive_finite(self.scale_p)):
             raise DomainError("scale_p must be positive and finite")
         if not _positive_finite(self.scale_n):
             raise DomainError("scale_n must be positive and finite")
-        if not 0 < self.learning_rate < math.inf:
+        if not _positive_finite(self.learning_rate):
             raise DomainError("learning_rate must be positive and finite")
         if not self.batch_size >= 2:
             raise DomainError("batch_size must be at least 2")
@@ -140,35 +140,25 @@ def build_workspace(B, P, eta, out: GradWorkspace | None = None) -> GradWorkspac
     return out
 
 
-def pair_laplacian(ws: GradWorkspace, grad_mode: str,
-                   out: np.ndarray | None = None) -> np.ndarray:
-    """(n, n) negated pair coefficients with their row sums on the diagonal,
-    so every row sums to 0; written into out when given.
-
-    paper: the published coefficients (P - Q) o kernel, formed in the result;
-    exact: they gain the 1/eta factor from differentiating dist/eta.
-    """
-    lap = np.subtract(ws.P, ws.Q, out=out)
-    lap *= ws.kernel
-    if grad_mode == "exact":
-        lap /= ws.eta
-    row_sums = lap.sum(axis=1)
-    np.negative(lap, out=lap)
-    diag_view(lap)[:] = row_sums
-    return lap
-
-
 def code_coefficients(ws: GradWorkspace, grad_mode: str,
                       out: np.ndarray | None = None) -> np.ndarray:
-    """M (k, n) such that the gradient with respect to W is X @ M.T; out,
-    when given, is the (n, n) buffer the pair Laplacian is written into."""
-    lap = pair_laplacian(ws, grad_mode, out)
+    """M (k, n) such that the gradient with respect to W is X @ M.T.
+
+    The symmetric, zero-diagonal pair coefficients A = (P - Q) o kernel,
+    divided by eta in exact mode, go into out (n, n) when given; with their
+    row sums r, C's code-space gradient is C o r - C A, as in t-SNE.
+    """
+    A = np.subtract(ws.P, ws.Q, out=out)
+    A *= ws.kernel
+    if grad_mode == "exact":
+        A /= ws.eta
+    r = A.sum(axis=1)
     tanh_deriv = 1.0 - ws.B * ws.B
     if grad_mode == "paper":
-        return (ws.B * tanh_deriv) @ lap
-    # exact: the tanh derivative applies to the differentiated sample via
-    # the chain rule
-    return (ws.B @ lap) * tanh_deriv
+        C = ws.B * tanh_deriv
+        return C * r - C @ A
+    # exact: by the chain rule the tanh derivative is the differentiated sample's
+    return (ws.B * r - ws.B @ A) * tanh_deriv
 
 
 def sgd_step(model: HashModel, gradient: np.ndarray, learning_rate: float) -> HashModel:
@@ -214,20 +204,21 @@ def train_stage(model: HashModel, batch: StreamingBatch, cfg: TrainConfig):
     Z = hashmodel.project(model, X)
     K = X.T @ X
     M_sum = np.zeros_like(Z)
-    ws, lap = None, np.empty_like(P)
+    ws, coefficients = None, np.empty_like(P)
     for i in range(cfg.inner_iters):
         ws = build_workspace(np.tanh(Z), P, eta, out=ws)
         if i == 0:
             loss_before = kl_loss(P, ws.Q, cfg.epsilon)
-        M = code_coefficients(ws, cfg.grad_mode, out=lap)
+        M = code_coefficients(ws, cfg.grad_mode, out=coefficients)
         if not np.all(np.isfinite(M)):  # Z would turn non-finite
             raise NumericError("gradient contains non-finite entries; stage aborted")
         M_sum += M
-        step = M @ K
-        Z -= cfg.learning_rate * step
-    # ||X M^T||^2 = <M, M X^T X> for the last inner gradient
-    grad_norm = math.sqrt(max(float(np.vdot(M, step)), 0.0))
-    model = sgd_step(model, X @ M_sum.T, cfg.learning_rate)
+        Z -= cfg.learning_rate * (M @ K)
+    G = X @ M_sum.T  # the stage's whole step, over the learning rate
+    grad_norm = float(np.linalg.norm(G))
+    if grad_norm == 0.0 and loss_before > 0:  # every 1 - tanh^2 underflowed, say
+        raise NumericError(f"stage {batch.stage_index} applied no step at a positive loss")
+    model = sgd_step(model, G, cfg.learning_rate)
     # Z now tracks the new model's projections W^T X up to rounding
     loss_after = kl_loss(P, build_workspace(np.tanh(Z), P, eta, out=ws).Q, cfg.epsilon)
     report = StageReport(stage_index=batch.stage_index, loss_before=loss_before,

@@ -378,6 +378,22 @@ class TestExitCodes:
         assert len((out / "stages.csv").read_text().splitlines()) == 2  # header + stage 1
         assert (out / "curve.csv").read_text().splitlines()[1].startswith("1,")
 
+    @pytest.mark.parametrize("override, completed", [
+        ("train.learning_rate=1e300", 1), ("init_scale=1e6", 0), ("init_scale=0", 0)])
+    def test_stream_that_stops_moving_is_5(self, tmp_path, capsys, override, completed):
+        # 1e300 saturates every code in stage 1, so stage 2 applies no step;
+        # an init_scale of 1e6 saturates them and 0 is a stationary point
+        config = Path(__file__).resolve().parents[1] / "configs" / "blobs.json"
+        out = tmp_path / "out"
+        assert cli.main(["train", "--config", str(config), "--set", override,
+                         "--output-dir", str(out)]) == 5
+        captured = capsys.readouterr()
+        assert f"aborted after {completed} of 40 stages" in captured.err
+        assert "trained" not in captured.out
+        stages = (out / "stages.csv").read_text().splitlines()[1:]
+        assert len(stages) == completed
+        assert all(float(line.split(",")[3]) > 0 for line in stages)  # grad_norm
+
 
 def write_idx(tmp_path, rows, cols):
     """An IDX pair of 3 images whose header claims rows x cols pixels each."""

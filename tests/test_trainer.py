@@ -184,14 +184,17 @@ class TestGradLoss:
             assert (g == 0).all()
 
     def test_row_sum_identity(self):
-        # the Laplacian-like structure: the pair Laplacian's rows sum to zero
+        # translation invariance: the loss sees the codes only through their
+        # differences, so the gradient with respect to the codes, B o r - B A
+        # for the symmetric coefficients A with row sums r, sums to zero over
+        # the batch; paper mode's C o r - C A does too
         rng = np.random.default_rng(3)
         for _ in range(20):
             X, labels, model, P, eta, cfg = random_instance(rng)
             ws = trainer.build_workspace(hm.encode_relaxed(model, X), P, eta)
-            for mode in trainer.GRAD_MODES:
-                rows = trainer.pair_laplacian(ws, mode) @ np.ones(P.shape[0])
-                assert np.abs(rows).max() < 1e-10
+            code_gradient = trainer.code_coefficients(ws, "exact") / (1.0 - ws.B * ws.B)
+            assert np.abs(code_gradient.sum(axis=1)).max() < 1e-10
+            assert np.abs(trainer.code_coefficients(ws, "paper").sum(axis=1)).max() < 1e-10
 
     def test_workspace_invariants(self):
         rng = np.random.default_rng(4)
@@ -225,23 +228,29 @@ class TestGradLoss:
             for name in ("kernel", "Q"):
                 assert np.array_equal(getattr(ws, name), getattr(fresh, name)), name
             for mode in trainer.GRAD_MODES:
-                lap = np.full_like(P, np.nan)
-                assert np.array_equal(trainer.code_coefficients(ws, mode, out=lap),
+                buffer = np.full_like(P, np.nan)
+                assert np.array_equal(trainer.code_coefficients(ws, mode, out=buffer),
                                       trainer.code_coefficients(fresh, mode))
-                assert np.array_equal(lap, trainer.pair_laplacian(fresh, mode))
+                # the buffer holds the pair coefficients, zero on the diagonal
+                coefficients = (fresh.P - fresh.Q) * fresh.kernel
+                if mode == "exact":
+                    coefficients /= eta
+                assert np.array_equal(buffer, coefficients)
+                assert (np.diag(buffer) == 0).all()
 
     def test_paper_mode_proportional_at_code_level_for_uniform_eta(self):
         # with p = n the exact per-pair coefficients are the published ones
-        # divided by eta, so the gradients w.r.t. the codes are collinear
+        # divided by eta; with codes of one magnitude the tanh derivative is
+        # one number, so the two modes' code-space matrices are collinear
         rng = np.random.default_rng(5)
         eta = 2.0
         X, labels, model, P, etas, cfg = random_instance(
             rng, scale_p=eta, scale_n=eta
         )
-        ws = trainer.build_workspace(hm.encode_relaxed(model, X), P, etas)
-        g_paper_codes = ws.B @ trainer.pair_laplacian(ws, "paper")
-        g_exact_codes = ws.B @ trainer.pair_laplacian(ws, "exact")
-        np.testing.assert_allclose(g_paper_codes, eta * g_exact_codes, atol=1e-12)
+        B = 0.6 * np.sign(hm.encode_relaxed(model, X))
+        ws = trainer.build_workspace(B, P, etas)
+        np.testing.assert_allclose(trainer.code_coefficients(ws, "paper"),
+                                   eta * trainer.code_coefficients(ws, "exact"), atol=1e-12)
 
     def test_paper_mode_w_level_deviation_recorded(self):
         # the paper-mode W-level closed form is NOT the analytic gradient
@@ -338,6 +347,48 @@ class TestTrainStage:
         with pytest.raises(DomainError, match=message):
             TrainConfig(**kwargs)
 
+    @pytest.mark.parametrize("field", ["learning_rate", "scale_p", "scale_n", "batch_size",
+                                       "inner_iters", "epsilon", "seed"])
+    @pytest.mark.parametrize("value", [True, False])
+    def test_bool_settings_rejected_naming_the_field(self, field, value):
+        with pytest.raises(DomainError, match=f"^{field} must be a number, got {value}$"):
+            TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["mu", "sigma"])
+    def test_bool_gaussian_params_rejected_naming_the_field(self, field):
+        with pytest.raises(DomainError, match=f"^{field} must be a number, got True$"):
+            GaussianParams(**{field: True})
+
+    def test_grad_norm_is_the_applied_step_over_the_learning_rate(self):
+        X, y = data.synth_blobs(3, 16, 10, 0.8, seed=0)
+        batch = StreamingBatch(features=X, labels=y, stage_index=1)
+        model = hm.init(16, 5, seed=0)
+        cfg = TrainConfig(learning_rate=0.5, inner_iters=4)
+        out, report = trainer.train_stage(model, batch, cfg)
+        moved = np.linalg.norm(out.W - model.W) / cfg.learning_rate
+        assert report.grad_norm == pytest.approx(moved, rel=1e-12)
+
+    @pytest.mark.parametrize("scale", [0.0, 1e6], ids=["zero", "saturated"])
+    def test_stage_without_a_step_at_a_positive_loss_raises(self, scale, monkeypatch):
+        # W = 0 is a stationary point, and saturated codes have 1 - tanh^2 = 0:
+        # neither stage moves W, though its loss is positive
+        X, y = data.synth_blobs(3, 16, 10, 0.8, seed=0)
+        batch = StreamingBatch(features=X, labels=y, stage_index=7)
+        steps = []
+        monkeypatch.setattr(trainer, "sgd_step", lambda *a: steps.append(a))
+        with pytest.raises(NumericError, match="^stage 7 applied no step at a positive loss$"):
+            trainer.train_stage(hm.init(16, 5, scale=scale, seed=0), batch, TrainConfig())
+        assert steps == []
+
+    def test_stage_without_a_step_at_zero_loss_completes(self):
+        # identical instances of one label: Q is uniform, as P is
+        batch = StreamingBatch(features=np.ones((4, 5)), labels=np.zeros(5, dtype=np.int64),
+                               stage_index=1)
+        model = hm.init(4, 3, seed=0)
+        out, report = trainer.train_stage(model, batch, TrainConfig())
+        assert report.loss_before == report.loss_after == report.grad_norm == 0.0
+        assert np.array_equal(out.W, model.W)
+
     def test_all_distinct_labels_raw_target_degenerates(self):
         X = np.random.default_rng(0).standard_normal((3, 4))
         batch = StreamingBatch(features=X, labels=np.arange(4), stage_index=1)
@@ -371,7 +422,8 @@ class TestTrainStage:
 def reference_stage(W, batch, cfg):
     """The per-iteration W-space loop, written out: every inner step
     re-encodes the batch, forms the dense n x n diagonal of row sums and
-    writes W. Returns (W, loss_before, loss_after, grad_norm)."""
+    writes W. Returns (W, loss_before, loss_after, grad_norm), grad_norm
+    the norm of the inner gradients' sum."""
     X = batch.features
     P, eta = reference_target(batch.labels, cfg, W.shape[1])
 
@@ -391,7 +443,7 @@ def reference_stage(W, batch, cfg):
         np.fill_diagonal(Lmat, 0.0)
         return B, Q, Lmat
 
-    loss_before = None
+    loss_before, grad_sum = None, np.zeros_like(W)
     for _ in range(cfg.inner_iters):
         B, Q, Lmat = workspace(W)
         if loss_before is None:
@@ -402,10 +454,10 @@ def reference_stage(W, batch, cfg):
         else:
             Le = Lmat / eta
             grad = X @ ((B @ (np.diag(Le.sum(axis=1)) - Le)) * tanh_deriv).T
-        grad_norm = float(np.linalg.norm(grad))
+        grad_sum += grad
         W = W - cfg.learning_rate * grad
     _, Q, _ = workspace(W)
-    return W, loss_before, trainer.kl_loss(P, Q, cfg.epsilon), grad_norm
+    return W, loss_before, trainer.kl_loss(P, Q, cfg.epsilon), float(np.linalg.norm(grad_sum))
 
 
 class TestStageAgainstReference:

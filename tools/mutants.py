@@ -1,13 +1,16 @@
 """Mutation check: every listed one-place edit of the program must be caught.
 
 For each mutant, copies src/, tests/, tools/, configs/ and README.md into a
-temporary directory, applies the edit there (its old text must occur exactly
-once in its file), runs tier-1 with -x and then tools/parity.py at one BLAS
-thread. A mutant is killed when tier-1 fails or its parity manifest differs
-from the manifest of an unmutated copy made by the same invocation, so no
-golden file is kept and the result does not depend on the CPU or the BLAS
-build. The unmutated copy must pass tier-1 first. Exits 1 if that copy
-fails, if an edit does not apply, or if any mutant survives both checks:
+temporary directory and applies the edit there (its old text must occur
+exactly once in its file). It then runs the test file named as the
+mutant's killer with -x; only a mutant that file does not catch runs
+tier-1 with -x and then tools/parity.py at one BLAS thread. Every killer
+file is part of tier-1, so a mutant is killed exactly when tier-1 fails or
+its parity manifest differs from the manifest of an unmutated copy made by
+the same invocation; no golden file is kept and the result does not depend
+on the CPU or the BLAS build. The unmutated copy must pass tier-1 first.
+Exits 1 if that copy fails, if an edit does not apply, or if any mutant
+survives both checks:
 
     python tools/mutants.py
 """
@@ -32,144 +35,198 @@ class Mutant:
     old: str   # occurs exactly once in file
     new: str
     breaks: str  # the guarantee the edit breaks
+    killer: str  # the tier-1 test file that catches it, run on its own first
 
 
 MUTANTS = [
     Mutant("split_test_unsorted", "src/streamhash/data.py",
            "test_idx = np.sort(np.concatenate(test_idx))\n    mask",
            "test_idx = np.concatenate(test_idx)\n    mask",
-           "split parts list their columns in matrix order"),
+           "split parts list their columns in matrix order",
+           "tests/test_data.py"),
     Mutant("unseen_bits_unchecked", "src/streamhash/experiment.py",
            '(("bits", cfg.bits), ("unseen.bits", cfg.unseen.bits))',
            '(("bits", cfg.bits),)',
-           "an unseen.bits below 1 is a config error (exit 2) before any dataset loads"),
+           "an unseen.bits below 1 is a config error (exit 2) before any dataset loads",
+           "tests/test_cli.py"),
     Mutant("epochs_share_a_seed", "src/streamhash/experiment.py",
            "data.stream(train, cfg.train.batch_size, cfg.train.seed + epoch)",
            "data.stream(train, cfg.train.batch_size, cfg.train.seed)",
-           "epoch e of the stream is shuffled with seed train.seed + e"),
+           "epoch e of the stream is shuffled with seed train.seed + e",
+           "tests/test_experiment.py"),
     Mutant("load_skips_finiteness", "src/streamhash/data.py",
            "X.shape == (d, n) and _parsed_as(X, y, n)",
            "X.shape == (d, n) and X.dtype == np.float64 and y.dtype == np.int64 "
            "and y.shape == (n,)",
-           "a sidecar with non-finite features is ignored, and the text's error raised"),
+           "a sidecar with non-finite features is ignored, and the text's error raised",
+           "tests/test_data.py"),
     Mutant("p_diagonal_kept", "src/streamhash/distribution.py",
            "    diag_view(P)[:] = 0.0\n    return P\n\n\ndef p_raw",
            "    return P\n\n\ndef p_raw",
-           "p_raw and p_gaussian have an exactly zero diagonal"),
+           "p_raw and p_gaussian have an exactly zero diagonal",
+           "tests/test_distribution.py"),
     Mutant("eta_similar_gets_scale_n", "src/streamhash/trainer.py",
            "dist.scaling_matrix(S, k / 2 if cfg.scale_p is None else cfg.scale_p, cfg.scale_n)",
            "dist.scaling_matrix(S, cfg.scale_n, cfg.scale_n)",
-           "similar pairs' distances are divided by scale_p (k / 2 when null)"),
+           "similar pairs' distances are divided by scale_p (k / 2 when null)",
+           "tests/test_trainer.py"),
     Mutant("null_scale_p_is_k", "src/streamhash/trainer.py",
            "k / 2 if cfg.scale_p is None",
            "k if cfg.scale_p is None",
-           "a null scale_p divides similar pairs' distances by k / 2"),
+           "a null scale_p divides similar pairs' distances by k / 2",
+           "tests/test_distribution.py"),
     Mutant("plain_q_scaled", "src/streamhash/trainer.py",
            '    if cfg.q_variant == "plain":\n        return P, dist.scaling_matrix(S, 1.0, 1.0)\n',
            "",
-           "the plain Q divides no distance"),
+           "the plain Q divides no distance",
+           "tests/test_trainer.py"),
     Mutant("similar_count_with_diagonal", "src/streamhash/distribution.py",
            "n_similar = np.count_nonzero(_mask(S)) - np.count_nonzero(S.diagonal())",
            "n_similar = np.count_nonzero(_mask(S))",
-           "P's similar pairs are counted off the diagonal only, so P has unit mass"),
+           "P's similar pairs are counted off the diagonal only, so P has unit mass",
+           "tests/test_distribution.py"),
     Mutant("hamming_clamp_deleted", "src/streamhash/distribution.py",
            "    np.maximum(dist, 0.0, out=dist)\n",
            "",
-           "no pairwise distance of relaxed codes is negative"),
+           "no pairwise distance of relaxed codes is negative",
+           "tests/test_distribution.py"),
     Mutant("ap_terms_not_rezeroed", "src/streamhash/metrics.py",
            "            terms[found] = 0.0  # all zeros again for the next query\n",
            "",
-           "each query's AP sums its own terms only"),
+           "each query's AP sums its own terms only",
+           "tests/test_metrics.py"),
     Mutant("label_codes_from_db_only", "src/streamhash/metrics.py",
            "np.unique(np.concatenate((db.labels, queries.labels)),\n"
            "                                      return_inverse=True)",
            "np.unique(db.labels), np.searchsorted(np.unique(db.labels),\n"
            "                                      np.concatenate((db.labels, queries.labels)))",
-           "a query label absent from the database matches no database item"),
+           "a query label absent from the database matches no database item",
+           "tests/test_metrics.py"),
     Mutant("labels_of_any_dtype_ranked", "src/streamhash/metrics.py",
            "if part.labels is None or part.labels.dtype != np.int64:",
            "if part.labels is None:",
-           "labels that are not int64 are a DomainError before any ranking"),
+           "labels that are not int64 are a DomainError before any ranking",
+           "tests/test_metrics.py"),
     Mutant("label_codes_fixed_uint8", "src/streamhash/metrics.py",
            "label_codes.astype(np.min_scalar_type(distinct.size - 1))",
            "label_codes.astype(np.uint8)",
-           "labels stay distinct above 256 distinct labels"),
+           "labels stay distinct above 256 distinct labels",
+           "tests/test_metrics.py"),
     Mutant("fast_text_from_1e-5", "src/streamhash/data.py",
            "size >= 1e-4",
            "size >= 1e-5",
-           "dense and checkpoint values are written as repr() writes them"),
+           "dense and checkpoint values are written as repr() writes them",
+           "tests/test_row_codec.py"),
     Mutant("fast_text_below_1e17", "src/streamhash/data.py",
            "size < 1e16",
            "size < 1e17",
-           "dense and checkpoint values are written as repr() writes them"),
+           "dense and checkpoint values are written as repr() writes them",
+           "tests/test_row_codec.py"),
     Mutant("parse_minus_zero_unguarded", "src/streamhash/data.py",
            "np.isfinite(rows).all() and not minus_zero:",
            "np.isfinite(rows).all():",
-           "an integer -0 token parses as -0.0, as float() parses it"),
+           "an integer -0 token parses as -0.0, as float() parses it",
+           "tests/test_row_codec.py"),
     Mutant("parse_strips_last_byte", "src/streamhash/data.py",
            'encode("ascii", "replace").removesuffix(b"\\n")',
            'encode("ascii", "replace")[:-1]',
-           "a last line with no line end keeps its last character"),
+           "a last line with no line end keeps its last character",
+           "tests/test_row_codec.py"),
     Mutant("parse_any_bytes_as_json", "src/streamhash/data.py",
            "if not text.translate(None, ROW_BYTES):",
            "if True:",
-           "a token float() rejects (true, null, \"1\", 1],[2) is a FormatError"),
+           "a token float() rejects (true, null, \"1\", 1],[2) is a FormatError",
+           "tests/test_row_codec.py"),
     Mutant("parse_no_shape_check", "src/streamhash/data.py",
            "if rows.shape == (len(lines), width) and np.isfinite",
            "if np.isfinite",
-           "a line of the wrong length, or a missing line, is a FormatError"),
+           "a line of the wrong length, or a missing line, is a FormatError",
+           "tests/test_row_codec.py"),
     Mutant("sidecar_digest_unchecked", "src/streamhash/data.py",
            'cache.readline(65) == _sha256(path) + b"\\n"',
            "cache.readline(65)",
-           "a sidecar is used only when it holds the sha256 of the text beside it"),
+           "a sidecar is used only when it holds the sha256 of the text beside it",
+           "tests/test_data.py"),
     Mutant("sidecar_order_unchecked", "src/streamhash/data.py",
            "X.flags.c_contiguous and X.shape == (d, n)",
            "X.shape == (d, n)",
-           "load_dense returns C-ordered features, as a parse does"),
+           "load_dense returns C-ordered features, as a parse does",
+           "tests/test_data.py"),
     Mutant("sidecar_memory_error_raised", "src/streamhash/data.py",
            "except (OSError, ValueError, MemoryError):",
            "except (OSError, ValueError):",
-           "a sidecar whose header claims a huge array is ignored"),
+           "a sidecar whose header claims a huge array is ignored",
+           "tests/test_data.py"),
     Mutant("label_overflow_uncaught", "src/streamhash/data.py",
            "except (ValueError, OverflowError) as e:",
            "except ValueError as e:",
-           "a label outside int64 is a FormatError (exit code 2)"),
+           "a label outside int64 is a FormatError (exit code 2)",
+           "tests/test_data.py"),
     Mutant("save_takes_any_feature_dtype", "src/streamhash/data.py",
            'if features.dtype.kind not in "iuf":',
            "if False:",
-           "bool, complex, object and text features are a DomainError before any file opens"),
+           "bool, complex, object and text features are a DomainError before any file opens",
+           "tests/test_data.py"),
     Mutant("save_writes_non_finite", "src/streamhash/data.py",
            "if not _parsed_as(features, labels, n):",
            "if False:",
-           "nan or infinite features are a NumericError before any file opens"),
+           "nan or infinite features are a NumericError before any file opens",
+           "tests/test_data.py"),
     Mutant("load_ignores_trailing_lines", "src/streamhash/data.py",
            "        if line.strip():\n",
            "        if False:\n",
-           "a non-blank line after a file's last declared line is a FormatError"),
+           "a non-blank line after a file's last declared line is a FormatError",
+           "tests/test_data.py"),
     Mutant("sidecar_shape_unchecked", "src/streamhash/data.py",
            "X.flags.c_contiguous and X.shape == (d, n) and _parsed_as",
            "X.flags.c_contiguous and _parsed_as",
-           "a sidecar is used only when its features have the text header's shape"),
+           "a sidecar is used only when its features have the text header's shape",
+           "tests/test_data.py"),
     Mutant("failed_save_keeps_tmp", "src/streamhash/data.py",
            "        with contextlib.suppress(OSError):\n            os.remove(tmp)\n        raise",
            "        raise",
-           "a failed save leaves no temporary file behind"),
+           "a failed save leaves no temporary file behind",
+           "tests/test_data.py"),
     Mutant("save_through_a_fixed_tmp", "src/streamhash/data.py",
            'f"{os.fspath(path)}.{secrets.token_hex(8)}.tmp"',
            'f"{os.fspath(path)}.tmp"',
-           "two saves to one path at once both return normally, and one of them wins whole"),
+           "two saves to one path at once both return normally, and one of them wins whole",
+           "tests/test_data.py"),
     Mutant("sidecar_features_off_by_an_ulp", "src/streamhash/data.py",
            "features.tofile(f)",
            "(features * (1 + 2**-52)).tofile(f)",
-           "the sidecar holds exactly the features a parse of the text returns"),
+           "the sidecar holds exactly the features a parse of the text returns",
+           "tests/test_data.py"),
+    Mutant("no_step_check_deleted", "src/streamhash/trainer.py",
+           "    if grad_norm == 0.0 and loss_before > 0:",
+           "    if False:",
+           "a stage that applies no step at a positive loss aborts the stream (exit 5)",
+           "tests/test_trainer.py"),
+    Mutant("row_sums_dropped", "src/streamhash/trainer.py",
+           "r = A.sum(axis=1)",
+           "r = 0.0",
+           "the code-space gradient is B o r - B A, with r the row sums of A",
+           "tests/test_trainer.py"),
+    Mutant("paper_mode_takes_b_for_c", "src/streamhash/trainer.py",
+           "C = ws.B * tanh_deriv",
+           "C = ws.B",
+           "the paper gradient carries the tanh derivative of the partner sample",
+           "tests/test_trainer.py"),
+    Mutant("train_config_takes_bools", "src/streamhash/trainer.py",
+           "        refuse_bools(self)\n        # each check",
+           "        # each check",
+           "a bool where TrainConfig takes a number is a DomainError naming the field",
+           "tests/test_trainer.py"),
     Mutant("model_takes_any_W_dtype", "src/streamhash/model.py",
            'if self.W.dtype.kind not in "iuf":',
            "if False:",
-           "a W that is not of a real dtype is a DomainError"),
+           "a W that is not of a real dtype is a DomainError",
+           "tests/test_model.py"),
     Mutant("encode_binary_ge", "src/streamhash/model.py",
            "np.multiply(Z > 0.0, 2.0, out=Z)",
            "np.multiply(Z >= 0.0, 2.0, out=Z)",
-           "a zero projection encodes as -1"),
+           "a zero projection encodes as -1",
+           "tests/test_model.py"),
 ]
 
 
@@ -192,12 +249,13 @@ def mutated(tree: Path, mutant: Mutant) -> str:
     return text.replace(mutant.old, mutant.new)
 
 
-def tier1_failure(tree: Path) -> str | None:
-    """None if tier-1 passes in tree, else the first failing test as pytest
-    names it (or pytest's exit status), stopping at the first failure."""
+def tier1_failure(tree: Path, tests: str = "tests") -> str | None:
+    """None if tier-1, or its file tests, passes in tree, else the first
+    failing test as pytest names it (or pytest's exit status), stopping at
+    the first failure."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
     out = subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-                          "--continue-on-collection-errors", "tests"],
+                          "--continue-on-collection-errors", tests],
                          cwd=tree, env=env, capture_output=True, text=True)
     if out.returncode == 0:
         return None
@@ -233,9 +291,13 @@ def main() -> int:
             tree = Path(tmp) / mutant.name
             copy_tree(tree)
             (tree / mutant.file).write_text(mutated(tree, mutant))
-            failure = tier1_failure(tree)
-            by = [check for check, caught in ((f"tier-1 ({failure})", failure),
-                                              ("parity", manifest(tree) != want)) if caught]
+            failure = tier1_failure(tree, mutant.killer)
+            if failure:
+                by = [f"{mutant.killer} ({failure})"]
+            else:
+                failure = tier1_failure(tree)
+                by = [check for check, caught in ((f"tier-1 ({failure})", failure),
+                                                  ("parity", manifest(tree) != want)) if caught]
             print(f"{mutant.name}: {'killed by ' + ' and '.join(by) if by else 'SURVIVED'}"
                   f" - breaks: {mutant.breaks}", flush=True)
             if not by:

@@ -1,13 +1,13 @@
 """Output manifest of the CLI on configs/blobs.json, for byte-identity checks.
 
-Runs `train` seven times (as shipped, null scale_p, plain Q, raw P, paper
-gradient, two epochs, and a 784-dimensional 10 x 300 blob set at 64 bits in
-batches of 400, whose products OpenBLAS threads), then `eval`, `sweep`,
-`sweep` over a null and a set scale_p (a None cell value in sweep.csv),
-`unseen` and `split`, through streamhash.cli.main, each into its own
-directory under OUT_DIR, and `synth` of a 10-class, 64-dimensional blob
-set into OUT_DIR/synth/blobs.txt. Then `train` runs twice on that dense
-file: train_dense loads it through its binary sidecar, train_dense_text
+Runs `train` seven times (as shipped, null scale_p, plain Q with a null
+scale_p, raw P, paper gradient, two epochs, and a 784-dimensional 10 x 300
+blob set at 64 bits in batches of 400, whose products OpenBLAS threads),
+then `eval`, `sweep`, `sweep` over a null and a set scale_p (a None cell
+value in sweep.csv), `unseen` and `split`, through streamhash.cli.main,
+each into its own directory under OUT_DIR, and `synth` of a 10-class,
+64-dimensional blob set into OUT_DIR/synth/blobs.txt. Then `train` runs
+twice on that dense file: train_dense loads it through its binary sidecar, train_dense_text
 parses a plain copy with no sidecar, and the script stops unless the two
 output directories are byte-identical. Writes OUT_DIR/manifest.txt: a
 first line naming the numpy version, its BLAS and OPENBLAS_CORETYPE, then
@@ -44,7 +44,9 @@ CONFIG = Path(__file__).resolve().parents[1] / "configs" / "blobs.json"
 TRAIN_RUNS = {
     "train": [],
     "train_scale_p_null": ["train.scale_p=null"],
-    "train_q_plain": ['train.q_variant="plain"'],
+    # the plain Q divides no distance, so these bytes equal train's, whose
+    # scale_p and scale_n are 1, only if scale_p is ignored
+    "train_q_plain": ['train.q_variant="plain"', "train.scale_p=null"],
     "train_p_raw": ['train.p_variant="raw"'],
     "train_grad_paper": ['train.grad_mode="paper"'],
     "train_epochs_2": ["epochs=2"],
