@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from numbers import Real
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -27,7 +27,7 @@ class GaussianParams:
     sigma: float = 1.0
 
     def __post_init__(self):
-        refuse_bools(self)
+        check_number_types(self)
         if not (isinstance(self.mu, Real) and math.isfinite(self.mu)):
             raise DomainError("mu must be finite")
         if not _positive_finite(self.sigma):
@@ -38,10 +38,13 @@ def _positive_finite(value) -> bool:  # a real number in (0, inf); nan is not
     return isinstance(value, Real) and 0 < value < math.inf
 
 
-def refuse_bools(settings) -> None:  # a bool is an int; no numeric field of settings takes one
+def check_number_types(settings) -> None:  # number fields refuse bools, int fields non-Integrals
     for f in fields(settings):
-        if f.type in ("int", "float", "float | None") and type(getattr(settings, f.name)) is bool:
-            raise DomainError(f"{f.name} must be a number, got {getattr(settings, f.name)}")
+        value = getattr(settings, f.name)
+        if f.type in ("int", "float", "float | None") and type(value) is bool:
+            raise DomainError(f"{f.name} must be a number, got {value}")
+        if f.type == "int" and not isinstance(value, Integral):
+            raise DomainError(f"{f.name} must be an integer, got {value!r}")
 
 
 def build_similarity(labels: np.ndarray) -> np.ndarray:
@@ -68,7 +71,7 @@ def _two_valued(S: np.ndarray, weigh) -> np.ndarray:
     if not total:
         raise DegenerateDistributionError("off-diagonal mass is zero")
     P = np.where(S, w_similar / total, w_dissimilar / total)
-    diag_view(P)[:] = 0.0
+    np.fill_diagonal(P, 0.0)
     return P
 
 
@@ -105,15 +108,10 @@ def p_gaussian(S: np.ndarray, g: GaussianParams = GaussianParams()) -> np.ndarra
     return _two_valued(S, weigh)
 
 
-def diag_view(A: np.ndarray) -> np.ndarray:
-    """Writable view of the diagonal of a C-contiguous square matrix."""
-    return A.reshape(-1)[:: A.shape[0] + 1]
-
-
 def pairwise_hamming_sq(B: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """||b_i - b_j||^2 / 4 over all column pairs of a (k, n) code matrix (the
-    bit-level Hamming distance on +/-1 codes), written into out (a
-    C-contiguous (n, n) array) when given."""
+    bit-level Hamming distance on +/-1 codes), written into out (an (n, n)
+    array) when given."""
     gram = B.T @ B
     # 0.25 * (sq_i + sq_j - 2 gram_ij), the gram as the one (n, n) temporary.
     # sq_i + sq_j comes from the rank-2 product (sq_i, 1) . (1, sq_j): each
@@ -127,7 +125,7 @@ def pairwise_hamming_sq(B: np.ndarray, out: np.ndarray | None = None) -> np.ndar
     dist -= gram
     dist *= 0.25
     np.maximum(dist, 0.0, out=dist)
-    diag_view(dist)[:] = 0.0
+    np.fill_diagonal(dist, 0.0)
     return dist
 
 

@@ -289,7 +289,10 @@ def train_parts(cfg: ExperimentConfig, train_split, retrieval, test, out_dir: Pa
 
     When out_dir is given, writes checkpoint.txt, stages.csv and curve.csv,
     also for a stream a NumericError cut short (the outcome's abort_reason).
+    An eval.r_max that retrieval_scores would refuse is refused before any stage.
     """
+    if not 1 <= cfg.eval.r_max <= (n := retrieval.idx.size):
+        raise DomainError(f"r_max={cfg.eval.r_max} is outside 1..{n}, the database size")
     batches = make_batches(train_split, cfg)
     # instances seen after stage i: stage indices count the batches from 1
     seen = list(itertools.accumulate((b.labels.shape[0] for b in batches), initial=0))

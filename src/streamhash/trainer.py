@@ -34,7 +34,7 @@ import numpy as np
 from . import distribution as dist
 from . import model as hashmodel
 from .data import StreamingBatch
-from .distribution import GaussianParams, _positive_finite, diag_view, refuse_bools
+from .distribution import GaussianParams, _positive_finite, check_number_types
 from .errors import DimensionError, DomainError, NumericError
 from .model import HashModel
 
@@ -60,7 +60,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        refuse_bools(self)
+        check_number_types(self)
         # each check passes only inside its range, so nan fails every one
         if not (self.scale_p is None or _positive_finite(self.scale_p)):
             raise DomainError("scale_p must be positive and finite")
@@ -72,7 +72,7 @@ class TrainConfig:
             raise DomainError("batch_size must be at least 2")
         if not self.inner_iters >= 1:
             raise DomainError("inner_iters must be at least 1")
-        if not 0.0 < self.epsilon <= 1e-6:
+        if not (_positive_finite(self.epsilon) and self.epsilon <= 1e-6):
             raise DomainError("epsilon must lie in (0, 1e-6]")
         for name, allowed in (("grad_mode", GRAD_MODES), ("p_variant", P_VARIANTS),
                               ("q_variant", Q_VARIANTS)):
@@ -135,7 +135,7 @@ def build_workspace(B, P, eta, out: GradWorkspace | None = None) -> GradWorkspac
     kernel /= eta  # eta > 0 keeps the zero diagonal
     kernel += 1.0
     np.divide(1.0, kernel, out=kernel)
-    diag_view(kernel)[:] = 0.0
+    np.fill_diagonal(kernel, 0.0)
     np.divide(kernel, kernel.sum(), out=out.Q)
     return out
 
@@ -195,8 +195,6 @@ def train_stage(model: HashModel, batch: StreamingBatch, cfg: TrainConfig):
     The loop runs on Z; W is written once, with the summed step, and
     loss_after is taken at the tracked Z rather than by encoding X again.
     """
-    if batch.size < 2:
-        raise DomainError("a stage needs at least 2 instances")
     if batch.features.shape[1] != batch.size:
         raise DimensionError(f"{batch.features.shape[1]} feature columns for {batch.size} labels")
     X = batch.features

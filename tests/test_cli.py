@@ -1,5 +1,6 @@
 """CLI subcommands, overrides, exit codes."""
 
+import csv
 import json
 import os
 import resource
@@ -214,6 +215,25 @@ class TestExitCodes:
         assert "all 1 sweep cells failed; cell 0: off-diagonal mass is zero" in (
             capsys.readouterr().err)
         assert (tmp_path / "out/sweep.csv").read_text().splitlines()[1].startswith("0,raw,failed,")
+
+    # configs/blobs.json: 2000 retrieval instances, 550 in the held-out protocol
+    @pytest.mark.parametrize("command, r_max, n", [
+        ("train", 100000, 2000), ("sweep", 100000, 2000), ("unseen", 600, 550)])
+    def test_r_max_beyond_the_database_is_3_before_any_stage(self, tmp_path, capsys, monkeypatch,
+                                                             command, r_max, n):
+        def refuse(*args):
+            raise AssertionError("a stage ran although eval.r_max is out of range")
+
+        monkeypatch.setattr(trainer, "train_stage", refuse)
+        config = Path(__file__).resolve().parents[1] / "configs" / "blobs.json"
+        assert cli.main([command, "--config", str(config), "--output-dir", str(tmp_path / "out"),
+                         "--set", f"eval.r_max={r_max}"]) == 3
+        message = f"r_max={r_max} is outside 1..{n}, the database size"
+        assert message in capsys.readouterr().err
+        if command == "sweep":  # every cell fails alike and is recorded
+            with open(tmp_path / "out" / "sweep.csv") as f:
+                rows = list(csv.DictReader(f))
+            assert [(r["status"], r["error"]) for r in rows] == [("failed", message)] * 4
 
     def test_label_outside_int64_is_2(self, tmp_path, capsys):
         path = tmp_path / "d.txt"

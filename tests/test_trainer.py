@@ -2,6 +2,7 @@
 
 import itertools
 import logging
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -342,10 +343,28 @@ class TestTrainStage:
 
     @pytest.mark.parametrize("kwargs, message", [
         ({"gaussian": None}, "gaussian must be a GaussianParams, got None"),
-        ({"scale_p": "2"}, "scale_p must be positive and finite")], ids=["gaussian", "scaling"])
+        ({"scale_p": "2"}, "scale_p must be positive and finite"),
+        ({"batch_size": 2.5}, "batch_size must be an integer, got 2.5"),
+        ({"batch_size": "3"}, "batch_size must be an integer, got '3'"),
+        ({"inner_iters": 2.5}, "inner_iters must be an integer, got 2.5"),
+        ({"inner_iters": np.float64(3.0)}, "inner_iters must be an integer, got np.float64(3.0)"),
+        ({"seed": "x"}, "seed must be an integer, got 'x'"),
+        ({"seed": None}, "seed must be an integer, got None"),
+        ({"epsilon": "x"}, "epsilon must lie in (0, 1e-6]"),
+        ({"epsilon": 1e-7j}, "epsilon must lie in (0, 1e-6]")],
+        ids=["gaussian", "scaling", "batch_size_float", "batch_size_str", "inner_iters_float",
+             "inner_iters_numpy_float", "seed_str", "seed_none", "epsilon_str", "epsilon_complex"])
     def test_parts_of_the_wrong_type_rejected_when_built(self, kwargs, message):
-        with pytest.raises(DomainError, match=message):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             TrainConfig(**kwargs)
+
+    def test_numpy_numbers_accepted(self):
+        X, y = data.synth_blobs(3, 16, 10, 0.8, seed=0)
+        batch = StreamingBatch(features=X, labels=y, stage_index=1)
+        cfg = TrainConfig(learning_rate=np.float32(0.1), batch_size=np.int64(50),
+                          inner_iters=np.int32(2), epsilon=np.float32(1e-7), seed=np.uint8(3))
+        _, report = trainer.train_stage(hm.init(16, 5, seed=0), batch, cfg)
+        assert np.isfinite(report.loss_after)
 
     @pytest.mark.parametrize("field", ["learning_rate", "scale_p", "scale_n", "batch_size",
                                        "inner_iters", "epsilon", "seed"])
@@ -388,6 +407,13 @@ class TestTrainStage:
         out, report = trainer.train_stage(model, batch, TrainConfig())
         assert report.loss_before == report.loss_after == report.grad_norm == 0.0
         assert np.array_equal(out.W, model.W)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_batch_of_fewer_than_2_instances_rejected(self, n):
+        batch = StreamingBatch(features=np.ones((3, n)), labels=np.zeros(n, dtype=np.int64),
+                               stage_index=1)
+        with pytest.raises(DomainError, match="^similarity needs at least 2 instances$"):
+            trainer.train_stage(hm.init(3, 2, seed=0), batch, TrainConfig())
 
     def test_all_distinct_labels_raw_target_degenerates(self):
         X = np.random.default_rng(0).standard_normal((3, 4))

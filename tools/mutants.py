@@ -61,7 +61,7 @@ MUTANTS = [
            "a sidecar with non-finite features is ignored, and the text's error raised",
            "tests/test_data.py"),
     Mutant("p_diagonal_kept", "src/streamhash/distribution.py",
-           "    diag_view(P)[:] = 0.0\n    return P\n\n\ndef p_raw",
+           "    np.fill_diagonal(P, 0.0)\n    return P\n\n\ndef p_raw",
            "    return P\n\n\ndef p_raw",
            "p_raw and p_gaussian have an exactly zero diagonal",
            "tests/test_distribution.py"),
@@ -212,11 +212,26 @@ MUTANTS = [
            "C = ws.B",
            "the paper gradient carries the tanh derivative of the partner sample",
            "tests/test_trainer.py"),
-    Mutant("train_config_takes_bools", "src/streamhash/trainer.py",
-           "        refuse_bools(self)\n        # each check",
-           "        # each check",
+    Mutant("train_config_takes_bools", "src/streamhash/distribution.py",
+           '"float | None") and type(value) is bool:',
+           '"float | None") and False:',
            "a bool where TrainConfig takes a number is a DomainError naming the field",
            "tests/test_trainer.py"),
+    Mutant("int_settings_take_floats", "src/streamhash/distribution.py",
+           'if f.type == "int" and not isinstance(value, Integral):',
+           "if False:",
+           "an int setting of another type (2.5, \"3\") is a DomainError naming the field",
+           "tests/test_trainer.py"),
+    Mutant("kernel_diagonal_kept", "src/streamhash/trainer.py",
+           "    np.fill_diagonal(kernel, 0.0)\n",
+           "",
+           "Q has an exactly zero diagonal: no instance is its own neighbor",
+           "tests/test_trainer.py"),
+    Mutant("r_max_checked_after_training", "src/streamhash/experiment.py",
+           "    if not 1 <= cfg.eval.r_max <= (n := retrieval.idx.size):\n",
+           "    if False:\n",
+           "an eval.r_max outside the database is a DomainError (exit 3) before any stage",
+           "tests/test_cli.py"),
     Mutant("model_takes_any_W_dtype", "src/streamhash/model.py",
            'if self.W.dtype.kind not in "iuf":',
            "if False:",
