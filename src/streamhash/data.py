@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 import orjson
 
+from .distribution import FLOORS, check_number_types
 from .errors import (ConsistencyError, DimensionError, DomainError, FormatError, NumericError,
                      SplitError)
 
@@ -41,6 +42,7 @@ class SplitSpec:
     test_per_class: int
     train_size: int
     seed: int = 0
+    __post_init__ = check_number_types
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,9 +68,9 @@ class Part:
 
 
 def seeded_rng(seed: int) -> np.random.Generator:
-    """The generator of every seeded draw; a negative seed is a DomainError."""
-    if seed < 0:
-        raise DomainError(f"seed must be non-negative, got {seed}")
+    """The generator of every seeded draw; a seed below FLOORS["seed"] is a DomainError."""
+    if seed < FLOORS["seed"]:
+        raise DomainError(f"seed must be at least {FLOORS['seed']}, got {seed}")
     return np.random.default_rng(seed)
 
 

@@ -38,13 +38,20 @@ def _positive_finite(value) -> bool:  # a real number in (0, inf); nan is not
     return isinstance(value, Real) and 0 < value < math.inf
 
 
-def check_number_types(settings) -> None:  # number fields refuse bools, int fields non-Integrals
+# The least value of each number setting, by field or config key name
+FLOORS = {"seed": 0, "bits": 1, "epochs": 1, "init_scale": 0, "batch_size": 2,
+          "inner_iters": 1, "cutoff": 1, "r_max": 1, "every_n_stages": 1}
+
+
+def check_number_types(settings) -> None:  # bools, non-Integral ints and values below FLOORS
     for f in fields(settings):
         value = getattr(settings, f.name)
         if f.type in ("int", "float", "float | None") and type(value) is bool:
             raise DomainError(f"{f.name} must be a number, got {value}")
         if f.type == "int" and not isinstance(value, Integral):
             raise DomainError(f"{f.name} must be an integer, got {value!r}")
+        if f.name in FLOORS and not (isinstance(value, Real) and value >= FLOORS[f.name]):
+            raise DomainError(f"{f.name} must be at least {FLOORS[f.name]}, got {value!r}")
 
 
 def build_similarity(labels: np.ndarray) -> np.ndarray:

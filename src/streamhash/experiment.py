@@ -22,7 +22,7 @@ import numpy as np
 
 from . import data, index, metrics, model as hashmodel, trainer
 from .data import SplitSpec
-from .distribution import GaussianParams
+from .distribution import FLOORS, GaussianParams, check_number_types
 from .errors import ConfigError, ConsistencyError, DomainError, SplitError, StreamHashError
 from .metrics import MetricReport
 from .model import HashModel
@@ -38,6 +38,7 @@ class EvalOptions:
     cutoff: int = 1000
     r_max: int = 100
     every_n_stages: int = 50
+    __post_init__ = check_number_types
 
 
 @dataclass(frozen=True)
@@ -45,6 +46,7 @@ class UnseenOptions:
     seen_fraction: float = 0.75
     test_per_class: int = 100
     bits: int = 64  # the held-out protocol's code width, in place of bits
+    __post_init__ = check_number_types
 
 
 @dataclass(frozen=True)
@@ -60,6 +62,7 @@ class ExperimentConfig:
     seed: int = 0
     sweep: dict = field(default_factory=dict)
     unseen: UnseenOptions = field(default_factory=UnseenOptions)
+    __post_init__ = check_number_types
 
     def digest(self, *sections: str) -> str:
         """Hash of everything that determines results (not where they go):
@@ -107,10 +110,10 @@ def check_section(raw, table: dict, section: str) -> dict:
     value, or to its default where raw lacks it (MISSING: required).
 
     A non-object, an unknown key, a missing required key, a wrong type, a
-    nan or infinite float, a NUL byte (no file name holds one) or a negative
-    seed is a ConfigError naming section.key and showing the value (_shown).
-    bool never counts as int, and no value is converted, so the digest
-    holds each value exactly as the config wrote it.
+    nan or infinite float, a NUL byte (no file name holds one) or a number
+    below its FLOORS entry is a ConfigError naming section.key and showing
+    the value (_shown). bool never counts as int, and no value is converted,
+    so the digest holds each value exactly as the config wrote it.
     """
     prefix = f"{section}." if section else ""
     if not isinstance(raw, dict):
@@ -130,8 +133,8 @@ def check_section(raw, table: dict, section: str) -> dict:
             raise ConfigError(f"{prefix}{key} holds a NUL byte")
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"{prefix}{key} must be finite, got {_shown(value)}")
-        if key == "seed" and value < 0:
-            raise ConfigError(f"{prefix}{key} must be non-negative, got {_shown(value)}")
+        if key in FLOORS and value < FLOORS[key]:
+            raise ConfigError(f"{prefix}{key} must be at least {FLOORS[key]}, got {_shown(value)}")
         values[key] = value
     return values
 
@@ -190,15 +193,6 @@ def config_from_dict(raw) -> ExperimentConfig:
         unseen=_options(UnseenOptions, top["unseen"], "unseen"),
         **{key: top[key] for key in scalars},
     )
-    for name, bits in (("bits", cfg.bits), ("unseen.bits", cfg.unseen.bits)):
-        if bits < 1:
-            raise ConfigError(f"{name} must be at least 1")
-    if cfg.epochs < 1:
-        raise ConfigError("epochs must be at least 1")
-    if cfg.init_scale < 0:
-        raise ConfigError("init_scale must be non-negative")
-    if min(vars(cfg.eval).values()) < 1:
-        raise ConfigError("eval options must be positive")
     for cell in _sweep_cells(cfg.sweep):
         apply_cell(cfg, cell)
     return cfg

@@ -68,10 +68,6 @@ class TrainConfig:
             raise DomainError("scale_n must be positive and finite")
         if not _positive_finite(self.learning_rate):
             raise DomainError("learning_rate must be positive and finite")
-        if not self.batch_size >= 2:
-            raise DomainError("batch_size must be at least 2")
-        if not self.inner_iters >= 1:
-            raise DomainError("inner_iters must be at least 1")
         if not (_positive_finite(self.epsilon) and self.epsilon <= 1e-6):
             raise DomainError("epsilon must lie in (0, 1e-6]")
         for name, allowed in (("grad_mode", GRAD_MODES), ("p_variant", P_VARIANTS),

@@ -312,7 +312,37 @@ class TestExitCodes:
         cfg = write_config(tmp_path, sweep={"sigma": [0.35]})
         assert cli.main([command, "--config", str(cfg), "--set", f"unseen.bits={bits}"]) == 2
         assert capsys.readouterr().err == (
-            "error (ConfigError): unseen.bits must be at least 1\n")
+            f"error (ConfigError): unseen.bits must be at least 1, got {bits}\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("override, message", [
+        ("bits=0", "bits must be at least 1, got 0"),
+        ("unseen.bits=0", "unseen.bits must be at least 1, got 0"),
+        ("epochs=0", "epochs must be at least 1, got 0"),
+        ("init_scale=-0.5", "init_scale must be at least 0, got -0.5"),
+        ("eval.cutoff=0", "eval.cutoff must be at least 1, got 0"),
+        ("eval.r_max=0", "eval.r_max must be at least 1, got 0"),
+        ("eval.every_n_stages=0", "eval.every_n_stages must be at least 1, got 0"),
+        ("train.batch_size=1", "train.batch_size must be at least 2, got 1"),
+        ("train.inner_iters=0", "train.inner_iters must be at least 1, got 0"),
+        ("seed=-1", "seed must be at least 0, got -1"),
+        ("split.seed=-1", "split.seed must be at least 0, got -1"),
+        ("train.seed=-1", "train.seed must be at least 0, got -1"),
+        ("dataset.seed=-1", "dataset.seed must be at least 0, got -1"),
+        ("sweep.batch_size=[20, 1]", "sweep.batch_size must be at least 2, got 1"),
+        ("sweep.inner_iters=[0]", "sweep.inner_iters must be at least 1, got 0"),
+        ("sweep.seed=[-1]", "sweep.seed must be at least 0, got -1"),
+    ])
+    def test_number_below_its_floor_is_2_before_any_load(self, tmp_path, capsys, monkeypatch,
+                                                         override, message):
+        # every least value, in each section where its key appears
+        def refuse(spec):
+            raise AssertionError("the dataset loaded although the config is invalid")
+
+        monkeypatch.setattr(experiment, "load_dataset", refuse)
+        cfg = write_config(tmp_path)
+        assert cli.main(["train", "--config", str(cfg), "--set", override]) == 2
+        assert capsys.readouterr().err == f"error (ConfigError): {message}\n"
         assert not (tmp_path / "out").exists()
 
     def test_scale_n_without_scale_p_trains(self, tmp_path, monkeypatch):
@@ -335,7 +365,7 @@ class TestExitCodes:
         out = tmp_path / "blobs.txt"
         assert cli.main(["synth", "--num-classes", "2", "--dim", "2", "--per-class", "2",
                          "--spread", "0.1", "--seed", "-1", "--out", str(out)]) == 3
-        assert "seed must be non-negative" in capsys.readouterr().err
+        assert "error (DomainError): seed must be at least 0, got -1\n" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("spread", ["nan", "inf", "-0.5"])

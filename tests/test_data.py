@@ -609,7 +609,7 @@ class TestSplit:
             assert (part.labels == self.y[part.idx]).all()
 
     def test_negative_seed_rejected(self):
-        with pytest.raises(DomainError, match="seed must be non-negative, got -1"):
+        with pytest.raises(DomainError, match="^seed must be at least 0, got -1$"):
             data.split(self.X, self.y, SplitSpec(2, 4, -1))
 
     def test_empty_test_set_rejected(self):
@@ -644,7 +644,7 @@ class TestUnseenSplit:
             assert part.source is self.X and (part.labels == self.y[part.idx]).all()
 
     def test_negative_seed_rejected(self):
-        with pytest.raises(DomainError, match="seed must be non-negative, got -1"):
+        with pytest.raises(DomainError, match="^seed must be at least 0, got -1$"):
             data.unseen_split(self.X, self.y, 0.75, seed=-1)
 
     def test_full_seen_fraction_rejected(self):
@@ -708,7 +708,7 @@ class TestStream:
             data.stream(whole(self.X, self.y), 1, seed=0)
 
     def test_negative_seed_rejected(self):
-        with pytest.raises(DomainError, match="seed must be non-negative, got -1"):
+        with pytest.raises(DomainError, match="^seed must be at least 0, got -1$"):
             data.stream(whole(self.X, self.y), 2, seed=-1)
 
     def test_batches_of_a_part_index_its_source(self):

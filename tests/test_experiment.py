@@ -13,8 +13,9 @@ import pytest
 
 from streamhash import cli, data, experiment, index, metrics, trainer
 from streamhash import model as hm
-from streamhash.errors import ConfigError, ConsistencyError, NumericError, SplitError
-from streamhash.experiment import ExperimentConfig, UnseenOptions, config_from_dict
+from streamhash.data import SplitSpec
+from streamhash.errors import ConfigError, ConsistencyError, DomainError, NumericError, SplitError
+from streamhash.experiment import EvalOptions, ExperimentConfig, UnseenOptions, config_from_dict
 from streamhash.trainer import TrainConfig
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -122,7 +123,7 @@ class TestConfigValidation:
         raw = blob_config(tmp_path)
         (raw if where is None else raw[where])["seed"] = -1
         name = "seed" if where is None else f"{where}.seed"
-        with pytest.raises(ConfigError, match=f"^{name} must be non-negative, got -1$"):
+        with pytest.raises(ConfigError, match=f"^{name} must be at least 0, got -1$"):
             config_from_dict(raw)
         (raw if where is None else raw[where])["seed"] = 0
         assert config_from_dict(raw)
@@ -182,7 +183,8 @@ class TestConfigValidation:
     def test_train_domain_errors_are_config_errors(self, tmp_path, key, value):
         raw = blob_config(tmp_path)
         raw["train"][key] = value
-        with pytest.raises(ConfigError, match="^train: "):
+        # a value below its FLOORS entry is refused by check_section, the others by TrainConfig
+        with pytest.raises(ConfigError, match=rf"^train(: |\.){key} must "):
             config_from_dict(raw)
 
     def test_long_value_is_cut_in_the_message(self, tmp_path):
@@ -211,6 +213,74 @@ class TestConfigValidation:
         c = config_from_dict(blob_config(tmp_path, bits=24))
         assert a.digest() == b.digest()
         assert a.digest() != c.digest()
+
+
+def experiment_config(**settings) -> ExperimentConfig:
+    return ExperimentConfig(dataset={}, split=SplitSpec(10, 120), train=TrainConfig(), **settings)
+
+
+def split_spec(**settings) -> SplitSpec:
+    return SplitSpec(**{"test_per_class": 10, "train_size": 120, **settings})
+
+
+SETTINGS_CLASSES = {"TrainConfig": TrainConfig, "EvalOptions": EvalOptions,
+                    "UnseenOptions": UnseenOptions, "SplitSpec": split_spec,
+                    "ExperimentConfig": experiment_config}
+
+
+class TestSettingsFloors:
+    """The library's settings classes check each least value when built."""
+
+    @pytest.mark.parametrize("cls, name, floor", [
+        ("TrainConfig", "batch_size", 2), ("TrainConfig", "inner_iters", 1),
+        ("TrainConfig", "seed", 0), ("EvalOptions", "cutoff", 1), ("EvalOptions", "r_max", 1),
+        ("EvalOptions", "every_n_stages", 1), ("UnseenOptions", "bits", 1),
+        ("SplitSpec", "seed", 0), ("ExperimentConfig", "bits", 1),
+        ("ExperimentConfig", "epochs", 1), ("ExperimentConfig", "seed", 0),
+    ])
+    def test_int_floor(self, cls, name, floor):
+        build = SETTINGS_CLASSES[cls]
+        assert getattr(build(**{name: floor}), name) == floor
+        assert getattr(build(**{name: np.int64(floor)}), name) == floor
+        below = f"^{name} must be at least {floor}, got {floor - 1}$"
+        with pytest.raises(DomainError, match=below):
+            build(**{name: floor - 1})
+        with pytest.raises(DomainError, match=rf"^{name} must be an integer, got {floor + 1}\.5$"):
+            build(**{name: floor + 1.5})
+        with pytest.raises(DomainError, match=f"^{name} must be a number, got True$"):
+            build(**{name: True})
+
+    @pytest.mark.parametrize("value, shown", [
+        (-0.5, "-0.5"), (-1, "-1"), (float("nan"), "nan"), ("1", "'1'"), (None, "None"),
+    ])
+    def test_init_scale_floor(self, value, shown):
+        assert experiment_config(init_scale=0).init_scale == 0
+        assert experiment_config(init_scale=0.0).init_scale == 0.0
+        with pytest.raises(DomainError, match=f"^init_scale must be at least 0, got {shown}$"):
+            experiment_config(init_scale=value)
+
+    @pytest.mark.parametrize("cls, name", [
+        ("UnseenOptions", "test_per_class"), ("SplitSpec", "train_size"),
+        ("SplitSpec", "test_per_class"),
+    ])
+    def test_int_fields_without_a_floor_take_integers_only(self, cls, name):
+        with pytest.raises(DomainError, match=rf"^{name} must be an integer, got 2\.5$"):
+            SETTINGS_CLASSES[cls](**{name: 2.5})
+
+    def test_float_r_max_fails_before_any_stage(self, tmp_path, monkeypatch):
+        # a float r_max was refused by retrieval_scores only after training
+        cfg = config_from_dict(blob_config(tmp_path))
+        monkeypatch.setattr(trainer, "train_stream", None)
+        with pytest.raises(DomainError, match=r"^r_max must be an integer, got 2\.5$"):
+            experiment.run_train(experiment.replace(
+                cfg, eval=EvalOptions(cutoff=1000, r_max=2.5, every_n_stages=1000)))
+
+    def test_zero_eval_interval_and_epochs_refused_when_built(self, tmp_path):
+        cfg = config_from_dict(blob_config(tmp_path))
+        with pytest.raises(DomainError, match="^every_n_stages must be at least 1, got 0$"):
+            EvalOptions(every_n_stages=0)
+        with pytest.raises(DomainError, match="^epochs must be at least 1, got 0$"):
+            experiment.replace(cfg, epochs=0)
 
 
 class TestRunTrain:
@@ -629,7 +699,7 @@ class TestRunSweep:
         ({"learning_rate": [0.1, -1]}, "sweep: learning_rate must be positive"),
         ({"scale_p": [1.0], "scale_n": [None]}, "sweep.scale_n must be int or float, got None"),
         ({"momentum": [0.9]}, r"unknown sweep keys: \['momentum'\]"),
-        ({"seed": [0, -1]}, "^sweep.seed must be non-negative, got -1$"),
+        ({"seed": [0, -1]}, "^sweep.seed must be at least 0, got -1$"),
     ])
     def test_sweep_grid_checked(self, tmp_path, grid, message):
         with pytest.raises(ConfigError, match=message):

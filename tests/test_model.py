@@ -40,7 +40,7 @@ class TestInit:
             hm.init(3, 2, scale=scale)
 
     def test_negative_seed_rejected(self):
-        with pytest.raises(DomainError, match="seed must be non-negative, got -1"):
+        with pytest.raises(DomainError, match="^seed must be at least 0, got -1$"):
             hm.init(3, 4, seed=-1)
 
 

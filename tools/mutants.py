@@ -44,11 +44,36 @@ MUTANTS = [
            "test_idx = np.concatenate(test_idx)\n    mask",
            "split parts list their columns in matrix order",
            "tests/test_data.py"),
-    Mutant("unseen_bits_unchecked", "src/streamhash/experiment.py",
-           '(("bits", cfg.bits), ("unseen.bits", cfg.unseen.bits))',
-           '(("bits", cfg.bits),)',
-           "an unseen.bits below 1 is a config error (exit 2) before any dataset loads",
+    Mutant("unseen_bits_unchecked", "src/streamhash/distribution.py",
+           '"bits": 1, ',
+           "",
+           "a bits or unseen.bits below 1 is a config error (exit 2) before any dataset loads",
            "tests/test_cli.py"),
+    Mutant("epochs_floor_dropped", "src/streamhash/distribution.py",
+           '"epochs": 1, ',
+           "",
+           "an epochs below 1 is refused when the config or ExperimentConfig is built",
+           "tests/test_experiment.py"),
+    Mutant("init_scale_floor_dropped", "src/streamhash/distribution.py",
+           '"init_scale": 0, ',
+           "",
+           "a negative init_scale is refused when the config or ExperimentConfig is built",
+           "tests/test_experiment.py"),
+    Mutant("every_n_stages_floor_dropped", "src/streamhash/distribution.py",
+           ', "every_n_stages": 1}',
+           "}",
+           "an every_n_stages below 1 is refused, not a ZeroDivisionError mid-stream",
+           "tests/test_experiment.py"),
+    Mutant("floor_refuses_its_own_value", "src/streamhash/distribution.py",
+           "value >= FLOORS[f.name]",
+           "value > FLOORS[f.name]",
+           "a setting at its least value builds",
+           "tests/test_experiment.py"),
+    Mutant("eval_options_unchecked", "src/streamhash/experiment.py",
+           "    every_n_stages: int = 50\n    __post_init__ = check_number_types\n",
+           "    every_n_stages: int = 50\n",
+           "EvalOptions refuses a float r_max when built, not after training",
+           "tests/test_experiment.py"),
     Mutant("epochs_share_a_seed", "src/streamhash/experiment.py",
            "data.stream(train, cfg.train.batch_size, cfg.train.seed + epoch)",
            "data.stream(train, cfg.train.batch_size, cfg.train.seed)",
