@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 import orjson
 
-from .distribution import FLOORS, check_number_types
+from .distribution import check_setting, check_settings
 from .errors import (ConsistencyError, DimensionError, DomainError, FormatError, NumericError,
                      SplitError)
 
@@ -42,7 +42,7 @@ class SplitSpec:
     test_per_class: int
     train_size: int
     seed: int = 0
-    __post_init__ = check_number_types
+    __post_init__ = check_settings
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,9 +68,8 @@ class Part:
 
 
 def seeded_rng(seed: int) -> np.random.Generator:
-    """The generator of every seeded draw; a seed below FLOORS["seed"] is a DomainError."""
-    if seed < FLOORS["seed"]:
-        raise DomainError(f"seed must be at least {FLOORS['seed']}, got {seed}")
+    """The generator of every seeded draw; a seed outside its domain is a DomainError."""
+    check_setting("seed", "int", seed)
     return np.random.default_rng(seed)
 
 
@@ -402,8 +401,8 @@ def split(features: np.ndarray, labels: np.ndarray, spec: SplitSpec) -> tuple[Pa
     (training images remain retrievable). An empty test set is a SplitError.
     """
     n = labels.shape[0]
-    if n == 0 or spec.test_per_class < 1:
-        raise SplitError(f"empty test set: {n} instances, test_per_class={spec.test_per_class}")
+    if n == 0:
+        raise SplitError("empty test set: 0 instances")
     rng = seeded_rng(spec.seed)
     test_idx = []
     for c in np.unique(labels):
@@ -418,7 +417,7 @@ def split(features: np.ndarray, labels: np.ndarray, spec: SplitSpec) -> tuple[Pa
     mask = np.ones(n, dtype=bool)
     mask[test_idx] = False
     retrieval_idx = np.flatnonzero(mask)
-    if not 0 <= spec.train_size <= retrieval_idx.shape[0]:
+    if spec.train_size > retrieval_idx.shape[0]:
         raise SplitError(f"train_size={spec.train_size} is outside 0..{retrieval_idx.shape[0]}, "
                          "the retrieval set size")
     train_idx = np.sort(rng.choice(retrieval_idx, size=spec.train_size, replace=False))
@@ -433,11 +432,11 @@ def unseen_split(features, labels, seen_fraction: float, seed: int, test_per_cla
     Label sets of train vs retrieval+test are disjoint by construction. An
     empty test set is a SplitError.
     """
+    check_setting("seen_fraction", "float", seen_fraction)
+    check_setting("test_per_class", "int", test_per_class)
     classes = np.unique(labels)
     if classes.shape[0] < 2:
         raise SplitError("unseen_split needs at least 2 classes")
-    if not 0.0 < seen_fraction <= 1.0:
-        raise DomainError("seen_fraction must lie in (0, 1]")
     n_seen = int(np.ceil(seen_fraction * classes.shape[0]))
     if n_seen >= classes.shape[0]:
         raise SplitError(
@@ -469,8 +468,7 @@ def stream(pool: Part, batch_size: int, seed: int) -> list[Part]:
     A final short batch is kept unless it has fewer than 2 instances
     (pairwise terms need one off-diagonal pair).
     """
-    if batch_size < 2:
-        raise DomainError("batch_size must be at least 2")
+    check_setting("batch_size", "int", batch_size)
     n = pool.labels.shape[0]
     order = seeded_rng(seed).permutation(n)
     batches = []

@@ -5,12 +5,14 @@ built from the boolean similarity mask, either by raw normalization or
 with Gaussian smoothing. Both are (n, n) matrices with an exactly-zero
 diagonal whose off-diagonal entries sum to 1. This module builds P, the
 pairwise Hamming distances and the per-pair scaling matrix; Q is formed
-from them in trainer.build_workspace.
+from them in trainer.build_workspace. Each setting's domain (DOMAINS) and
+the one check against it (refusal) live here too: this module imports only errors.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, fields
 from numbers import Integral, Real
 
@@ -19,39 +21,71 @@ import numpy as np
 from .errors import DegenerateDistributionError, DomainError
 
 
+# Each setting's domain beyond its type, by field or config key name: a rule
+# of _RULES and its bound. refusal() reads it wherever a setting enters.
+DOMAINS = {
+    "seed": {"at least": 0}, "bits": {"at least": 1}, "epochs": {"at least": 1},
+    "init_scale": {"at least": 0}, "batch_size": {"at least": 2}, "inner_iters": {"at least": 1},
+    "cutoff": {"at least": 1}, "r_max": {"at least": 1}, "every_n_stages": {"at least": 1},
+    "test_per_class": {"at least": 1}, "train_size": {"at least": 0},
+    "learning_rate": {"above": 0}, "scale_p": {"above": 0}, "scale_n": {"above": 0},
+    "sigma": {"above": 0}, "epsilon": {"above": 0, "at most": 1e-6},
+    "seen_fraction": {"above": 0, "at most": 1},
+    "grad_mode": {"one of": ("paper", "exact")}, "p_variant": {"one of": ("raw", "gaussian")},
+    "q_variant": {"one of": ("plain", "scaled")},
+}
+_RULES = {"at least": operator.ge, "above": operator.gt, "at most": operator.le,
+          "one of": lambda value, bound: value in bound}
+
+# Each settings annotation: the types its values may have and their name in a message
+KINDS = {"int": (Integral, "int"), "float": (Real, "int or float"),
+         "float | None": ((Real, type(None)), "int or float or null"),
+         "str": (str, "str"), "bool": (bool, "bool"), "dict": (dict, "object")}
+
+
+def shown(value) -> str:
+    """repr(value) for an error message, cut to 80 characters ending in …"""
+    text = repr(value)
+    return text if len(text) <= 80 else text[:79] + "…"
+
+
+def refusal(name: str, kind: str, value) -> str | None:
+    """Why value is outside the domain of the setting name annotated kind (a
+    KINDS key), or None: a value of another type (a bool only where kind is
+    "bool"), a str holding a NUL byte (no file name holds one), a nan or
+    infinite number, or a DOMAINS rule of name that it breaks."""
+    types, type_name = KINDS[kind]
+    if not isinstance(value, types) or type(value) is bool and kind != "bool":
+        return f"{name} must be {type_name}, got {shown(value)}"
+    if isinstance(value, str) and "\0" in value:
+        return f"{name} holds a NUL byte"
+    if isinstance(value, Real) and not -math.inf < value < math.inf:
+        return f"{name} must be finite, got {shown(value)}"
+    for rule, bound in DOMAINS.get(name, {}).items():
+        if value is not None and not _RULES[rule](value, bound):
+            return f"{name} must be {rule} {bound}, got {shown(value)}"
+    return None
+
+
+def check_setting(name: str, kind: str, value) -> None:
+    """A DomainError giving refusal's reason if value is outside its domain."""
+    if reason := refusal(name, kind, value):
+        raise DomainError(reason)
+
+
+def check_settings(settings) -> None:  # a settings dataclass's __post_init__
+    for f in fields(settings):
+        if f.type in KINDS:
+            check_setting(f.name, f.type, getattr(settings, f.name))
+
+
 @dataclass(frozen=True)
 class GaussianParams:
     """Location and width of the smoothing pdf applied to similarity values."""
 
     mu: float = 1.0
     sigma: float = 1.0
-
-    def __post_init__(self):
-        check_number_types(self)
-        if not (isinstance(self.mu, Real) and math.isfinite(self.mu)):
-            raise DomainError("mu must be finite")
-        if not _positive_finite(self.sigma):
-            raise DomainError("sigma must be positive and finite")
-
-
-def _positive_finite(value) -> bool:  # a real number in (0, inf); nan is not
-    return isinstance(value, Real) and 0 < value < math.inf
-
-
-# The least value of each number setting, by field or config key name
-FLOORS = {"seed": 0, "bits": 1, "epochs": 1, "init_scale": 0, "batch_size": 2,
-          "inner_iters": 1, "cutoff": 1, "r_max": 1, "every_n_stages": 1}
-
-
-def check_number_types(settings) -> None:  # bools, non-Integral ints and values below FLOORS
-    for f in fields(settings):
-        value = getattr(settings, f.name)
-        if f.type in ("int", "float", "float | None") and type(value) is bool:
-            raise DomainError(f"{f.name} must be a number, got {value}")
-        if f.type == "int" and not isinstance(value, Integral):
-            raise DomainError(f"{f.name} must be an integer, got {value!r}")
-        if f.name in FLOORS and not (isinstance(value, Real) and value >= FLOORS[f.name]):
-            raise DomainError(f"{f.name} must be at least {FLOORS[f.name]}, got {value!r}")
+    __post_init__ = check_settings
 
 
 def build_similarity(labels: np.ndarray) -> np.ndarray:

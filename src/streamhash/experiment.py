@@ -14,7 +14,6 @@ import io
 import itertools
 import json
 import logging
-import math
 from dataclasses import MISSING, astuple, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -22,7 +21,7 @@ import numpy as np
 
 from . import data, index, metrics, model as hashmodel, trainer
 from .data import SplitSpec
-from .distribution import FLOORS, GaussianParams, check_number_types
+from .distribution import KINDS, GaussianParams, check_settings, refusal, shown
 from .errors import ConfigError, ConsistencyError, DomainError, SplitError, StreamHashError
 from .metrics import MetricReport
 from .model import HashModel
@@ -38,7 +37,7 @@ class EvalOptions:
     cutoff: int = 1000
     r_max: int = 100
     every_n_stages: int = 50
-    __post_init__ = check_number_types
+    __post_init__ = check_settings
 
 
 @dataclass(frozen=True)
@@ -46,7 +45,7 @@ class UnseenOptions:
     seen_fraction: float = 0.75
     test_per_class: int = 100
     bits: int = 64  # the held-out protocol's code width, in place of bits
-    __post_init__ = check_number_types
+    __post_init__ = check_settings
 
 
 @dataclass(frozen=True)
@@ -62,7 +61,7 @@ class ExperimentConfig:
     seed: int = 0
     sweep: dict = field(default_factory=dict)
     unseen: UnseenOptions = field(default_factory=UnseenOptions)
-    __post_init__ = check_number_types
+    __post_init__ = check_settings
 
     def digest(self, *sections: str) -> str:
         """Hash of everything that determines results (not where they go):
@@ -77,64 +76,46 @@ class ExperimentConfig:
 
 SECTIONS = ("dataset", "split", "train", "eval", "sweep", "unseen")
 
-_NUMBER, _INT, _STR, _NULL = (int, float), (int,), (str,), (type(None),)
-_KINDS = {"int": _INT, "float": _NUMBER, "float | None": _NUMBER + _NULL, "str": _STR}
-_TYPE_NAMES = {dict: "object", type(None): "null"}
-
 
 def _table(cls) -> dict:
-    """The check_section table of a dataclass's fields annotated as a _KINDS key."""
-    return {f.name: (_KINDS[f.type], f.default) for f in fields(cls) if f.type in _KINDS}
+    """The check_section table of a dataclass's fields annotated as a KINDS key."""
+    return {f.name: (f.type, f.default) for f in fields(cls) if f.type in KINDS}
 
 
-# The flat train section: allowed types and default of each key
+# The flat train section: the KINDS key and default of each key
 TRAIN_FIELDS = {**_table(TrainConfig), **_table(GaussianParams)}
 
 DATASET_FIELDS = {
-    "idx": {"images": (_STR, MISSING), "labels": (_STR, MISSING),
-            "normalize": ((bool,), True)},
-    "dense": {"path": (_STR, MISSING)},
-    "synth": {"num_classes": (_INT, MISSING), "dim": (_INT, MISSING),
-              "per_class": (_INT, MISSING), "spread": (_NUMBER, MISSING), "seed": (_INT, MISSING)},
+    "idx": {"images": ("str", MISSING), "labels": ("str", MISSING), "normalize": ("bool", True)},
+    "dense": {"path": ("str", MISSING)},
+    "synth": {"num_classes": ("int", MISSING), "dim": ("int", MISSING),
+              "per_class": ("int", MISSING), "spread": ("float", MISSING),
+              "seed": ("int", MISSING)},
 }
 
 
-def _shown(value) -> str:
-    """repr(value) for an error message, cut to 80 characters ending in …"""
-    text = repr(value)
-    return text if len(text) <= 80 else text[:79] + "…"
-
-
 def check_section(raw, table: dict, section: str) -> dict:
-    """Each key of a {key: (allowed types, default)} table mapped to raw's
+    """Each key of a {key: (KINDS key, default)} table mapped to raw's
     value, or to its default where raw lacks it (MISSING: required).
 
-    A non-object, an unknown key, a missing required key, a wrong type, a
-    nan or infinite float, a NUL byte (no file name holds one) or a number
-    below its FLOORS entry is a ConfigError naming section.key and showing
-    the value (_shown). bool never counts as int, and no value is converted,
-    so the digest holds each value exactly as the config wrote it.
+    A non-object, an unknown key, a missing required key or a value that
+    distribution.refusal refuses is a ConfigError naming section.key. No
+    value is converted, so the digest holds each value exactly as the
+    config wrote it.
     """
     prefix = f"{section}." if section else ""
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{section or 'config'} must be an object, got {_shown(raw)}")
+    if reason := refusal(section or "config", "dict", raw):
+        raise ConfigError(reason)
     unknown = set(raw) - set(table)
     if unknown:
         raise ConfigError(f"unknown {section or 'config'} keys: {sorted(unknown)}")
     values = {}
-    for key, (kinds, default) in table.items():
+    for key, (kind, default) in table.items():
         value = raw.get(key, default)
         if value is MISSING:
             raise ConfigError(f"{prefix}{key} is required")
-        if not isinstance(value, kinds) or isinstance(value, bool) and bool not in kinds:
-            expected = " or ".join(_TYPE_NAMES.get(kind, kind.__name__) for kind in kinds)
-            raise ConfigError(f"{prefix}{key} must be {expected}, got {_shown(value)}")
-        if isinstance(value, str) and "\0" in value:
-            raise ConfigError(f"{prefix}{key} holds a NUL byte")
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigError(f"{prefix}{key} must be finite, got {_shown(value)}")
-        if key in FLOORS and value < FLOORS[key]:
-            raise ConfigError(f"{prefix}{key} must be at least {FLOORS[key]}, got {_shown(value)}")
+        if reason := refusal(key, kind, value):
+            raise ConfigError(prefix + reason)
         values[key] = value
     return values
 
@@ -152,11 +133,8 @@ def _train_view(cfg: TrainConfig) -> dict:
 def train_config(raw, section: str = "train") -> TrainConfig:
     """The validated TrainConfig of a flat train section named section."""
     values = check_section(raw, TRAIN_FIELDS, section)
-    try:
-        gaussian = GaussianParams(**{key: values.pop(key) for key in _table(GaussianParams)})
-        return TrainConfig(gaussian=gaussian, **values)
-    except DomainError as e:
-        raise ConfigError(f"{section}: {e}") from e
+    gaussian = GaussianParams(**{key: values.pop(key) for key in _table(GaussianParams)})
+    return TrainConfig(gaussian=gaussian, **values)
 
 
 def _check_dataset(raw: dict) -> dict:
@@ -164,8 +142,8 @@ def _check_dataset(raw: dict) -> dict:
     kind = raw.get("kind")
     if not (isinstance(kind, str) and kind in DATASET_FIELDS):
         raise ConfigError(f"dataset.kind must be one of {tuple(DATASET_FIELDS)}, "
-                          f"got {_shown(kind)}")
-    check_section(raw, {"kind": (_STR, MISSING), **DATASET_FIELDS[kind]}, "dataset")
+                          f"got {shown(kind)}")
+    check_section(raw, {"kind": ("str", MISSING), **DATASET_FIELDS[kind]}, "dataset")
     return dict(raw)
 
 
@@ -174,7 +152,7 @@ def _sweep_cells(grid: dict):
     the sorted keys varying fastest."""
     for key, values in grid.items():
         if not isinstance(values, list) or not values:
-            raise ConfigError(f"sweep.{key} must be a non-empty list, got {_shown(values)}")
+            raise ConfigError(f"sweep.{key} must be a non-empty list, got {shown(values)}")
     keys = sorted(grid)
     for values in itertools.product(*(grid[key] for key in keys)):
         yield dict(zip(keys, values))
@@ -182,17 +160,16 @@ def _sweep_cells(grid: dict):
 
 def config_from_dict(raw) -> ExperimentConfig:
     """Build and fully validate an ExperimentConfig from parsed JSON."""
-    scalars = _table(ExperimentConfig)
-    top = check_section(raw, {**scalars, **{s: ((dict,), {}) for s in SECTIONS}}, "")
-    cfg = ExperimentConfig(
+    top = check_section(raw, {**_table(ExperimentConfig), **{s: ("dict", {}) for s in SECTIONS}},
+                        "")
+    cfg = ExperimentConfig(**(top | dict(
         dataset=_check_dataset(top["dataset"]),
         split=_options(SplitSpec, top["split"], "split"),
         train=train_config(top["train"]),
         eval=_options(EvalOptions, top["eval"], "eval"),
         sweep=dict(top["sweep"]),
         unseen=_options(UnseenOptions, top["unseen"], "unseen"),
-        **{key: top[key] for key in scalars},
-    )
+    )))
     for cell in _sweep_cells(cfg.sweep):
         apply_cell(cfg, cell)
     return cfg
@@ -285,7 +262,7 @@ def train_parts(cfg: ExperimentConfig, train_split, retrieval, test, out_dir: Pa
     also for a stream a NumericError cut short (the outcome's abort_reason).
     An eval.r_max that retrieval_scores would refuse is refused before any stage.
     """
-    if not 1 <= cfg.eval.r_max <= (n := retrieval.idx.size):
+    if cfg.eval.r_max > (n := retrieval.idx.size):
         raise DomainError(f"r_max={cfg.eval.r_max} is outside 1..{n}, the database size")
     batches = make_batches(train_split, cfg)
     # instances seen after stage i: stage indices count the batches from 1

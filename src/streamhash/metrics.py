@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .distribution import check_setting
 from .errors import DimensionError, DomainError
 from .index import PackedCodes, hamming_to_db
 
@@ -71,7 +72,10 @@ def _usable_cores() -> int:
 
 def _validate(queries: PackedCodes, db: PackedCodes, cutoff: int | None,
               r_max: int | None) -> None:
-    if r_max is not None and not 1 <= r_max <= db.n:
+    for name, value in (("cutoff", cutoff), ("r_max", r_max)):
+        if value is not None:
+            check_setting(name, "int", value)
+    if r_max is not None and r_max > db.n:
         raise DomainError(f"r_max={r_max} is outside 1..{db.n}, the database size")
     if queries.n == 0:
         raise DomainError("empty query set")
@@ -82,8 +86,6 @@ def _validate(queries: PackedCodes, db: PackedCodes, cutoff: int | None,
             raise DomainError(f"labels must be int64, got {getattr(part.labels, 'dtype', None)}")
         if part.labels.shape != (part.n,):
             raise DimensionError(f"labels of shape {part.labels.shape} for {part.n} codes")
-    if cutoff is not None and cutoff < 1:
-        raise DomainError("cutoff must be at least 1")
 
 
 def retrieval_scores(queries: PackedCodes, db: PackedCodes, cutoff: int | None = None,

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import open_text, read_end, read_header, read_rows, replacing, seeded_rng, write_rows
+from .distribution import check_setting
 from .errors import DimensionError, DomainError, NumericError
 
 
@@ -34,15 +35,15 @@ class HashModel:
 
 
 def init(d: int, k: int, scale: float = 1.0, seed: int = 0) -> HashModel:
-    """Seeded Gaussian init with entry std scale/sqrt(d).
+    """Seeded Gaussian init with entry std scale/sqrt(d); scale is refused as
+    an init_scale setting outside its domain would be.
 
     The 1/sqrt(d) factor keeps initial projections O(scale) regardless of
     the feature dimension, so tanh does not start saturated.
     """
     if d < 1 or k < 1:
         raise DomainError("d and k must be at least 1")
-    if not 0 <= scale < np.inf:
-        raise DomainError("scale must be non-negative and finite")
+    check_setting("init_scale", "float", scale)
     W = seeded_rng(seed).standard_normal((d, k)) * (scale / np.sqrt(d))
     return HashModel(W=W)
 

@@ -34,15 +34,14 @@ import numpy as np
 from . import distribution as dist
 from . import model as hashmodel
 from .data import StreamingBatch
-from .distribution import GaussianParams, _positive_finite, check_number_types
+from .distribution import DOMAINS, GaussianParams, check_settings
 from .errors import DimensionError, DomainError, NumericError
 from .model import HashModel
 
 log = logging.getLogger(__name__)
 
-GRAD_MODES = ("paper", "exact")
-P_VARIANTS = ("raw", "gaussian")
-Q_VARIANTS = ("plain", "scaled")
+GRAD_MODES, P_VARIANTS, Q_VARIANTS = (DOMAINS[name]["one of"]
+                                      for name in ("grad_mode", "p_variant", "q_variant"))
 
 
 @dataclass(frozen=True)
@@ -60,20 +59,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_number_types(self)
-        # each check passes only inside its range, so nan fails every one
-        if not (self.scale_p is None or _positive_finite(self.scale_p)):
-            raise DomainError("scale_p must be positive and finite")
-        if not _positive_finite(self.scale_n):
-            raise DomainError("scale_n must be positive and finite")
-        if not _positive_finite(self.learning_rate):
-            raise DomainError("learning_rate must be positive and finite")
-        if not (_positive_finite(self.epsilon) and self.epsilon <= 1e-6):
-            raise DomainError("epsilon must lie in (0, 1e-6]")
-        for name, allowed in (("grad_mode", GRAD_MODES), ("p_variant", P_VARIANTS),
-                              ("q_variant", Q_VARIANTS)):
-            if getattr(self, name) not in allowed:
-                raise DomainError(f"{name} must be one of {allowed}")
+        check_settings(self)
         if not isinstance(self.gaussian, GaussianParams):
             raise DomainError(f"gaussian must be a GaussianParams, got {self.gaussian!r}")
 

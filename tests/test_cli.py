@@ -197,7 +197,8 @@ class TestExitCodes:
         cfg = write_config(tmp_path)
         assert cli.main(["sweep", "--config", str(cfg),
                          "--set", 'sweep={"learning_rate": [-1, 0]}']) == 2
-        assert "sweep: learning_rate must be positive" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error (ConfigError): sweep.learning_rate must be above 0, got -1\n")
         assert not (tmp_path / "out").exists()
 
     def test_sweep_over_a_missing_dataset_is_2(self, tmp_path):
@@ -345,6 +346,30 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error (ConfigError): {message}\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("override, message", [
+        ("unseen.seen_fraction=1.5", "unseen.seen_fraction must be at most 1, got 1.5"),
+        ("unseen.seen_fraction=0", "unseen.seen_fraction must be above 0, got 0"),
+        ("unseen.test_per_class=-5", "unseen.test_per_class must be at least 1, got -5"),
+        ("split.test_per_class=0", "split.test_per_class must be at least 1, got 0"),
+        ("split.train_size=-1", "split.train_size must be at least 0, got -1"),
+        ("train.sigma=0", "train.sigma must be above 0, got 0"),
+        ("train.epsilon=0.1", "train.epsilon must be at most 1e-06, got 0.1"),
+        ('train.grad_mode="fast"',
+         "train.grad_mode must be one of ('paper', 'exact'), got 'fast'"),
+    ])
+    @pytest.mark.parametrize("command", ["train", "sweep", "unseen", "split"])
+    def test_setting_outside_its_domain_is_2_before_any_load(self, tmp_path, capsys, monkeypatch,
+                                                            command, override, message):
+        # ranges and choices, for every command that reads a config
+        def refuse(spec):
+            raise AssertionError("the dataset loaded although the config is invalid")
+
+        monkeypatch.setattr(experiment, "load_dataset", refuse)
+        cfg = write_config(tmp_path, sweep={"sigma": [0.35]})
+        assert cli.main([command, "--config", str(cfg), "--set", override]) == 2
+        assert capsys.readouterr().err == f"error (ConfigError): {message}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_scale_n_without_scale_p_trains(self, tmp_path, monkeypatch):
         # a null scale_p is bits / 2 = 6; the configured scale_n 3 is used as set
         divisors = set()
@@ -394,7 +419,7 @@ class TestExitCodes:
         path = tmp_path / "d.txt"
         path.write_text(text)
         cfg = write_config(tmp_path, dataset={"kind": "dense", "path": str(path)},
-                           split={"test_per_class": 0, "train_size": 1})
+                           split={"test_per_class": 1, "train_size": 1})
         assert cli.main(["split", "--config", str(cfg)]) == code
         err = capsys.readouterr().err
         assert str(path) in err and where in err

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from streamhash import data
+from streamhash import data, model
 from streamhash.data import SplitSpec
 from streamhash.errors import (ConsistencyError, DimensionError, DomainError, FormatError,
                               NumericError, SplitError)
@@ -598,7 +598,7 @@ class TestSplit:
             data.split(self.X, self.y, spec)
 
     def test_negative_train_size_rejected(self):
-        with pytest.raises(SplitError, match="train_size=-1 is outside 0..180"):
+        with pytest.raises(DomainError, match="^train_size must be at least 0, got -1$"):
             data.split(self.X, self.y, SplitSpec(test_per_class=4, train_size=-1))
 
     def test_parts_index_the_matrix_they_were_given(self):
@@ -613,7 +613,7 @@ class TestSplit:
             data.split(self.X, self.y, SplitSpec(2, 4, -1))
 
     def test_empty_test_set_rejected(self):
-        with pytest.raises(SplitError, match="empty test set: 200 instances, test_per_class=0"):
+        with pytest.raises(DomainError, match="^test_per_class must be at least 1, got 0$"):
             data.split(self.X, self.y, SplitSpec(test_per_class=0, train_size=10))
         with pytest.raises(SplitError, match="empty test set: 0 instances"):
             data.split(np.empty((3, 0)), np.empty(0, dtype=np.int64), SplitSpec(1, 0))
@@ -658,8 +658,15 @@ class TestUnseenSplit:
 
     @pytest.mark.parametrize("test_per_class", [0, -1])
     def test_empty_test_set_rejected(self, test_per_class):
-        with pytest.raises(SplitError, match="empty test set"):
+        with pytest.raises(DomainError,
+                           match=f"^test_per_class must be at least 1, got {test_per_class}$"):
             data.unseen_split(self.X, self.y, 0.75, seed=0, test_per_class=test_per_class)
+
+    def test_one_instance_unseen_classes_leave_the_test_set_empty(self):
+        # a test sample is at most half a class
+        X, y = data.synth_blobs(4, 3, 1, 0.1, seed=0)
+        with pytest.raises(SplitError, match="^empty test set: test_per_class=1, at most half"):
+            data.unseen_split(X, y, 0.75, seed=0, test_per_class=1)
 
 
 def whole(X, y) -> data.Part:
@@ -716,6 +723,28 @@ class TestStream:
         for batch in data.stream(pool, 8, seed=2):
             assert batch.source is self.X and set(batch.idx) <= set(pool.idx)
             assert (batch.labels == self.y[batch.idx]).all()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda X, y: data.stream(whole(X, y), 2.5, 0), "batch_size must be int, got 2.5"),
+    (lambda X, y: data.stream(whole(X, y), True, 0), "batch_size must be int, got True"),
+    (lambda X, y: data.stream(whole(X, y), 8, 1.5), "seed must be int, got 1.5"),
+    (lambda X, y: data.unseen_split(X, y, 0.75, 0, test_per_class=2.5),
+     "test_per_class must be int, got 2.5"),
+    (lambda X, y: data.unseen_split(X, y, 1.5, 0), "seen_fraction must be at most 1, got 1.5"),
+    (lambda X, y: data.unseen_split(X, y, 0, 0), "seen_fraction must be above 0, got 0"),
+    (lambda X, y: data.unseen_split(X, y, "0.5", 0),
+     "seen_fraction must be int or float, got '0.5'"),
+    (lambda X, y: data.unseen_split(X, y, 0.75, 2.5), "seed must be int, got 2.5"),
+    (lambda X, y: model.init(16, 8, 1.0, 2.5), "seed must be int, got 2.5"),
+    (lambda X, y: data.synth_blobs(2, 3, 4, 0.5, 1.5), "seed must be int, got 1.5"),
+], ids=["stream_float_batch_size", "stream_bool_batch_size", "stream_float_seed",
+        "unseen_float_test_per_class", "unseen_seen_fraction_above_1", "unseen_seen_fraction_0",
+        "unseen_str_seen_fraction", "unseen_float_seed", "init_float_seed", "synth_float_seed"])
+def test_raw_settings_outside_their_domain_are_domain_errors(call, message):
+    X, y = data.synth_blobs(4, 3, 10, 0.1, seed=5)
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        call(X, y)
 
 
 class TestPart:

@@ -265,9 +265,9 @@ class TestQScaled:
                                 TrainConfig(scale_p=1.0, scale_n=1.0))
 
     def test_bad_params(self):
-        with pytest.raises(DomainError, match="scale_p must be positive and finite"):
+        with pytest.raises(DomainError, match="^scale_p must be above 0, got 0.0$"):
             TrainConfig(scale_p=0.0, scale_n=1.0)
-        with pytest.raises(DomainError, match="scale_n must be positive and finite"):
+        with pytest.raises(DomainError, match="^scale_n must be above 0, got 0.0$"):
             TrainConfig(scale_p=None, scale_n=0.0)
 
     @pytest.mark.parametrize("p, n", [(np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0),

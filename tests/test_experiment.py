@@ -183,8 +183,7 @@ class TestConfigValidation:
     def test_train_domain_errors_are_config_errors(self, tmp_path, key, value):
         raw = blob_config(tmp_path)
         raw["train"][key] = value
-        # a value below its FLOORS entry is refused by check_section, the others by TrainConfig
-        with pytest.raises(ConfigError, match=rf"^train(: |\.){key} must "):
+        with pytest.raises(ConfigError, match=rf"^train\.{key} must "):
             config_from_dict(raw)
 
     def test_long_value_is_cut_in_the_message(self, tmp_path):
@@ -235,7 +234,9 @@ class TestSettingsFloors:
         ("TrainConfig", "batch_size", 2), ("TrainConfig", "inner_iters", 1),
         ("TrainConfig", "seed", 0), ("EvalOptions", "cutoff", 1), ("EvalOptions", "r_max", 1),
         ("EvalOptions", "every_n_stages", 1), ("UnseenOptions", "bits", 1),
-        ("SplitSpec", "seed", 0), ("ExperimentConfig", "bits", 1),
+        ("SplitSpec", "seed", 0), ("SplitSpec", "test_per_class", 1),
+        ("SplitSpec", "train_size", 0), ("UnseenOptions", "test_per_class", 1),
+        ("ExperimentConfig", "bits", 1),
         ("ExperimentConfig", "epochs", 1), ("ExperimentConfig", "seed", 0),
     ])
     def test_int_floor(self, cls, name, floor):
@@ -245,9 +246,9 @@ class TestSettingsFloors:
         below = f"^{name} must be at least {floor}, got {floor - 1}$"
         with pytest.raises(DomainError, match=below):
             build(**{name: floor - 1})
-        with pytest.raises(DomainError, match=rf"^{name} must be an integer, got {floor + 1}\.5$"):
+        with pytest.raises(DomainError, match=rf"^{name} must be int, got {floor + 1}\.5$"):
             build(**{name: floor + 1.5})
-        with pytest.raises(DomainError, match=f"^{name} must be a number, got True$"):
+        with pytest.raises(DomainError, match=f"^{name} must be int, got True$"):
             build(**{name: True})
 
     @pytest.mark.parametrize("value, shown", [
@@ -256,7 +257,9 @@ class TestSettingsFloors:
     def test_init_scale_floor(self, value, shown):
         assert experiment_config(init_scale=0).init_scale == 0
         assert experiment_config(init_scale=0.0).init_scale == 0.0
-        with pytest.raises(DomainError, match=f"^init_scale must be at least 0, got {shown}$"):
+        rule = {"nan": "finite", "'1'": "int or float", "None": "int or float"}.get(shown,
+                                                                                 "at least 0")
+        with pytest.raises(DomainError, match=f"^init_scale must be {rule}, got {shown}$"):
             experiment_config(init_scale=value)
 
     @pytest.mark.parametrize("cls, name", [
@@ -264,14 +267,14 @@ class TestSettingsFloors:
         ("SplitSpec", "test_per_class"),
     ])
     def test_int_fields_without_a_floor_take_integers_only(self, cls, name):
-        with pytest.raises(DomainError, match=rf"^{name} must be an integer, got 2\.5$"):
+        with pytest.raises(DomainError, match=rf"^{name} must be int, got 2\.5$"):
             SETTINGS_CLASSES[cls](**{name: 2.5})
 
     def test_float_r_max_fails_before_any_stage(self, tmp_path, monkeypatch):
         # a float r_max was refused by retrieval_scores only after training
         cfg = config_from_dict(blob_config(tmp_path))
         monkeypatch.setattr(trainer, "train_stream", None)
-        with pytest.raises(DomainError, match=r"^r_max must be an integer, got 2\.5$"):
+        with pytest.raises(DomainError, match=r"^r_max must be int, got 2\.5$"):
             experiment.run_train(experiment.replace(
                 cfg, eval=EvalOptions(cutoff=1000, r_max=2.5, every_n_stages=1000)))
 
@@ -696,7 +699,7 @@ class TestRunSweep:
         ({"sigma": []}, "sweep.sigma must be a non-empty list"),
         ({"batch_size": [20, "x"]}, "sweep.batch_size must be int"),
         ({"grad_mode": [None]}, "sweep.grad_mode must be str"),
-        ({"learning_rate": [0.1, -1]}, "sweep: learning_rate must be positive"),
+        ({"learning_rate": [0.1, -1]}, "^sweep.learning_rate must be above 0, got -1$"),
         ({"scale_p": [1.0], "scale_n": [None]}, "sweep.scale_n must be int or float, got None"),
         ({"momentum": [0.9]}, r"unknown sweep keys: \['momentum'\]"),
         ({"seed": [0, -1]}, "^sweep.seed must be at least 0, got -1$"),
@@ -742,8 +745,8 @@ class TestRunUnseen:
     def test_empty_test_set_fails_before_training(self, tmp_path, monkeypatch):
         monkeypatch.setattr(trainer, "train_stage", None)  # any stage would raise TypeError
         raw = blob_config(tmp_path)
-        raw["dataset"]["num_classes"] = 4
-        raw["unseen"] = {"test_per_class": 0}
+        # each held-out class has one instance, and a test sample is at most half a class
+        raw["dataset"].update(num_classes=4, per_class=1)
         with pytest.raises(SplitError, match="empty test set"):
             experiment.run_unseen(config_from_dict(raw), out_dir=tmp_path / "u")
         assert not (tmp_path / "u").exists()

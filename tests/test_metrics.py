@@ -5,6 +5,7 @@ with plain loops; the production implementations must match them exactly
 (rank arithmetic is integer, so no tolerance).
 """
 
+import re
 import sys
 import threading
 
@@ -429,6 +430,28 @@ class TestValidationBeforeRanking:
             with pytest.raises(error):
                 metrics.retrieval_scores(q, d, **kwargs)
         assert no_scans == []
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"r_max": 2.5}, "r_max must be int, got 2.5"),
+        ({"cutoff": 2.5}, "cutoff must be int, got 2.5"),
+        ({"r_max": True}, "r_max must be int, got True"),
+        ({"cutoff": False}, "cutoff must be int, got False"),
+        ({"cutoff": "5"}, "cutoff must be int, got '5'"),
+        ({"r_max": 0}, "r_max must be at least 1, got 0"),
+        ({"cutoff": 0}, "cutoff must be at least 1, got 0"),
+    ])
+    def test_settings_outside_their_domain_scan_nothing(self, no_scans, kwargs, message):
+        _, _, _, _, db, queries = make_instance(3)
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            metrics.retrieval_scores(queries, db, **kwargs)
+        assert no_scans == []
+
+    def test_numpy_integer_settings_accepted(self):
+        _, _, _, _, db, queries = make_instance(3)
+        want = metrics.retrieval_scores(queries, db, cutoff=7, r_max=12)
+        got = metrics.retrieval_scores(queries, db, cutoff=np.int32(7), r_max=np.uint8(12))
+        assert got["map_at_k"] == want["map_at_k"]
+        np.testing.assert_array_equal(got["precision_at_r"], want["precision_at_r"])
 
 
 class TestCurveAuc:

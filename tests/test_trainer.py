@@ -343,15 +343,15 @@ class TestTrainStage:
 
     @pytest.mark.parametrize("kwargs, message", [
         ({"gaussian": None}, "gaussian must be a GaussianParams, got None"),
-        ({"scale_p": "2"}, "scale_p must be positive and finite"),
-        ({"batch_size": 2.5}, "batch_size must be an integer, got 2.5"),
-        ({"batch_size": "3"}, "batch_size must be an integer, got '3'"),
-        ({"inner_iters": 2.5}, "inner_iters must be an integer, got 2.5"),
-        ({"inner_iters": np.float64(3.0)}, "inner_iters must be an integer, got np.float64(3.0)"),
-        ({"seed": "x"}, "seed must be an integer, got 'x'"),
-        ({"seed": None}, "seed must be an integer, got None"),
-        ({"epsilon": "x"}, "epsilon must lie in (0, 1e-6]"),
-        ({"epsilon": 1e-7j}, "epsilon must lie in (0, 1e-6]")],
+        ({"scale_p": "2"}, "scale_p must be int or float or null, got '2'"),
+        ({"batch_size": 2.5}, "batch_size must be int, got 2.5"),
+        ({"batch_size": "3"}, "batch_size must be int, got '3'"),
+        ({"inner_iters": 2.5}, "inner_iters must be int, got 2.5"),
+        ({"inner_iters": np.float64(3.0)}, "inner_iters must be int, got np.float64(3.0)"),
+        ({"seed": "x"}, "seed must be int, got 'x'"),
+        ({"seed": None}, "seed must be int, got None"),
+        ({"epsilon": "x"}, "epsilon must be int or float, got 'x'"),
+        ({"epsilon": 1e-7j}, "epsilon must be int or float, got 1e-07j")],
         ids=["gaussian", "scaling", "batch_size_float", "batch_size_str", "inner_iters_float",
              "inner_iters_numpy_float", "seed_str", "seed_none", "epsilon_str", "epsilon_complex"])
     def test_parts_of_the_wrong_type_rejected_when_built(self, kwargs, message):
@@ -370,12 +370,14 @@ class TestTrainStage:
                                        "inner_iters", "epsilon", "seed"])
     @pytest.mark.parametrize("value", [True, False])
     def test_bool_settings_rejected_naming_the_field(self, field, value):
-        with pytest.raises(DomainError, match=f"^{field} must be a number, got {value}$"):
+        kind = {"scale_p": "int or float or null", "batch_size": "int", "inner_iters": "int",
+                "seed": "int"}.get(field, "int or float")
+        with pytest.raises(DomainError, match=f"^{field} must be {kind}, got {value}$"):
             TrainConfig(**{field: value})
 
     @pytest.mark.parametrize("field", ["mu", "sigma"])
     def test_bool_gaussian_params_rejected_naming_the_field(self, field):
-        with pytest.raises(DomainError, match=f"^{field} must be a number, got True$"):
+        with pytest.raises(DomainError, match=f"^{field} must be int or float, got True$"):
             GaussianParams(**{field: True})
 
     def test_grad_norm_is_the_applied_step_over_the_learning_rate(self):

@@ -45,35 +45,65 @@ MUTANTS = [
            "split parts list their columns in matrix order",
            "tests/test_data.py"),
     Mutant("unseen_bits_unchecked", "src/streamhash/distribution.py",
-           '"bits": 1, ',
+           '"bits": {"at least": 1}, ',
            "",
            "a bits or unseen.bits below 1 is a config error (exit 2) before any dataset loads",
            "tests/test_cli.py"),
     Mutant("epochs_floor_dropped", "src/streamhash/distribution.py",
-           '"epochs": 1, ',
-           "",
+           ', "epochs": {"at least": 1},',
+           ",",
            "an epochs below 1 is refused when the config or ExperimentConfig is built",
            "tests/test_experiment.py"),
     Mutant("init_scale_floor_dropped", "src/streamhash/distribution.py",
-           '"init_scale": 0, ',
+           '"init_scale": {"at least": 0}, ',
            "",
            "a negative init_scale is refused when the config or ExperimentConfig is built",
            "tests/test_experiment.py"),
     Mutant("every_n_stages_floor_dropped", "src/streamhash/distribution.py",
-           ', "every_n_stages": 1}',
-           "}",
+           ', "every_n_stages": {"at least": 1},',
+           ",",
            "an every_n_stages below 1 is refused, not a ZeroDivisionError mid-stream",
            "tests/test_experiment.py"),
     Mutant("floor_refuses_its_own_value", "src/streamhash/distribution.py",
-           "value >= FLOORS[f.name]",
-           "value > FLOORS[f.name]",
+           '"at least": operator.ge',
+           '"at least": operator.gt',
            "a setting at its least value builds",
            "tests/test_experiment.py"),
     Mutant("eval_options_unchecked", "src/streamhash/experiment.py",
-           "    every_n_stages: int = 50\n    __post_init__ = check_number_types\n",
+           "    every_n_stages: int = 50\n    __post_init__ = check_settings\n",
            "    every_n_stages: int = 50\n",
            "EvalOptions refuses a float r_max when built, not after training",
            "tests/test_experiment.py"),
+    Mutant("sigma_may_be_zero", "src/streamhash/distribution.py",
+           '"sigma": {"above": 0}, ',
+           "",
+           "a sigma of 0 is a config error (exit 2) before any dataset loads",
+           "tests/test_cli.py"),
+    Mutant("seen_fraction_without_ceiling", "src/streamhash/distribution.py",
+           '"seen_fraction": {"above": 0, "at most": 1}',
+           '"seen_fraction": {"above": 0}',
+           "an unseen.seen_fraction above 1 is a config error (exit 2) before any dataset loads",
+           "tests/test_cli.py"),
+    Mutant("grad_mode_choices_dropped", "src/streamhash/distribution.py",
+           '"grad_mode": {"one of": ("paper", "exact")}, ',
+           "",
+           "GRAD_MODES is a view of the grad_mode entry, which refuses any other mode",
+           "tests/test_trainer.py"),
+    Mutant("choices_unchecked", "src/streamhash/distribution.py",
+           '"one of": lambda value, bound: value in bound',
+           '"one of": lambda value, bound: True',
+           "a str setting outside its choices is refused (an unknown grad_mode: exit 2)",
+           "tests/test_cli.py"),
+    Mutant("unseen_split_takes_any_seen_fraction", "src/streamhash/data.py",
+           '    check_setting("seen_fraction", "float", seen_fraction)\n',
+           "",
+           "unseen_split refuses a seen_fraction outside (0, 1] with a DomainError",
+           "tests/test_data.py"),
+    Mutant("retrieval_scores_takes_any_cutoff", "src/streamhash/metrics.py",
+           '            check_setting(name, "int", value)',
+           "            pass",
+           "a float, bool or zero cutoff or r_max is a DomainError before any ranking",
+           "tests/test_metrics.py"),
     Mutant("epochs_share_a_seed", "src/streamhash/experiment.py",
            "data.stream(train, cfg.train.batch_size, cfg.train.seed + epoch)",
            "data.stream(train, cfg.train.batch_size, cfg.train.seed)",
@@ -238,13 +268,13 @@ MUTANTS = [
            "the paper gradient carries the tanh derivative of the partner sample",
            "tests/test_trainer.py"),
     Mutant("train_config_takes_bools", "src/streamhash/distribution.py",
-           '"float | None") and type(value) is bool:',
-           '"float | None") and False:',
+           'type(value) is bool and kind != "bool"',
+           "False",
            "a bool where TrainConfig takes a number is a DomainError naming the field",
            "tests/test_trainer.py"),
     Mutant("int_settings_take_floats", "src/streamhash/distribution.py",
-           'if f.type == "int" and not isinstance(value, Integral):',
-           "if False:",
+           'KINDS = {"int": (Integral, "int")',
+           'KINDS = {"int": (Real, "int")',
            "an int setting of another type (2.5, \"3\") is a DomainError naming the field",
            "tests/test_trainer.py"),
     Mutant("kernel_diagonal_kept", "src/streamhash/trainer.py",
@@ -253,7 +283,7 @@ MUTANTS = [
            "Q has an exactly zero diagonal: no instance is its own neighbor",
            "tests/test_trainer.py"),
     Mutant("r_max_checked_after_training", "src/streamhash/experiment.py",
-           "    if not 1 <= cfg.eval.r_max <= (n := retrieval.idx.size):\n",
+           "    if cfg.eval.r_max > (n := retrieval.idx.size):\n",
            "    if False:\n",
            "an eval.r_max outside the database is a DomainError (exit 3) before any stage",
            "tests/test_cli.py"),
