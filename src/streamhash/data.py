@@ -368,10 +368,9 @@ def synth_blobs(num_classes: int, dim: int, per_class: int, spread: float, seed:
     `spread` around each. Returns (features, labels) in class-block order.
     A helper thread, which never touches rng, places each class as the next is drawn.
     """
-    if num_classes < 1 or dim < 1 or per_class < 1:
-        raise DomainError("num_classes, dim and per_class must be positive")
-    if not 0 <= spread < math.inf:  # nan fails it too
-        raise DomainError(f"spread must be finite and non-negative, got {spread}")
+    for name, value in (("num_classes", num_classes), ("dim", dim), ("per_class", per_class)):
+        check_setting(name, "int", value)
+    check_setting("spread", "float", spread)
     rng = seeded_rng(seed)
     features = np.empty((dim, num_classes * per_class))
     labels = np.repeat(np.arange(num_classes, dtype=np.int64), per_class)

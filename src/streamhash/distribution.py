@@ -28,14 +28,16 @@ DOMAINS = {
     "init_scale": {"at least": 0}, "batch_size": {"at least": 2}, "inner_iters": {"at least": 1},
     "cutoff": {"at least": 1}, "r_max": {"at least": 1}, "every_n_stages": {"at least": 1},
     "test_per_class": {"at least": 1}, "train_size": {"at least": 0},
+    "num_classes": {"at least": 1}, "dim": {"at least": 1}, "per_class": {"at least": 1},
+    "spread": {"at least": 0},
     "learning_rate": {"above": 0}, "scale_p": {"above": 0}, "scale_n": {"above": 0},
     "sigma": {"above": 0}, "epsilon": {"above": 0, "at most": 1e-6},
-    "seen_fraction": {"above": 0, "at most": 1},
+    "seen_fraction": {"above": 0, "below": 1},
     "grad_mode": {"one of": ("paper", "exact")}, "p_variant": {"one of": ("raw", "gaussian")},
     "q_variant": {"one of": ("plain", "scaled")},
 }
 _RULES = {"at least": operator.ge, "above": operator.gt, "at most": operator.le,
-          "one of": lambda value, bound: value in bound}
+          "below": operator.lt, "one of": lambda value, bound: value in bound}
 
 # Each settings annotation: the types its values may have and their name in a message
 KINDS = {"int": (Integral, "int"), "float": (Real, "int or float"),

@@ -22,7 +22,8 @@ import numpy as np
 from . import data, index, metrics, model as hashmodel, trainer
 from .data import SplitSpec
 from .distribution import KINDS, GaussianParams, check_settings, refusal, shown
-from .errors import ConfigError, ConsistencyError, DomainError, SplitError, StreamHashError
+from .errors import (ConfigError, ConsistencyError, DomainError, NumericError, SplitError,
+                     StreamHashError)
 from .metrics import MetricReport
 from .model import HashModel
 from .trainer import TrainConfig
@@ -233,7 +234,9 @@ SCORE_COLUMNS = ("map", "map_at_k", "precision_h2")
 
 
 @dataclass
-class TrainOutcome(trainer.StreamOutcome):
+class TrainOutcome:
+    model: HashModel  # after the last stage
+    stage_reports: list[trainer.StageReport]
     curve_rows: list  # (stage_index, instances_seen, *SCORE_COLUMNS, auc_so_far)
     final_metrics: dict  # evaluate_model's scores at the last curve point
 
@@ -254,20 +257,22 @@ def run_train(cfg: ExperimentConfig, out_dir: Path | None = None) -> TrainOutcom
 
 
 def train_parts(cfg: ExperimentConfig, train_split, retrieval, test, out_dir: Path | None = None):
-    """Train on the train part with trainer.train_stream, whose hook scores
-    the retrieval and test parts every eval.every_n_stages stages for the
-    size curve; the last completed stage is evaluated too.
+    """Train on the train part over trainer.train_stream, scoring the
+    retrieval and test parts every eval.every_n_stages stages for the size
+    curve; the last completed stage is evaluated too. When out_dir is
+    given, writes checkpoint.txt, stages.csv and curve.csv.
 
-    When out_dir is given, writes checkpoint.txt, stages.csv and curve.csv,
-    also for a stream a NumericError cut short (the outcome's abort_reason).
-    An eval.r_max that retrieval_scores would refuse is refused before any stage.
+    A NumericError ends the stream: the completed stages' outputs are still
+    written, then NumericError("aborted after i of n stages") is raised,
+    naming out_dir when it holds them. An eval.r_max that retrieval_scores
+    would refuse is refused before any stage.
     """
     if cfg.eval.r_max > (n := retrieval.idx.size):
         raise DomainError(f"r_max={cfg.eval.r_max} is outside 1..{n}, the database size")
     batches = make_batches(train_split, cfg)
     # instances seen after stage i: stage indices count the batches from 1
     seen = list(itertools.accumulate((b.labels.shape[0] for b in batches), initial=0))
-    curve_rows, final = [], {}
+    reports, curve_rows, final, aborted = [], [], {}, None
 
     def evaluate_at(model: HashModel, stage_index: int) -> None:
         nonlocal final
@@ -278,23 +283,28 @@ def train_parts(cfg: ExperimentConfig, train_split, retrieval, test, out_dir: Pa
         auc = metrics.curve_auc(points) if curve_rows else final["map"]
         curve_rows.append((stage_index, instances, *(final[s] for s in SCORE_COLUMNS), auc))
 
-    def eval_hook(model: HashModel, report: trainer.StageReport) -> None:
-        if report.stage_index % cfg.eval.every_n_stages == 0:
-            evaluate_at(model, report.stage_index)
-
     model = hashmodel.init(train_split.source.shape[0], cfg.bits, cfg.init_scale, cfg.seed)
-    stream = trainer.train_stream(model, batches, cfg.train, eval_hook)
-    if not curve_rows or curve_rows[-1][0] != stream.stages_completed:
-        evaluate_at(stream.model, stream.stages_completed)
+    try:
+        for model, report in trainer.train_stream(model, batches, cfg.train):
+            reports.append(report)
+            if report.stage_index % cfg.eval.every_n_stages == 0:
+                evaluate_at(model, report.stage_index)
+    except NumericError as e:
+        log.warning("stage %d aborted: %s", len(reports) + 1, e)
+        aborted = f"aborted after {len(reports)} of {len(batches)} stages"
+    if not curve_rows or curve_rows[-1][0] != len(reports):
+        evaluate_at(model, len(reports))
 
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
-        hashmodel.save_checkpoint(stream.model, out_dir / "checkpoint.txt")
+        hashmodel.save_checkpoint(model, out_dir / "checkpoint.txt")
         write_csv(out_dir / "stages.csv", [f.name for f in fields(trainer.StageReport)],
-                  [astuple(r) for r in stream.stage_reports])
+                  [astuple(r) for r in reports])
         write_csv(out_dir / "curve.csv",
                   ["stage_index", "train_instances_seen", *SCORE_COLUMNS, "auc_so_far"], curve_rows)
-    return TrainOutcome(**vars(stream), curve_rows=curve_rows, final_metrics=final)
+    if aborted:
+        raise NumericError(aborted + ("" if out_dir is None else f"; partial outputs in {out_dir}"))
+    return TrainOutcome(model, reports, curve_rows, final)
 
 
 def _train_final(cfg: ExperimentConfig, train_split, retrieval, test) -> TrainOutcome:
@@ -374,7 +384,6 @@ def run_sweep(cfg: ExperimentConfig, out_dir: Path | None = None):
         row = {"cell": i, **cell}
         try:
             outcome = _train_final(apply_cell(cfg, cell), *parts)
-            outcome.raise_if_aborted()
             row.update(status="ok", **{s: outcome.final_metrics[s] for s in SCORE_COLUMNS},
                        error="")
         except StreamHashError as e:  # record and continue
@@ -403,7 +412,6 @@ def run_unseen(cfg: ExperimentConfig, out_dir: Path | None = None):
         test_per_class=unseen.test_per_class)
     cfg = replace(cfg, bits=unseen.bits)
     outcome = _train_final(cfg, train_split, retrieval, test)
-    outcome.raise_if_aborted()
     reports = evaluate_pair(outcome.model, outcome.final_metrics, retrieval, test, cfg,
                             cfg.digest("unseen"))
     disjointness = {

@@ -35,14 +35,14 @@ class HashModel:
 
 
 def init(d: int, k: int, scale: float = 1.0, seed: int = 0) -> HashModel:
-    """Seeded Gaussian init with entry std scale/sqrt(d); scale is refused as
-    an init_scale setting outside its domain would be.
+    """Seeded Gaussian init with entry std scale/sqrt(d); d, k and scale are
+    refused as dim, bits and init_scale settings outside their domains would be.
 
     The 1/sqrt(d) factor keeps initial projections O(scale) regardless of
     the feature dimension, so tanh does not start saturated.
     """
-    if d < 1 or k < 1:
-        raise DomainError("d and k must be at least 1")
+    check_setting("dim", "int", d)
+    check_setting("bits", "int", k)
     check_setting("init_scale", "float", scale)
     W = seeded_rng(seed).standard_normal((d, k)) * (scale / np.sqrt(d))
     return HashModel(W=W)

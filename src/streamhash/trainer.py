@@ -206,43 +206,18 @@ def train_stage(model: HashModel, batch: StreamingBatch, cfg: TrainConfig):
     return model, report
 
 
-@dataclass
-class StreamOutcome:
-    model: HashModel  # after the last completed stage
-    stage_reports: list[StageReport]
-    stages_planned: int
-    abort_reason: str | None  # None when every planned stage completed
-
-    @property
-    def stages_completed(self) -> int:
-        return len(self.stage_reports)
-
-    def raise_if_aborted(self, suffix: str = "") -> None:
-        if self.abort_reason is not None:
-            raise NumericError(self.abort_reason + suffix)
-
-
-def train_stream(model: HashModel, batches, cfg: TrainConfig, eval_hook=None) -> StreamOutcome:
+def train_stream(model: HashModel, batches, cfg: TrainConfig):
     """Fold train_stage over a list of data.stream parts, gathering each
     one's features just before its stage; the one stage loop. Stage i is
     the i-th part, counted from 1.
 
-    eval_hook(model, report), when given, runs synchronously after each
-    stage. A NumericError ends the stream, and the outcome keeps the
-    progress so far and says why; other errors propagate. Each completed
-    stage's time goes to the DEBUG log only, so a report holds results only.
+    Yields (model, report) after each stage, so the last model yielded is
+    the last completed stage's; an error a stage raises, a NumericError
+    included, leaves the loop at that stage. Each completed stage's time
+    goes to the DEBUG log only, so a report holds results only.
     """
-    reports: list[StageReport] = []
     for i, part in enumerate(batches, 1):
         start = time.perf_counter()
-        try:
-            model, report = train_stage(model, StreamingBatch(part.features, part.labels, i), cfg)
-        except NumericError as e:
-            log.warning("stage %d aborted: %s", i, e)
-            reason = f"aborted after {len(reports)} of {len(batches)} stages"
-            return StreamOutcome(model, reports, len(batches), reason)
+        model, report = train_stage(model, StreamingBatch(part.features, part.labels, i), cfg)
         log.debug("stage %d of %d: %.4f s", i, len(batches), time.perf_counter() - start)
-        reports.append(report)
-        if eval_hook is not None:
-            eval_hook(model, report)
-    return StreamOutcome(model, reports, len(batches), None)
+        yield model, report

@@ -217,35 +217,24 @@ MNIST_SWEEP = {"sigma": [0.25, 0.35, 0.5], "learning_rate": [0.1, 0.3]}
 
 
 def run_mnist_configuration(features, labels, bits, train_overrides, every_n_stages=10**9):
-    """One full protocol run; returns (trained metrics, baseline metrics,
-    curve rows, wall time)."""
+    """One full protocol run through experiment.train_parts, which raises
+    unless every stage completes; returns (trained metrics, baseline
+    metrics, curve points (instances seen, mAP), wall time)."""
     spec = data.SplitSpec(test_per_class=100, train_size=20000, seed=0)
     t0 = time.perf_counter()
     train_split, retrieval, test = data.split(features, labels, spec)
     base = {"learning_rate": 0.1, "sigma": 0.35, "scale_p": 1.0, "scale_n": 1.0,
             "batch_size": 50, "inner_iters": 5, "seed": 0}
     base.update(train_overrides)
-    cfg = experiment.train_config(base)
-    batches = data.stream(train_split, cfg.batch_size, cfg.seed)
-    model = hm.init(features.shape[0], bits, 1.0, 0)
-
-    curve = []
-    seen = [0]
-
-    def hook(current, report):
-        seen[0] += batches[report.stage_index - 1].labels.shape[0]
-        if report.stage_index % every_n_stages == 0:
-            m = experiment.evaluate_model(current, retrieval, test, 1000, 100)
-            curve.append((seen[0], m["map"]))
-
-    outcome = trainer.train_stream(model, batches, cfg, eval_hook=hook)
-    outcome.raise_if_aborted()
-    model = outcome.model
-    trained = experiment.evaluate_model(model, retrieval, test, 1000, 100)
+    cfg = experiment.ExperimentConfig(
+        dataset={}, split=spec, train=experiment.train_config(base), bits=bits,
+        eval=experiment.EvalOptions(cutoff=1000, r_max=100, every_n_stages=every_n_stages))
+    outcome = experiment.train_parts(cfg, train_split, retrieval, test)
+    curve = [(instances, map_) for _, instances, map_, *_ in outcome.curve_rows]
     baseline = experiment.evaluate_model(
         hm.init(features.shape[0], bits, scale=1.0, seed=0), retrieval, test, 1000, 100
     )
-    return trained, baseline, curve, time.perf_counter() - t0
+    return outcome.final_metrics, baseline, curve, time.perf_counter() - t0
 
 
 def test_criterion_6_mnist_reproduction():

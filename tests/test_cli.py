@@ -347,7 +347,7 @@ class TestExitCodes:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("override, message", [
-        ("unseen.seen_fraction=1.5", "unseen.seen_fraction must be at most 1, got 1.5"),
+        ("unseen.seen_fraction=1.5", "unseen.seen_fraction must be below 1, got 1.5"),
         ("unseen.seen_fraction=0", "unseen.seen_fraction must be above 0, got 0"),
         ("unseen.test_per_class=-5", "unseen.test_per_class must be at least 1, got -5"),
         ("split.test_per_class=0", "split.test_per_class must be at least 1, got 0"),
@@ -356,6 +356,12 @@ class TestExitCodes:
         ("train.epsilon=0.1", "train.epsilon must be at most 1e-06, got 0.1"),
         ('train.grad_mode="fast"',
          "train.grad_mode must be one of ('paper', 'exact'), got 'fast'"),
+        # ceil(1 x classes) would hold out no class
+        ("unseen.seen_fraction=1", "unseen.seen_fraction must be below 1, got 1"),
+        ("dataset.num_classes=0", "dataset.num_classes must be at least 1, got 0"),
+        ("dataset.dim=0", "dataset.dim must be at least 1, got 0"),
+        ("dataset.per_class=0", "dataset.per_class must be at least 1, got 0"),
+        ("dataset.spread=-1", "dataset.spread must be at least 0, got -1"),
     ])
     @pytest.mark.parametrize("command", ["train", "sweep", "unseen", "split"])
     def test_setting_outside_its_domain_is_2_before_any_load(self, tmp_path, capsys, monkeypatch,
@@ -398,7 +404,9 @@ class TestExitCodes:
         out = tmp_path / "blobs.txt"
         assert cli.main(["synth", "--num-classes", "2", "--dim", "2", "--per-class", "2",
                          "--spread", spread, "--out", str(out)]) == 3
-        assert "spread must be finite and non-negative" in capsys.readouterr().err
+        rule = "at least 0" if spread == "-0.5" else "finite"
+        err = capsys.readouterr().err
+        assert err == f"error (DomainError): spread must be {rule}, got {spread}\n"
         assert not out.exists()
 
     def test_eval_dimension_mismatch_is_4(self, tmp_path):

@@ -648,7 +648,8 @@ class TestUnseenSplit:
             data.unseen_split(self.X, self.y, 0.75, seed=-1)
 
     def test_full_seen_fraction_rejected(self):
-        with pytest.raises(SplitError):
+        # ceil(1 x classes) would hold out no class, whatever the data
+        with pytest.raises(DomainError, match="^seen_fraction must be below 1, got 1.0$"):
             data.unseen_split(self.X, self.y, 1.0, seed=0)
 
     def test_single_class_rejected(self):
@@ -731,16 +732,33 @@ class TestStream:
     (lambda X, y: data.stream(whole(X, y), 8, 1.5), "seed must be int, got 1.5"),
     (lambda X, y: data.unseen_split(X, y, 0.75, 0, test_per_class=2.5),
      "test_per_class must be int, got 2.5"),
-    (lambda X, y: data.unseen_split(X, y, 1.5, 0), "seen_fraction must be at most 1, got 1.5"),
+    (lambda X, y: data.unseen_split(X, y, 1.5, 0), "seen_fraction must be below 1, got 1.5"),
     (lambda X, y: data.unseen_split(X, y, 0, 0), "seen_fraction must be above 0, got 0"),
     (lambda X, y: data.unseen_split(X, y, "0.5", 0),
      "seen_fraction must be int or float, got '0.5'"),
     (lambda X, y: data.unseen_split(X, y, 0.75, 2.5), "seed must be int, got 2.5"),
     (lambda X, y: model.init(16, 8, 1.0, 2.5), "seed must be int, got 2.5"),
     (lambda X, y: data.synth_blobs(2, 3, 4, 0.5, 1.5), "seed must be int, got 1.5"),
+    (lambda X, y: data.unseen_split(X, y, 1, 0), "seen_fraction must be below 1, got 1"),
+    (lambda X, y: model.init(16, 2.5), "bits must be int, got 2.5"),
+    (lambda X, y: model.init(16, True), "bits must be int, got True"),
+    (lambda X, y: model.init(0, 8), "dim must be at least 1, got 0"),
+    (lambda X, y: model.init(16, 0), "bits must be at least 1, got 0"),
+    (lambda X, y: data.synth_blobs(2.5, 3, 4, 0.5, 0), "num_classes must be int, got 2.5"),
+    (lambda X, y: data.synth_blobs(True, 3, 4, 0.5, 0), "num_classes must be int, got True"),
+    (lambda X, y: data.synth_blobs(2, 3, 2.5, 0.5, 0), "per_class must be int, got 2.5"),
+    (lambda X, y: data.synth_blobs(0, 3, 4, 0.5, 0), "num_classes must be at least 1, got 0"),
+    (lambda X, y: data.synth_blobs(2, 0, 4, 0.5, 0), "dim must be at least 1, got 0"),
+    (lambda X, y: data.synth_blobs(2, 3, 0, 0.5, 0), "per_class must be at least 1, got 0"),
+    (lambda X, y: data.synth_blobs(2, 3, 4, -1, 0), "spread must be at least 0, got -1"),
+    (lambda X, y: data.synth_blobs(2, 3, 4, np.nan, 0), "spread must be finite, got nan"),
 ], ids=["stream_float_batch_size", "stream_bool_batch_size", "stream_float_seed",
         "unseen_float_test_per_class", "unseen_seen_fraction_above_1", "unseen_seen_fraction_0",
-        "unseen_str_seen_fraction", "unseen_float_seed", "init_float_seed", "synth_float_seed"])
+        "unseen_str_seen_fraction", "unseen_float_seed", "init_float_seed", "synth_float_seed",
+        "unseen_seen_fraction_1", "init_float_k", "init_bool_k", "init_zero_d", "init_zero_k",
+        "synth_float_num_classes", "synth_bool_num_classes", "synth_float_per_class",
+        "synth_zero_num_classes", "synth_zero_dim", "synth_zero_per_class",
+        "synth_negative_spread", "synth_nan_spread"])
 def test_raw_settings_outside_their_domain_are_domain_errors(call, message):
     X, y = data.synth_blobs(4, 3, 10, 0.1, seed=5)
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):

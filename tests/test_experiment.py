@@ -326,7 +326,7 @@ class TestRunTrain:
         outcome = experiment.run_train(cfg)
         assert len(outcome.stage_reports) == 12
         assert [r.stage_index for r in outcome.stage_reports] == list(range(1, 13))
-        assert outcome.stages_planned == 12 and outcome.abort_reason is None
+        assert outcome.curve_rows[-1][0] == 12  # the last curve point is the last stage
 
     def test_each_epoch_reshuffled_with_its_own_seed(self, tmp_path):
         # epoch e streams the train part with seed train.seed + e
@@ -342,13 +342,22 @@ class TestRunTrain:
             assert (a.labels == b.labels).all()
 
     def test_aborted_stream_keeps_its_outputs(self, tmp_path, failing_second_stage):
-        outcome = experiment.run_train(config_from_dict(blob_config(tmp_path)), tmp_path / "run")
-        assert outcome.abort_reason == "aborted after 1 of 6 stages"
-        assert outcome.stages_completed == 1 and outcome.stages_planned == 6
-        # the curve ends at the last completed stage
-        assert [row[:2] for row in outcome.curve_rows] == [(1, 20)]
-        assert outcome.final_metrics["map"] == outcome.curve_rows[-1][2]
-        assert len((tmp_path / "run/stages.csv").read_text().splitlines()) == 2
+        cfg = config_from_dict(blob_config(tmp_path))
+        out = tmp_path / "run"
+        with pytest.raises(NumericError, match="^aborted after 1 of 6 stages; partial outputs in "
+                                               f"{re.escape(str(out))}$"):
+            experiment.run_train(cfg, out)
+        # the curve ends at the last completed stage, whose model is the checkpoint
+        curve = list(csv.DictReader((out / "curve.csv").read_text().splitlines()))
+        assert [(row["stage_index"], row["train_instances_seen"]) for row in curve] == [("1", "20")]
+        _, retrieval, test = data.split(*experiment.load_dataset(cfg.dataset), cfg.split)
+        scores = experiment.evaluate_model(hm.load_checkpoint(out / "checkpoint.txt"), retrieval,
+                                           test, cfg.eval.cutoff, cfg.eval.r_max)
+        assert curve[0]["map"] == repr(scores["map"])
+        assert len((out / "stages.csv").read_text().splitlines()) == 2
+        # with no out_dir, nothing is written and the error names no directory
+        with pytest.raises(NumericError, match=r"^aborted after 1 of 6 stages$"):
+            experiment.run_train(cfg)
 
     def test_final_metrics_are_the_last_models_full_scores(self, tmp_path):
         cfg = config_from_dict(blob_config(tmp_path))

@@ -52,9 +52,9 @@ def test_idx_image_pipeline_learns(tmp_path):
         {"sigma": 0.35, "learning_rate": 0.1, "scale_p": 1.0, "scale_n": 1.0}
     )
     model = hm.init(784, 32, 1.0, 0)
-    outcome = trainer.train_stream(model, data.stream(train_split, 50, 0), cfg)
-    assert outcome.stages_completed == outcome.stages_planned == 40
-    model = outcome.model
+    stages = list(trainer.train_stream(model, data.stream(train_split, 50, 0), cfg))
+    assert len(stages) == 40
+    model = stages[-1][0]
 
     trained = experiment.evaluate_model(model, retrieval, test, 1000, 100)
     baseline = experiment.evaluate_model(

@@ -441,7 +441,7 @@ class TestTrainStage:
                           scale_p=1.0, scale_n=1.0)
         batches = data.stream(whole(X, y), 50, seed=0)
         model = hm.init(8, 8, seed=0)
-        reports = trainer.train_stream(model, batches, cfg).stage_reports
+        reports = [report for _, report in trainer.train_stream(model, batches, cfg)]
         assert all(r.loss_before >= 0 and r.loss_after >= 0 for r in reports)
         improved = np.mean([r.loss_after <= r.loss_before for r in reports])
         assert improved >= 0.9
@@ -550,17 +550,15 @@ class TestStageAgainstReference:
 class TestTrainStream:
     def test_empty_stream_returns_model_unchanged(self):
         model = hm.init(3, 2, seed=0)
-        outcome = trainer.train_stream(model, [], TrainConfig())
-        assert (outcome.model.W == model.W).all()
-        assert outcome.stage_reports == []
-        assert outcome.stages_planned == 0 and outcome.abort_reason is None
+        W = model.W.copy()
+        assert list(trainer.train_stream(model, [], TrainConfig())) == []
+        assert (model.W == W).all()
 
     def test_stage_indices_strictly_increase(self):
         X, y = data.synth_blobs(3, 5, 30, 0.3, seed=2)
         batches = data.stream(whole(X, y), 20, seed=0)
         model = hm.init(5, 4, seed=0)
-        outcome = trainer.train_stream(model, batches, TrainConfig())
-        idx = [r.stage_index for r in outcome.stage_reports]
+        idx = [r.stage_index for _, r in trainer.train_stream(model, batches, TrainConfig())]
         assert idx == sorted(idx) and len(set(idx)) == len(idx)
 
     def test_bit_identical_across_runs(self):
@@ -570,15 +568,17 @@ class TestTrainStream:
         for _ in range(2):
             batches = data.stream(whole(X, y), 25, seed=cfg.seed)
             model = hm.init(5, 6, seed=cfg.seed)
-            runs.append(trainer.train_stream(model, batches, cfg))
-        assert (runs[0].model.W == runs[1].model.W).all()
-        assert runs[0].stage_reports == runs[1].stage_reports
+            runs.append(list(trainer.train_stream(model, batches, cfg)))
+        assert len(runs[0]) == len(runs[1]) > 0
+        for (model_a, report_a), (model_b, report_b) in zip(*runs):
+            assert (model_a.W == model_b.W).all()
+            assert report_a == report_b
 
     def test_logs_each_completed_stage_at_debug(self, caplog):
         X, y = data.synth_blobs(3, 5, 30, 0.3, seed=2)
         batches = data.stream(whole(X, y), 20, seed=0)
         with caplog.at_level(logging.DEBUG, logger=trainer.__name__):
-            trainer.train_stream(hm.init(5, 4, seed=0), batches, TrainConfig())
+            list(trainer.train_stream(hm.init(5, 4, seed=0), batches, TrainConfig()))
         records = [r for r in caplog.records if r.name == trainer.__name__]
         assert [r.levelno for r in records] == [logging.DEBUG] * len(batches)
         for i, record in enumerate(records, 1):
@@ -589,27 +589,36 @@ class TestTrainStream:
         batches = data.stream(whole(X, y), 10, seed=0)
         X[0, batches[1].idx[0]] = np.inf  # poisons the second stage gradient
         model = hm.init(4, 3, seed=0)
-        with np.errstate(invalid="ignore"):
-            outcome = trainer.train_stream(model, batches, TrainConfig())
-        assert outcome.stages_completed == 1  # only the first stage completed
-        assert outcome.stages_planned == len(batches) == 6
-        assert outcome.abort_reason == "aborted after 1 of 6 stages"
-        with pytest.raises(NumericError, match=r"^aborted after 1 of 6 stages; see above$"):
-            outcome.raise_if_aborted("; see above")
+        done = []
+        with np.errstate(invalid="ignore"), pytest.raises(
+                NumericError, match=r"^gradient contains non-finite entries; stage aborted$"):
+            for item in trainer.train_stream(model, batches, TrainConfig()):
+                done.append(item)
+        assert len(batches) == 6
+        assert [r.stage_index for _, r in done] == [1]  # only the first stage completed
+        first = StreamingBatch(batches[0].features, batches[0].labels, 1)
+        want, _ = trainer.train_stage(model, first, TrainConfig())
+        assert (done[-1][0].W == want.W).all()  # the caller keeps stage 1's model
 
     def test_finished_stream_raises_nothing(self):
         X, y = data.synth_blobs(2, 4, 30, 0.3, seed=5)
-        outcome = trainer.train_stream(hm.init(4, 3, seed=0), data.stream(whole(X, y), 10, seed=0),
-                                       TrainConfig())
-        assert outcome.stages_completed == outcome.stages_planned == 6
-        assert outcome.abort_reason is None
-        outcome.raise_if_aborted()
+        stages = list(trainer.train_stream(hm.init(4, 3, seed=0),
+                                           data.stream(whole(X, y), 10, seed=0), TrainConfig()))
+        assert [r.stage_index for _, r in stages] == list(range(1, 7))
 
-    def test_eval_hook_runs_after_each_stage(self):
+    def test_eval_hook_runs_after_each_stage(self, monkeypatch):
+        # the caller's loop body runs after each stage, before the next starts
         X, y = data.synth_blobs(3, 5, 20, 0.3, seed=6)
         batches = data.stream(whole(X, y), 15, seed=0)
-        seen = []
-        model = hm.init(5, 4, seed=0)
-        trainer.train_stream(model, batches, TrainConfig(),
-                             eval_hook=lambda m, r: seen.append(r.stage_index))
+        stages_run, seen = [], []
+        real = trainer.train_stage
+
+        def train_stage(model, batch, cfg):
+            stages_run.append(batch.stage_index)
+            return real(model, batch, cfg)
+
+        monkeypatch.setattr(trainer, "train_stage", train_stage)
+        for _, report in trainer.train_stream(hm.init(5, 4, seed=0), batches, TrainConfig()):
+            assert stages_run == list(range(1, report.stage_index + 1))
+            seen.append(report.stage_index)
         assert seen == list(range(1, len(batches) + 1))

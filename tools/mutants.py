@@ -80,10 +80,10 @@ MUTANTS = [
            "a sigma of 0 is a config error (exit 2) before any dataset loads",
            "tests/test_cli.py"),
     Mutant("seen_fraction_without_ceiling", "src/streamhash/distribution.py",
-           '"seen_fraction": {"above": 0, "at most": 1}',
+           '"seen_fraction": {"above": 0, "below": 1}',
            '"seen_fraction": {"above": 0}',
-           "an unseen.seen_fraction above 1 is a config error (exit 2) before any dataset loads",
-           "tests/test_cli.py"),
+           "an unseen.seen_fraction of 1 or above is a config error (exit 2) before any dataset "
+           "loads", "tests/test_cli.py"),
     Mutant("grad_mode_choices_dropped", "src/streamhash/distribution.py",
            '"grad_mode": {"one of": ("paper", "exact")}, ',
            "",
@@ -97,7 +97,7 @@ MUTANTS = [
     Mutant("unseen_split_takes_any_seen_fraction", "src/streamhash/data.py",
            '    check_setting("seen_fraction", "float", seen_fraction)\n',
            "",
-           "unseen_split refuses a seen_fraction outside (0, 1] with a DomainError",
+           "unseen_split refuses a seen_fraction outside (0, 1) with a DomainError",
            "tests/test_data.py"),
     Mutant("retrieval_scores_takes_any_cutoff", "src/streamhash/metrics.py",
            '            check_setting(name, "int", value)',
@@ -287,6 +287,20 @@ MUTANTS = [
            "    if False:\n",
            "an eval.r_max outside the database is a DomainError (exit 3) before any stage",
            "tests/test_cli.py"),
+    Mutant("aborted_train_returns", "src/streamhash/experiment.py",
+           "    if aborted:\n        raise NumericError(",
+           "    if False:\n        raise NumericError(",
+           "a stream a NumericError cut short is never returned as trained: train exits 5",
+           "tests/test_cli.py"),
+    Mutant("abort_raised_before_outputs", "src/streamhash/experiment.py",
+           "    if out_dir is not None:\n        out_dir.mkdir(parents=True, exist_ok=True)\n"
+           "        hashmodel.save_checkpoint(",
+           "    if aborted and out_dir is not None:\n"
+           "        raise NumericError(f\"{aborted}; partial outputs in {out_dir}\")\n"
+           "    if out_dir is not None:\n        out_dir.mkdir(parents=True, exist_ok=True)\n"
+           "        hashmodel.save_checkpoint(",
+           "an aborted stream still writes checkpoint.txt, stages.csv and curve.csv of the "
+           "stages it completed", "tests/test_experiment.py"),
     Mutant("model_takes_any_W_dtype", "src/streamhash/model.py",
            'if self.W.dtype.kind not in "iuf":',
            "if False:",

@@ -3,16 +3,19 @@
 Runs `train` seven times (as shipped, null scale_p, plain Q with a null
 scale_p, raw P, paper gradient, two epochs, and a 784-dimensional 10 x 300
 blob set at 64 bits in batches of 400, whose products OpenBLAS threads),
-then `eval`, `sweep`, `sweep` over a null and a set scale_p (a None cell
-value in sweep.csv), `unseen` and `split`, through streamhash.cli.main,
-each into its own directory under OUT_DIR, and `synth` of a 10-class,
+once more at a learning rate of 1e300, whose stream aborts after its
+first stage (exit 5) and leaves that stage's outputs, then `eval`,
+`sweep`, `sweep` over a null and a set scale_p (a None cell value in
+sweep.csv), `unseen` and `split`, through streamhash.cli.main, each into
+its own directory under OUT_DIR, and `synth` of a 10-class,
 64-dimensional blob set into OUT_DIR/synth/blobs.txt. Then `train` runs
 twice on that dense file: train_dense loads it through its binary sidecar, train_dense_text
 parses a plain copy with no sidecar, and the script stops unless the two
 output directories are byte-identical. Writes OUT_DIR/manifest.txt: a
 first line naming the numpy version, its BLAS and OPENBLAS_CORETYPE, then
 one sha256 per output file (the sidecars of synth and split included),
-hashed whole, and one per command's stdout. A command that exits non-zero
+hashed whole, and one per command's stdout. A command that exits with
+another code than the one it expects (0, or 5 for the aborted train)
 stops the script. Two trees whose outputs must not change give identical
 manifests. The bytes depend on the BLAS kernel as well as on the tree:
 the kernel OpenBLAS picks for the CPU (pinned by OPENBLAS_CORETYPE) and,
@@ -62,18 +65,20 @@ SYNTH = ["synth", "--num-classes", "10", "--dim", "64", "--per-class", "200", "-
 DENSE = ['--set=dataset={"kind": "dense", "path": "blobs.txt"}', "--set=split.train_size=500"]
 
 
-def run(name: str, command: str, *args: str) -> str:
+def run(name: str, command: str, *args: str, exit_code: int = 0) -> str:
     """stdout of one command on CONFIG writing into the directory `name`."""
-    return run_argv(name, [command, "--config", str(CONFIG), "--output-dir", name, *args])
+    return run_argv(name, [command, "--config", str(CONFIG), "--output-dir", name, *args],
+                    exit_code)
 
 
-def run_argv(name: str, argv: list[str]) -> str:
-    """stdout of the command argv, whose outputs go into the directory `name`."""
+def run_argv(name: str, argv: list[str], exit_code: int = 0) -> str:
+    """stdout of the command argv, whose outputs go into the directory `name`;
+    any exit code but exit_code stops the script."""
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
         code = cli.main(argv)
-    if code != 0:
-        sys.exit(f"{name}: streamhash {argv[0]} exited {code}")
+    if code != exit_code:
+        sys.exit(f"{name}: streamhash {argv[0]} exited {code}, not {exit_code}")
     return stdout.getvalue()
 
 
@@ -82,6 +87,10 @@ def main(out_dir: Path) -> None:
     os.chdir(out_dir)  # relative output directories keep OUT_DIR out of stdout
     stdouts = {name: run(name, "train", *(f"--set={s}" for s in sets))
                for name, sets in TRAIN_RUNS.items()}
+    # 1e300 saturates every code in stage 1, so stage 2 applies no step and
+    # the stream aborts (exit 5), leaving the outputs of its one stage
+    stdouts["train_abort"] = run("train_abort", "train", "--set=train.learning_rate=1e300",
+                                 exit_code=5)
     stdouts["eval"] = run("eval", "eval", "--checkpoint", "train/checkpoint.txt")
     for command in ("sweep", "unseen", "split"):
         stdouts[command] = run(command, command)
