@@ -151,19 +151,16 @@ def p_gaussian(S: np.ndarray, g: GaussianParams = GaussianParams()) -> np.ndarra
     return _two_valued(S, weigh)
 
 
-def pairwise_hamming_sq(B: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def pairwise_hamming_sq(B: np.ndarray) -> np.ndarray:
     """||b_i - b_j||^2 / 4 over all column pairs of a (k, n) code matrix (the
-    bit-level Hamming distance on +/-1 codes), written into out (an (n, n)
-    array) when given."""
+    bit-level Hamming distance on +/-1 codes)."""
     gram = B.T @ B
     # 0.25 * (sq_i + sq_j - 2 gram_ij), the gram as the one (n, n) temporary.
     # sq_i + sq_j comes from the rank-2 product (sq_i, 1) . (1, sq_j): each
     # entry is one exactly rounded sum, as in a broadcast add, and BLAS
     # writes the (n, n) result several times faster.
-    terms = np.empty((2, gram.shape[0]))
-    terms[0] = gram.diagonal()
-    terms[1] = 1.0
-    dist = np.matmul(terms.T, terms[::-1], out=out)
+    terms = np.stack((gram.diagonal(), np.ones(gram.shape[0])))
+    dist = terms.T @ terms[::-1]
     gram *= 2.0
     dist -= gram
     dist *= 0.25

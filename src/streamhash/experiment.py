@@ -264,7 +264,8 @@ def train_parts(cfg: ExperimentConfig, train_split, retrieval, test, out_dir: Pa
 
     A NumericError ends the stream: the completed stages' outputs are still
     written, then NumericError("aborted after i of n stages") is raised,
-    naming out_dir when it holds them. An eval.r_max that retrieval_scores
+    naming out_dir when it holds them. Without out_dir it is raised before
+    the last completed stage is scored. An eval.r_max that retrieval_scores
     would refuse is refused before any stage.
     """
     if cfg.eval.r_max > (n := retrieval.idx.size):
@@ -292,7 +293,7 @@ def train_parts(cfg: ExperimentConfig, train_split, retrieval, test, out_dir: Pa
     except NumericError as e:
         log.warning("stage %d aborted: %s", len(reports) + 1, e)
         aborted = f"aborted after {len(reports)} of {len(batches)} stages"
-    if not curve_rows or curve_rows[-1][0] != len(reports):
+    if not (curve_rows and curve_rows[-1][0] == len(reports) or aborted and out_dir is None):
         evaluate_at(model, len(reports))
 
     if out_dir is not None:

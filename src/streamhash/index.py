@@ -27,15 +27,15 @@ class PackedCodes:
 
 def pack(B: np.ndarray, labels: np.ndarray | None = None) -> PackedCodes:
     """Pack a (k, n) matrix of +/-1 codes into per-instance uint64 words."""
-    ones = B == 1
-    if not (ones | (B == -1)).all():
+    # one k x n bool temporary at a time, beside the float codes
+    if np.count_nonzero(B == 1) + np.count_nonzero(B == -1) != B.size:
         raise DomainError("codes must be exactly +1 or -1")
     k, n = B.shape
     if labels is not None and labels.shape != (n,):
         raise DimensionError(f"labels of shape {labels.shape} for {n} codes")
     n_words = (k + WORD_BITS - 1) // WORD_BITS
     bits = np.zeros((n, n_words * WORD_BITS), dtype=bool)
-    bits[:, :k] = ones.T
+    np.equal(B.T, 1, out=bits[:, :k])
     # bit j of a word is bit j % 8 of its byte j // 8: little-endian bit
     # order in little-endian words (astype is a no-op on little-endian hosts)
     octets = np.packbits(bits, axis=1, bitorder="little")

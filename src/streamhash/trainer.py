@@ -16,11 +16,10 @@ distribution Q toward it. Two gradient modes exist:
 
 Both are X @ M.T for a (k, n) code-space matrix M (code_coefficients).
 
-train_stage allocates its n x n arrays once per stage: build_workspace
-overwrites one GradWorkspace (kernel, Q) and code_coefficients
-forms the pair coefficients in one coefficient buffer, on every step.
-TrainConfig checks its settings when built and HashModel checks that W
-is finite; train_stage repeats neither check.
+Each step's arrays are new: build_workspace returns a new, frozen
+GradWorkspace and code_coefficients a new coefficient matrix, so no
+workspace is ever overwritten. TrainConfig checks its settings when built
+and HashModel checks that W is finite; train_stage repeats neither check.
 """
 
 from __future__ import annotations
@@ -72,10 +71,10 @@ class StageReport:
     grad_norm: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class GradWorkspace:
     """Intermediates of one loss evaluation at fixed codes, exposed for
-    testing; build_workspace(..., out=ws) refills them in place."""
+    testing; build_workspace makes a new one per call, never overwritten."""
 
     B: np.ndarray       # (k, n) relaxed codes
     P: np.ndarray       # (n, n) label-side target
@@ -101,36 +100,25 @@ def kl_loss(P: np.ndarray, Q: np.ndarray, epsilon: float = 1e-12) -> float:
     return float(np.vdot(P, ratio))
 
 
-def build_workspace(B, P, eta, out: GradWorkspace | None = None) -> GradWorkspace:
+def build_workspace(B, P, eta) -> GradWorkspace:
     """Distances, kernel (1 + dist/eta)^-1 and Q, the kernel at unit mass, at
-    relaxed codes B, for the (n, n) divisors eta of build_target.
-
-    With out, its (n, n) buffers are overwritten and out itself returned,
-    so a stage's steps share one workspace; the values equal those of a
-    fresh workspace bit for bit.
-    """
-    if out is None:
-        n = B.shape[1]
-        out = GradWorkspace(B, P, eta, np.empty((n, n)), np.empty((n, n)))
-    out.B, out.P, out.eta = B, P, eta
-    kernel = dist.pairwise_hamming_sq(B, out=out.kernel)
+    relaxed codes B, for the (n, n) divisors eta of build_target."""
+    kernel = dist.pairwise_hamming_sq(B)
     kernel /= eta  # eta > 0 keeps the zero diagonal
     kernel += 1.0
     np.divide(1.0, kernel, out=kernel)
     np.fill_diagonal(kernel, 0.0)
-    np.divide(kernel, kernel.sum(), out=out.Q)
-    return out
+    return GradWorkspace(B, P, eta, kernel, kernel / kernel.sum())
 
 
-def code_coefficients(ws: GradWorkspace, grad_mode: str,
-                      out: np.ndarray | None = None) -> np.ndarray:
+def code_coefficients(ws: GradWorkspace, grad_mode: str) -> np.ndarray:
     """M (k, n) such that the gradient with respect to W is X @ M.T.
 
     The symmetric, zero-diagonal pair coefficients A = (P - Q) o kernel,
-    divided by eta in exact mode, go into out (n, n) when given; with their
-    row sums r, C's code-space gradient is C o r - C A, as in t-SNE.
+    divided by eta in exact mode, and their row sums r give C's code-space
+    gradient C o r - C A, as in t-SNE.
     """
-    A = np.subtract(ws.P, ws.Q, out=out)
+    A = ws.P - ws.Q
     A *= ws.kernel
     if grad_mode == "exact":
         A /= ws.eta
@@ -149,11 +137,7 @@ def sgd_step(model: HashModel, gradient: np.ndarray, learning_rate: float) -> Ha
         raise DimensionError(
             f"gradient shape {gradient.shape} does not match W {model.W.shape}"
         )
-    # W + (-lr * gradient) rounds exactly like W - lr * gradient, and makes
-    # one new (d, k) array instead of two
-    W = np.multiply(gradient, -learning_rate)
-    W += model.W
-    return HashModel(W=W)
+    return HashModel(W=model.W - learning_rate * gradient)
 
 
 def build_target(labels, cfg: TrainConfig, k: int):
@@ -184,12 +168,11 @@ def train_stage(model: HashModel, batch: StreamingBatch, cfg: TrainConfig):
     Z = hashmodel.project(model, X)
     K = X.T @ X
     M_sum = np.zeros_like(Z)
-    ws, coefficients = None, np.empty_like(P)
     for i in range(cfg.inner_iters):
-        ws = build_workspace(np.tanh(Z), P, eta, out=ws)
+        ws = build_workspace(np.tanh(Z), P, eta)
         if i == 0:
             loss_before = kl_loss(P, ws.Q, cfg.epsilon)
-        M = code_coefficients(ws, cfg.grad_mode, out=coefficients)
+        M = code_coefficients(ws, cfg.grad_mode)
         if not np.all(np.isfinite(M)):  # Z would turn non-finite
             raise NumericError("gradient contains non-finite entries; stage aborted")
         M_sum += M
@@ -200,7 +183,7 @@ def train_stage(model: HashModel, batch: StreamingBatch, cfg: TrainConfig):
         raise NumericError(f"stage {batch.stage_index} applied no step at a positive loss")
     model = sgd_step(model, G, cfg.learning_rate)
     # Z now tracks the new model's projections W^T X up to rounding
-    loss_after = kl_loss(P, build_workspace(np.tanh(Z), P, eta, out=ws).Q, cfg.epsilon)
+    loss_after = kl_loss(P, build_workspace(np.tanh(Z), P, eta).Q, cfg.epsilon)
     report = StageReport(stage_index=batch.stage_index, loss_before=loss_before,
                          loss_after=loss_after, grad_norm=grad_norm)
     return model, report

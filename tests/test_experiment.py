@@ -359,6 +359,20 @@ class TestRunTrain:
         with pytest.raises(NumericError, match=r"^aborted after 1 of 6 stages$"):
             experiment.run_train(cfg)
 
+    def test_aborted_stream_scored_only_for_its_curve(self, tmp_path, failing_second_stage,
+                                                      counted):
+        # the last completed stage is scored for curve.csv (whose row
+        # test_aborted_stream_keeps_its_outputs checks); with no out_dir its
+        # scores would be discarded, so it is not scored at all
+        cfg = config_from_dict(blob_config(tmp_path))
+        calls = counted(experiment, "evaluate_model")
+        with pytest.raises(NumericError, match=r"^aborted after 1 of 6 stages$"):
+            experiment.run_train(cfg)
+        assert calls == {"evaluate_model": 0}
+        with pytest.raises(NumericError, match="^aborted after 1 of 6 stages; partial outputs"):
+            experiment.run_train(cfg, tmp_path / "run")
+        assert calls == {"evaluate_model": 1}
+
     def test_final_metrics_are_the_last_models_full_scores(self, tmp_path):
         cfg = config_from_dict(blob_config(tmp_path))
         outcome = experiment.run_train(cfg)
@@ -677,6 +691,14 @@ class TestRunSweep:
             assert row["status"] == "failed" and row["best"] == "False"
             assert row["error"] == "aborted after 1 of 6 stages"
 
+    def test_aborted_cell_is_not_scored(self, tmp_path, failing_second_stage, counted):
+        raw = blob_config(tmp_path)
+        raw["sweep"] = {"learning_rate": [0.1]}
+        calls = counted(experiment, "evaluate_model")
+        with pytest.raises(NumericError, match=r"^all 1 sweep cells failed; cell 0: aborted "):
+            experiment.run_sweep(config_from_dict(raw))
+        assert calls == {"evaluate_model": 0}
+
     def test_scale_p_sweep_from_an_unscaled_config(self, tmp_path):
         # the README example writes "scale_p": null, "scale_n": 1.0; a cell
         # keeps the configured scale_n, whatever it is
@@ -767,6 +789,15 @@ class TestRunUnseen:
         with pytest.raises(NumericError, match=r"aborted after 1 of \d+ stages"):
             experiment.run_unseen(config_from_dict(raw), out_dir=tmp_path / "u")
         assert not (tmp_path / "u").exists()
+
+    def test_aborted_stream_is_not_scored(self, tmp_path, failing_second_stage, counted):
+        raw = blob_config(tmp_path)
+        raw["dataset"]["num_classes"] = 4
+        raw["unseen"] = {"test_per_class": 10}
+        calls = counted(experiment, "evaluate_model")
+        with pytest.raises(NumericError, match=r"^aborted after 1 of \d+ stages$"):
+            experiment.run_unseen(config_from_dict(raw))
+        assert calls == {"evaluate_model": 0}
 
     def test_digest_covers_the_unseen_protocol(self, tmp_path):
         # each held-out protocol reports its own digest; the digest of

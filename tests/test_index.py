@@ -1,5 +1,7 @@
 """Packed codes, popcount distances, the ranking, baseline."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -62,8 +64,23 @@ class TestPack:
         assert int(packed.words[0, 0]) == 0b111
 
     def test_non_sign_entry_rejected(self):
-        with pytest.raises(DomainError):
-            index.pack(np.array([[1.0], [0.5]]))
+        for value in (0.5, 0.0, -0.0, 2.0, -2.0, np.nan, np.inf):
+            with pytest.raises(DomainError, match=r"^codes must be exactly \+1 or -1$"):
+                index.pack(np.array([[1.0, -1.0], [value, 1.0]]))
+
+    def test_peak_is_the_bits_and_their_words(self):
+        # the +-1 check holds one k x n bool mask at a time, and the set
+        # bits are written straight into the packbits input, so the peak
+        # is that (n, 64 * words) input and its packed bytes
+        k, n = 64, 10_000
+        B = random_codes(np.random.default_rng(0), k, n)
+        tracemalloc.start()  # numpy reports its buffers to tracemalloc
+        try:
+            index.pack(B)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * k * n
 
     @pytest.mark.parametrize("shape", [(5, 2), (5, 1), (1, 5), (4,), (6,)])
     def test_labels_not_one_per_code_rejected(self, shape):

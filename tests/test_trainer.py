@@ -3,7 +3,7 @@
 import itertools
 import logging
 import re
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -215,29 +215,31 @@ class TestGradLoss:
         assert M.shape == B.shape
 
     @pytest.mark.parametrize("q_variant", trainer.Q_VARIANTS)
-    def test_workspace_rebuilt_in_place(self, q_variant):
-        # one workspace serves two successive codes; each time it is the
-        # same object and equal to a fresh workspace bit for bit
+    def test_stage_workspaces_never_overwritten(self, q_variant, monkeypatch):
+        # each step of a stage builds its own workspace, which still holds
+        # its values bit for bit once every later step has been built
+        X, y = data.synth_blobs(3, 16, 10, 0.8, seed=0)
+        build, built = trainer.build_workspace, []
+
+        def recorded(*args, **kwargs):
+            ws = build(*args, **kwargs)
+            built.append((ws, {f.name: getattr(ws, f.name).copy() for f in fields(ws)}))
+            return ws
+        monkeypatch.setattr(trainer, "build_workspace", recorded)
+        cfg = TrainConfig(inner_iters=4, q_variant=q_variant)
+        trainer.train_stage(hm.init(16, 5, seed=0), StreamingBatch(X, y, 1), cfg)
+        assert len({id(ws) for ws, _ in built}) == cfg.inner_iters + 1
+        for step, (ws, held) in enumerate(built):
+            for name, values in held.items():
+                assert np.array_equal(getattr(ws, name), values), (step, name)
+
+    def test_workspace_is_frozen(self):
         rng = np.random.default_rng(12)
-        X, labels, model, P, eta, cfg = random_instance(rng, n_t=9, q_variant=q_variant)
+        X, labels, model, P, eta, cfg = random_instance(rng)
         ws = trainer.build_workspace(hm.encode_relaxed(model, X), P, eta)
-        for scale in (0.5, 2.0):
-            B = np.tanh(scale * hm.project(model, X))
-            fresh = trainer.build_workspace(B, P, eta)
-            assert trainer.build_workspace(B, P, eta, out=ws) is ws
-            assert ws.B is B and ws.P is P and ws.eta is eta
-            for name in ("kernel", "Q"):
-                assert np.array_equal(getattr(ws, name), getattr(fresh, name)), name
-            for mode in trainer.GRAD_MODES:
-                buffer = np.full_like(P, np.nan)
-                assert np.array_equal(trainer.code_coefficients(ws, mode, out=buffer),
-                                      trainer.code_coefficients(fresh, mode))
-                # the buffer holds the pair coefficients, zero on the diagonal
-                coefficients = (fresh.P - fresh.Q) * fresh.kernel
-                if mode == "exact":
-                    coefficients /= eta
-                assert np.array_equal(buffer, coefficients)
-                assert (np.diag(buffer) == 0).all()
+        for f in fields(ws):
+            with pytest.raises(FrozenInstanceError):
+                setattr(ws, f.name, np.zeros_like(P))
 
     def test_paper_mode_proportional_at_code_level_for_uniform_eta(self):
         # with p = n the exact per-pair coefficients are the published ones

@@ -301,6 +301,21 @@ MUTANTS = [
            "        hashmodel.save_checkpoint(",
            "an aborted stream still writes checkpoint.txt, stages.csv and curve.csv of the "
            "stages it completed", "tests/test_experiment.py"),
+    Mutant("aborted_stream_scored", "src/streamhash/experiment.py",
+           " or aborted and out_dir is None):",
+           "):",
+           "an aborted stream with no out_dir raises without scoring its last completed stage",
+           "tests/test_experiment.py"),
+    Mutant("pack_takes_zero_codes", "src/streamhash/index.py",
+           "np.count_nonzero(B == -1) != B.size",
+           "np.count_nonzero(B <= 0) != B.size",
+           "pack refuses every code entry other than +1 and -1, 0 included",
+           "tests/test_index.py"),
+    Mutant("workspace_not_frozen", "src/streamhash/trainer.py",
+           "@dataclass(frozen=True)\nclass GradWorkspace:",
+           "@dataclass\nclass GradWorkspace:",
+           "a GradWorkspace is never overwritten: assigning an attribute raises",
+           "tests/test_trainer.py"),
     Mutant("model_takes_any_W_dtype", "src/streamhash/model.py",
            'if self.W.dtype.kind not in "iuf":',
            "if False:",
