@@ -143,7 +143,7 @@ def load_idx(image_path, label_path) -> tuple[np.ndarray, np.ndarray]:
 
 def normalize_pixels(raw: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Scale byte-valued pixels into [0, 1] by dividing by 255, into out when given."""
-    if raw.size and (raw.min() < 0 or raw.max() > 255):
+    if raw.size and not (raw.min() >= 0 and raw.max() <= 255):  # nan fails both
         raise DomainError("pixel values must lie in [0, 255]")
     return np.divide(raw, 255.0, out=out)
 
@@ -397,9 +397,12 @@ def split(features: np.ndarray, labels: np.ndarray, spec: SplitSpec) -> tuple[Pa
     The test set holds `test_per_class` seeded samples per class; every
     non-test instance forms the retrieval set; the train set is a seeded
     uniform sample of `train_size` instances drawn FROM the retrieval set
-    (training images remain retrievable). An empty test set is a SplitError.
+    (training images remain retrievable). An empty test set is a SplitError,
+    labels of another count than the feature columns a DimensionError.
     """
-    n = labels.shape[0]
+    n = features.shape[1]
+    if labels.shape != (n,):
+        raise DimensionError(f"labels of shape {labels.shape} for {n} instances")
     if n == 0:
         raise SplitError("empty test set: 0 instances")
     rng = seeded_rng(spec.seed)
@@ -429,8 +432,10 @@ def unseen_split(features, labels, seen_fraction: float, seed: int, test_per_cla
     instances of the remaining classes divide into retrieval/test (a seeded
     per-class test sample, capped at half the class, the rest retrieval).
     Label sets of train vs retrieval+test are disjoint by construction. An
-    empty test set is a SplitError.
+    empty test set is a SplitError, labels as in split a DimensionError.
     """
+    if labels.shape != (features.shape[1],):
+        raise DimensionError(f"labels of shape {labels.shape} for {features.shape[1]} instances")
     check_setting("seen_fraction", "float", seen_fraction)
     check_setting("test_per_class", "int", test_per_class)
     classes = np.unique(labels)

@@ -153,19 +153,13 @@ def p_gaussian(S: np.ndarray, g: GaussianParams = GaussianParams()) -> np.ndarra
 
 def pairwise_hamming_sq(B: np.ndarray) -> np.ndarray:
     """||b_i - b_j||^2 / 4 over all column pairs of a (k, n) code matrix (the
-    bit-level Hamming distance on +/-1 codes)."""
+    Hamming distance on +/-1 codes), exactly 0 on the diagonal while B.T @ B is finite."""
     gram = B.T @ B
-    # 0.25 * (sq_i + sq_j - 2 gram_ij), the gram as the one (n, n) temporary.
-    # sq_i + sq_j comes from the rank-2 product (sq_i, 1) . (1, sq_j): each
-    # entry is one exactly rounded sum, as in a broadcast add, and BLAS
-    # writes the (n, n) result several times faster.
-    terms = np.stack((gram.diagonal(), np.ones(gram.shape[0])))
-    dist = terms.T @ terms[::-1]
+    dist = gram.diagonal()[:, None] + gram.diagonal()
     gram *= 2.0
     dist -= gram
     dist *= 0.25
     np.maximum(dist, 0.0, out=dist)
-    np.fill_diagonal(dist, 0.0)
     return dist
 
 

@@ -14,7 +14,7 @@ import io
 import itertools
 import json
 import logging
-from dataclasses import MISSING, astuple, dataclass, field, fields, replace
+from dataclasses import MISSING, astuple, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -71,8 +71,15 @@ class ExperimentConfig:
         payload = {f.name: getattr(self, f.name) for f in fields(self)
                    if f.name not in ("output_dir", "sweep", "unseen") or f.name in sections}
         payload["train"] = _train_view(self.train)
-        blob = json.dumps(payload, sort_keys=True, default=vars).encode()
+        blob = json.dumps(payload, sort_keys=True, default=_plain).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
+
+
+def _plain(value):
+    """json's fallback: a numpy scalar as its Python number, a dataclass as its fields."""
+    if isinstance(value, np.generic):
+        return value.item()
+    return vars(value) if is_dataclass(value) else json.JSONEncoder().default(value)
 
 
 SECTIONS = ("dataset", "split", "train", "eval", "sweep", "unseen")
@@ -220,7 +227,7 @@ def write_csv(path, header, rows) -> None:
 
 def write_json(path, payload) -> None:
     """payload as indented JSON with sorted keys, written whole through data.replacing."""
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(payload, indent=2, sort_keys=True, default=_plain) + "\n"
     with data.replacing(path) as f:
         f.write(text.encode())
 
@@ -335,7 +342,7 @@ def write_reports(out_dir: Path, reports: list[MetricReport], stem: str = "repor
     """One CSV row per report plus a JSON mirror and the Precision@R series."""
     out_dir.mkdir(parents=True, exist_ok=True)
     write_csv(out_dir / f"{stem}.csv", REPORT_COLUMNS, [_report_row(r) for r in reports])
-    write_json(out_dir / f"{stem}.json", [vars(r) for r in reports])  # every MetricReport field
+    write_json(out_dir / f"{stem}.json", reports)  # every MetricReport field
     rows = [(r.method, i + 1, v) for r in reports for i, v in enumerate(r.precision_at_r)]
     write_csv(out_dir / f"{stem}_precision_at_r.csv", ["method", "R", "precision"], rows)
 

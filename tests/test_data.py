@@ -115,10 +115,10 @@ class TestNormalizePixels:
         assert out[0, 2] == pytest.approx(0.2)
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(DomainError):
-            data.normalize_pixels(np.array([[256.0]]))
-        with pytest.raises(DomainError):
-            data.normalize_pixels(np.array([[-1.0]]))
+        # nan compares False with either end, so it must fail the range test itself
+        for raw in ([[256.0]], [[-1.0]], [[np.nan, 3.0]], [[3.0, np.nan]], [[np.nan]]):
+            with pytest.raises(DomainError, match=r"^pixel values must lie in \[0, 255\]$"):
+                data.normalize_pixels(np.array(raw))
 
 
 class TestDenseFormat:
@@ -618,6 +618,15 @@ class TestSplit:
         with pytest.raises(SplitError, match="empty test set: 0 instances"):
             data.split(np.empty((3, 0)), np.empty(0, dtype=np.int64), SplitSpec(1, 0))
 
+    @pytest.mark.parametrize("count", [6, 20, 0])
+    def test_label_count_unlike_the_columns_rejected(self, count, monkeypatch):
+        # before any draw: too many labels would index past the matrix, too
+        # few would drop its last columns
+        monkeypatch.setattr(data, "seeded_rng", None)
+        X, y = np.zeros((3, 10)), np.arange(count) % 2
+        with pytest.raises(DimensionError, match=rf"^labels of shape \({count},\) for 10 "):
+            data.split(X, y, SplitSpec(2, 4, 0))
+
 
 class TestUnseenSplit:
     def setup_method(self):
@@ -662,6 +671,13 @@ class TestUnseenSplit:
         with pytest.raises(DomainError,
                            match=f"^test_per_class must be at least 1, got {test_per_class}$"):
             data.unseen_split(self.X, self.y, 0.75, seed=0, test_per_class=test_per_class)
+
+    @pytest.mark.parametrize("count", [6, 20, 0])
+    def test_label_count_unlike_the_columns_rejected(self, count, monkeypatch):
+        monkeypatch.setattr(data, "seeded_rng", None)  # refused before any draw
+        X, y = np.zeros((3, 10)), np.arange(count) % 3
+        with pytest.raises(DimensionError, match=rf"^labels of shape \({count},\) for 10 "):
+            data.unseen_split(X, y, 0.5, seed=0, test_per_class=1)
 
     def test_one_instance_unseen_classes_leave_the_test_set_empty(self):
         # a test sample is at most half a class

@@ -186,6 +186,19 @@ class TestHammingSq:
             B = np.tanh(rng.standard_normal((64, n // 2)))[:, rng.integers(0, n // 2, size=n)]
             assert (dist.pairwise_hamming_sq(B) >= 0.0).all()
 
+    @pytest.mark.parametrize("n", [2, 50, 400])
+    @pytest.mark.parametrize("k", [1, 16, 64, 256])
+    def test_diagonal_exactly_zero_on_relaxed_codes(self, n, k):
+        # entry (i, i) is 0.25 * ((g + g) - 2 g) with g = gram_ii, and g + g
+        # and 2 g are the same exact double, so the diagonal needs no fill;
+        # the draws hold duplicated columns, as a batch of repeated instances does
+        rng = np.random.default_rng(n * 1000 + k)
+        for _ in range(5):
+            B = np.tanh(rng.standard_normal((k, n)))[:, rng.integers(0, n, size=n)]
+            D = dist.pairwise_hamming_sq(B)
+            assert np.array_equal(D.diagonal(), np.zeros(n))
+            assert not np.signbit(D.diagonal()).any()
+
     def test_length_mismatch(self):
         # the per-pair oracle the pairwise form is checked against
         with pytest.raises(DimensionError):

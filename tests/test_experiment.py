@@ -6,6 +6,7 @@ import os
 import re
 import struct
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -148,6 +149,16 @@ class TestConfigValidation:
         if name == "README.md":  # the config file section's example
             text = re.search(r"### Config file\n\n```json\n(.*?)```", text, re.S).group(1)
         assert config_from_dict(json.loads(text)).digest() == digest
+
+    @pytest.mark.parametrize("integer", [np.int64, np.int32, np.uint16])
+    def test_numpy_scalars_digest_as_the_python_numbers(self, integer):
+        # the settings take numpy numbers; the digest holds the number each one is
+        def config(i, f):
+            return ExperimentConfig(dataset={"kind": "synth"}, split=SplitSpec(i(5), 10, i(2)),
+                                    train=TrainConfig(batch_size=i(10), learning_rate=f(0.5)),
+                                    bits=i(16), seed=i(3), eval=EvalOptions(cutoff=i(100)))
+
+        assert config(integer, np.float32).digest() == config(int, float).digest()
 
     def test_train_defaults_are_the_library_defaults(self):
         assert experiment.train_config({}) == TrainConfig()
@@ -418,6 +429,16 @@ class TestRunEval:
                                          cfg.eval.cutoff, cfg.eval.r_max)
         assert baseline.method == "lsh_baseline" and baseline.bits == 10
         assert {name: getattr(baseline, name) for name in want} == want
+
+    def test_numpy_seed_reports_as_the_python_number(self, tmp_path):
+        cfg = config_from_dict(blob_config(tmp_path, seed=3))
+        model = hm.init(8, 10, scale=0.3, seed=1)
+        experiment.run_eval(model, cfg, out_dir=tmp_path / "plain")
+        experiment.run_eval(model, replace(cfg, seed=np.int64(3)), out_dir=tmp_path / "numpy")
+        for name in ("report.csv", "report.json", "report_precision_at_r.csv"):
+            written = [(tmp_path / run / name).read_bytes() for run in ("numpy", "plain")]
+            assert written[0] == written[1]
+        assert json.loads((tmp_path / "numpy/report.json").read_text())[0]["seed"] == 3
 
     def test_json_mirror_carries_conventions_and_series(self, tmp_path):
         cfg = config_from_dict(blob_config(tmp_path))

@@ -326,6 +326,39 @@ MUTANTS = [
            "np.multiply(Z >= 0.0, 2.0, out=Z)",
            "a zero projection encodes as -1",
            "tests/test_model.py"),
+    Mutant("hamming_norms_apart_from_gram", "src/streamhash/distribution.py",
+           "dist = gram.diagonal()[:, None] + gram.diagonal()",
+           "sq = (B * B).sum(axis=0)\n    dist = sq[:, None] + sq",
+           "the pairwise distances have an exactly zero diagonal with no fill",
+           "tests/test_distribution.py"),
+    Mutant("digest_takes_no_numpy_scalars", "src/streamhash/experiment.py",
+           "    if isinstance(value, np.generic):\n        return value.item()\n",
+           "",
+           "a numpy-number setting digests and reports as the Python number it holds",
+           "tests/test_experiment.py"),
+    Mutant("split_label_count_unchecked", "src/streamhash/data.py",
+           "    n = features.shape[1]\n    if labels.shape != (n,):",
+           "    n = features.shape[1]\n    if False:",
+           "split refuses labels of another count than the feature columns (DimensionError)",
+           "tests/test_data.py"),
+    Mutant("pixels_take_nan", "src/streamhash/data.py",
+           "not (raw.min() >= 0 and raw.max() <= 255)",
+           "(raw.min() < 0 or raw.max() > 255)",
+           "normalize_pixels refuses nan as out of range",
+           "tests/test_data.py"),
+    Mutant("text_hashed_before_the_sidecar_opens", "src/streamhash/data.py",
+           '        try:\n            with open(f"{os.fspath(path)}{SIDECAR}", "rb") as cache:\n'
+           '                if cache.readline(65) == _sha256(path) + b"\\n":',
+           '        try:\n            text_digest = _sha256(path) + b"\\n"\n'
+           '            with open(f"{os.fspath(path)}{SIDECAR}", "rb") as cache:\n'
+           "                if cache.readline(65) == text_digest:",
+           "a load with no sidecar does not hash the text",
+           "tests/test_data.py"),
+    Mutant("sidecar_features_shifted_by_1e-300", "src/streamhash/data.py",
+           "features.tofile(f)",
+           "(features + 1e-300).tofile(f)",
+           "the sidecar holds exactly the features a parse of the text returns, zeros included",
+           "tests/test_data.py"),
 ]
 
 
