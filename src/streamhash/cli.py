@@ -52,25 +52,23 @@ def _load_config(args) -> experiment.ExperimentConfig:
     return experiment.replace(cfg, output_dir=str(out_dir))
 
 
-def cmd_train(args, cfg, out_dir: Path) -> int:
+def cmd_train(args, cfg, out_dir: Path) -> None:
     outcome = experiment.run_train(cfg, out_dir=out_dir)
     final = outcome.final_metrics
     print(f"trained {len(outcome.stage_reports)} stages; final map={final['map']:.4f} "
           f"map@{cfg.eval.cutoff}={final['map_at_k']:.4f} precision_h2={final['precision_h2']:.4f}")
     print(f"outputs in {out_dir}")
-    return 0
 
 
-def cmd_eval(args, cfg, out_dir: Path) -> int:
+def cmd_eval(args, cfg, out_dir: Path) -> None:
     model = hashmodel.load_checkpoint(args.checkpoint)
     reports = experiment.run_eval(model, cfg, out_dir=out_dir)
     for r in reports:
         print(f"{r.method}: map={r.map:.4f} map@{r.map_cutoff}={r.map_at_k:.4f} "
               f"precision_h2={r.precision_h2:.4f}")
-    return 0
 
 
-def cmd_sweep(args, cfg, out_dir: Path) -> int:
+def cmd_sweep(args, cfg, out_dir: Path) -> None:
     rows = experiment.run_sweep(cfg, out_dir=out_dir)
     ok = [r for r in rows if r["status"] == "ok"]
     print(f"{len(rows)} cells ({len(rows) - len(ok)} failed)")
@@ -78,35 +76,30 @@ def cmd_sweep(args, cfg, out_dir: Path) -> int:
         if r["best"]:
             params = {key: r[key] for key in sorted(cfg.sweep)}
             print(f"best cell {r['cell']}: map={r['map']:.4f} params={params}")
-    return 0
 
 
-def cmd_unseen(args, cfg, out_dir: Path) -> int:
+def cmd_unseen(args, cfg, out_dir: Path) -> None:
     reports, disjointness = experiment.run_unseen(cfg, out_dir=out_dir)
     print(f"seen labels: {disjointness['seen_labels']}")
     print(f"unseen labels: {disjointness['unseen_labels']}")
     for r in reports:
         print(f"{r.method}: precision@1={r.precision_at_r[0]:.4f} "
               f"precision@{len(r.precision_at_r)}={r.precision_at_r[-1]:.4f}")
-    return 0
 
 
-def cmd_synth(args) -> int:
+def cmd_synth(args) -> None:
     features, labels = data.synth_blobs(
         args.num_classes, args.dim, args.per_class, args.spread, args.seed
     )
     data.save_dense(args.out, features, labels)
     print(f"wrote {features.shape[1]} instances of dim {features.shape[0]} to {args.out}")
-    return 0
 
 
-def cmd_split(args, cfg, out_dir: Path) -> int:
+def cmd_split(args, cfg, out_dir: Path) -> None:
     train, retrieval, test = data.split(*experiment.load_dataset(cfg.dataset), cfg.split)
-    out_dir.mkdir(parents=True, exist_ok=True)
     for name, part in [("train", train), ("retrieval", retrieval), ("test", test)]:
         data.save_dense(out_dir / f"{name}.txt", part.features, part.labels)
         print(f"{name}: {part.labels.shape[0]} instances -> {out_dir / (name + '.txt')}")
-    return 0
 
 
 def _add_config_args(p: argparse.ArgumentParser) -> None:
@@ -164,9 +157,11 @@ def main(argv=None) -> int:
                         format="%(levelname)s %(name)s: %(message)s")
     try:
         if "config" not in args:  # synth: flags only, no config
-            return args.fn(args)
-        cfg = _load_config(args)
-        return args.fn(args, cfg, Path(cfg.output_dir))
+            args.fn(args)
+        else:
+            cfg = _load_config(args)
+            args.fn(args, cfg, Path(cfg.output_dir))
+        return 0
     except StreamHashError as e:
         print(f"error ({type(e).__name__}): {e}", file=sys.stderr)
         return e.exit_code

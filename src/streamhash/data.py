@@ -194,8 +194,9 @@ def replacing(path):
     replaces path when the block ends normally and is removed on any
     exception: a failed save leaves no partial file at path and an older
     file there intact, and each of two saves to one path writes its own
-    file. It is created as open(path, "wb") creates one, with the same mode."""
+    file, with the mode open(path, "wb") gives. Missing directories are made."""
     tmp = f"{os.fspath(path)}.{secrets.token_hex(8)}.tmp"
+    os.makedirs(os.path.dirname(tmp) or ".", exist_ok=True)
     try:
         with open(tmp, "xb") as f:
             yield f

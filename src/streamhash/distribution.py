@@ -25,7 +25,7 @@ from .errors import DegenerateDistributionError, DomainError
 # of _RULES and its bound. refusal() reads it wherever a setting enters.
 DOMAINS = {
     "seed": {"at least": 0}, "bits": {"at least": 1}, "epochs": {"at least": 1},
-    "init_scale": {"at least": 0}, "batch_size": {"at least": 2}, "inner_iters": {"at least": 1},
+    "init_scale": {"above": 0}, "batch_size": {"at least": 2}, "inner_iters": {"at least": 1},
     "cutoff": {"at least": 1}, "r_max": {"at least": 1}, "every_n_stages": {"at least": 1},
     "test_per_class": {"at least": 1}, "train_size": {"at least": 0},
     "num_classes": {"at least": 1}, "dim": {"at least": 1}, "per_class": {"at least": 1},
@@ -38,6 +38,9 @@ DOMAINS = {
 }
 _RULES = {"at least": operator.ge, "above": operator.gt, "at most": operator.le,
           "below": operator.lt, "one of": lambda value, bound: value in bound}
+# The one rule on a pair of settings: GaussianParams refuses a |0.5 - mu| / sigma^2
+# above -ln of the smallest normal double, where p_gaussian's lighter weight underflows
+MAX_LOG_RATIO = -math.log(np.finfo(np.float64).tiny)
 
 # Each settings annotation: the types its values may have and their name in a message
 KINDS = {"int": (Integral, "int"), "float": (Real, "int or float"),
@@ -87,7 +90,13 @@ class GaussianParams:
 
     mu: float = 1.0
     sigma: float = 1.0
-    __post_init__ = check_settings
+
+    def __post_init__(self):
+        check_settings(self)
+        mu, sigma = float(self.mu), float(self.sigma)  # numpy numbers would warn on overflow
+        if (ratio := abs(0.5 - mu) / sigma / sigma) > MAX_LOG_RATIO:
+            raise DomainError(f"mu={mu!r} and sigma={sigma!r} collapse the Gaussian target: "
+                              f"|0.5 - mu| / sigma^2 = {ratio:.6g} is above {MAX_LOG_RATIO:.6g}")
 
 
 def build_similarity(labels: np.ndarray) -> np.ndarray:
@@ -137,8 +146,8 @@ def p_gaussian(S: np.ndarray, g: GaussianParams = GaussianParams()) -> np.ndarra
     log-weights shifted by their maximum over the pair kinds present: the
     heavier kind weighs exactly 1 and the other exp of the log-ratio, so
     no sigma empties the distribution (at mu = 0.5 P is uniform for any
-    sigma). The lighter kind's mass is 0 only where the ratio exceeds the
-    float range.
+    sigma). GaussianParams refuses a ratio past MAX_LOG_RATIO, so the
+    lighter kind's weight is at least the smallest normal double.
     """
     # log(f(0) / f(1)), the dissimilar log-weight minus the similar one
     log_ratio = (0.5 - g.mu) / g.sigma / g.sigma

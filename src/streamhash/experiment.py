@@ -141,7 +141,10 @@ def _train_view(cfg: TrainConfig) -> dict:
 def train_config(raw, section: str = "train") -> TrainConfig:
     """The validated TrainConfig of a flat train section named section."""
     values = check_section(raw, TRAIN_FIELDS, section)
-    gaussian = GaussianParams(**{key: values.pop(key) for key in _table(GaussianParams)})
+    try:
+        gaussian = GaussianParams(**{key: values.pop(key) for key in _table(GaussianParams)})
+    except DomainError as e:  # the (mu, sigma) rule: each value alone is checked above
+        raise ConfigError(f"{section}: {e}") from e
     return TrainConfig(gaussian=gaussian, **values)
 
 
@@ -263,10 +266,11 @@ def run_train(cfg: ExperimentConfig, out_dir: Path | None = None) -> TrainOutcom
     return train_parts(cfg, *data.split(*load_dataset(cfg.dataset), cfg.split), out_dir)
 
 
-def train_parts(cfg: ExperimentConfig, train_split, retrieval, test, out_dir: Path | None = None):
+def train_parts(cfg: ExperimentConfig, train_split, retrieval, test, out_dir: Path | None = None,
+                curve: bool = True):
     """Train on the train part over trainer.train_stream, scoring the
-    retrieval and test parts every eval.every_n_stages stages for the size
-    curve; the last completed stage is evaluated too. When out_dir is
+    retrieval and test parts at the last completed stage and, with curve,
+    every eval.every_n_stages stages for the size curve. When out_dir is
     given, writes checkpoint.txt, stages.csv and curve.csv.
 
     A NumericError ends the stream: the completed stages' outputs are still
@@ -282,29 +286,28 @@ def train_parts(cfg: ExperimentConfig, train_split, retrieval, test, out_dir: Pa
     seen = list(itertools.accumulate((b.labels.shape[0] for b in batches), initial=0))
     reports, curve_rows, final, aborted = [], [], {}, None
 
-    def evaluate_at(model: HashModel, stage_index: int) -> None:
-        nonlocal final
-        final = evaluate_model(model, retrieval, test, cfg.eval.cutoff, cfg.eval.r_max)
+    def evaluate_at(model: HashModel, stage_index: int) -> dict:
+        scores = evaluate_model(model, retrieval, test, cfg.eval.cutoff, cfg.eval.r_max)
         instances = seen[stage_index]
-        points = [row[1:3] for row in curve_rows] + [(instances, final["map"])]
+        points = [row[1:3] for row in curve_rows] + [(instances, scores["map"])]
         # a single point spans a degenerate interval; its AUC is its own value
-        auc = metrics.curve_auc(points) if curve_rows else final["map"]
-        curve_rows.append((stage_index, instances, *(final[s] for s in SCORE_COLUMNS), auc))
+        auc = metrics.curve_auc(points) if curve_rows else scores["map"]
+        curve_rows.append((stage_index, instances, *(scores[s] for s in SCORE_COLUMNS), auc))
+        return scores
 
     model = hashmodel.init(train_split.source.shape[0], cfg.bits, cfg.init_scale, cfg.seed)
     try:
         for model, report in trainer.train_stream(model, batches, cfg.train):
             reports.append(report)
-            if report.stage_index % cfg.eval.every_n_stages == 0:
-                evaluate_at(model, report.stage_index)
+            if curve and report.stage_index % cfg.eval.every_n_stages == 0:
+                final = evaluate_at(model, report.stage_index)
     except NumericError as e:
         log.warning("stage %d aborted: %s", len(reports) + 1, e)
         aborted = f"aborted after {len(reports)} of {len(batches)} stages"
     if not (curve_rows and curve_rows[-1][0] == len(reports) or aborted and out_dir is None):
-        evaluate_at(model, len(reports))
+        final = evaluate_at(model, len(reports))
 
     if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
         hashmodel.save_checkpoint(model, out_dir / "checkpoint.txt")
         write_csv(out_dir / "stages.csv", [f.name for f in fields(trainer.StageReport)],
                   [astuple(r) for r in reports])
@@ -313,13 +316,6 @@ def train_parts(cfg: ExperimentConfig, train_split, retrieval, test, out_dir: Pa
     if aborted:
         raise NumericError(aborted + ("" if out_dir is None else f"; partial outputs in {out_dir}"))
     return TrainOutcome(model, reports, curve_rows, final)
-
-
-def _train_final(cfg: ExperimentConfig, train_split, retrieval, test) -> TrainOutcome:
-    """train_parts evaluating the last completed stage only: no curve points
-    before it, and no outputs written."""
-    return train_parts(replace(cfg, eval=replace(cfg.eval, every_n_stages=10**9)),
-                       train_split, retrieval, test)
 
 
 REPORT_COLUMNS = [
@@ -340,35 +336,35 @@ def _report_row(r: MetricReport) -> list:
 
 def write_reports(out_dir: Path, reports: list[MetricReport], stem: str = "report") -> None:
     """One CSV row per report plus a JSON mirror and the Precision@R series."""
-    out_dir.mkdir(parents=True, exist_ok=True)
     write_csv(out_dir / f"{stem}.csv", REPORT_COLUMNS, [_report_row(r) for r in reports])
     write_json(out_dir / f"{stem}.json", reports)  # every MetricReport field
     rows = [(r.method, i + 1, v) for r in reports for i, v in enumerate(r.precision_at_r)]
     write_csv(out_dir / f"{stem}_precision_at_r.csv", ["method", "R", "precision"], rows)
 
 
-def evaluate_pair(model: HashModel, scores: dict, retrieval, test,
-                  cfg: ExperimentConfig, digest: str) -> list[MetricReport]:
+def evaluate_pair(model: HashModel, scores: dict, retrieval, test, cfg: ExperimentConfig,
+                  out_dir: Path | None = None, *sections: str) -> list[MetricReport]:
     """Reports of a model, from its evaluate_model scores, and of the seeded
     untrained baseline of its shape, the random projection that is the
-    control for learning gains (method lsh_baseline), each carrying digest.
-    A report scores one model state, so its auc is None."""
+    control for learning gains (method lsh_baseline). Each carries the
+    model's width as bits, the digest of cfg at that width and sections,
+    and no auc. Given out_dir, they go to [sections_]report.* files."""
     baseline = hashmodel.init(model.d, model.k, 1.0, cfg.seed)
     baseline_scores = evaluate_model(baseline, retrieval, test, cfg.eval.cutoff, cfg.eval.r_max)
-    return [MetricReport(**s, map_cutoff=cfg.eval.cutoff, bits=cfg.bits, seed=cfg.seed, auc=None,
-                         config_digest=digest, method=method)
-            for s, method in ((scores, "trained"), (baseline_scores, "lsh_baseline"))]
+    digest = replace(cfg, bits=model.k).digest(*sections)
+    reports = [MetricReport(**s, map_cutoff=cfg.eval.cutoff, bits=model.k, seed=cfg.seed,
+                            auc=None, config_digest=digest, method=method)
+               for s, method in ((scores, "trained"), (baseline_scores, "lsh_baseline"))]
+    if out_dir is not None:
+        write_reports(out_dir, reports, "_".join((*sections, "report")))
+    return reports
 
 
 def run_eval(model: HashModel, cfg: ExperimentConfig, out_dir: Path | None = None):
     """Evaluate a model and the seeded untrained baseline on cfg's split."""
     _, retrieval, test = data.split(*load_dataset(cfg.dataset), cfg.split)
     scores = evaluate_model(model, retrieval, test, cfg.eval.cutoff, cfg.eval.r_max)
-    cfg = replace(cfg, bits=model.k)  # report the checkpoint's actual width
-    reports = evaluate_pair(model, scores, retrieval, test, cfg, cfg.digest())
-    if out_dir is not None:
-        write_reports(out_dir, reports)
-    return reports
+    return evaluate_pair(model, scores, retrieval, test, cfg, out_dir)
 
 
 def apply_cell(cfg: ExperimentConfig, cell: dict) -> ExperimentConfig:
@@ -391,7 +387,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir: Path | None = None):
     for i, cell in enumerate(_sweep_cells(cfg.sweep)):
         row = {"cell": i, **cell}
         try:
-            outcome = _train_final(apply_cell(cfg, cell), *parts)
+            outcome = train_parts(apply_cell(cfg, cell), *parts, curve=False)
             row.update(status="ok", **{s: outcome.final_metrics[s] for s in SCORE_COLUMNS},
                        error="")
         except StreamHashError as e:  # record and continue
@@ -404,7 +400,6 @@ def run_sweep(cfg: ExperimentConfig, out_dir: Path | None = None):
     for r in rows:
         r["best"] = (best is not None and r is best)
     if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
         header = ["cell", *sorted(cfg.sweep), "status", *SCORE_COLUMNS, "best", "error"]
         write_csv(out_dir / "sweep.csv", header, [[r[h] for h in header] for r in rows])
     if not ok:
@@ -413,21 +408,21 @@ def run_sweep(cfg: ExperimentConfig, out_dir: Path | None = None):
 
 
 def run_unseen(cfg: ExperimentConfig, out_dir: Path | None = None):
-    """Train on seen classes only, evaluate retrieval of held-out classes."""
-    unseen = cfg.unseen
+    """Train on seen classes only; score held-out classes over one gather of their columns."""
     train_split, retrieval, test = data.unseen_split(
-        *load_dataset(cfg.dataset), unseen.seen_fraction, cfg.split.seed,
-        test_per_class=unseen.test_per_class)
-    cfg = replace(cfg, bits=unseen.bits)
-    outcome = _train_final(cfg, train_split, retrieval, test)
-    reports = evaluate_pair(outcome.model, outcome.final_metrics, retrieval, test, cfg,
-                            cfg.digest("unseen"))
-    disjointness = {
-        "seen_labels": sorted(int(v) for v in np.unique(train_split.labels)),
-        "unseen_labels": sorted(int(v) for v in np.unique(test.labels)),
-        "label_sets_disjoint": not set(np.unique(train_split.labels)) & set(np.unique(test.labels)),
-    }
+        *load_dataset(cfg.dataset), cfg.unseen.seen_fraction, cfg.split.seed,
+        test_per_class=cfg.unseen.test_per_class)
+    held_out = np.union1d(retrieval.idx, test.idx)
+    source = train_split.source[:, held_out]
+    retrieval, test = (data.Part(source, np.searchsorted(held_out, part.idx), part.labels)
+                       for part in (retrieval, test))
+    cfg = replace(cfg, bits=cfg.unseen.bits)
+    outcome = train_parts(cfg, train_split, retrieval, test, curve=False)
+    reports = evaluate_pair(outcome.model, outcome.final_metrics, retrieval, test, cfg, out_dir,
+                            "unseen")
+    seen_labels, unseen_labels = (np.unique(p.labels).tolist() for p in (train_split, test))
+    disjointness = {"seen_labels": seen_labels, "unseen_labels": unseen_labels,
+                    "label_sets_disjoint": not set(seen_labels) & set(unseen_labels)}
     if out_dir is not None:
-        write_reports(out_dir, reports, stem="unseen_report")
         write_json(out_dir / "unseen_split.json", disjointness)
     return reports, disjointness

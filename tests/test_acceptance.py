@@ -216,10 +216,11 @@ def load_mnist_or_skip():
 MNIST_SWEEP = {"sigma": [0.25, 0.35, 0.5], "learning_rate": [0.1, 0.3]}
 
 
-def run_mnist_configuration(features, labels, bits, train_overrides, every_n_stages=10**9):
+def run_mnist_configuration(features, labels, bits, train_overrides, curve=False):
     """One full protocol run through experiment.train_parts, which raises
-    unless every stage completes; returns (trained metrics, baseline
-    metrics, curve points (instances seen, mAP), wall time)."""
+    unless every stage completes, scoring the last stage and, with curve,
+    every 40th; returns (trained metrics, baseline metrics, curve points
+    (instances seen, mAP), wall time)."""
     spec = data.SplitSpec(test_per_class=100, train_size=20000, seed=0)
     t0 = time.perf_counter()
     train_split, retrieval, test = data.split(features, labels, spec)
@@ -228,13 +229,13 @@ def run_mnist_configuration(features, labels, bits, train_overrides, every_n_sta
     base.update(train_overrides)
     cfg = experiment.ExperimentConfig(
         dataset={}, split=spec, train=experiment.train_config(base), bits=bits,
-        eval=experiment.EvalOptions(cutoff=1000, r_max=100, every_n_stages=every_n_stages))
-    outcome = experiment.train_parts(cfg, train_split, retrieval, test)
-    curve = [(instances, map_) for _, instances, map_, *_ in outcome.curve_rows]
+        eval=experiment.EvalOptions(cutoff=1000, r_max=100, every_n_stages=40))
+    outcome = experiment.train_parts(cfg, train_split, retrieval, test, curve=curve)
+    points = [(instances, map_) for _, instances, map_, *_ in outcome.curve_rows]
     baseline = experiment.evaluate_model(
         hm.init(features.shape[0], bits, scale=1.0, seed=0), retrieval, test, 1000, 100
     )
-    return outcome.final_metrics, baseline, curve, time.perf_counter() - t0
+    return outcome.final_metrics, baseline, points, time.perf_counter() - t0
 
 
 def test_criterion_6_mnist_reproduction():
@@ -273,7 +274,7 @@ def test_criterion_7_mnist_early_stage_shape():
     features, labels = load_mnist_or_skip()
     # curve every 40 stages of 50 = every 2000 instances at 32 bits
     trained, _, curve, _ = run_mnist_configuration(
-        features, labels, 32, {"sigma": 0.35, "learning_rate": 0.1}, every_n_stages=40
+        features, labels, 32, {"sigma": 0.35, "learning_rate": 0.1}, curve=True
     )
     early = dict(curve).get(2000)
     final = trained["map"]
@@ -307,13 +308,13 @@ def test_north_star_protocol_at_mnist_shape(synthetic_mnist_idx):
     tracemalloc.start()
     try:
         trained, _, curve, elapsed = run_mnist_configuration(
-            features, labels, 32, {"sigma": 0.35, "learning_rate": 0.1}, every_n_stages=40
+            features, labels, 32, {"sigma": 0.35, "learning_rate": 0.1}, curve=True
         )
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     rerun, _, rerun_curve, _ = run_mnist_configuration(
-        features, labels, 32, {"sigma": 0.35, "learning_rate": 0.1}, every_n_stages=40
+        features, labels, 32, {"sigma": 0.35, "learning_rate": 0.1}, curve=True
     )
     # the run raises unless all 400 stages complete; a point every 2000 instances
     ok = [seen for seen, _ in curve] == list(range(2000, 20001, 2000))

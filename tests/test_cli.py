@@ -320,7 +320,8 @@ class TestExitCodes:
         ("bits=0", "bits must be at least 1, got 0"),
         ("unseen.bits=0", "unseen.bits must be at least 1, got 0"),
         ("epochs=0", "epochs must be at least 1, got 0"),
-        ("init_scale=-0.5", "init_scale must be at least 0, got -0.5"),
+        ("init_scale=-0.5", "init_scale must be above 0, got -0.5"),
+        ("init_scale=0", "init_scale must be above 0, got 0"),
         ("eval.cutoff=0", "eval.cutoff must be at least 1, got 0"),
         ("eval.r_max=0", "eval.r_max must be at least 1, got 0"),
         ("eval.every_n_stages=0", "eval.every_n_stages must be at least 1, got 0"),
@@ -353,6 +354,11 @@ class TestExitCodes:
         ("split.test_per_class=0", "split.test_per_class must be at least 1, got 0"),
         ("split.train_size=-1", "split.train_size must be at least 0, got -1"),
         ("train.sigma=0", "train.sigma must be above 0, got 0"),
+        # the lighter pair weight exp(-1250) is 0: P would be p_raw's
+        ("train.sigma=0.02", "train: mu=1.0 and sigma=0.02 collapse the Gaussian target: "
+                             "|0.5 - mu| / sigma^2 = 1250 is above 708.396"),
+        ('sweep={"sigma": [0.35, 0.02]}', "sweep: mu=1.0 and sigma=0.02 collapse the Gaussian "
+                                          "target: |0.5 - mu| / sigma^2 = 1250 is above 708.396"),
         ("train.epsilon=0.1", "train.epsilon must be at most 1e-06, got 0.1"),
         ('train.grad_mode="fast"',
          "train.grad_mode must be one of ('paper', 'exact'), got 'fast'"),
@@ -462,10 +468,10 @@ class TestExitCodes:
         assert (out / "curve.csv").read_text().splitlines()[1].startswith("1,")
 
     @pytest.mark.parametrize("override, completed", [
-        ("train.learning_rate=1e300", 1), ("init_scale=1e6", 0), ("init_scale=0", 0)])
+        ("train.learning_rate=1e300", 1), ("init_scale=1e6", 0)])
     def test_stream_that_stops_moving_is_5(self, tmp_path, capsys, override, completed):
         # 1e300 saturates every code in stage 1, so stage 2 applies no step;
-        # an init_scale of 1e6 saturates them and 0 is a stationary point
+        # an init_scale of 1e6 saturates them from the start
         config = Path(__file__).resolve().parents[1] / "configs" / "blobs.json"
         out = tmp_path / "out"
         assert cli.main(["train", "--config", str(config), "--set", override,

@@ -4,6 +4,8 @@ Q is the one training forms: build_workspace at the stage's divisors.
 """
 
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -102,9 +104,10 @@ class TestPGaussian:
         ([2, 2, 2], 0.0),     # only similar pairs, the lighter kind
     ])
     def test_tiny_sigma_uniform_cases(self, labels, mu):
-        n = len(labels)
+        # at |0.5 - mu| = 0.5 the least sigma GaussianParams admits is 0.02657
+        n, sigma = len(labels), 0.01 if mu == 0.5 else 0.0266
         P = dist.p_gaussian(dist.build_similarity(np.array(labels)),
-                            GaussianParams(mu, 0.01))
+                            GaussianParams(mu, sigma))
         off = P[~np.eye(n, dtype=bool)]
         np.testing.assert_allclose(off, 1.0 / (n * (n - 1)), rtol=1e-15)
 
@@ -114,6 +117,30 @@ class TestPGaussian:
         assert P[0, 2] > 0
         assert math.log(P[0, 1]) - math.log(P[0, 2]) == pytest.approx(1 / (2 * 0.03**2),
                                                                       rel=1e-12)
+
+    @pytest.mark.filterwarnings("error")  # numpy numbers: no overflow warning
+    @pytest.mark.parametrize("mu, sigma, ratio", [
+        (1.0, 0.02, "1250"), (0.0, 0.0265, "711.997"), (-2.0, 0.05, "1000"), (2.0, 1e-200, "inf"),
+    ])
+    def test_collapsed_target_refused(self, mu, sigma, ratio):
+        # past MAX_LOG_RATIO the lighter weight is subnormal or 0, and at 0 P
+        # is p_raw's while the settings still say gaussian
+        for number in (float, np.float64):
+            with pytest.raises(DomainError, match="^" + re.escape(
+                    f"mu={mu} and sigma={sigma} collapse the Gaussian target: "
+                    f"|0.5 - mu| / sigma^2 = {ratio} is above 708.396") + "$"):
+                GaussianParams(number(mu), number(sigma))
+
+    def test_least_admitted_sigma_keeps_dissimilar_mass(self):
+        # -ln of the smallest normal double is the least ratio refused
+        assert dist.MAX_LOG_RATIO == -math.log(sys.float_info.min)
+        sigma = math.sqrt(0.5 / dist.MAX_LOG_RATIO) * (1 + 1e-12)
+        S = dist.build_similarity(np.array([0, 0, 1]))
+        P = dist.p_gaussian(S, GaussianParams(1.0, sigma))
+        assert P[0, 1] / P[0, 2] == pytest.approx(math.exp(0.5 / sigma**2), rel=1e-9)
+        assert P[0, 2] / P[0, 1] >= sys.float_info.min
+        with pytest.raises(DomainError, match="collapse the Gaussian target"):
+            GaussianParams(1.0, sigma * (1 - 1e-9))
 
     @pytest.mark.parametrize("value", [0.5, 2.0, -1.0, np.nan, np.inf])
     def test_non_binary_similarity_rejected(self, value):

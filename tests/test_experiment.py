@@ -266,10 +266,13 @@ class TestSettingsFloors:
         (-0.5, "-0.5"), (-1, "-1"), (float("nan"), "nan"), ("1", "'1'"), (None, "None"),
     ])
     def test_init_scale_floor(self, value, shown):
-        assert experiment_config(init_scale=0).init_scale == 0
-        assert experiment_config(init_scale=0.0).init_scale == 0.0
+        # W = 0 is a stationary point of training: the least scale is above 0
+        assert experiment_config(init_scale=5e-324).init_scale == 5e-324
+        for zero in (0, 0.0):
+            with pytest.raises(DomainError, match=f"^init_scale must be above 0, got {zero}$"):
+                experiment_config(init_scale=zero)
         rule = {"nan": "finite", "'1'": "int or float", "None": "int or float"}.get(shown,
-                                                                                 "at least 0")
+                                                                                 "above 0")
         with pytest.raises(DomainError, match=f"^init_scale must be {rule}, got {shown}$"):
             experiment_config(init_scale=value)
 
@@ -793,6 +796,40 @@ class TestRunUnseen:
         reports, _ = experiment.run_unseen(config_from_dict(raw))
         assert calls == {"train_stream": 1, "evaluate_model": 2}
         assert [r.method for r in reports] == ["trained", "lsh_baseline"]
+
+    @pytest.mark.parametrize("every_n_stages", [1, 2])
+    def test_scores_once_at_any_eval_interval(self, tmp_path, counted, every_n_stages):
+        # a curve point every stage or two, as in train; unseen scores the
+        # trained model at its last stage only, then the baseline
+        raw = blob_config(tmp_path, eval={"cutoff": 50, "r_max": 20,
+                                          "every_n_stages": every_n_stages})
+        raw["dataset"]["num_classes"] = 4
+        raw["unseen"] = {"test_per_class": 10}
+        counted(trainer, "train_stream")
+        calls = counted(experiment, "evaluate_model")
+        experiment.run_unseen(config_from_dict(raw))
+        assert calls == {"train_stream": 1, "evaluate_model": 2}
+
+    def test_encodes_the_held_out_columns_only(self, tmp_path, monkeypatch):
+        raw = blob_config(tmp_path)
+        raw["dataset"]["num_classes"] = 4
+        raw["unseen"] = {"test_per_class": 10}
+        cfg = config_from_dict(raw)
+        features, labels = experiment.load_dataset(cfg.dataset)
+        _, retrieval, test = data.unseen_split(features, labels, cfg.unseen.seen_fraction,
+                                               cfg.split.seed, test_per_class=10)
+        held_out = features[:, np.union1d(retrieval.idx, test.idx)]
+        assert held_out.shape[1] < features.shape[1]
+        encoded = []
+
+        def spy(model, X, real=hm.encode_binary):
+            encoded.append(X.copy())
+            return real(model, X)
+
+        monkeypatch.setattr(hm, "encode_binary", spy)
+        experiment.run_unseen(cfg)
+        assert len(encoded) == 2  # the trained model and the baseline
+        assert all(X.shape == held_out.shape and (X == held_out).all() for X in encoded)
 
     def test_empty_test_set_fails_before_training(self, tmp_path, monkeypatch):
         monkeypatch.setattr(trainer, "train_stage", None)  # any stage would raise TypeError

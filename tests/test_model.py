@@ -23,8 +23,9 @@ class TestInit:
         assert m.d == 4096 and m.k == 32
 
     def test_zero_scale(self):
-        m = hm.init(10, 4, scale=0.0, seed=0)
-        assert (m.W == 0).all()
+        # W = 0 is a stationary point of training, so a zero scale is refused
+        with pytest.raises(DomainError, match="^init_scale must be above 0, got 0.0$"):
+            hm.init(10, 4, scale=0.0, seed=0)
 
     def test_entry_std_tracks_scale_over_sqrt_d(self):
         m = hm.init(400, 64, scale=2.0, seed=1)
@@ -46,7 +47,7 @@ class TestInit:
 
 class TestEncodeRelaxed:
     def test_zero_model_gives_zero_codes(self):
-        m = hm.init(3, 2, scale=0.0, seed=0)
+        m = hm.HashModel(W=np.zeros((3, 2)))
         B = hm.encode_relaxed(m, np.ones((3, 5)))
         assert (B == 0).all()
 
@@ -71,7 +72,7 @@ class TestEncodeRelaxed:
 
 class TestEncodeBinary:
     def test_zero_projection_maps_to_minus_one(self):
-        m = hm.init(3, 2, scale=0.0, seed=0)
+        m = hm.HashModel(W=np.zeros((3, 2)))
         B = hm.encode_binary(m, np.ones((3, 4)))
         assert (B == -1.0).all()
 
@@ -132,6 +133,13 @@ class TestCheckpoint:
         hm.save_checkpoint(m, path)
         m2 = hm.load_checkpoint(path)
         assert (m.W == m2.W).all()
+
+    def test_save_creates_missing_directories(self, tmp_path):
+        m = hm.init(3, 2, seed=0)
+        path = tmp_path / "a" / "b" / "model.txt"
+        hm.save_checkpoint(m, path)
+        assert sorted(p.name for p in path.parent.iterdir()) == ["model.txt"]
+        assert (hm.load_checkpoint(path).W == m.W).all()
 
     def test_header(self, tmp_path):
         m = hm.init(3, 2, seed=0)

@@ -178,7 +178,7 @@ class TestGradLoss:
         X = rng.standard_normal((4, 6))
         labels = rng.integers(0, 2, size=6)
         cfg = TrainConfig()
-        model = hm.init(4, 3, scale=0.0, seed=0)
+        model = hm.HashModel(W=np.zeros((4, 3)))
         P, eta = trainer.build_target(labels, cfg, model.k)
         for mode in ("paper", "exact"):
             g = grad_loss(X, model, P, eta, TrainConfig(grad_mode=mode))
@@ -391,8 +391,9 @@ class TestTrainStage:
         moved = np.linalg.norm(out.W - model.W) / cfg.learning_rate
         assert report.grad_norm == pytest.approx(moved, rel=1e-12)
 
-    @pytest.mark.parametrize("scale", [0.0, 1e6], ids=["zero", "saturated"])
-    def test_stage_without_a_step_at_a_positive_loss_raises(self, scale, monkeypatch):
+    @pytest.mark.parametrize("W", [np.zeros((16, 5)), hm.init(16, 5, scale=1e6, seed=0).W],
+                             ids=["zero", "saturated"])
+    def test_stage_without_a_step_at_a_positive_loss_raises(self, W, monkeypatch):
         # W = 0 is a stationary point, and saturated codes have 1 - tanh^2 = 0:
         # neither stage moves W, though its loss is positive
         X, y = data.synth_blobs(3, 16, 10, 0.8, seed=0)
@@ -400,7 +401,7 @@ class TestTrainStage:
         steps = []
         monkeypatch.setattr(trainer, "sgd_step", lambda *a: steps.append(a))
         with pytest.raises(NumericError, match="^stage 7 applied no step at a positive loss$"):
-            trainer.train_stage(hm.init(16, 5, scale=scale, seed=0), batch, TrainConfig())
+            trainer.train_stage(hm.HashModel(W=W), batch, TrainConfig())
         assert steps == []
 
     def test_stage_without_a_step_at_zero_loss_completes(self):

@@ -55,10 +55,15 @@ MUTANTS = [
            "an epochs below 1 is refused when the config or ExperimentConfig is built",
            "tests/test_experiment.py"),
     Mutant("init_scale_floor_dropped", "src/streamhash/distribution.py",
-           '"init_scale": {"at least": 0}, ',
+           '"init_scale": {"above": 0}, ',
            "",
            "a negative init_scale is refused when the config or ExperimentConfig is built",
            "tests/test_experiment.py"),
+    Mutant("init_scale_zero_admitted", "src/streamhash/distribution.py",
+           '"init_scale": {"above": 0}, ',
+           '"init_scale": {"at least": 0}, ',
+           "an init_scale of 0, whose W = 0 takes no step, is a config error (exit 2) before "
+           "any dataset loads", "tests/test_cli.py"),
     Mutant("every_n_stages_floor_dropped", "src/streamhash/distribution.py",
            ', "every_n_stages": {"at least": 1},',
            ",",
@@ -74,6 +79,18 @@ MUTANTS = [
            "    every_n_stages: int = 50\n",
            "EvalOptions refuses a float r_max when built, not after training",
            "tests/test_experiment.py"),
+    Mutant("collapsed_gaussian_admitted", "src/streamhash/distribution.py",
+           "if (ratio := abs(0.5 - mu) / sigma / sigma) > MAX_LOG_RATIO:",
+           "if (ratio := abs(0.5 - mu) / sigma / sigma) > 2 * MAX_LOG_RATIO:",
+           "GaussianParams refuses a (mu, sigma) whose lighter pair weight is below the smallest "
+           "normal double", "tests/test_distribution.py"),
+    Mutant("collapsed_gaussian_refused_after_config", "src/streamhash/experiment.py",
+           "    try:\n        gaussian = GaussianParams(**{key: values.pop(key) for key in "
+           "_table(GaussianParams)})\n    except DomainError as e:",
+           "    gaussian = GaussianParams(**{key: values.pop(key) for key in "
+           "_table(GaussianParams)})\n    if False:",
+           "a train or sweep (mu, sigma) that collapses the Gaussian target is a config error "
+           "(exit 2) naming the section, before any dataset loads", "tests/test_cli.py"),
     Mutant("sigma_may_be_zero", "src/streamhash/distribution.py",
            '"sigma": {"above": 0}, ',
            "",
@@ -242,6 +259,11 @@ MUTANTS = [
            "        raise",
            "a failed save leaves no temporary file behind",
            "tests/test_data.py"),
+    Mutant("save_needs_its_directory", "src/streamhash/data.py",
+           '    os.makedirs(os.path.dirname(tmp) or ".", exist_ok=True)\n',
+           "",
+           "a save creates the missing directories of its path",
+           "tests/test_model.py"),
     Mutant("save_through_a_fixed_tmp", "src/streamhash/data.py",
            'f"{os.fspath(path)}.{secrets.token_hex(8)}.tmp"',
            'f"{os.fspath(path)}.tmp"',
@@ -293,14 +315,17 @@ MUTANTS = [
            "a stream a NumericError cut short is never returned as trained: train exits 5",
            "tests/test_cli.py"),
     Mutant("abort_raised_before_outputs", "src/streamhash/experiment.py",
-           "    if out_dir is not None:\n        out_dir.mkdir(parents=True, exist_ok=True)\n"
-           "        hashmodel.save_checkpoint(",
+           "    if out_dir is not None:\n        hashmodel.save_checkpoint(",
            "    if aborted and out_dir is not None:\n"
            "        raise NumericError(f\"{aborted}; partial outputs in {out_dir}\")\n"
-           "    if out_dir is not None:\n        out_dir.mkdir(parents=True, exist_ok=True)\n"
-           "        hashmodel.save_checkpoint(",
+           "    if out_dir is not None:\n        hashmodel.save_checkpoint(",
            "an aborted stream still writes checkpoint.txt, stages.csv and curve.csv of the "
            "stages it completed", "tests/test_experiment.py"),
+    Mutant("final_only_run_scores_its_curve", "src/streamhash/experiment.py",
+           "            if curve and report.stage_index",
+           "            if report.stage_index",
+           "a sweep cell or an unseen run (curve=False) scores its last stage only",
+           "tests/test_experiment.py"),
     Mutant("aborted_stream_scored", "src/streamhash/experiment.py",
            " or aborted and out_dir is None):",
            "):",
