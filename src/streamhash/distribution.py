@@ -38,9 +38,9 @@ DOMAINS = {
 }
 _RULES = {"at least": operator.ge, "above": operator.gt, "at most": operator.le,
           "below": operator.lt, "one of": lambda value, bound: value in bound}
-# The one rule on a pair of settings: GaussianParams refuses a |0.5 - mu| / sigma^2
-# above -ln of the smallest normal double, where p_gaussian's lighter weight underflows
-MAX_LOG_RATIO = -math.log(np.finfo(np.float64).tiny)
+# The one rule on a pair of settings: GaussianParams refuses a |0.5 - mu| / sigma^2 above
+# -ln eps = 52 ln 2, where p_gaussian's lighter weight is below one ulp of the heavier one
+MAX_LOG_RATIO = -math.log(np.finfo(np.float64).eps)
 
 # Each settings annotation: the types its values may have and their name in a message
 KINDS = {"int": (Integral, "int"), "float": (Real, "int or float"),
@@ -147,7 +147,7 @@ def p_gaussian(S: np.ndarray, g: GaussianParams = GaussianParams()) -> np.ndarra
     heavier kind weighs exactly 1 and the other exp of the log-ratio, so
     no sigma empties the distribution (at mu = 0.5 P is uniform for any
     sigma). GaussianParams refuses a ratio past MAX_LOG_RATIO, so the
-    lighter kind's weight is at least the smallest normal double.
+    lighter kind's weight is at least the double epsilon, one ulp of 1.
     """
     # log(f(0) / f(1)), the dissimilar log-weight minus the similar one
     log_ratio = (0.5 - g.mu) / g.sigma / g.sigma

@@ -15,11 +15,8 @@ distribution Q toward it. Two gradient modes exist:
   gradient.
 
 Both are X @ M.T for a (k, n) code-space matrix M (code_coefficients).
-
-Each step's arrays are new: build_workspace returns a new, frozen
-GradWorkspace and code_coefficients a new coefficient matrix, so no
-workspace is ever overwritten. TrainConfig checks its settings when built
-and HashModel checks that W is finite; train_stage repeats neither check.
+TrainConfig checks its settings when built and HashModel checks that W is
+finite; train_stage repeats neither check.
 """
 
 from __future__ import annotations
@@ -71,18 +68,6 @@ class StageReport:
     grad_norm: float
 
 
-@dataclass(frozen=True)
-class GradWorkspace:
-    """Intermediates of one loss evaluation at fixed codes, exposed for
-    testing; build_workspace makes a new one per call, never overwritten."""
-
-    B: np.ndarray       # (k, n) relaxed codes
-    P: np.ndarray       # (n, n) label-side target
-    eta: np.ndarray     # (n, n) per-pair divisors, all 1 for the plain Q
-    kernel: np.ndarray  # (n, n) 1 / (1 + dist/eta), zero diagonal
-    Q: np.ndarray       # (n, n) code-side distribution
-
-
 def kl_loss(P: np.ndarray, Q: np.ndarray, epsilon: float = 1e-12) -> float:
     """Sum of P_ij log(P_ij / Q_ij) over off-diagonal pairs, for a
     distribution P (non-negative, zero diagonal).
@@ -100,35 +85,37 @@ def kl_loss(P: np.ndarray, Q: np.ndarray, epsilon: float = 1e-12) -> float:
     return float(np.vdot(P, ratio))
 
 
-def build_workspace(B, P, eta) -> GradWorkspace:
-    """Distances, kernel (1 + dist/eta)^-1 and Q, the kernel at unit mass, at
-    relaxed codes B, for the (n, n) divisors eta of build_target."""
+def build_workspace(B, eta):
+    """(kernel, Q) at relaxed codes B, for the (n, n) divisors eta of
+    build_target: the kernel (1 + dist/eta)^-1 with a zero diagonal and Q,
+    the kernel at unit mass, as two new arrays."""
     kernel = dist.pairwise_hamming_sq(B)
     kernel /= eta  # eta > 0 keeps the zero diagonal
     kernel += 1.0
     np.divide(1.0, kernel, out=kernel)
     np.fill_diagonal(kernel, 0.0)
-    return GradWorkspace(B, P, eta, kernel, kernel / kernel.sum())
+    return kernel, kernel / kernel.sum()
 
 
-def code_coefficients(ws: GradWorkspace, grad_mode: str) -> np.ndarray:
-    """M (k, n) such that the gradient with respect to W is X @ M.T.
+def code_coefficients(B, P, Q, kernel, eta, grad_mode: str) -> np.ndarray:
+    """M (k, n) such that the gradient with respect to W is X @ M.T, at
+    relaxed codes B with target P and build_workspace(B, eta)'s (kernel, Q).
 
     The symmetric, zero-diagonal pair coefficients A = (P - Q) o kernel,
     divided by eta in exact mode, and their row sums r give C's code-space
     gradient C o r - C A, as in t-SNE.
     """
-    A = ws.P - ws.Q
-    A *= ws.kernel
+    A = P - Q
+    A *= kernel
     if grad_mode == "exact":
-        A /= ws.eta
+        A /= eta
     r = A.sum(axis=1)
-    tanh_deriv = 1.0 - ws.B * ws.B
+    tanh_deriv = 1.0 - B * B
     if grad_mode == "paper":
-        C = ws.B * tanh_deriv
+        C = B * tanh_deriv
         return C * r - C @ A
     # exact: by the chain rule the tanh derivative is the differentiated sample's
-    return (ws.B * r - ws.B @ A) * tanh_deriv
+    return (B * r - B @ A) * tanh_deriv
 
 
 def sgd_step(model: HashModel, gradient: np.ndarray, learning_rate: float) -> HashModel:
@@ -169,10 +156,11 @@ def train_stage(model: HashModel, batch: StreamingBatch, cfg: TrainConfig):
     K = X.T @ X
     M_sum = np.zeros_like(Z)
     for i in range(cfg.inner_iters):
-        ws = build_workspace(np.tanh(Z), P, eta)
+        B = np.tanh(Z)
+        kernel, Q = build_workspace(B, eta)
         if i == 0:
-            loss_before = kl_loss(P, ws.Q, cfg.epsilon)
-        M = code_coefficients(ws, cfg.grad_mode)
+            loss_before = kl_loss(P, Q, cfg.epsilon)
+        M = code_coefficients(B, P, Q, kernel, eta, cfg.grad_mode)
         if not np.all(np.isfinite(M)):  # Z would turn non-finite
             raise NumericError("gradient contains non-finite entries; stage aborted")
         M_sum += M
@@ -183,7 +171,7 @@ def train_stage(model: HashModel, batch: StreamingBatch, cfg: TrainConfig):
         raise NumericError(f"stage {batch.stage_index} applied no step at a positive loss")
     model = sgd_step(model, G, cfg.learning_rate)
     # Z now tracks the new model's projections W^T X up to rounding
-    loss_after = kl_loss(P, build_workspace(np.tanh(Z), P, eta).Q, cfg.epsilon)
+    loss_after = kl_loss(P, build_workspace(np.tanh(Z), eta)[1], cfg.epsilon)
     report = StageReport(stage_index=batch.stage_index, loss_before=loss_before,
                          loss_after=loss_after, grad_norm=grad_norm)
     return model, report

@@ -103,15 +103,16 @@ def hamming(a, b):
 
 
 def _stage_loss(X, model, P, eta, epsilon):
-    ws = trainer.build_workspace(hm.encode_relaxed(model, X), P, eta)
-    return trainer.kl_loss(P, ws.Q, epsilon)
+    _, Q = trainer.build_workspace(hm.encode_relaxed(model, X), eta)
+    return trainer.kl_loss(P, Q, epsilon)
 
 
 def grad_loss(X, model, P, eta, cfg):
     """Gradient of the stage loss at target P and divisors eta with respect
     to W, per cfg.grad_mode."""
-    ws = trainer.build_workspace(hm.encode_relaxed(model, X), P, eta)
-    return X @ trainer.code_coefficients(ws, cfg.grad_mode).T
+    B = hm.encode_relaxed(model, X)
+    kernel, Q = trainer.build_workspace(B, eta)
+    return X @ trainer.code_coefficients(B, P, Q, kernel, eta, cfg.grad_mode).T
 
 
 def fd_oracle(X, model, P, eta, cfg, step=1e-5):

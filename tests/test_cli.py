@@ -356,9 +356,12 @@ class TestExitCodes:
         ("train.sigma=0", "train.sigma must be above 0, got 0"),
         # the lighter pair weight exp(-1250) is 0: P would be p_raw's
         ("train.sigma=0.02", "train: mu=1.0 and sigma=0.02 collapse the Gaussian target: "
-                             "|0.5 - mu| / sigma^2 = 1250 is above 708.396"),
+                             "|0.5 - mu| / sigma^2 = 1250 is above 36.0437"),
+        # exp(-50) is below one ulp of 1: P's bytes would be p_raw's
+        ("train.sigma=0.1", "train: mu=1.0 and sigma=0.1 collapse the Gaussian target: "
+                            "|0.5 - mu| / sigma^2 = 50 is above 36.0437"),
         ('sweep={"sigma": [0.35, 0.02]}', "sweep: mu=1.0 and sigma=0.02 collapse the Gaussian "
-                                          "target: |0.5 - mu| / sigma^2 = 1250 is above 708.396"),
+                                          "target: |0.5 - mu| / sigma^2 = 1250 is above 36.0437"),
         ("train.epsilon=0.1", "train.epsilon must be at most 1e-06, got 0.1"),
         ('train.grad_mode="fast"',
          "train.grad_mode must be one of ('paper', 'exact'), got 'fast'"),

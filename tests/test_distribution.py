@@ -26,7 +26,7 @@ def code_q(B, labels, scales=None):
     cfg = (TrainConfig(q_variant="plain") if scales is None
            else TrainConfig(scale_p=scales[0], scale_n=scales[1]))
     P, eta = trainer.build_target(np.asarray(labels), cfg, B.shape[0])
-    return trainer.build_workspace(B, P, eta).Q
+    return trainer.build_workspace(B, eta)[1]
 
 
 def assert_pair_distribution(M):
@@ -104,8 +104,8 @@ class TestPGaussian:
         ([2, 2, 2], 0.0),     # only similar pairs, the lighter kind
     ])
     def test_tiny_sigma_uniform_cases(self, labels, mu):
-        # at |0.5 - mu| = 0.5 the least sigma GaussianParams admits is 0.02657
-        n, sigma = len(labels), 0.01 if mu == 0.5 else 0.0266
+        # at |0.5 - mu| = 0.5 the least sigma GaussianParams admits is 0.11778
+        n, sigma = len(labels), 0.01 if mu == 0.5 else 0.118
         P = dist.p_gaussian(dist.build_similarity(np.array(labels)),
                             GaussianParams(mu, sigma))
         off = P[~np.eye(n, dtype=bool)]
@@ -113,32 +113,34 @@ class TestPGaussian:
 
     def test_tiny_sigma_keeps_dissimilar_mass(self):
         P = dist.p_gaussian(dist.build_similarity(np.array([0, 0, 1])),
-                            GaussianParams(1.0, 0.03))
+                            GaussianParams(1.0, 0.12))
         assert P[0, 2] > 0
-        assert math.log(P[0, 1]) - math.log(P[0, 2]) == pytest.approx(1 / (2 * 0.03**2),
+        assert math.log(P[0, 1]) - math.log(P[0, 2]) == pytest.approx(1 / (2 * 0.12**2),
                                                                       rel=1e-12)
 
     @pytest.mark.filterwarnings("error")  # numpy numbers: no overflow warning
     @pytest.mark.parametrize("mu, sigma, ratio", [
-        (1.0, 0.02, "1250"), (0.0, 0.0265, "711.997"), (-2.0, 0.05, "1000"), (2.0, 1e-200, "inf"),
+        (1.0, 0.02, "1250"), (0.0, 0.1177, "36.0925"), (-2.0, 0.05, "1000"), (2.0, 1e-200, "inf"),
     ])
     def test_collapsed_target_refused(self, mu, sigma, ratio):
-        # past MAX_LOG_RATIO the lighter weight is subnormal or 0, and at 0 P
-        # is p_raw's while the settings still say gaussian
+        # past MAX_LOG_RATIO the lighter weight is below one ulp of the heavier
+        # one, and at 0 P is p_raw's while the settings still say gaussian
         for number in (float, np.float64):
             with pytest.raises(DomainError, match="^" + re.escape(
                     f"mu={mu} and sigma={sigma} collapse the Gaussian target: "
-                    f"|0.5 - mu| / sigma^2 = {ratio} is above 708.396") + "$"):
+                    f"|0.5 - mu| / sigma^2 = {ratio} is above 36.0437") + "$"):
                 GaussianParams(number(mu), number(sigma))
 
     def test_least_admitted_sigma_keeps_dissimilar_mass(self):
-        # -ln of the smallest normal double is the least ratio refused
-        assert dist.MAX_LOG_RATIO == -math.log(sys.float_info.min)
+        # -ln of the double epsilon is the least ratio refused: the lighter
+        # weight admitted is at least one ulp of the heavier one
+        assert dist.MAX_LOG_RATIO == -math.log(sys.float_info.epsilon) == 52 * math.log(2)
         sigma = math.sqrt(0.5 / dist.MAX_LOG_RATIO) * (1 + 1e-12)
         S = dist.build_similarity(np.array([0, 0, 1]))
         P = dist.p_gaussian(S, GaussianParams(1.0, sigma))
         assert P[0, 1] / P[0, 2] == pytest.approx(math.exp(0.5 / sigma**2), rel=1e-9)
-        assert P[0, 2] / P[0, 1] >= sys.float_info.min
+        assert P[0, 2] / P[0, 1] >= sys.float_info.epsilon
+        assert 1.0 + P[0, 2] / P[0, 1] > 1.0
         with pytest.raises(DomainError, match="collapse the Gaussian target"):
             GaussianParams(1.0, sigma * (1 - 1e-9))
 

@@ -49,7 +49,7 @@ def test_zero_diagonal_and_unit_mass(batch, gaussian, p, n):
     B, labels = batch
     S = dist.build_similarity(labels)
     P = dist.p_gaussian(S, GaussianParams(*gaussian))
-    Qs = [trainer.build_workspace(B, P, trainer.build_target(labels, cfg, B.shape[0])[1]).Q
+    Qs = [trainer.build_workspace(B, trainer.build_target(labels, cfg, B.shape[0])[1])[1]
           for cfg in (TrainConfig(q_variant="plain"),
                       TrainConfig(q_variant="scaled", scale_p=p, scale_n=n))]
     for M in (dist.p_raw(S), P, *Qs):
@@ -61,7 +61,7 @@ def test_zero_diagonal_and_unit_mass(batch, gaussian, p, n):
 def test_unit_scales_give_plain_q(batch):
     B, labels = batch
     P = dist.p_gaussian(dist.build_similarity(labels))
-    scaled, plain = (trainer.build_workspace(B, P, trainer.build_target(labels, cfg, B.shape[0])[1]).Q
+    scaled, plain = (trainer.build_workspace(B, trainer.build_target(labels, cfg, B.shape[0])[1])[1]
                      for cfg in (TrainConfig(q_variant="scaled", scale_p=1.0, scale_n=1.0),
                                  TrainConfig(q_variant="plain")))
     assert np.array_equal(scaled, plain)

@@ -3,7 +3,7 @@
 import itertools
 import logging
 import re
-from dataclasses import FrozenInstanceError, fields, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -89,7 +89,7 @@ class TestKlLoss:
             labels = rng.integers(0, 4, size=n)
             labels[1] = labels[0]
             cfg = TrainConfig(p_variant=p_variant,
-                              gaussian=GaussianParams(1.0, float(rng.uniform(0.1, 2.0))))
+                              gaussian=GaussianParams(1.0, float(rng.uniform(0.118, 2.0))))
             P, _ = trainer.build_target(labels, cfg, 1)
             Q = code_q(rng.uniform(-1, 1, size=(int(rng.integers(1, 9)), n)), labels)
             # some Q entries below the clamp
@@ -192,54 +192,77 @@ class TestGradLoss:
         rng = np.random.default_rng(3)
         for _ in range(20):
             X, labels, model, P, eta, cfg = random_instance(rng)
-            ws = trainer.build_workspace(hm.encode_relaxed(model, X), P, eta)
-            code_gradient = trainer.code_coefficients(ws, "exact") / (1.0 - ws.B * ws.B)
+            B = hm.encode_relaxed(model, X)
+            kernel, Q = trainer.build_workspace(B, eta)
+            code_gradient = (trainer.code_coefficients(B, P, Q, kernel, eta, "exact")
+                             / (1.0 - B * B))
             assert np.abs(code_gradient.sum(axis=1)).max() < 1e-10
-            assert np.abs(trainer.code_coefficients(ws, "paper").sum(axis=1)).max() < 1e-10
+            paper = trainer.code_coefficients(B, P, Q, kernel, eta, "paper")
+            assert np.abs(paper.sum(axis=1)).max() < 1e-10
 
     def test_workspace_invariants(self):
         rng = np.random.default_rng(4)
         X, labels, model, P, eta, cfg = random_instance(rng)
         B = hm.encode_relaxed(model, X)
-        ws = trainer.build_workspace(B, P, eta)
+        kernel, Q = trainer.build_workspace(B, eta)
         scaled = dist.pairwise_hamming_sq(B) / eta  # the kernel's dist/eta
         assert (scaled >= 0).all() and (np.diag(scaled) == 0).all()
         expected = 1.0 / (1.0 + scaled)
         np.fill_diagonal(expected, 0.0)
-        assert np.array_equal(ws.kernel, expected)
-        assert (ws.kernel > 0).sum() == ws.kernel.size - P.shape[0]
-        assert (ws.kernel <= 1).all() and (np.diag(ws.kernel) == 0).all()
-        assert ws.Q.sum() == pytest.approx(1.0, abs=1e-12)
-        assert ws.B is B
-        M = trainer.code_coefficients(ws, cfg.grad_mode)
+        assert np.array_equal(kernel, expected)
+        assert (kernel > 0).sum() == kernel.size - P.shape[0]
+        assert (kernel <= 1).all() and (np.diag(kernel) == 0).all()
+        assert Q.sum() == pytest.approx(1.0, abs=1e-12)
+        M = trainer.code_coefficients(B, P, Q, kernel, eta, cfg.grad_mode)
         assert M.shape == B.shape
+
+    @pytest.mark.parametrize("n", [2, 50, 400])
+    def test_workspace_arrays_share_no_memory(self, n):
+        # kernel and Q are new arrays: neither is a view of the codes, of the
+        # divisors or of the other, so normalizing Q leaves the kernel as it is
+        rng = np.random.default_rng(n)
+        labels = rng.integers(0, 4, size=n)
+        B = rng.uniform(-1, 1, size=(8, n))
+        _, eta = trainer.build_target(labels, TrainConfig(), B.shape[0])
+        kernel, Q = trainer.build_workspace(B, eta)
+        for a, b in itertools.combinations((B, eta, kernel, Q), 2):
+            assert not np.shares_memory(a, b)
 
     @pytest.mark.parametrize("q_variant", trainer.Q_VARIANTS)
     def test_stage_workspaces_never_overwritten(self, q_variant, monkeypatch):
-        # each step of a stage builds its own workspace, which still holds
-        # its values bit for bit once every later step has been built
+        # each step of a stage builds its own kernel and Q at its own codes,
+        # and they, the codes and the divisors still hold their values bit
+        # for bit once every later step has been built
         X, y = data.synth_blobs(3, 16, 10, 0.8, seed=0)
         build, built = trainer.build_workspace, []
 
-        def recorded(*args, **kwargs):
-            ws = build(*args, **kwargs)
-            built.append((ws, {f.name: getattr(ws, f.name).copy() for f in fields(ws)}))
-            return ws
+        def recorded(B, eta):
+            arrays = {"B": B, "eta": eta}
+            arrays["kernel"], arrays["Q"] = build(B, eta)
+            built.append((arrays, {name: a.copy() for name, a in arrays.items()}))
+            return arrays["kernel"], arrays["Q"]
         monkeypatch.setattr(trainer, "build_workspace", recorded)
         cfg = TrainConfig(inner_iters=4, q_variant=q_variant)
         trainer.train_stage(hm.init(16, 5, seed=0), StreamingBatch(X, y, 1), cfg)
-        assert len({id(ws) for ws, _ in built}) == cfg.inner_iters + 1
-        for step, (ws, held) in enumerate(built):
+        for name in ("B", "kernel", "Q"):
+            assert len({id(arrays[name]) for arrays, _ in built}) == cfg.inner_iters + 1
+        for step, (arrays, held) in enumerate(built):
             for name, values in held.items():
-                assert np.array_equal(getattr(ws, name), values), (step, name)
+                assert np.array_equal(arrays[name], values), (step, name)
 
     def test_workspace_is_frozen(self):
         rng = np.random.default_rng(12)
         X, labels, model, P, eta, cfg = random_instance(rng)
-        ws = trainer.build_workspace(hm.encode_relaxed(model, X), P, eta)
-        for f in fields(ws):
-            with pytest.raises(FrozenInstanceError):
-                setattr(ws, f.name, np.zeros_like(P))
+        # the loss and the gradient read the workspace and write none of it
+        B = hm.encode_relaxed(model, X)
+        kernel, Q = trainer.build_workspace(B, eta)
+        arrays = {"B": B, "P": P, "eta": eta, "kernel": kernel, "Q": Q}
+        held = {name: a.copy() for name, a in arrays.items()}
+        trainer.kl_loss(P, Q, cfg.epsilon)
+        for mode in trainer.GRAD_MODES:
+            trainer.code_coefficients(B, P, Q, kernel, eta, mode)
+        for name, values in held.items():
+            assert np.array_equal(arrays[name], values), name
 
     def test_paper_mode_proportional_at_code_level_for_uniform_eta(self):
         # with p = n the exact per-pair coefficients are the published ones
@@ -251,9 +274,10 @@ class TestGradLoss:
             rng, scale_p=eta, scale_n=eta
         )
         B = 0.6 * np.sign(hm.encode_relaxed(model, X))
-        ws = trainer.build_workspace(B, P, etas)
-        np.testing.assert_allclose(trainer.code_coefficients(ws, "paper"),
-                                   eta * trainer.code_coefficients(ws, "exact"), atol=1e-12)
+        kernel, Q = trainer.build_workspace(B, etas)
+        np.testing.assert_allclose(trainer.code_coefficients(B, P, Q, kernel, etas, "paper"),
+                                   eta * trainer.code_coefficients(B, P, Q, kernel, etas, "exact"),
+                                   atol=1e-12)
 
     def test_paper_mode_w_level_deviation_recorded(self):
         # the paper-mode W-level closed form is NOT the analytic gradient
@@ -313,7 +337,7 @@ class TestSgdStep:
         g = grad_loss(X, model, P, eta, cfg)
 
         def loss(m):
-            return trainer.kl_loss(P, trainer.build_workspace(hm.encode_relaxed(m, X), P, eta).Q)
+            return trainer.kl_loss(P, trainer.build_workspace(hm.encode_relaxed(m, X), eta)[1])
 
         loss0 = loss(model)
         stepped = trainer.sgd_step(model, g, 1e-3)

@@ -82,8 +82,13 @@ MUTANTS = [
     Mutant("collapsed_gaussian_admitted", "src/streamhash/distribution.py",
            "if (ratio := abs(0.5 - mu) / sigma / sigma) > MAX_LOG_RATIO:",
            "if (ratio := abs(0.5 - mu) / sigma / sigma) > 2 * MAX_LOG_RATIO:",
-           "GaussianParams refuses a (mu, sigma) whose lighter pair weight is below the smallest "
-           "normal double", "tests/test_distribution.py"),
+           "GaussianParams refuses a (mu, sigma) whose lighter pair weight is below one ulp of "
+           "the heavier one", "tests/test_distribution.py"),
+    Mutant("collapse_bound_at_the_smallest_normal", "src/streamhash/distribution.py",
+           "MAX_LOG_RATIO = -math.log(np.finfo(np.float64).eps)",
+           "MAX_LOG_RATIO = -math.log(np.finfo(np.float64).tiny)",
+           "a sigma of 0.1 at mu = 1, whose P has the raw target's bytes, is a config error "
+           "(exit 2) before any dataset loads", "tests/test_cli.py"),
     Mutant("collapsed_gaussian_refused_after_config", "src/streamhash/experiment.py",
            "    try:\n        gaussian = GaussianParams(**{key: values.pop(key) for key in "
            "_table(GaussianParams)})\n    except DomainError as e:",
@@ -285,8 +290,8 @@ MUTANTS = [
            "the code-space gradient is B o r - B A, with r the row sums of A",
            "tests/test_trainer.py"),
     Mutant("paper_mode_takes_b_for_c", "src/streamhash/trainer.py",
-           "C = ws.B * tanh_deriv",
-           "C = ws.B",
+           "C = B * tanh_deriv",
+           "C = B",
            "the paper gradient carries the tanh derivative of the partner sample",
            "tests/test_trainer.py"),
     Mutant("train_config_takes_bools", "src/streamhash/distribution.py",
@@ -336,10 +341,10 @@ MUTANTS = [
            "np.count_nonzero(B <= 0) != B.size",
            "pack refuses every code entry other than +1 and -1, 0 included",
            "tests/test_index.py"),
-    Mutant("workspace_not_frozen", "src/streamhash/trainer.py",
-           "@dataclass(frozen=True)\nclass GradWorkspace:",
-           "@dataclass\nclass GradWorkspace:",
-           "a GradWorkspace is never overwritten: assigning an attribute raises",
+    Mutant("q_normalized_over_the_kernel", "src/streamhash/trainer.py",
+           "    return kernel, kernel / kernel.sum()",
+           "    kernel /= kernel.sum()\n    return kernel, kernel",
+           "build_workspace's kernel and Q are new arrays that share no memory",
            "tests/test_trainer.py"),
     Mutant("model_takes_any_W_dtype", "src/streamhash/model.py",
            'if self.W.dtype.kind not in "iuf":',
