@@ -102,13 +102,6 @@ def cmd_split(args, cfg, out_dir: Path) -> None:
         print(f"{name}: {part.labels.shape[0]} instances -> {out_dir / (name + '.txt')}")
 
 
-def _add_config_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", required=True, help="path to the JSON experiment config")
-    p.add_argument("--set", action="append", metavar="KEY=VALUE",
-                   help="override a config field (dotted path, JSON value)")
-    p.add_argument("--output-dir", help="where outputs go (beats config and env)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="streamhash",
@@ -117,22 +110,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("-v", "--verbose", action="store_true", help="debug logging")
     sub = parser.add_subparsers(dest="command", required=True)
+    config = argparse.ArgumentParser(add_help=False)  # the flags of every config command
+    config.add_argument("--config", required=True, help="path to the JSON experiment config")
+    config.add_argument("--set", action="append", metavar="KEY=VALUE",
+                        help="override a config field (dotted path, JSON value)")
+    config.add_argument("--output-dir", help="where outputs go (beats config and env)")
 
-    p = sub.add_parser("train", help="train over the stream and emit curve CSVs")
-    _add_config_args(p)
+    p = sub.add_parser("train", parents=[config], help="train over the stream and emit curve CSVs")
     p.set_defaults(fn=cmd_train)
 
-    p = sub.add_parser("eval", help="evaluate a checkpoint plus the untrained baseline")
+    p = sub.add_parser("eval", parents=[config],
+                       help="evaluate a checkpoint plus the untrained baseline")
     p.add_argument("--checkpoint", required=True, help="model checkpoint path")
-    _add_config_args(p)
     p.set_defaults(fn=cmd_eval)
 
-    p = sub.add_parser("sweep", help="grid-search hyperparameters, one train+eval per cell")
-    _add_config_args(p)
+    p = sub.add_parser("sweep", parents=[config],
+                       help="grid-search hyperparameters, one train+eval per cell")
     p.set_defaults(fn=cmd_sweep)
 
-    p = sub.add_parser("unseen", help="train on seen classes, evaluate held-out classes")
-    _add_config_args(p)
+    p = sub.add_parser("unseen", parents=[config],
+                       help="train on seen classes, evaluate held-out classes")
     p.set_defaults(fn=cmd_unseen)
 
     p = sub.add_parser("synth", help="generate a synthetic blob dataset file")
@@ -144,8 +141,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output dense-matrix file")
     p.set_defaults(fn=cmd_synth)
 
-    p = sub.add_parser("split", help="materialize train/retrieval/test dense files")
-    _add_config_args(p)
+    p = sub.add_parser("split", parents=[config],
+                       help="materialize train/retrieval/test dense files")
     p.set_defaults(fn=cmd_split)
 
     return parser

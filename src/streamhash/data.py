@@ -392,6 +392,20 @@ def synth_blobs(num_classes: int, dim: int, per_class: int, spread: float, seed:
     return features, labels
 
 
+def _draw_per_class(rng, labels: np.ndarray, classes, take) -> np.ndarray:
+    """The sorted union of take(size) seeded members of each class, drawn in
+    class order; a class of fewer members than its take is a SplitError."""
+    drawn = [np.empty(0, dtype=np.int64)]
+    for c in classes:
+        members = np.flatnonzero(labels == c)
+        if (size := take(members.shape[0])) > members.shape[0]:
+            raise SplitError(f"class {c} has {members.shape[0]} instances, "
+                             f"fewer than test_per_class={size}")
+        if size:
+            drawn.append(rng.choice(members, size=size, replace=False))
+    return np.sort(np.concatenate(drawn))
+
+
 def split(features: np.ndarray, labels: np.ndarray, spec: SplitSpec) -> tuple[Part, Part, Part]:
     """Standard protocol split into (train, retrieval, test) parts of features.
 
@@ -407,16 +421,7 @@ def split(features: np.ndarray, labels: np.ndarray, spec: SplitSpec) -> tuple[Pa
     if n == 0:
         raise SplitError("empty test set: 0 instances")
     rng = seeded_rng(spec.seed)
-    test_idx = []
-    for c in np.unique(labels):
-        members = np.flatnonzero(labels == c)
-        if members.shape[0] < spec.test_per_class:
-            raise SplitError(
-                f"class {c} has {members.shape[0]} instances, "
-                f"fewer than test_per_class={spec.test_per_class}"
-            )
-        test_idx.append(rng.choice(members, size=spec.test_per_class, replace=False))
-    test_idx = np.sort(np.concatenate(test_idx))
+    test_idx = _draw_per_class(rng, labels, np.unique(labels), lambda size: spec.test_per_class)
     mask = np.ones(n, dtype=bool)
     mask[test_idx] = False
     retrieval_idx = np.flatnonzero(mask)
@@ -452,15 +457,10 @@ def unseen_split(features, labels, seen_fraction: float, seed: int, test_per_cla
     seen = rng.choice(classes, size=n_seen, replace=False)
     seen_mask = np.isin(labels, seen)
     unseen_idx = np.flatnonzero(~seen_mask)
-    test_idx = []
-    for c in classes[~np.isin(classes, seen)]:
-        members = np.flatnonzero(labels == c)
-        take = min(test_per_class, members.shape[0] // 2)
-        if take > 0:
-            test_idx.append(rng.choice(members, size=take, replace=False))
-    if not test_idx:
+    test_idx = _draw_per_class(rng, labels, classes[~np.isin(classes, seen)],
+                               lambda size: min(test_per_class, size // 2))
+    if not test_idx.size:
         raise SplitError(f"empty test set: test_per_class={test_per_class}, at most half a class")
-    test_idx = np.sort(np.concatenate(test_idx))
     retrieval_idx = np.setdiff1d(unseen_idx, test_idx)
     parts = (np.flatnonzero(seen_mask), retrieval_idx, test_idx)
     return tuple(Part(features, i, labels[i]) for i in parts)

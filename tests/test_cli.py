@@ -108,6 +108,20 @@ class TestEvalCommand:
                   "--output-dir", str(tmp_path / "e2")])
         assert (tmp_path / "e1/report.json").read_bytes() == (tmp_path / "e2/report.json").read_bytes()
 
+    def test_report_carries_the_models_width_and_the_digest_at_it(self, tmp_path):
+        # a 24-bit checkpoint evaluated under configs/blobs.json, whose bits is 16
+        config = str(Path(__file__).resolve().parents[1] / "configs" / "blobs.json")
+        assert cli.main(["train", "--config", config, "--set", "bits=24",
+                         "--output-dir", str(tmp_path / "t")]) == 0
+        assert cli.main(["eval", "--checkpoint", str(tmp_path / "t/checkpoint.txt"),
+                         "--config", config, "--output-dir", str(tmp_path / "e")]) == 0
+        with open(tmp_path / "e/report.csv") as f:
+            rows = list(csv.DictReader(f))
+        assert [(r["method"], r["bits"], r["config_digest"]) for r in rows] == [
+            ("trained", "24", "6255e9b2e1b27816"), ("lsh_baseline", "24", "6255e9b2e1b27816")]
+        reports = json.loads((tmp_path / "e/report.json").read_text())
+        assert [(r["bits"], r["config_digest"]) for r in reports] == [(24, "6255e9b2e1b27816")] * 2
+
 
 class TestSweepCommand:
     def test_sweep_csv_rows(self, tmp_path, capsys):
@@ -170,6 +184,15 @@ class TestSynthAndSplitCommands:
             f"{name}.txt{tail}" for name in ("retrieval", "train") for tail in ("", data.SIDECAR)]
         for name, size in [("train", 120), ("retrieval", 150)]:
             assert load_dense_both_ways(tmp_path / "sp" / f"{name}.txt")[1].shape == (size,)
+
+
+# synth's required flags, each with a valid value
+SYNTH_FLAGS = {"--num-classes": "2", "--dim": "2", "--per-class": "2", "--spread": "0.1",
+               "--out": "blobs.txt"}
+
+
+def synth_argv_without(flag: str) -> list[str]:
+    return [arg for other, value in SYNTH_FLAGS.items() if other != flag for arg in (other, value)]
 
 
 class TestExitCodes:
@@ -242,6 +265,31 @@ class TestExitCodes:
         cfg = write_config(tmp_path, dataset={"kind": "dense", "path": str(path)})
         assert cli.main(["train", "--config", str(cfg)]) == 2
         assert f"{path}: line 6:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv, flag", [
+        ([], "command"),
+        *[([command], "--config") for command in ("train", "sweep", "unseen", "split")],
+        (["eval", "--checkpoint", "ckpt.txt"], "--config"),
+        (["eval", "--config", "config.json"], "--checkpoint"),
+        *[(["synth", *synth_argv_without(flag)], flag) for flag in SYNTH_FLAGS],
+    ])
+    def test_missing_command_or_required_flag_is_a_usage_error(self, tmp_path, capsys,
+                                                               monkeypatch, argv, flag):
+        # argparse exits 2 before any file is read: none of the paths exists
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(argv)
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: streamhash")
+        assert err.endswith(f"error: the following arguments are required: {flag}\n")
+        assert "Traceback" not in err and not os.listdir(tmp_path)
+
+    def test_set_without_an_equals_sign_is_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        assert cli.main(["train", "--config", str(cfg), "--set", "foo"]) == 2
+        assert capsys.readouterr().err == "error (ConfigError): --set expects key=value, got 'foo'\n"
         assert not (tmp_path / "out").exists()
 
     def test_missing_config_file_is_2(self, tmp_path):
@@ -548,6 +596,17 @@ def test_module_run_exits_with_the_documented_code(tmp_path, name):
     assert done.returncode == code, done.stderr
     assert "Traceback" not in done.stdout + done.stderr
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flags, logged", [([], 0), (["-v"], 6)])
+def test_verbose_logs_one_debug_line_per_stage(tmp_path, flags, logged):
+    # a child process: logging.basicConfig does nothing once pytest has a root handler
+    done = run_module([*flags, "train", "--config", str(write_config(tmp_path))])
+    assert done.returncode == 0, done.stderr
+    lines = [line for line in done.stderr.splitlines() if " stage " in line]
+    assert [line.split(":")[1] for line in lines] == [
+        f" stage {i} of {logged}" for i in range(1, logged + 1)]
+    assert all(line.startswith("DEBUG streamhash.trainer: ") for line in lines)
 
 
 # Each asks configs/blobs.json for more than the capped address space holds:

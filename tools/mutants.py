@@ -40,8 +40,8 @@ class Mutant:
 
 MUTANTS = [
     Mutant("split_test_unsorted", "src/streamhash/data.py",
-           "test_idx = np.sort(np.concatenate(test_idx))\n    mask",
-           "test_idx = np.concatenate(test_idx)\n    mask",
+           "    return np.sort(np.concatenate(drawn))",
+           "    return np.concatenate(drawn)",
            "split parts list their columns in matrix order",
            "tests/test_data.py"),
     Mutant("unseen_bits_unchecked", "src/streamhash/distribution.py",
@@ -389,6 +389,42 @@ MUTANTS = [
            "(features + 1e-300).tofile(f)",
            "the sidecar holds exactly the features a parse of the text returns, zeros included",
            "tests/test_data.py"),
+    Mutant("command_optional", "src/streamhash/cli.py",
+           'add_subparsers(dest="command", required=True)',
+           'add_subparsers(dest="command")',
+           "a run with no command is argparse's usage error (exit 2), not a traceback",
+           "tests/test_cli.py"),
+    Mutant("config_flag_optional", "src/streamhash/cli.py",
+           'config.add_argument("--config", required=True,',
+           'config.add_argument("--config",',
+           "a config command without --config is argparse's usage error (exit 2)",
+           "tests/test_cli.py"),
+    Mutant("checkpoint_flag_optional", "src/streamhash/cli.py",
+           'p.add_argument("--checkpoint", required=True,',
+           'p.add_argument("--checkpoint",',
+           "eval without --checkpoint is argparse's usage error (exit 2)",
+           "tests/test_cli.py"),
+    Mutant("synth_dim_optional", "src/streamhash/cli.py",
+           'p.add_argument("--dim", type=int, required=True)',
+           'p.add_argument("--dim", type=int)',
+           "synth without --dim is argparse's usage error (exit 2), not a DomainError (exit 3)",
+           "tests/test_cli.py"),
+    Mutant("report_digest_at_the_configs_width", "src/streamhash/experiment.py",
+           "replace(cfg, bits=model.k).digest(*sections)",
+           "cfg.digest(*sections)",
+           "a report's config digest is taken at the evaluated model's width",
+           "tests/test_cli.py"),
+    Mutant("set_without_equals_unchecked", "src/streamhash/cli.py",
+           '        if "=" not in item:\n'
+           '            raise ConfigError(f"--set expects key=value, got {item!r}")\n',
+           "",
+           "a --set without = is a ConfigError naming the flag (exit 2)",
+           "tests/test_cli.py"),
+    Mutant("verbose_levels_swapped", "src/streamhash/cli.py",
+           "level=logging.DEBUG if args.verbose else logging.INFO",
+           "level=logging.INFO if args.verbose else logging.DEBUG",
+           "-v logs one DEBUG line per stage, and the default level logs none",
+           "tests/test_cli.py"),
 ]
 
 
