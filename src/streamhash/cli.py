@@ -2,10 +2,10 @@
 
 Subcommands: train, eval, sweep, unseen, synth, split. All experiment
 commands read one JSON config file; individual fields can be overridden
-with repeated --set dotted.key=value flags. The output directory resolves
-as --output-dir flag > STREAMHASH_OUT env var > config value. The exit
-code of a failure is the exit_code of its error class (see errors), and
-running out of memory exits 3.
+with repeated --set dotted.key=value flags. Outputs go to --output-dir,
+else to the config's output_dir. A failure exits with the exit_code of its
+error class (see errors), a stream a stage's error cuts short too, once
+its completed stages are written; running out of memory exits 3.
 """
 
 from __future__ import annotations
@@ -13,13 +13,11 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import os
 import sys
 from pathlib import Path
 
 from . import data, experiment, model as hashmodel
 from .errors import ConfigError, StreamHashError
-from .experiment import OUTPUT_DIR_ENV
 
 log = logging.getLogger(__name__)
 
@@ -48,8 +46,7 @@ def _load_config(args) -> experiment.ExperimentConfig:
             raise ConfigError(f"--set path {dotted!r} crosses a non-section value")
         node[key] = value
     cfg = experiment.config_from_dict(raw)
-    out_dir = args.output_dir or os.environ.get(OUTPUT_DIR_ENV) or cfg.output_dir
-    return experiment.replace(cfg, output_dir=str(out_dir))
+    return experiment.replace(cfg, output_dir=str(args.output_dir or cfg.output_dir))
 
 
 def cmd_train(args, cfg, out_dir: Path) -> None:
@@ -114,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     config.add_argument("--config", required=True, help="path to the JSON experiment config")
     config.add_argument("--set", action="append", metavar="KEY=VALUE",
                         help="override a config field (dotted path, JSON value)")
-    config.add_argument("--output-dir", help="where outputs go (beats config and env)")
+    config.add_argument("--output-dir", help="where outputs go (beats the config's output_dir)")
 
     p = sub.add_parser("train", parents=[config], help="train over the stream and emit curve CSVs")
     p.set_defaults(fn=cmd_train)

@@ -22,15 +22,12 @@ import numpy as np
 from . import data, index, metrics, model as hashmodel, trainer
 from .data import SplitSpec
 from .distribution import KINDS, GaussianParams, check_settings, refusal, shown
-from .errors import (ConfigError, ConsistencyError, DomainError, NumericError, SplitError,
-                     StreamHashError)
+from .errors import ConfigError, ConsistencyError, DomainError, SplitError, StreamHashError
 from .metrics import MetricReport
 from .model import HashModel
 from .trainer import TrainConfig
 
 log = logging.getLogger(__name__)
-
-OUTPUT_DIR_ENV = "STREAMHASH_OUT"
 
 
 @dataclass(frozen=True)
@@ -273,11 +270,11 @@ def train_parts(cfg: ExperimentConfig, train_split, retrieval, test, out_dir: Pa
     every eval.every_n_stages stages for the size curve. When out_dir is
     given, writes checkpoint.txt, stages.csv and curve.csv.
 
-    A NumericError ends the stream: the completed stages' outputs are still
-    written, then NumericError("aborted after i of n stages") is raised,
-    naming out_dir when it holds them. Without out_dir it is raised before
-    the last completed stage is scored. An eval.r_max that retrieval_scores
-    would refuse is refused before any stage.
+    A library error in a stage ends the stream: the completed stages'
+    outputs are still written, then one of its class says "aborted after i
+    of n stages: <its message>", naming out_dir when it holds them; with no
+    out_dir, before the last completed stage is scored. An eval.r_max that
+    retrieval_scores would refuse is refused before any stage.
     """
     if cfg.eval.r_max > (n := retrieval.idx.size):
         raise DomainError(f"r_max={cfg.eval.r_max} is outside 1..{n}, the database size")
@@ -301,9 +298,8 @@ def train_parts(cfg: ExperimentConfig, train_split, retrieval, test, out_dir: Pa
             reports.append(report)
             if curve and report.stage_index % cfg.eval.every_n_stages == 0:
                 final = evaluate_at(model, report.stage_index)
-    except NumericError as e:
-        log.warning("stage %d aborted: %s", len(reports) + 1, e)
-        aborted = f"aborted after {len(reports)} of {len(batches)} stages"
+    except StreamHashError as e:
+        aborted = e
     if not (curve_rows and curve_rows[-1][0] == len(reports) or aborted and out_dir is None):
         final = evaluate_at(model, len(reports))
 
@@ -313,8 +309,9 @@ def train_parts(cfg: ExperimentConfig, train_split, retrieval, test, out_dir: Pa
                   [astuple(r) for r in reports])
         write_csv(out_dir / "curve.csv",
                   ["stage_index", "train_instances_seen", *SCORE_COLUMNS, "auc_so_far"], curve_rows)
-    if aborted:
-        raise NumericError(aborted + ("" if out_dir is None else f"; partial outputs in {out_dir}"))
+    if aborted:  # of the stage error's class, so its exit code holds
+        raise type(aborted)(f"aborted after {len(reports)} of {len(batches)} stages: {aborted}"
+                            + ("" if out_dir is None else f"; partial outputs in {out_dir}"))
     return TrainOutcome(model, reports, curve_rows, final)
 
 

@@ -30,14 +30,11 @@ import numpy as np
 from . import distribution as dist
 from . import model as hashmodel
 from .data import StreamingBatch
-from .distribution import DOMAINS, GaussianParams, check_settings
+from .distribution import GaussianParams, check_settings
 from .errors import DimensionError, DomainError, NumericError
 from .model import HashModel
 
 log = logging.getLogger(__name__)
-
-GRAD_MODES, P_VARIANTS, Q_VARIANTS = (DOMAINS[name]["one of"]
-                                      for name in ("grad_mode", "p_variant", "q_variant"))
 
 
 @dataclass(frozen=True)

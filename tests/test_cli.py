@@ -15,7 +15,6 @@ import pytest
 import streamhash
 from streamhash import cli, data, experiment, trainer
 from streamhash.errors import NumericError
-from streamhash.experiment import OUTPUT_DIR_ENV
 
 from oracles import load_dense_both_ways
 
@@ -80,10 +79,13 @@ class TestTrainCommand:
         assert loaded == value and type(loaded) is type(value)
 
     def test_env_var_output_dir(self, tmp_path, monkeypatch):
+        # no environment variable redirects a run: the outputs go to the
+        # config's output_dir
         cfg = write_config(tmp_path)
-        monkeypatch.setenv(OUTPUT_DIR_ENV, str(tmp_path / "env_out"))
+        monkeypatch.setenv("STREAMHASH_OUT", str(tmp_path / "env_out"))
         assert cli.main(["train", "--config", str(cfg)]) == 0
-        assert (tmp_path / "env_out/curve.csv").exists()
+        assert (tmp_path / "out/curve.csv").exists()
+        assert not (tmp_path / "env_out").exists()
 
 
 class TestEvalCommand:
@@ -236,8 +238,8 @@ class TestExitCodes:
         code = cli.main(["sweep", "--config", str(cfg), "--set", "dataset.num_classes=12",
                          "--set", "train.batch_size=2"])
         assert code == 3
-        assert "all 1 sweep cells failed; cell 0: off-diagonal mass is zero" in (
-            capsys.readouterr().err)
+        assert ("all 1 sweep cells failed; cell 0: aborted after 0 of 60 stages: off-diagonal "
+                "mass is zero") in capsys.readouterr().err
         assert (tmp_path / "out/sweep.csv").read_text().splitlines()[1].startswith("0,raw,failed,")
 
     # configs/blobs.json: 2000 retrieval instances, 550 in the held-out protocol
@@ -534,6 +536,30 @@ class TestExitCodes:
         assert len(stages) == completed
         assert all(float(line.split(",")[3]) > 0 for line in stages)  # grad_norm
 
+    def test_raw_target_cut_short_is_3_with_its_stages(self, tmp_path, capsys):
+        # 1902 instances in batches of 50: 38 stages, then a batch of 2
+        # instances of 2 classes, with no similar pair for the raw target
+        config = Path(__file__).resolve().parents[1] / "configs" / "blobs.json"
+        out = tmp_path / "out"
+        assert cli.main(["train", "--config", str(config), "--output-dir", str(out),
+                         "--set", 'train.p_variant="raw"', "--set", "split.train_size=1902"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == ("error (DegenerateDistributionError): aborted after 38 of 39 "
+                                f"stages: off-diagonal mass is zero; partial outputs in {out}\n")
+        assert captured.out == ""
+        assert len((out / "stages.csv").read_text().splitlines()) == 1 + 38
+        assert (out / "curve.csv").read_text().splitlines()[-1].startswith("38,")
+        assert (out / "checkpoint.txt").exists()
+
+    def test_unseen_cut_short_is_3_and_writes_nothing(self, tmp_path, capsys):
+        # the first 2-instance batch has no similar pair for the raw target
+        config = Path(__file__).resolve().parents[1] / "configs" / "blobs.json"
+        assert cli.main(["unseen", "--config", str(config), "--output-dir", str(tmp_path / "u"),
+                         "--set", 'train.p_variant="raw"', "--set", "train.batch_size=2"]) == 3
+        assert ("error (DegenerateDistributionError): aborted after 0 of 900 stages: "
+                "off-diagonal mass is zero\n") == capsys.readouterr().err
+        assert not (tmp_path / "u").exists()
+
 
 def write_idx(tmp_path, rows, cols):
     """An IDX pair of 3 images whose header claims rows x cols pixels each."""
@@ -607,6 +633,20 @@ def test_verbose_logs_one_debug_line_per_stage(tmp_path, flags, logged):
     assert [line.split(":")[1] for line in lines] == [
         f" stage {i} of {logged}" for i in range(1, logged + 1)]
     assert all(line.startswith("DEBUG streamhash.trainer: ") for line in lines)
+
+
+def test_stream_cut_short_prints_one_stderr_line(tmp_path):
+    # a child process, where logging prints too: the abort is one line, with
+    # no separate warning; 1e300 saturates every code in stage 1, so stage 2
+    # applies no step
+    config = Path(__file__).resolve().parents[1] / "configs" / "blobs.json"
+    out = tmp_path / "out"
+    done = run_module(["train", "--config", str(config), "--output-dir", str(out),
+                       "--set", "train.learning_rate=1e300"])
+    assert done.returncode == 5
+    assert done.stderr == ("error (NumericError): aborted after 1 of 40 stages: stage 2 applied "
+                           f"no step at a positive loss; partial outputs in {out}\n")
+    assert done.stdout == ""
 
 
 # Each asks configs/blobs.json for more than the capped address space holds:

@@ -12,7 +12,6 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from streamhash import cli, data, trainer
-from streamhash.experiment import OUTPUT_DIR_ENV
 
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None,
                     suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -142,7 +141,6 @@ def test_every_run_ends_in_a_documented_code(monkeypatch, capsys, case):
 
     # one context per example: hypothesis reuses the function's monkeypatch
     with monkeypatch.context() as patch, tempfile.TemporaryDirectory() as tmp:
-        patch.delenv(OUTPUT_DIR_ENV, raising=False)
         patch.setattr(trainer, "train_stage", counted)
         tmp = Path(tmp)
         raw = dict(case["config"], dataset=write_idx(tmp, case["counts"]),

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from streamhash import cli, experiment
 from streamhash.errors import ConfigError
-from streamhash.experiment import OUTPUT_DIR_ENV
 
 SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None,
                     suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -86,7 +85,6 @@ def test_cli_exits_0_or_2(tmp_path, monkeypatch, command, where, value):
     # without training, a sweep's too: its cells are built with the config,
     # and a file that cannot be read ends the sweep
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
     config = tmp_path / "config.json"
     config.write_text(json.dumps(base_config({"kind": "dense", "path": "missing.txt"})))
     section, key = where

@@ -38,6 +38,11 @@ def blob_config(tmp_path, **overrides):
     return raw
 
 
+CAUSE = "gradient contains non-finite entries; stage aborted"
+# the message, as a pattern, of a 6-stage stream that failing_second_stage cuts short
+ABORTED = re.escape(f"aborted after 1 of 6 stages: {CAUSE}")
+
+
 @pytest.fixture
 def failing_second_stage(monkeypatch):
     """Make every stream abort at stage 2, as a non-finite gradient would."""
@@ -45,7 +50,7 @@ def failing_second_stage(monkeypatch):
 
     def train_stage(model, batch, cfg):
         if batch.stage_index == 2:
-            raise NumericError("gradient contains non-finite entries; stage aborted")
+            raise NumericError(CAUSE)
         return real(model, batch, cfg)
 
     monkeypatch.setattr(trainer, "train_stage", train_stage)
@@ -358,7 +363,7 @@ class TestRunTrain:
     def test_aborted_stream_keeps_its_outputs(self, tmp_path, failing_second_stage):
         cfg = config_from_dict(blob_config(tmp_path))
         out = tmp_path / "run"
-        with pytest.raises(NumericError, match="^aborted after 1 of 6 stages; partial outputs in "
+        with pytest.raises(NumericError, match=f"^{ABORTED}; partial outputs in "
                                                f"{re.escape(str(out))}$"):
             experiment.run_train(cfg, out)
         # the curve ends at the last completed stage, whose model is the checkpoint
@@ -370,7 +375,7 @@ class TestRunTrain:
         assert curve[0]["map"] == repr(scores["map"])
         assert len((out / "stages.csv").read_text().splitlines()) == 2
         # with no out_dir, nothing is written and the error names no directory
-        with pytest.raises(NumericError, match=r"^aborted after 1 of 6 stages$"):
+        with pytest.raises(NumericError, match=f"^{ABORTED}$"):
             experiment.run_train(cfg)
 
     def test_aborted_stream_scored_only_for_its_curve(self, tmp_path, failing_second_stage,
@@ -380,10 +385,10 @@ class TestRunTrain:
         # scores would be discarded, so it is not scored at all
         cfg = config_from_dict(blob_config(tmp_path))
         calls = counted(experiment, "evaluate_model")
-        with pytest.raises(NumericError, match=r"^aborted after 1 of 6 stages$"):
+        with pytest.raises(NumericError, match=f"^{ABORTED}$"):
             experiment.run_train(cfg)
         assert calls == {"evaluate_model": 0}
-        with pytest.raises(NumericError, match="^aborted after 1 of 6 stages; partial outputs"):
+        with pytest.raises(NumericError, match=f"^{ABORTED}; partial outputs"):
             experiment.run_train(cfg, tmp_path / "run")
         assert calls == {"evaluate_model": 1}
 
@@ -697,23 +702,34 @@ class TestRunSweep:
         raw["sweep"] = {"p_variant": ["raw", "gaussian"]}
         rows = experiment.run_sweep(config_from_dict(raw))
         assert rows[0]["status"] == "failed"
-        assert rows[0]["error"] == "off-diagonal mass is zero"
+        assert rows[0]["error"] == "aborted after 0 of 60 stages: off-diagonal mass is zero"
         assert rows[1]["status"] == "ok" and rows[1]["best"]
+
+    def test_cell_cut_short_records_its_abort_in_sweep_csv(self, tmp_path):
+        # as above: raw P fails on the first 2-instance batch
+        raw = blob_config(tmp_path)
+        raw["dataset"]["num_classes"] = 12
+        raw["train"]["batch_size"] = 2
+        raw["sweep"] = {"p_variant": ["raw", "gaussian"]}
+        experiment.run_sweep(config_from_dict(raw), out_dir=tmp_path / "sw")
+        with open(tmp_path / "sw/sweep.csv") as f:
+            rows = list(csv.DictReader(f))
+        assert [(row["status"], row["error"]) for row in rows] == [
+            ("failed", "aborted after 0 of 60 stages: off-diagonal mass is zero"), ("ok", "")]
 
     def test_aborted_cell_failed_and_never_best(self, tmp_path, failing_second_stage):
         raw = blob_config(tmp_path)
         raw["sweep"] = {"learning_rate": [0.05, 0.1]}
         # no cell is ok, so the sweep raises the first failure's class once
         # sweep.csv is written
-        with pytest.raises(NumericError, match=r"^all 2 sweep cells failed; cell 0: aborted after "
-                                               r"1 of 6 stages$"):
+        with pytest.raises(NumericError, match=f"^all 2 sweep cells failed; cell 0: {ABORTED}$"):
             experiment.run_sweep(config_from_dict(raw), out_dir=tmp_path / "sw")
         with open(tmp_path / "sw/sweep.csv") as f:
             rows = list(csv.DictReader(f))
         assert len(rows) == 2
         for row in rows:
             assert row["status"] == "failed" and row["best"] == "False"
-            assert row["error"] == "aborted after 1 of 6 stages"
+            assert row["error"] == "aborted after 1 of 6 stages: " + CAUSE
 
     def test_aborted_cell_is_not_scored(self, tmp_path, failing_second_stage, counted):
         raw = blob_config(tmp_path)
@@ -853,7 +869,8 @@ class TestRunUnseen:
         raw["dataset"]["num_classes"] = 4
         raw["unseen"] = {"test_per_class": 10}
         calls = counted(experiment, "evaluate_model")
-        with pytest.raises(NumericError, match=r"^aborted after 1 of \d+ stages$"):
+        with pytest.raises(NumericError,
+                           match=rf"^aborted after 1 of \d+ stages: {re.escape(CAUSE)}$"):
             experiment.run_unseen(config_from_dict(raw))
         assert calls == {"evaluate_model": 0}
 

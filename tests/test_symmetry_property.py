@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from streamhash import data, experiment, trainer
 from streamhash import model as hm
 from streamhash.data import StreamingBatch
+from streamhash.distribution import DOMAINS
 from streamhash.model import HashModel
 from streamhash.trainer import TrainConfig
 
@@ -84,9 +85,8 @@ def test_scores_unchanged_by_relabeling(case, data_):
     assert moved == base
 
 
-CONFIGS = st.builds(TrainConfig, grad_mode=st.sampled_from(trainer.GRAD_MODES),
-                    p_variant=st.sampled_from(trainer.P_VARIANTS),
-                    q_variant=st.sampled_from(trainer.Q_VARIANTS),
+CONFIGS = st.builds(TrainConfig, **{name: st.sampled_from(DOMAINS[name]["one of"])
+                                     for name in ("grad_mode", "p_variant", "q_variant")},
                     inner_iters=st.integers(1, 4),
                     scale_p=st.none() | st.floats(0.5, 8.0), scale_n=st.floats(0.5, 8.0))
 

@@ -10,7 +10,7 @@ import pytest
 
 from streamhash import data, distribution as dist, model as hm, trainer
 from streamhash.data import StreamingBatch
-from streamhash.distribution import GaussianParams
+from streamhash.distribution import DOMAINS, GaussianParams
 from streamhash.errors import (
     DegenerateDistributionError,
     DimensionError,
@@ -80,7 +80,7 @@ class TestKlLoss:
         with pytest.raises(DimensionError):
             trainer.kl_loss(np.zeros((3, 3)), np.zeros((4, 4)))
 
-    @pytest.mark.parametrize("p_variant", trainer.P_VARIANTS)
+    @pytest.mark.parametrize("p_variant", DOMAINS["p_variant"]["one of"])
     def test_dense_sum_matches_masked_gather(self, p_variant):
         # raw P has zero off-diagonal entries, Gaussian P has none
         rng = np.random.default_rng(11)
@@ -114,7 +114,8 @@ class TestBuildTarget:
         # byte, those built from a float64 similarity matrix
         labels = LABELS[kind](n, np.random.default_rng(n))
         for p_variant, q_variant, scale_p, mu in itertools.product(
-                trainer.P_VARIANTS, trainer.Q_VARIANTS, (None, 2.5), (0.5, 1.0)):
+                DOMAINS["p_variant"]["one of"], DOMAINS["q_variant"]["one of"], (None, 2.5),
+                (0.5, 1.0)):
             cfg = TrainConfig(p_variant=p_variant, q_variant=q_variant,
                               gaussian=GaussianParams(mu, 0.35),
                               scale_p=scale_p, scale_n=0.7)
@@ -228,7 +229,7 @@ class TestGradLoss:
         for a, b in itertools.combinations((B, eta, kernel, Q), 2):
             assert not np.shares_memory(a, b)
 
-    @pytest.mark.parametrize("q_variant", trainer.Q_VARIANTS)
+    @pytest.mark.parametrize("q_variant", DOMAINS["q_variant"]["one of"])
     def test_stage_workspaces_never_overwritten(self, q_variant, monkeypatch):
         # each step of a stage builds its own kernel and Q at its own codes,
         # and they, the codes and the divisors still hold their values bit
@@ -259,7 +260,7 @@ class TestGradLoss:
         arrays = {"B": B, "P": P, "eta": eta, "kernel": kernel, "Q": Q}
         held = {name: a.copy() for name, a in arrays.items()}
         trainer.kl_loss(P, Q, cfg.epsilon)
-        for mode in trainer.GRAD_MODES:
+        for mode in DOMAINS["grad_mode"]["one of"]:
             trainer.code_coefficients(B, P, Q, kernel, eta, mode)
         for name, values in held.items():
             assert np.array_equal(arrays[name], values), name
@@ -516,8 +517,8 @@ def reference_stage(W, batch, cfg):
 
 
 class TestStageAgainstReference:
-    @pytest.mark.parametrize("grad_mode", trainer.GRAD_MODES)
-    @pytest.mark.parametrize("q_variant", trainer.Q_VARIANTS)
+    @pytest.mark.parametrize("grad_mode", DOMAINS["grad_mode"]["one of"])
+    @pytest.mark.parametrize("q_variant", DOMAINS["q_variant"]["one of"])
     @pytest.mark.parametrize("n", [9, 40])  # below and above d = 16
     def test_matches_w_space_loop(self, grad_mode, q_variant, n):
         X, y = data.synth_blobs(3, 16, 20, 0.8, seed=n)

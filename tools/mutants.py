@@ -109,7 +109,7 @@ MUTANTS = [
     Mutant("grad_mode_choices_dropped", "src/streamhash/distribution.py",
            '"grad_mode": {"one of": ("paper", "exact")}, ',
            "",
-           "GRAD_MODES is a view of the grad_mode entry, which refuses any other mode",
+           "the grad_mode entry lists the modes the trainer runs and refuses any other",
            "tests/test_trainer.py"),
     Mutant("choices_unchecked", "src/streamhash/distribution.py",
            '"one of": lambda value, bound: value in bound',
@@ -315,17 +315,28 @@ MUTANTS = [
            "an eval.r_max outside the database is a DomainError (exit 3) before any stage",
            "tests/test_cli.py"),
     Mutant("aborted_train_returns", "src/streamhash/experiment.py",
-           "    if aborted:\n        raise NumericError(",
-           "    if False:\n        raise NumericError(",
-           "a stream a NumericError cut short is never returned as trained: train exits 5",
+           "    if aborted:  # of the stage error's class",
+           "    if False:  # of the stage error's class",
+           "a stream a stage error cut short is never returned as trained: train exits 5",
            "tests/test_cli.py"),
     Mutant("abort_raised_before_outputs", "src/streamhash/experiment.py",
            "    if out_dir is not None:\n        hashmodel.save_checkpoint(",
            "    if aborted and out_dir is not None:\n"
-           "        raise NumericError(f\"{aborted}; partial outputs in {out_dir}\")\n"
+           "        raise type(aborted)(f\"aborted after {len(reports)} of {len(batches)} \"\n"
+           "                            f\"stages: {aborted}; partial outputs in {out_dir}\")\n"
            "    if out_dir is not None:\n        hashmodel.save_checkpoint(",
            "an aborted stream still writes checkpoint.txt, stages.csv and curve.csv of the "
            "stages it completed", "tests/test_experiment.py"),
+    Mutant("abort_catches_numeric_errors_only", "src/streamhash/experiment.py",
+           "    except StreamHashError as e:\n        aborted = e",
+           "    except trainer.NumericError as e:\n        aborted = e",
+           "any library error of a stage ends the stream as a numeric one does: a raw target's "
+           "batch with no similar pair keeps the completed stages' outputs", "tests/test_cli.py"),
+    Mutant("abort_message_drops_its_cause", "src/streamhash/experiment.py",
+           'stages: {aborted}"',
+           'stages"',
+           "the abort message ends with the stage error's own message",
+           "tests/test_experiment.py"),
     Mutant("final_only_run_scores_its_curve", "src/streamhash/experiment.py",
            "            if curve and report.stage_index",
            "            if report.stage_index",
@@ -389,6 +400,12 @@ MUTANTS = [
            "(features + 1e-300).tofile(f)",
            "the sidecar holds exactly the features a parse of the text returns, zeros included",
            "tests/test_data.py"),
+    Mutant("output_dir_read_from_the_environment", "src/streamhash/cli.py",
+           "str(args.output_dir or cfg.output_dir)",
+           "str(args.output_dir or __import__(\"os\").environ.get(\"STREAMHASH_OUT\")\n"
+           "                                                     or cfg.output_dir)",
+           "no environment variable redirects a run: outputs go to --output-dir, else the "
+           "config's output_dir", "tests/test_cli.py"),
     Mutant("command_optional", "src/streamhash/cli.py",
            'add_subparsers(dest="command", required=True)',
            'add_subparsers(dest="command")',

@@ -4,9 +4,12 @@ Runs `train` seven times (as shipped, null scale_p, plain Q with a null
 scale_p, raw P, paper gradient, two epochs, and a 784-dimensional 10 x 300
 blob set at 64 bits in batches of 400, whose products OpenBLAS threads),
 once more at a learning rate of 1e300, whose stream aborts after its
-first stage (exit 5) and leaves that stage's outputs, then `eval`,
-`sweep`, `sweep` over a null and a set scale_p (a None cell value in
-sweep.csv), `unseen` and `split`, through streamhash.cli.main, each into
+first stage (exit 5) and leaves that stage's outputs, and once more on
+raw P over 1902 instances (train_abort_raw), whose final 2-instance batch
+has no similar pair, so it aborts after 38 stages (exit 3) and leaves
+their outputs. Then `eval`, `sweep`, `sweep` over a null and a set
+scale_p (a None cell value in sweep.csv), `unseen` and `split` run
+through streamhash.cli.main, each into
 its own directory under OUT_DIR, and `synth` of a 10-class,
 64-dimensional blob set into OUT_DIR/synth/blobs.txt. Then `train` runs
 twice on that dense file: train_dense loads it through its binary sidecar, train_dense_text
@@ -15,7 +18,7 @@ output directories are byte-identical. Writes OUT_DIR/manifest.txt: a
 first line naming the numpy version, its BLAS and OPENBLAS_CORETYPE, then
 one sha256 per output file (the sidecars of synth and split included),
 hashed whole, and one per command's stdout. A command that exits with
-another code than the one it expects (0, or 5 for the aborted train)
+another code than the one it expects (0, or 5 and 3 for the aborted trains)
 stops the script. Two trees whose outputs must not change give identical
 manifests. The bytes depend on the BLAS kernel as well as on the tree:
 the kernel OpenBLAS picks for the CPU (pinned by OPENBLAS_CORETYPE) and,
@@ -91,6 +94,10 @@ def main(out_dir: Path) -> None:
     # the stream aborts (exit 5), leaving the outputs of its one stage
     stdouts["train_abort"] = run("train_abort", "train", "--set=train.learning_rate=1e300",
                                  exit_code=5)
+    # raw P's final batch, 2 instances of 2 classes, has no similar pair:
+    # the stream aborts after 38 stages (exit 3), leaving their outputs
+    stdouts["train_abort_raw"] = run("train_abort_raw", "train", '--set=train.p_variant="raw"',
+                                     "--set=split.train_size=1902", exit_code=3)
     stdouts["eval"] = run("eval", "eval", "--checkpoint", "train/checkpoint.txt")
     for command in ("sweep", "unseen", "split"):
         stdouts[command] = run(command, command)
